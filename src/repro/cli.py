@@ -34,9 +34,8 @@ Sub-commands:
     rare-event importance sampling or multilevel splitting when almost
     every trial censors; ``standard`` forces the plain estimator on the
     chosen backend; ``is``/``splitting`` force a rare-event method.
-    ``--variance-reduction qmc|cv`` swaps in a variance-reduced batch
-    estimator; ``--profile`` records a setup/kernel/merge wall-time
-    breakdown in the result details.
+    ``--variance-reduction cv`` swaps in the control-variate batch
+    estimator.
 ``optimize``
     Budget-constrained planner: search a design space for the
     cost–reliability Pareto frontier and recommend a configuration for
@@ -157,8 +156,6 @@ def _answer(args: argparse.Namespace, scenario: study.Scenario) -> str:
                 scenario,
                 jobs=getattr(args, "jobs", 1),
                 cache_dir=getattr(args, "cache_dir", None),
-                transport=getattr(args, "transport", "pickle"),
-                profile=getattr(args, "profile", False),
                 telemetry=telemetry,
             )
     finally:
@@ -526,14 +523,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="adaptive sampling: extend until std error / mean "
                           "falls below this fraction")
     simulate.add_argument("--variance-reduction",
-                          choices=["none", "qmc", "cv"], default="none",
+                          choices=["none", "cv"], default="none",
                           help="variance-reduced estimator on the plain batch "
-                          "engine: qmc = scrambled-Sobol clock pools, cv = "
-                          "conditional-Monte-Carlo control variate "
-                          "(threshold-2 schemes; default: none)")
-    simulate.add_argument("--profile", action="store_true",
-                          help="record a setup/kernel/merge wall-time "
-                          "breakdown in the result details")
+                          "engine: cv = conditional-Monte-Carlo control "
+                          "variate (threshold-2 schemes; default: none)")
     simulate.set_defaults(handler=_cmd_simulate)
 
     optimize_parser = subparsers.add_parser(
@@ -587,14 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
     optimize_parser.add_argument("--cache-dir", default=None,
                                  help="directory for the content-hash result cache "
                                  "(default: no cache)")
-    optimize_parser.add_argument("--transport", choices=["pickle", "shm"],
-                                 default="pickle",
-                                 help="how parallel workers return refinement "
-                                 "results: pickle through the pool pipe, or shm "
-                                 "rows written into shared memory (default: pickle)")
-    optimize_parser.add_argument("--profile", action="store_true",
-                                 help="record a setup/kernel/merge wall-time "
-                                 "breakdown in the result details")
     optimize_parser.set_defaults(handler=_cmd_optimize)
 
     fleet = subparsers.add_parser(
@@ -633,14 +618,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--cache-dir", default=None,
                        help="directory for the chunk tally cache "
                        "(default: no cache)")
-    fleet.add_argument("--transport", choices=["pickle", "shm"],
-                       default="pickle",
-                       help="how parallel workers return chunk tallies: pickle "
-                       "through the pool pipe, or shm rows written into "
-                       "shared memory (default: pickle)")
-    fleet.add_argument("--profile", action="store_true",
-                       help="record a setup/kernel/merge wall-time breakdown "
-                       "in the result details")
     fleet.set_defaults(handler=_cmd_fleet)
 
     serve = subparsers.add_parser(

@@ -183,66 +183,6 @@ class FleetTally:
             clamp_hi=1.0,
         )
 
-    # -- serialisation (for the shared-memory transport) -------------------
-
-    #: Scalar fields leading a tally row (before the two year histograms).
-    ROW_SCALARS = 8
-
-    @staticmethod
-    def row_width(year_bins: int) -> int:
-        """Length of the fixed-width int64 row encoding one tally."""
-        return FleetTally.ROW_SCALARS + 2 * year_bins
-
-    def as_row(self) -> np.ndarray:
-        """Encode the tally as one fixed-width int64 row.
-
-        Every field of a tally is integral, so the row round-trips
-        losslessly; workers on the shared-memory transport write this
-        row in place instead of pickling the tally back.
-        """
-        return np.concatenate(
-            [
-                np.array(
-                    [
-                        self.year_bins,
-                        self.members,
-                        self.losses,
-                        self.repairs,
-                        self.shock_events,
-                        self.shock_faults,
-                        self.migration_losses,
-                        self.sweeps,
-                    ],
-                    dtype=np.int64,
-                ),
-                self.loss_year_counts,
-                self.repair_year_counts,
-            ]
-        )
-
-    @staticmethod
-    def from_row(row: np.ndarray) -> "FleetTally":
-        """Decode a row written by :meth:`as_row`."""
-        row = np.asarray(row, dtype=np.int64)
-        year_bins = int(row[0])
-        if row.shape != (FleetTally.row_width(year_bins),):
-            raise ValueError("malformed fleet tally row")
-        scalars = FleetTally.ROW_SCALARS
-        return FleetTally(
-            year_bins=year_bins,
-            members=int(row[1]),
-            losses=int(row[2]),
-            repairs=int(row[3]),
-            shock_events=int(row[4]),
-            shock_faults=int(row[5]),
-            migration_losses=int(row[6]),
-            sweeps=int(row[7]),
-            loss_year_counts=row[scalars : scalars + year_bins].copy(),
-            repair_year_counts=(
-                row[scalars + year_bins : scalars + 2 * year_bins].copy()
-            ),
-        )
-
     # -- serialisation (for the chunk cache) -------------------------------
 
     def as_dict(self) -> Dict[str, object]:

@@ -22,9 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -37,6 +34,7 @@ from repro.fleet.population import simulate_fleet_chunk
 from repro.fleet.timeline import FleetTimeline
 from repro.simulation.monte_carlo import MonteCarloEstimate
 from repro.simulation.rng import spawn_seed
+from repro.store import write_atomic
 
 #: Default members per chunk: large enough to amortise the kernel's
 #: per-sweep overhead, small enough to spread across a worker pool.
@@ -62,7 +60,8 @@ def chunk_cache_key(
 class FleetChunkCache:
     """Directory-backed store of per-chunk fleet tallies.
 
-    One JSON file per chunk, named by its content hash; unreadable or
+    One JSON file per chunk, named by its content hash and published
+    atomically (:func:`repro.store.write_atomic`); unreadable or
     malformed entries degrade to re-simulation rather than failing the
     run (the same contract as the optimizer's
     :class:`~repro.optimize.runner.ResultCache`).  The ``hits`` /
@@ -101,8 +100,8 @@ class FleetChunkCache:
         return self.lookup(key)[0]
 
     def put(self, key: str, tally: FleetTally) -> None:
-        self._path(key).write_text(
-            json.dumps(tally.as_dict(), sort_keys=True), encoding="utf-8"
+        write_atomic(
+            self._path(key), json.dumps(tally.as_dict(), sort_keys=True)
         )
         self.stores += 1
 
@@ -115,42 +114,6 @@ def _chunk_task(payload: Tuple[FleetTimeline, int, int, int]) -> FleetTally:
             timeline, size, seed=chunk_seed, schedule_seed=schedule_seed
         )
     )
-
-
-def _chunk_task_shm(payload) -> None:
-    """Shared-memory worker: write the tally row in place, return nothing."""
-    chunk_payload, spec, slot = payload
-    tally = _chunk_task(chunk_payload)
-    parallel.write_row(spec, slot, tally.as_row())
-
-
-def _chunk_task_timed(
-    payload: Tuple[FleetTimeline, int, int, int]
-) -> Tuple[FleetTally, float]:
-    """Telemetry-enabled worker: the tally plus its wall time."""
-    start = time.perf_counter()
-    tally = _chunk_task(payload)
-    return tally, time.perf_counter() - start
-
-
-def _chunk_task_shm_timed(payload) -> None:
-    """Telemetry-enabled shm worker: tally row plus a wall-time column.
-
-    The extra column carries the chunk's wall time as integer
-    microseconds (:func:`repro.parallel.encode_seconds`), so the int64
-    row stays homogeneous.
-    """
-    chunk_payload, spec, slot = payload
-    start = time.perf_counter()
-    tally = _chunk_task(chunk_payload)
-    elapsed = time.perf_counter() - start
-    row = np.concatenate(
-        [
-            tally.as_row(),
-            np.asarray([parallel.encode_seconds(elapsed)], dtype=np.int64),
-        ]
-    )
-    parallel.write_row(spec, slot, row)
 
 
 @dataclass
@@ -265,7 +228,6 @@ def simulate_fleet(
     jobs: int = 1,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     cache_dir: Optional[Union[str, Path]] = None,
-    transport: str = "pickle",
 ) -> FleetResult:
     """Simulate a fleet of ``members`` archives through a timeline.
 
@@ -273,19 +235,15 @@ def simulate_fleet(
         timeline: the non-stationary plan to simulate.
         members: fleet size.
         seed: root seed; per-chunk seeds are spawned deterministically.
-        jobs: worker processes; 1 runs serially in-process.
+        jobs: worker processes (:func:`repro.parallel.map_timed`); 1
+            runs serially in-process.
         chunk_size: members per chunk.
         cache_dir: directory for the chunk tally cache; ``None``
             disables caching.
-        transport: how parallel workers return their chunk tallies —
-            ``"pickle"`` through the pool's result pipe, ``"shm"`` by
-            writing fixed-width rows into a shared-memory block
-            (:mod:`repro.parallel`).  Identical results either way; the
-            serial path ignores the knob.
 
     Raises:
         ValueError: for a non-positive fleet size, chunk size or job
-            count, or an unknown transport.
+            count.
     """
     if members <= 0:
         raise ValueError("members must be positive")
@@ -293,7 +251,6 @@ def simulate_fleet(
         raise ValueError("chunk_size must be positive")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    parallel.check_transport(transport)
 
     tel = obs.current()
     timed = tel.enabled
@@ -327,92 +284,39 @@ def simulate_fleet(
             # must experience the same shock arrivals and regions.
             pending.append((index, (timeline, size, chunk_seed, seed)))
 
-    if pending:
-        payloads = [payload for _, payload in pending]
-        chunk_seconds: List[Optional[float]] = [None] * len(pending)
-        if jobs == 1 or len(pending) == 1:
-            if timed:
-                outcomes = [_chunk_task_timed(p) for p in payloads]
-                results = [tally for tally, _ in outcomes]
-                chunk_seconds = [seconds for _, seconds in outcomes]
-            else:
-                results = [_chunk_task(payload) for payload in payloads]
-        elif transport == "shm":
-            workers = min(jobs, len(pending))
-            width = FleetTally.row_width(timeline.year_bins())
-            # One extra int64 column per row carries the worker's wall
-            # time when telemetry is on; the disabled layout is exactly
-            # the historical one.
-            buffer = parallel.SharedResultBuffer(
-                rows=len(pending),
-                width=width + 1 if timed else width,
-                dtype="int64",
+    outcomes = parallel.map_timed(
+        _chunk_task, [payload for _, payload in pending], jobs
+    )
+    for (index, payload), (tally, seconds) in zip(pending, outcomes):
+        tallies[index] = tally
+        if cache is not None:
+            cache.put(
+                chunk_cache_key(timeline, payload[1], seed, index), tally
             )
-            try:
-                spec = buffer.spec()
-                shm_payloads = [
-                    (payload, spec, slot)
-                    for slot, payload in enumerate(payloads)
-                ]
-                task = _chunk_task_shm_timed if timed else _chunk_task_shm
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    # Drain the map so worker exceptions surface before
-                    # the rows are trusted.
-                    list(pool.map(task, shm_payloads))
-                rows = buffer.array()
-                if timed:
-                    results = [
-                        FleetTally.from_row(row[:width]) for row in rows
-                    ]
-                    chunk_seconds = [
-                        parallel.decode_seconds(row[width]) for row in rows
-                    ]
-                else:
-                    results = [FleetTally.from_row(row) for row in rows]
-            finally:
-                buffer.destroy()
-        else:
-            workers = min(jobs, len(pending))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                if timed:
-                    outcomes = list(pool.map(_chunk_task_timed, payloads))
-                    results = [tally for tally, _ in outcomes]
-                    chunk_seconds = [seconds for _, seconds in outcomes]
-                else:
-                    results = list(pool.map(_chunk_task, payloads))
-        for slot, ((index, payload), tally) in enumerate(
-            zip(pending, results)
-        ):
-            tallies[index] = tally
-            if cache is not None:
-                cache.put(
-                    chunk_cache_key(timeline, payload[1], seed, index), tally
-                )
-                if timed:
-                    tel.count("cache.fleet.store")
-                    tel.event(
-                        "cache",
-                        data={
-                            "scope": "fleet",
-                            "chunk": index,
-                            "outcome": "store",
-                        },
-                    )
-            if timed and chunk_seconds[slot] is not None:
-                seconds = chunk_seconds[slot]
-                tel.observe("fleet.chunk_seconds", seconds)
-                tel.absorb(
-                    obs.worker_span_snapshot("worker.fleet_chunk", seconds)
-                )
+            if timed:
+                tel.count("cache.fleet.store")
                 tel.event(
-                    "chunk",
+                    "cache",
                     data={
                         "scope": "fleet",
                         "chunk": index,
-                        "members": payload[1],
+                        "outcome": "store",
                     },
-                    timing={"seconds": seconds},
                 )
+        if timed:
+            tel.observe("fleet.chunk_seconds", seconds)
+            tel.absorb(
+                obs.worker_span_snapshot("worker.fleet_chunk", seconds)
+            )
+            tel.event(
+                "chunk",
+                data={
+                    "scope": "fleet",
+                    "chunk": index,
+                    "members": payload[1],
+                },
+                timing={"seconds": seconds},
+            )
 
     merged = tallies[0]
     for index in range(1, len(sizes)):

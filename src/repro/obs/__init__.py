@@ -2,8 +2,8 @@
 
 The observability spine across every engine: a zero-dependency
 :class:`Telemetry` registry (counters, gauges, histograms, nestable
-spans) with mergeable :class:`TelemetrySnapshot` rows that ride the
-worker transports, a schema-versioned JSONL flight recorder
+spans) with mergeable :class:`TelemetrySnapshot` rows that fold worker
+time into the parent, a schema-versioned JSONL flight recorder
 (:class:`TraceWriter` / :func:`read_trace` / :func:`validate_trace`),
 Prometheus text exposition (:func:`to_prometheus`), and trace
 summarisation for the CLI (:func:`summarize_trace`).

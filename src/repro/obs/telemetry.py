@@ -29,10 +29,10 @@ snapshots :meth:`~TelemetrySnapshot.merge` associatively and
 commutatively (counters sum, gauges max, histogram and span summaries
 fold field-wise) — the same contract as
 :meth:`repro.fleet.aggregate.FleetTally.merge`, property-tested the same
-way.  Workers ship snapshots back over the pickle transport, or a
-fixed-width wall-time column over the shared-memory transport
-(:func:`worker_span_snapshot` rebuilds the snapshot parent-side), and
-the parent :meth:`~Telemetry.absorb`\\ s them in any order.
+way.  Pool workers return each result with its wall time
+(:func:`repro.parallel.map_timed`); the parent turns every time into a
+one-span snapshot (:func:`worker_span_snapshot`) and
+:meth:`~Telemetry.absorb`\\ s them in any order.
 """
 
 from __future__ import annotations
@@ -170,10 +170,9 @@ class TelemetrySnapshot:
 def worker_span_snapshot(path: str, seconds: float) -> TelemetrySnapshot:
     """A snapshot holding one completed span.
 
-    The shared-memory transport ships a worker's wall time as one
-    fixed-width column; the parent rebuilds the snapshot with this
-    helper so both transports converge on the same
-    :meth:`Telemetry.absorb` merge path.
+    The runners build one per pool task from the wall time the worker
+    returned, so worker time reaches the parent registry through the
+    same :meth:`Telemetry.absorb` merge path as any other snapshot.
     """
     return TelemetrySnapshot(spans={path: (1, float(seconds))})
 
@@ -305,8 +304,7 @@ class NullTelemetry(Telemetry):
 
     Instrumented code runs against this instance unless a session is
     active, so the disabled path costs one truthiness/attribute check
-    per call site — the "near-zero overhead" contract the e19 kernel
-    floor assertions hold the instrumentation to.
+    per call site — the "near-zero overhead" contract.
     """
 
     enabled = False

@@ -22,28 +22,22 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
 
 from repro import obs, parallel
 from repro.optimize.evaluate import (
     DEFAULT_SCREEN_SLACK,
     CandidateEvaluation,
     EvaluationSettings,
-    SimulatedLoss,
     refine,
     screen_candidates,
     survivors_for_refinement,
 )
 from repro.optimize.frontier import pareto_frontier
 from repro.optimize.space import DesignSpace
-from repro.simulation.rng import spawn_seed
+from repro.store import write_atomic
 
 
 def evaluation_cache_key(
@@ -63,7 +57,8 @@ def evaluation_cache_key(
 class ResultCache:
     """Directory-backed store of refined candidate evaluations.
 
-    Each entry is one JSON file named by the evaluation's content hash;
+    Each entry is one JSON file named by the evaluation's content hash
+    and published atomically (:func:`repro.store.write_atomic`);
     unreadable or malformed entries are treated as misses so a corrupted
     cache degrades to re-evaluation instead of failing the run.  The
     ``hits`` / ``misses`` / ``errors`` / ``stores`` counters make the
@@ -103,8 +98,8 @@ class ResultCache:
         return self.lookup(key)[0]
 
     def put(self, key: str, evaluation: CandidateEvaluation) -> None:
-        self._path(key).write_text(
-            json.dumps(evaluation.as_dict(), sort_keys=True), encoding="utf-8"
+        write_atomic(
+            self._path(key), json.dumps(evaluation.as_dict(), sort_keys=True)
         )
         self.stores += 1
 
@@ -118,77 +113,6 @@ def _refine_task(
     """Top-level worker so the pool can pickle the refinement call."""
     evaluation, settings = payload
     return refine(evaluation, settings)
-
-
-# Shared-memory row encoding of a :class:`SimulatedLoss`.  The seed is
-# *not* in the row: it is a 128-bit spawn of the root seed and the
-# candidate key, both of which the parent already holds, so it is
-# recomputed on decode.  Trial counts are exact in float64 far beyond
-# any realistic budget (2**53).
-_SIMULATED_ROW_WIDTH = 8
-_METHOD_CODES = {"standard": 0, "is": 1, "splitting": 2, "qmc": 3, "cv": 4}
-_METHOD_BY_CODE = {code: name for name, code in _METHOD_CODES.items()}
-
-
-def _simulated_row(simulated: SimulatedLoss) -> np.ndarray:
-    ess = simulated.effective_sample_size
-    return np.array(
-        [
-            simulated.mean,
-            simulated.std_error,
-            float(simulated.trials),
-            float(simulated.losses),
-            simulated.ci_low,
-            simulated.ci_high,
-            float(_METHOD_CODES[simulated.method]),
-            math.nan if ess is None else ess,
-        ]
-    )
-
-
-def _simulated_from_row(row: np.ndarray, seed: int) -> SimulatedLoss:
-    ess = float(row[7])
-    return SimulatedLoss(
-        mean=float(row[0]),
-        std_error=float(row[1]),
-        trials=int(row[2]),
-        losses=int(row[3]),
-        ci_low=float(row[4]),
-        ci_high=float(row[5]),
-        seed=seed,
-        method=_METHOD_BY_CODE[int(row[6])],
-        effective_sample_size=None if math.isnan(ess) else ess,
-    )
-
-
-def _refine_task_shm(payload) -> None:
-    """Shared-memory worker: write the refinement row in place."""
-    refine_payload, spec, slot = payload
-    result = _refine_task(refine_payload)
-    parallel.write_row(spec, slot, _simulated_row(result.simulated))
-
-
-def _refine_task_timed(
-    payload: Tuple[CandidateEvaluation, EvaluationSettings]
-) -> Tuple[CandidateEvaluation, float]:
-    """Telemetry-enabled worker: the refinement plus its wall time."""
-    start = time.perf_counter()
-    result = _refine_task(payload)
-    return result, time.perf_counter() - start
-
-
-def _refine_task_shm_timed(payload) -> None:
-    """Telemetry-enabled shm worker: row plus a wall-time column.
-
-    The float64 buffer stores the worker's wall time in seconds directly
-    as the extra column.
-    """
-    refine_payload, spec, slot = payload
-    start = time.perf_counter()
-    result = _refine_task(refine_payload)
-    elapsed = time.perf_counter() - start
-    row = np.concatenate([_simulated_row(result.simulated), [elapsed]])
-    parallel.write_row(spec, slot, row)
 
 
 @dataclass
@@ -252,19 +176,15 @@ def refine_evaluations(
     settings: EvaluationSettings,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    transport: str = "pickle",
 ) -> Tuple[List[CandidateEvaluation], int, int]:
     """Refine the survivors, reusing cached results where possible.
 
     Returns ``(refined, new_evaluations, cache_hits)`` with ``refined``
-    in the same order as ``survivors``.  ``transport="shm"`` has
-    parallel workers write their refinement rows into a shared-memory
-    block instead of pickling evaluations back (identical results; see
-    :mod:`repro.parallel`).
+    in the same order as ``survivors``.  Uncached survivors are refined
+    on ``jobs`` worker processes (:func:`repro.parallel.map_timed`).
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    parallel.check_transport(transport)
     tel = obs.current()
     timed = tel.enabled
     refined: Dict[int, CandidateEvaluation] = {}
@@ -296,93 +216,36 @@ def refine_evaluations(
         else:
             pending.append((index, evaluation))
 
-    if pending:
-        payloads = [(evaluation, settings) for _, evaluation in pending]
-        refine_seconds: List[Optional[float]] = [None] * len(pending)
-        if jobs == 1 or len(pending) == 1:
+    outcomes = parallel.map_timed(
+        _refine_task,
+        [(evaluation, settings) for _, evaluation in pending],
+        jobs,
+    )
+    for (index, _), (result, seconds) in zip(pending, outcomes):
+        refined[index] = result
+        if cache is not None:
+            cache.put(evaluation_cache_key(result, settings), result)
             if timed:
-                outcomes = [_refine_task_timed(p) for p in payloads]
-                results = [result for result, _ in outcomes]
-                refine_seconds = [seconds for _, seconds in outcomes]
-            else:
-                results = [_refine_task(payload) for payload in payloads]
-        elif transport == "shm":
-            workers = min(jobs, len(pending))
-            # One extra float64 column per row carries the worker's wall
-            # time when telemetry is on; the disabled layout is exactly
-            # the historical one.
-            buffer = parallel.SharedResultBuffer(
-                rows=len(pending),
-                width=_SIMULATED_ROW_WIDTH + 1 if timed else _SIMULATED_ROW_WIDTH,
-            )
-            try:
-                spec = buffer.spec()
-                shm_payloads = [
-                    (payload, spec, slot)
-                    for slot, payload in enumerate(payloads)
-                ]
-                task = _refine_task_shm_timed if timed else _refine_task_shm
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    list(pool.map(task, shm_payloads))
-                rows = buffer.array()
-                # Rebuild each evaluation from the parent's own screened
-                # copy (same recipe as a cache hit); only the simulated
-                # refinement crossed process boundaries.
-                results = [
-                    replace(
-                        evaluation,
-                        simulated=_simulated_from_row(
-                            rows[slot][:_SIMULATED_ROW_WIDTH],
-                            spawn_seed(
-                                settings.seed, evaluation.candidate.key()
-                            ),
-                        ),
-                    )
-                    for slot, (_, evaluation) in enumerate(pending)
-                ]
-                if timed:
-                    refine_seconds = [
-                        float(row[_SIMULATED_ROW_WIDTH]) for row in rows
-                    ]
-            finally:
-                buffer.destroy()
-        else:
-            workers = min(jobs, len(pending))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                if timed:
-                    outcomes = list(pool.map(_refine_task_timed, payloads))
-                    results = [result for result, _ in outcomes]
-                    refine_seconds = [seconds for _, seconds in outcomes]
-                else:
-                    results = list(pool.map(_refine_task, payloads))
-        for slot, ((index, _), result) in enumerate(zip(pending, results)):
-            refined[index] = result
-            if cache is not None:
-                cache.put(evaluation_cache_key(result, settings), result)
-                if timed:
-                    tel.count("cache.optimize.store")
-                    tel.event(
-                        "cache",
-                        data={
-                            "scope": "optimize",
-                            "candidate": result.candidate.key(),
-                            "outcome": "store",
-                        },
-                    )
-            if timed and refine_seconds[slot] is not None:
-                seconds = refine_seconds[slot]
-                tel.observe("optimize.refine_seconds", seconds)
-                tel.absorb(
-                    obs.worker_span_snapshot("worker.refine", seconds)
-                )
+                tel.count("cache.optimize.store")
                 tel.event(
-                    "chunk",
+                    "cache",
                     data={
                         "scope": "optimize",
                         "candidate": result.candidate.key(),
+                        "outcome": "store",
                     },
-                    timing={"seconds": seconds},
                 )
+        if timed:
+            tel.observe("optimize.refine_seconds", seconds)
+            tel.absorb(obs.worker_span_snapshot("worker.refine", seconds))
+            tel.event(
+                "chunk",
+                data={
+                    "scope": "optimize",
+                    "candidate": result.candidate.key(),
+                },
+                timing={"seconds": seconds},
+            )
 
     ordered = [refined[index] for index in range(len(survivors))]
     return ordered, len(pending), cache_hits
@@ -395,7 +258,6 @@ def optimize(
     cache_dir: Optional[Union[str, Path]] = None,
     slack: float = DEFAULT_SCREEN_SLACK,
     refine_survivors: bool = True,
-    transport: str = "pickle",
 ) -> OptimizationResult:
     """Search a design space and return its cost–reliability frontier.
 
@@ -411,8 +273,6 @@ def optimize(
             :func:`~repro.optimize.evaluate.survivors_for_refinement`).
         refine_survivors: skip Monte-Carlo entirely when ``False`` — the
             frontier is then extracted from the analytic screen alone.
-        transport: chunk-result transport for parallel refinement
-            (``"pickle"`` or ``"shm"``; see :mod:`repro.parallel`).
     """
     settings = settings or EvaluationSettings()
     tel = obs.current()
@@ -432,7 +292,6 @@ def optimize(
                 settings,
                 jobs=jobs,
                 cache=cache,
-                transport=transport,
             )
     else:
         refined, new_evaluations, cache_hits = list(survivors), 0, 0

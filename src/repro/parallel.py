@@ -1,111 +1,47 @@
-"""Zero-copy result transport for the worker-pool runners.
+"""The one worker-pool map behind the fleet and optimizer runners.
 
-The fleet and optimizer runners fan chunks out over a
-:class:`~concurrent.futures.ProcessPoolExecutor`.  With the default
-``transport="pickle"`` every worker pickles its result object back
-through the pool's result pipe; with ``transport="shm"`` the parent
-allocates one :mod:`multiprocessing.shared_memory` block of fixed-width
-numeric rows and each worker writes its slot *in place*, so the only
-thing crossing the pipe is ``None``.  Both runners' results are already
-flat numeric summaries (a :class:`~repro.fleet.aggregate.FleetTally`, a
-:class:`~repro.optimize.evaluate.SimulatedLoss`), which is what makes a
-fixed-width row encoding lossless: the parent reconstructs the objects
-from the rows in the same chunk order the pickled path would have used,
-so the merged result is identical — the equality property the transport
-tests pin down.
+Both runners fan a top-level task out over a list of payloads and need
+each result back in payload order together with the worker's wall time.
+:func:`map_timed` is that map: it runs in-process when there is nothing
+to parallelise and on a :class:`~concurrent.futures.ProcessPoolExecutor`
+otherwise, pickling each ``(result, seconds)`` pair back through the
+pool's result pipe.  Every task derives its seeds from its own payload,
+so serial and parallel runs return bit-identical results.
 
-The block lives exactly as long as one runner call: the parent creates
-it, the workers attach by name, and the parent unlinks it in a
-``finally`` so no segment leaks even when a worker raises.
+The seconds are always measured (two clock reads per task); the runners
+record them as ``worker.*`` spans when telemetry is on and ignore them
+otherwise.
 """
 
 from __future__ import annotations
 
-from multiprocessing import shared_memory
-from typing import Tuple
+import time
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
+from typing import Callable, List, Sequence, Tuple, TypeVar
 
-import numpy as np
-
-#: Recognised chunk-result transports.
-TRANSPORTS: Tuple[str, ...] = ("pickle", "shm")
-
-#: Resolution of the integer wall-time encoding below.
-_MICROSECONDS_PER_SECOND = 1_000_000
+P = TypeVar("P")
+R = TypeVar("R")
 
 
-def encode_seconds(seconds: float) -> int:
-    """Encode a wall time as integer microseconds.
+def _timed(task: Callable[[P], R], payload: P) -> Tuple[R, float]:
+    start = time.perf_counter()
+    result = task(payload)
+    return result, time.perf_counter() - start
 
-    Telemetry-enabled shared-memory runs append one wall-time column to
-    each worker's result row; on ``int64`` buffers (the fleet tallies)
-    the time rides as microseconds, exact far beyond any chunk duration.
+
+def map_timed(
+    task: Callable[[P], R], payloads: Sequence[P], jobs: int
+) -> List[Tuple[R, float]]:
+    """``[(task(p), wall_seconds) for p in payloads]``, in payload order.
+
+    Runs in-process when ``jobs == 1`` or there is at most one payload,
+    otherwise on ``min(jobs, len(payloads))`` worker processes; ``task``
+    must then be a picklable top-level function.  An exception raised by
+    any task propagates to the caller in both modes.
     """
-    return int(round(seconds * _MICROSECONDS_PER_SECOND))
-
-
-def decode_seconds(value: float) -> float:
-    """Invert :func:`encode_seconds`."""
-    return float(value) / _MICROSECONDS_PER_SECOND
-
-
-def check_transport(transport: str) -> None:
-    """Validate a ``transport`` knob."""
-    if transport not in TRANSPORTS:
-        raise ValueError(
-            f"unknown transport {transport!r}; expected one of {TRANSPORTS}"
-        )
-
-
-class SharedResultBuffer:
-    """A parent-owned ``(rows, width)`` matrix in shared memory.
-
-    The parent creates the buffer, ships ``spec()`` to the workers with
-    their slot index, and reads :meth:`array` after the pool drains;
-    :meth:`destroy` closes and unlinks the segment.
-    """
-
-    def __init__(self, rows: int, width: int, dtype: str = "float64") -> None:
-        if rows < 1 or width < 1:
-            raise ValueError("rows and width must be positive")
-        self.rows = rows
-        self.width = width
-        self.dtype = np.dtype(dtype)
-        self._shm = shared_memory.SharedMemory(
-            create=True, size=rows * width * self.dtype.itemsize
-        )
-        self.array()[:] = 0
-
-    def spec(self) -> Tuple[str, int, int, str]:
-        """Picklable handle a worker needs to attach: (name, rows, width, dtype)."""
-        return (self._shm.name, self.rows, self.width, self.dtype.name)
-
-    def array(self) -> np.ndarray:
-        """The live view over the shared block (valid until destroy)."""
-        return np.ndarray(
-            (self.rows, self.width), dtype=self.dtype, buffer=self._shm.buf
-        )
-
-    def destroy(self) -> None:
-        """Release the segment (close this handle and unlink the block)."""
-        self._shm.close()
-        self._shm.unlink()
-
-
-def write_row(
-    spec: Tuple[str, int, int, str], index: int, values: np.ndarray
-) -> None:
-    """Worker-side: write one result row into the parent's buffer."""
-    name, rows, width, dtype = spec
-    values = np.asarray(values)
-    if values.shape != (width,):
-        raise ValueError(
-            f"row has {values.shape} values; buffer rows are ({width},)"
-        )
-    segment = shared_memory.SharedMemory(name=name)
-    try:
-        array = np.ndarray(
-            (rows, width), dtype=np.dtype(dtype), buffer=segment.buf
-        )
-        array[index] = values
-    finally:
-        segment.close()
+    timed = partial(_timed, task)
+    if jobs == 1 or len(payloads) <= 1:
+        return [timed(payload) for payload in payloads]
+    with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
+        return list(pool.map(timed, payloads))

@@ -72,6 +72,19 @@ def _answer_payload(answer) -> Dict[str, object]:
     }
 
 
+def _content_length(headers: Dict[str, str]) -> Optional[int]:
+    """The declared body length; ``None`` when it is not a count.
+
+    A length that cannot be trusted leaves the rest of the stream
+    unframed, so the caller answers 400 and closes the connection.
+    """
+    try:
+        length = int(headers.get("content-length") or 0)
+    except ValueError:
+        return None
+    return length if length >= 0 else None
+
+
 def _scenario_from_body(body: bytes) -> Scenario:
     try:
         payload = json.loads(body.decode("utf-8"))
@@ -114,7 +127,14 @@ async def _handle_connection(
                     ":"
                 )
                 headers[name.strip().lower()] = value.strip()
-            length = int(headers.get("content-length") or 0)
+            length = _content_length(headers)
+            if length is None:
+                payload = json.dumps(
+                    {"error": "Content-Length must be a non-negative integer"}
+                ).encode("utf-8")
+                writer.write(_head(400, _JSON, len(payload), keep_alive=False))
+                writer.write(payload)
+                break
             body = await reader.readexactly(length) if length else b""
             keep_alive = (
                 version == "HTTP/1.1"

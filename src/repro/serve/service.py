@@ -138,7 +138,6 @@ class StudyService:
             store layer (single-flight and batching still apply).
         jobs: worker processes for engines that parallelise internally
             (frontier refinement, fleet chunks).
-        transport: chunk-result transport for those engines.
         batch_window: seconds the batching queue holds the first
             scenario of a compatibility group open for companions
             before flushing; ``0`` still coalesces submissions arriving
@@ -152,7 +151,6 @@ class StudyService:
         self,
         store: Optional[ResultStore] = None,
         jobs: int = 1,
-        transport: str = "pickle",
         batch_window: Optional[float] = 0.002,
         max_batch: int = 64,
         telemetry: Optional[obs.Telemetry] = None,
@@ -165,7 +163,6 @@ class StudyService:
             raise ValueError("batch_window must be non-negative")
         self.store = store
         self.jobs = jobs
-        self.transport = transport
         self.batch_window = batch_window
         self.max_batch = max_batch
         self.telemetry = telemetry if telemetry is not None else obs.Telemetry()
@@ -264,7 +261,6 @@ class StudyService:
                     scenario,
                     jobs=self.jobs,
                     cache_dir=self._engine_cache_dir(),
-                    transport=self.transport,
                     telemetry=run_tel,
                 )
             return result, run_tel.snapshot()

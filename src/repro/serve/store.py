@@ -24,10 +24,10 @@ and a tighter demand reports ``"stale"`` so the service recomputes and
 overwrites the entry with the sharper answer.
 
 Concurrency hardening matches the optimize/fleet caches: writes go
-through a per-process temporary file and ``os.replace`` (atomic on
-POSIX), readers treat any undecodable entry as a miss-with-error
-(degrading to recompute, never crashing), and the in-memory hot cache is
-validated against the file's ``(mtime_ns, size)`` stat signature so two
+through the shared atomic publish (:func:`repro.store.write_atomic`, a
+per-process temporary file and ``os.replace``), readers treat any
+undecodable entry as a miss-with-error (degrading to recompute, never
+crashing), and the in-memory hot cache is validated against the file's ``(mtime_ns, size)`` stat signature so two
 processes sharing one directory converge on the newest entry.
 """
 
@@ -36,10 +36,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
+from repro.store import write_atomic
 from repro.study.result import StudyResult
 from repro.study.scenario import Scenario
 
@@ -227,17 +227,9 @@ class ResultStore:
             "batched": bool(batched),
             "result": result.as_dict(),
         }
-        path = self._path(key)
-        # Atomic publish: a concurrent reader sees either the old entry
-        # or the new one, never a torn write.  The temporary name is
-        # per-process so two writers cannot clobber each other's staging
-        # file; last os.replace wins, which is fine — both wrote a
-        # complete, valid answer to the same question.
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(
-            json.dumps(entry, indent=2, sort_keys=True), encoding="utf-8"
+        write_atomic(
+            self._path(key), json.dumps(entry, indent=2, sort_keys=True)
         )
-        os.replace(tmp, path)
         self.stores += 1
         self._memory.pop(key, None)
         return key

@@ -25,13 +25,10 @@ rare-event methods (``method="is" | "splitting" | "auto"``) built on
 with exact path-measure reweighting on the batch backend, and
 fixed-effort multilevel splitting on the event backend.
 
-Orthogonally to those, the batch kernel offers variance-reduced
-estimators (``variance_reduction="qmc" | "cv"``,
-:mod:`repro.simulation.variance_reduction`): scrambled-Sobol
-quasi-Monte-Carlo clock pools and a conditional-Monte-Carlo control
-variate for threshold-2 schemes.  The inner select step of the batch
-sweeps compiles through numba when it is installed
-(:mod:`repro.simulation._kernels`) with a bit-identical NumPy fallback.
+Orthogonally to those, the batch backend offers a variance-reduced
+estimator (``variance_reduction="cv"``,
+:mod:`repro.simulation.variance_reduction`): a conditional-Monte-Carlo
+control variate for threshold-2 schemes.
 """
 
 from repro.simulation.engine import SimulationEngine, EventHandle
@@ -109,10 +106,8 @@ from repro.simulation.estimators import (
 )
 from repro.simulation.variance_reduction import (
     cv_loss_probability,
-    qmc_loss_probability,
     variance_reduced_loss_probability,
 )
-from repro.simulation._kernels import NUMBA_AVAILABLE
 
 __all__ = [
     "SimulationEngine",
@@ -169,7 +164,5 @@ __all__ = [
     "run_loss_probability",
     "run_mttdl",
     "cv_loss_probability",
-    "qmc_loss_probability",
     "variance_reduced_loss_probability",
-    "NUMBA_AVAILABLE",
 ]

@@ -85,7 +85,6 @@ from repro.core.faults import FaultType
 from repro.core.parameters import FaultModel
 from repro.core.redundancy import RedundancyScheme
 from repro.core.units import HOURS_PER_YEAR
-from repro.simulation import _kernels
 from repro.simulation.rng import batch_generator, piecewise_generator
 from repro.simulation.scrubbing import audit_interval_for
 
@@ -196,8 +195,6 @@ def simulate_batch(
     chunk: int = 0,
     bias: Optional[float] = None,
     scheme: Optional[RedundancyScheme] = None,
-    rng: Optional[np.random.Generator] = None,
-    initial_exponentials: Optional[np.ndarray] = None,
 ) -> BatchRunResult:
     """Simulate ``trials`` redundant systems in lock-step to ``horizon``.
 
@@ -223,24 +220,10 @@ def simulate_batch(
             ``None`` keeps the historical ``replicas`` semantics — an
             ``(n, 1)`` scheme consumes the RNG stream identically to
             ``replicas=n``, so the two are bit-for-bit interchangeable.
-        rng: explicit generator for all draws, overriding the
-            ``seed``/``chunk`` stream (used by the variance-reduction
-            estimators to keep their streams disjoint from the standard
-            ones).
-        initial_exponentials: ``(trials, 2 * replicas)`` unit
-            exponentials used for the time-zero fault clocks — columns
-            ``[:replicas]`` scale to visible arrivals, ``[replicas:]``
-            to latent ones — instead of drawing them from the
-            generator.  This is the quasi-Monte-Carlo injection point:
-            the initial clock pool comes from a scrambled low-
-            discrepancy sequence while all subsequent draws stay
-            pseudo-random.  ``None`` draws from the generator as
-            always.
 
     Raises:
-        ValueError: for non-positive ``trials`` / ``horizon`` / ``bias``,
-            a replication degree below 1, or a mis-shaped
-            ``initial_exponentials``.
+        ValueError: for non-positive ``trials`` / ``horizon`` / ``bias``
+            or a replication degree below 1.
     """
     if scheme is not None:
         replicas = scheme.n
@@ -255,15 +238,8 @@ def simulate_batch(
         raise ValueError("replicas must be at least 1")
     if bias is not None and bias <= 0:
         raise ValueError("bias must be positive")
-    if initial_exponentials is not None:
-        initial_exponentials = np.asarray(initial_exponentials, dtype=float)
-        if initial_exponentials.shape != (trials, 2 * replicas):
-            raise ValueError(
-                "initial_exponentials must have shape (trials, 2 * replicas)"
-            )
 
-    if rng is None:
-        rng = batch_generator(seed, chunk)
+    rng = batch_generator(seed, chunk)
     tel = obs.current()
     began = time.perf_counter() if tel.enabled else 0.0
     if trials <= MAX_EAGER_TRIALS:
@@ -276,7 +252,6 @@ def simulate_batch(
             loss_threshold,
             audits_per_year,
             bias,
-            initial_exponentials,
         )
     else:
         # Memory cap: subdivide, reusing the same generator sequentially
@@ -286,11 +261,6 @@ def simulate_batch(
         start = 0
         while start < trials:
             size = min(MAX_EAGER_TRIALS, trials - start)
-            init = (
-                initial_exponentials[start : start + size]
-                if initial_exponentials is not None
-                else None
-            )
             blocks.append(
                 _simulate_batch_block(
                     model,
@@ -301,7 +271,6 @@ def simulate_batch(
                     loss_threshold,
                     audits_per_year,
                     bias,
-                    init,
                 )
             )
             start += size
@@ -344,7 +313,6 @@ def _simulate_batch_block(
     loss_threshold: int,
     audits_per_year: Optional[float],
     bias: Optional[float],
-    initial_exponentials: Optional[np.ndarray],
 ) -> BatchRunResult:
     interval = audit_interval_for(model, audits_per_year)
     mean_visible = model.mean_time_to_visible
@@ -380,41 +348,26 @@ def _simulate_batch_block(
     state = np.zeros((trials, replicas), dtype=np.int8)
     fault_time = np.full((trials, replicas), np.inf)
     recovery = np.full((trials, replicas), np.inf)
-    if initial_exponentials is None:
-        next_visible = rng.exponential(mean_visible, size=(trials, replicas))
-        next_latent = rng.exponential(mean_latent, size=(trials, replicas))
-    else:
-        next_visible = initial_exponentials[:, :replicas] * mean_visible
-        next_latent = initial_exponentials[:, replicas:] * mean_latent
+    next_visible = rng.exponential(mean_visible, size=(trials, replicas))
+    next_latent = rng.exponential(mean_latent, size=(trials, replicas))
 
     lost = np.zeros(trials, dtype=bool)
     end_time = np.full(trials, float(horizon))
     first_type = np.full(trials, -1, dtype=np.int8)
     final_type = np.full(trials, -1, dtype=np.int8)
 
-    fused = _kernels.use_fused()
     live = np.arange(trials)
     sweeps = 0
     while live.size:
         sweeps += 1
         # Next event per live trial: healthy replicas race their pending
         # fault arrivals, faulty replicas wait for their known recovery.
-        # The fused kernel performs the identical selection (no RNG, no
-        # arithmetic) in one compiled pass, so both paths are
-        # bit-for-bit interchangeable.
-        if fused:
-            which, event_time = _kernels.select_events(
-                state, next_visible, next_latent, recovery, live
-            )
-        else:
-            fault_candidate = np.minimum(
-                next_visible[live], next_latent[live]
-            )
-            candidate = np.where(
-                state[live] == OK, fault_candidate, recovery[live]
-            )
-            which = np.argmin(candidate, axis=1)
-            event_time = candidate[np.arange(live.size), which]
+        fault_candidate = np.minimum(next_visible[live], next_latent[live])
+        candidate = np.where(
+            state[live] == OK, fault_candidate, recovery[live]
+        )
+        which = np.argmin(candidate, axis=1)
+        event_time = candidate[np.arange(live.size), which]
 
         if weighting:
             # Exposure term of the likelihood ratio: between a trial's
@@ -966,29 +919,19 @@ class PiecewiseBatchState:
         next epoch).  Surviving trials keep their pending clocks."""
         if until < self.now:
             raise ValueError("cannot advance backwards")
-        fused = _kernels.use_fused()
         active = np.flatnonzero(~self.lost)
         while active.size:
             self.sweeps += 1
-            if fused:
-                which, event_time = _kernels.select_events(
-                    self.state,
-                    self.next_visible,
-                    self.next_latent,
-                    self.recovery,
-                    active,
-                )
-            else:
-                fault_candidate = np.minimum(
-                    self.next_visible[active], self.next_latent[active]
-                )
-                candidate = np.where(
-                    self.state[active] == OK,
-                    fault_candidate,
-                    self.recovery[active],
-                )
-                which = np.argmin(candidate, axis=1)
-                event_time = candidate[np.arange(active.size), which]
+            fault_candidate = np.minimum(
+                self.next_visible[active], self.next_latent[active]
+            )
+            candidate = np.where(
+                self.state[active] == OK,
+                fault_candidate,
+                self.recovery[active],
+            )
+            which = np.argmin(candidate, axis=1)
+            event_time = candidate[np.arange(active.size), which]
             running = event_time < until
             active = active[running]
             if active.size == 0:

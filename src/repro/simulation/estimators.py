@@ -58,7 +58,7 @@ BACKENDS: Tuple[str, ...] = ("event", "batch")
 
 #: Recognised variance-reduction modes (see
 #: :mod:`repro.simulation.variance_reduction`).
-VARIANCE_REDUCTIONS: Tuple[str, ...] = ("none", "qmc", "cv")
+VARIANCE_REDUCTIONS: Tuple[str, ...] = ("none", "cv")
 
 _UNSET = object()
 

@@ -64,11 +64,6 @@ FLEET_SCHEDULE_SPAWN_TAG = 2**32 + 5
 #: Monte-Carlo) estimator's skeleton chunks.
 CONTROL_VARIATE_SPAWN_TAG = 2**32 + 6
 
-#: Spawn-key tag reserved for the quasi-Monte-Carlo estimator: one
-#: family per scrambled-Sobol replicate, covering both the scramble
-#: seed and the replicate's follow-up pseudo-random draws.
-QMC_SPAWN_TAG = 2**32 + 7
-
 
 class RandomStreams:
     """A family of independent, named :class:`numpy.random.Generator` s.
@@ -269,23 +264,6 @@ def control_variate_generator(seed: int, chunk: int = 0) -> np.random.Generator:
         raise ValueError("chunk must be non-negative")
     sequence = np.random.SeedSequence(
         entropy=seed, spawn_key=(CONTROL_VARIATE_SPAWN_TAG, chunk)
-    )
-    return np.random.default_rng(sequence)
-
-
-def qmc_generator(seed: int, replicate: int = 0) -> np.random.Generator:
-    """Generator for one scrambled-Sobol replicate of the QMC estimator.
-
-    Seeds both the Sobol scramble and the replicate's follow-up
-    pseudo-random draws (post-time-zero resamples), keyed by the
-    replicate index so independent scrambles stay independent.
-    """
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
-    if replicate < 0:
-        raise ValueError("replicate must be non-negative")
-    sequence = np.random.SeedSequence(
-        entropy=seed, spawn_key=(QMC_SPAWN_TAG, replicate)
     )
     return np.random.default_rng(sequence)
 

@@ -1,12 +1,12 @@
-r"""Variance-reduced loss-probability estimators for the batch backend.
+r"""The variance-reduced loss-probability estimator for the batch backend.
 
-Two estimators sit behind the ``variance_reduction`` axis of
+The control variate sits behind the ``variance_reduction`` axis of
 :func:`~repro.simulation.estimators.run_mttdl` /
 :func:`~repro.simulation.estimators.run_loss_probability` (and of
-:class:`~repro.study.scenario.EstimatorPolicy`).  Both target the same
+:class:`~repro.study.scenario.EstimatorPolicy`).  It targets the same
 quantity as ``method="standard"`` — the mission loss probability under
-the batch kernel's physics — but reach a given confidence interval in
-several-fold fewer trials.
+the batch kernel's physics — but reaches a given confidence interval in
+orders of magnitude fewer trials.
 
 Control variates / conditional Monte-Carlo (``"cv"``)
 -----------------------------------------------------
@@ -37,72 +37,37 @@ unit regression coefficient, and the surviving estimator is the mean of
 ``C_i``.  The Bernoulli noise of "did the second fault land" — the
 dominant variance at realistic operating points — is integrated out
 analytically; what remains is only the (small) variability of the
-windows themselves, which is what buys the multi-fold trial reduction
+windows themselves, which is what buys the ~300x trial reduction
 benchmarked in e19.
-
-Quasi-Monte Carlo (``"qmc"``)
------------------------------
-
-Replaces the batch kernel's time-zero exponential clock pool — the
-``(trials, 2 · replicas)`` draws that decide *when* each replica first
-faults — with scrambled-Sobol points mapped through the exponential
-inverse CDF, via ``simulate_batch(initial_exponentials=...)``.  All
-subsequent draws stay pseudo-random.  Because points within one Sobol
-sequence are *not* independent, the error bar comes from ``R``
-independently scrambled replicates: the estimate is the mean of the
-replicate means and the standard error their spread over ``sqrt(R)``
-(an honest CI for any integrand, with the variance reduction showing up
-as a smaller spread).  Requires :mod:`scipy.stats.qmc`; the estimator
-raises a clear error when SciPy is absent.
 
 When to use what
 ----------------
 
 ``"cv"`` is the strongest tool where it applies (threshold-2 schemes,
-no failure biasing) — its per-trial scores are already integrated over
+no failure biasing): its per-trial scores are already integrated over
 the rare event, so it reaches a 10% relative-error target orders of
-magnitude faster than standard sampling.  ``"qmc"`` applies to any
-scheme and stratifies the *first*-fault times; its gains are modest for
-deep-threshold schemes whose losses hinge on later draws.  Failure-
-biased importance sampling (``method="is"``) remains the generalist for
-arbitrary thresholds at extreme reliability levels.
+magnitude faster than standard sampling.  Failure-biased importance
+sampling (``method="is"``) remains the generalist for arbitrary
+thresholds at extreme reliability levels.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.core.parameters import FaultModel
 from repro.core.redundancy import RedundancyScheme, resolve_scheme
-from repro.simulation.batch import simulate_batch
+
+# The control variate never runs the batch kernel.  ``simulate_batch``
+# stays importable from here because ``perfbench/tracing.py`` wraps the
+# ``simulate_batch`` attribute of every estimator module.
+from repro.simulation.batch import simulate_batch  # noqa: F401
 from repro.simulation.estimators import MonteCarloEstimate, adaptive_cap
-from repro.simulation.rng import control_variate_generator, qmc_generator
+from repro.simulation.rng import control_variate_generator
 from repro.simulation.scrubbing import audit_interval_for
-
-
-def _load_qmc():
-    try:
-        from scipy.stats import qmc
-    except Exception:
-        return None
-    return qmc
-
-
-_qmc = _load_qmc()
-
-#: Whether scrambled-Sobol sampling is available (SciPy importable).
-SCIPY_QMC_AVAILABLE = _qmc is not None
-
-#: Independently scrambled Sobol replicates per QMC round; the standard
-#: error comes from the spread of the replicate means.
-QMC_REPLICATES = 8
-
-#: Floor on the per-replicate Sobol sample (kept a power of two so the
-#: digital net stays balanced).
-QMC_MIN_SAMPLE = 64
 
 
 def require_threshold_two(
@@ -246,100 +211,6 @@ def cv_loss_probability(
     )
 
 
-def _replicate_sample_exponent(trials: int) -> int:
-    """log2 of the per-replicate Sobol sample covering ``trials``."""
-    per_replicate = max(
-        QMC_MIN_SAMPLE, math.ceil(trials / QMC_REPLICATES)
-    )
-    return max(1, math.ceil(math.log2(per_replicate)))
-
-
-def qmc_loss_probability(
-    model: FaultModel,
-    mission_time: float,
-    trials: int,
-    seed: int,
-    replicas: int = 2,
-    audits_per_year: Optional[float] = None,
-    target_relative_error: Optional[float] = None,
-    max_trials: Optional[int] = None,
-    scheme: Optional[RedundancyScheme] = None,
-) -> MonteCarloEstimate:
-    """Replicated scrambled-Sobol loss-probability estimate (``"qmc"``)."""
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    if mission_time <= 0:
-        raise ValueError("mission_time must be positive")
-    if _qmc is None:
-        raise ValueError(
-            "variance_reduction='qmc' needs scipy.stats.qmc, which is not "
-            "importable in this environment; install scipy or use "
-            "variance_reduction='cv' / method='is'"
-        )
-    fragments = scheme.n if scheme is not None else replicas
-    dimension = 2 * fragments
-    exponent = _replicate_sample_exponent(trials)
-    per_replicate = 2**exponent
-    cap = adaptive_cap(trials, max_trials)
-
-    means = []
-    losses = 0
-    done = 0
-    replicate = 0
-    while True:
-        if replicate >= QMC_REPLICATES:
-            if done >= cap:
-                break
-            spread = float(np.std(means, ddof=1))
-            mean_so_far = float(np.mean(means))
-            if mean_so_far > 0.0 and (
-                target_relative_error is None
-                or spread / math.sqrt(len(means)) / mean_so_far
-                <= target_relative_error
-            ):
-                break
-            if mean_so_far == 0.0 and target_relative_error is None:
-                break
-        rng = qmc_generator(seed, replicate)
-        sobol = _qmc.Sobol(d=dimension, scramble=True, seed=rng)
-        uniforms = sobol.random_base2(exponent)
-        initial = -np.log1p(-uniforms)
-        result = simulate_batch(
-            model,
-            trials=per_replicate,
-            horizon=mission_time,
-            replicas=replicas,
-            audits_per_year=audits_per_year,
-            scheme=scheme,
-            rng=rng,
-            initial_exponentials=initial,
-        )
-        means.append(result.losses / per_replicate)
-        losses += result.losses
-        done += per_replicate
-        replicate += 1
-
-    mean = float(np.mean(means))
-    # Replicate means are i.i.d. across scrambles (points *within* one
-    # sequence are not), so the spread over sqrt(R) is the honest SE.
-    std_error = float(np.std(means, ddof=1)) / math.sqrt(len(means))
-    if losses == 0:
-        # No replicate saw a loss: the spread is degenerately zero, so
-        # report the rule-of-three pseudo-error like every other
-        # zero-loss estimator in the codebase.
-        from repro.simulation.rare_event import RULE_OF_THREE
-
-        std_error = (RULE_OF_THREE / done) / 1.96
-    return MonteCarloEstimate(
-        mean=mean,
-        std_error=std_error,
-        trials=done,
-        censored=done - losses,
-        clamp_hi=1.0,
-        method="qmc",
-    )
-
-
 def variance_reduced_loss_probability(
     variance_reduction: str,
     model: FaultModel,
@@ -353,17 +224,12 @@ def variance_reduced_loss_probability(
     scheme: Optional[RedundancyScheme] = None,
 ) -> MonteCarloEstimate:
     """Dispatch to the requested variance-reduced estimator."""
-    runners = {
-        "cv": cv_loss_probability,
-        "qmc": qmc_loss_probability,
-    }
-    if variance_reduction not in runners:
+    if variance_reduction != "cv":
         raise ValueError(
             f"unknown variance_reduction {variance_reduction!r}; expected "
-            f"one of {tuple(runners)}"
+            "'cv'"
         )
-    runner = runners[variance_reduction]
-    return runner(
+    return cv_loss_probability(
         model,
         mission_time,
         trials,

@@ -27,12 +27,11 @@ surfaces it once, not once per chunk.
 
 Observability: every run executes inside a :mod:`repro.obs` telemetry
 session.  By default that session holds the no-op registry (near-zero
-overhead); ``profile=True`` swaps in a live registry whose top-level
-``setup`` / ``kernel`` / ``merge`` spans become
-``result.details["profile"]``, and passing ``telemetry=`` hands in a
-caller-owned registry (optionally wired to a JSONL
-:class:`~repro.obs.trace.TraceWriter` flight recorder) whose full
-snapshot lands in ``result.details["telemetry"]``.
+overhead); passing ``telemetry=`` hands in a caller-owned registry
+(optionally wired to a JSONL :class:`~repro.obs.trace.TraceWriter`
+flight recorder) whose full snapshot — including the top-level
+``setup`` / ``kernel`` / ``merge`` spans — lands in
+``result.details["telemetry"]``.
 """
 
 from __future__ import annotations
@@ -75,8 +74,6 @@ def run(
     scenario: Scenario,
     jobs: int = 1,
     cache_dir: Optional[Union[str, Path]] = None,
-    transport: str = "pickle",
-    profile: bool = False,
     telemetry: Optional[obs.Telemetry] = None,
 ) -> StudyResult:
     """Answer a scenario and return its provenance-carrying result.
@@ -89,11 +86,6 @@ def run(
             estimators run in-process regardless.
         cache_dir: directory for the content-hash result caches of the
             parallel engines; ``None`` disables caching.
-        transport: chunk-result transport for the parallel engines
-            (``"pickle"`` or ``"shm"``; see :mod:`repro.parallel`).
-        profile: record a setup/kernel/merge wall-time breakdown in
-            ``result.details["profile"]``; off by default so serialised
-            results are byte-stable.
         telemetry: a caller-owned :class:`repro.obs.Telemetry` registry
             to record the run into.  The registry's snapshot is attached
             as ``result.details["telemetry"]``, and — when the registry
@@ -110,12 +102,7 @@ def run(
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    tel = telemetry
-    if tel is None:
-        # ``profile`` needs a live registry for the spans, but the
-        # snapshot stays internal: details["telemetry"] appears only for
-        # caller-supplied registries, keeping default payloads stable.
-        tel = obs.Telemetry() if profile else obs.NULL
+    tel = obs.NULL if telemetry is None else telemetry
     scenario_hash = scenario.content_hash()
     start = time.perf_counter()
     with obs.session(tel), _warnings.catch_warnings(record=True) as caught:
@@ -129,7 +116,6 @@ def run(
                     "seed": scenario.policy.seed,
                     "content_hash": scenario_hash,
                     "jobs": jobs,
-                    "transport": transport,
                 },
             )
         if scenario.question in ("mttdl", "loss_probability"):
@@ -137,9 +123,9 @@ def run(
         elif scenario.question == "sweep":
             result = _run_sweep(scenario)
         elif scenario.question == "frontier":
-            result = _run_frontier(scenario, jobs, cache_dir, transport)
+            result = _run_frontier(scenario, jobs, cache_dir)
         else:
-            result = _run_fleet(scenario, jobs, cache_dir, transport)
+            result = _run_fleet(scenario, jobs, cache_dir)
     # Deduplicate before surfacing: adaptive pilot loops can trip the
     # same warning chunk after chunk, and repeating it adds noise, not
     # information.  First occurrence order is preserved.
@@ -182,15 +168,9 @@ def run(
                 },
             },
         )
-        details = dict(details)
-        if profile:
-            phases = _profile_phases(snapshot)
-            if phases:
-                details["profile"] = phases
-        if telemetry is not None:
-            # Snapshot again so the payload includes the study_end
-            # event count itself.
-            details["telemetry"] = tel.snapshot().as_dict()
+        # Snapshot again so the payload includes the study_end event
+        # count itself.
+        details = dict(details, telemetry=tel.snapshot().as_dict())
     return replace(
         result,
         seed=scenario.policy.seed,
@@ -199,17 +179,6 @@ def run(
         warnings=tuple(notes),
         details=details,
     )
-
-
-def _profile_phases(snapshot: obs.TelemetrySnapshot) -> Dict[str, float]:
-    """The historical ``{setup,kernel,merge}_seconds`` profile payload,
-    read off the engine's top-level spans."""
-    phases: Dict[str, float] = {}
-    for name in ("setup", "kernel", "merge"):
-        record = snapshot.spans.get(name)
-        if record is not None:
-            phases[f"{name}_seconds"] = record[1]
-    return phases
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +578,6 @@ def _run_frontier(
     scenario: Scenario,
     jobs: int,
     cache_dir: Optional[Union[str, Path]],
-    transport: str = "pickle",
 ) -> StudyResult:
     tel = obs.current()
     policy = scenario.policy
@@ -647,7 +615,6 @@ def _run_frontier(
             cache_dir=cache_dir,
             slack=scenario.slack,
             refine_survivors=refine,
-            transport=transport,
         )
         recommended = None
         if scenario.budget is not None or scenario.target_loss is not None:
@@ -702,7 +669,6 @@ def _run_fleet(
     scenario: Scenario,
     jobs: int,
     cache_dir: Optional[Union[str, Path]],
-    transport: str = "pickle",
 ) -> StudyResult:
     tel = obs.current()
     with tel.span("setup"):
@@ -716,7 +682,6 @@ def _run_fleet(
             jobs=jobs,
             chunk_size=scenario.chunk_size,
             cache_dir=cache_dir,
-            transport=transport,
         )
     with tel.span("merge"):
         estimate = outcome.loss_estimate()

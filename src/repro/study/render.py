@@ -69,9 +69,6 @@ def render_text(scenario: Scenario, result: StudyResult) -> str:
         text = _render_frontier(scenario, result)
     else:
         text = _render_fleet(scenario, result)
-    profile = result.details.get("profile")
-    if profile:
-        text += "\n\n" + format_dict(profile, title="profile (wall time)")
     if result.scenario_hash:
         # The content hash is the key every cache — and the serve
         # layer's result store — files this answer under; printing it

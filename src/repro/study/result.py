@@ -71,8 +71,7 @@ class StudyResult:
             curves, cross-check values, execution counters).  Runs with
             a caller-supplied telemetry registry also carry the
             registry's snapshot under ``details["telemetry"]`` (see
-            :attr:`telemetry`), and ``profile=True`` runs carry the
-            phase breakdown under ``details["profile"]``.
+            :attr:`telemetry`).
     """
 
     question: str

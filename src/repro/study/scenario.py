@@ -105,6 +105,22 @@ def engine_backend_method(engine: str) -> Tuple[str, str]:
         ) from None
 
 
+def _section(
+    payload: Dict[str, object], key: str, path: Optional[str] = None
+) -> Optional[Dict[str, object]]:
+    """The JSON object at ``payload[key]``; ``None`` when absent or empty.
+
+    A present value that is not an object raises a ``ValueError`` naming
+    its JSON path (``path``, default ``key``), so a malformed request
+    fails with a message instead of an ``AttributeError`` deep inside a
+    ``from_dict``.
+    """
+    value = payload.get(key)
+    if value is None or isinstance(value, dict):
+        return value or None
+    raise ValueError(f"'{path or key}' must be a JSON object")
+
+
 def _model_from_dict(payload: Dict[str, object]) -> FaultModel:
     return FaultModel(
         mean_time_to_visible=float(payload["MV"]),
@@ -175,8 +191,11 @@ class SystemSpec:
     def from_dict(payload: Dict[str, object]) -> "SystemSpec":
         audits = payload.get("audits_per_year")
         scheme = payload.get("scheme")
+        model = _section(payload, "model", "system.model")
+        if model is None:
+            raise ValueError("'system.model' is required")
         return SystemSpec(
-            model=_model_from_dict(payload["model"]),
+            model=_model_from_dict(model),
             replicas=int(payload.get("replicas", 2)),
             audits_per_year=None if audits is None else float(audits),
             scheme=(
@@ -270,11 +289,10 @@ class EstimatorPolicy:
             are cheap to compute (mirrored pairs).
         variance_reduction: one of
             :data:`repro.simulation.estimators.VARIANCE_REDUCTIONS` —
-            ``"none"`` (default), ``"qmc"`` (scrambled-Sobol clock
-            pools) or ``"cv"`` (conditional-Monte-Carlo control
-            variate).  Non-``"none"`` values require the plain batch
-            engine (``engine="batch"``); they replace the sampling
-            scheme rather than composing with ``is``/``splitting``.
+            ``"none"`` (default) or ``"cv"`` (conditional-Monte-Carlo
+            control variate).  ``"cv"`` requires the plain batch engine
+            (``engine="batch"``); it replaces the sampling scheme rather
+            than composing with ``is``/``splitting``.
     """
 
     engine: str = "auto"
@@ -505,37 +523,27 @@ class Scenario:
             value = payload.get(key)
             return None if value is None else float(value)
 
+        def _parsed(key: str, parse):
+            section = _section(payload, key)
+            return None if section is None else parse(section)
+
         label = payload.get("label")
         return Scenario(
             question=str(payload["question"]),
-            system=(
-                SystemSpec.from_dict(payload["system"])
-                if payload.get("system")
-                else None
-            ),
+            system=_parsed("system", SystemSpec.from_dict),
             mission_years=float(payload.get("mission_years", 50.0)),
             max_time_hours=_opt_float("max_time_hours"),
-            sweep=(
-                SweepSpec.from_dict(payload["sweep"])
-                if payload.get("sweep")
-                else None
-            ),
-            space=(
-                _space_from_dict(payload["space"])
-                if payload.get("space")
-                else None
-            ),
+            sweep=_parsed("sweep", SweepSpec.from_dict),
+            space=_parsed("space", _space_from_dict),
             budget=_opt_float("budget"),
             target_loss=_opt_float("target_loss"),
             slack=float(payload.get("slack", DEFAULT_SCREEN_SLACK)),
-            timeline=(
-                FleetTimeline.from_dict(payload["timeline"])
-                if payload.get("timeline")
-                else None
-            ),
+            timeline=_parsed("timeline", FleetTimeline.from_dict),
             members=int(payload.get("members", 2000)),
             chunk_size=int(payload.get("chunk_size", 1000)),
-            policy=EstimatorPolicy.from_dict(payload.get("policy", {})),
+            policy=EstimatorPolicy.from_dict(
+                _section(payload, "policy") or {}
+            ),
             label=None if label is None else str(label),
         )
 

@@ -114,19 +114,3 @@ class TestSerialisation:
             FleetTally(year_bins=0)
         with pytest.raises(ValueError):
             FleetTally(year_bins=3, loss_year_counts=np.zeros(2))
-
-
-class TestRowCodec:
-    def test_round_trips_through_fixed_width_row(self, chunks):
-        for chunk in chunks:
-            tally = tally_of(chunk)
-            width = FleetTally.row_width(tally.year_bins)
-            row = tally.as_row()
-            assert row.dtype == np.int64
-            assert row.size == width
-            back = FleetTally.from_row(row)
-            assert back.as_dict() == tally.as_dict()
-
-    def test_row_width_matches_layout(self):
-        assert FleetTally.row_width(0) == FleetTally.ROW_SCALARS
-        assert FleetTally.row_width(50) == FleetTally.ROW_SCALARS + 100

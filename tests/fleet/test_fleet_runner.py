@@ -1,10 +1,12 @@
 """Tests for chunked, parallel, cached fleet execution."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.parameters import FaultModel
 from repro.fleet.runner import (
     FleetChunkCache,
@@ -168,43 +170,55 @@ class TestFleetResult:
         )
 
 
-class TestTransport:
-    def test_shm_equals_pickle_equals_serial(self):
-        serial = simulate_fleet(
-            timeline(), members=800, seed=5, jobs=1, chunk_size=200
-        )
-        pickled = simulate_fleet(
-            timeline(),
-            members=800,
-            seed=5,
-            jobs=2,
-            chunk_size=200,
-            transport="pickle",
-        )
-        shm = simulate_fleet(
-            timeline(),
-            members=800,
-            seed=5,
-            jobs=2,
-            chunk_size=200,
-            transport="shm",
-        )
-        # The transport moves bits, it does not touch the physics: all
-        # three tallies must be bit-identical.
-        assert serial.tally.as_dict() == pickled.tally.as_dict()
-        assert serial.tally.as_dict() == shm.tally.as_dict()
+class TestRunnerIdentity:
+    """Serial and pooled runs, with telemetry off and on, agree exactly."""
 
-    def test_shm_serial_falls_back_cleanly(self):
-        # jobs=1 never allocates a shared buffer; the request is still
-        # legal and bit-identical.
-        serial = simulate_fleet(timeline(), members=400, seed=7, jobs=1)
-        shm = simulate_fleet(
-            timeline(), members=400, seed=7, jobs=1, transport="shm"
-        )
-        assert serial.tally.as_dict() == shm.tally.as_dict()
-
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(ValueError, match="transport"):
-            simulate_fleet(
-                timeline(), members=10, seed=0, transport="carrier-pigeon"
+    def _run(self, jobs, telemetry):
+        with obs.session(telemetry):
+            return simulate_fleet(
+                timeline(), members=800, seed=5, jobs=jobs, chunk_size=200
             )
+
+    def test_jobs_and_telemetry_do_not_change_the_tally(self):
+        tallies = [
+            self._run(jobs, telemetry).tally.as_dict()
+            for jobs in (1, 2)
+            for telemetry in (obs.NULL, obs.Telemetry())
+        ]
+        assert all(tally == tallies[0] for tally in tallies)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_chunk_time_per_simulated_chunk(self, jobs, tmp_path):
+        # Four chunks, one of them cached: only the three simulated
+        # chunks report a worker time.
+        simulate_fleet(
+            timeline(), members=200, seed=5, chunk_size=200,
+            cache_dir=tmp_path,
+        )
+        tel = obs.Telemetry()
+        with obs.session(tel):
+            result = simulate_fleet(
+                timeline(), members=800, seed=5, jobs=jobs, chunk_size=200,
+                cache_dir=tmp_path,
+            )
+        snapshot = tel.snapshot()
+        assert result.new_chunks == 3
+        assert snapshot.histograms["fleet.chunk_seconds"][0] == 3
+        assert snapshot.spans["worker.fleet_chunk"][0] == 3
+        assert snapshot.counters["events.chunk"] == 3
+
+
+class TestAtomicCache:
+    def test_failed_publish_leaves_a_miss(self, tmp_path, monkeypatch):
+        cache = FleetChunkCache(tmp_path)
+        tally = simulate_fleet(timeline(), members=50, seed=1).tally
+
+        def broken_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", broken_replace)
+        with pytest.raises(OSError):
+            cache.put("k", tally)
+        monkeypatch.undo()
+        assert cache.lookup("k") == (None, "miss")
+        assert list(tmp_path.iterdir()) == []

@@ -1,9 +1,11 @@
 """Tests for the parallel runner and its content-hash result cache."""
 
 import json
+import os
 
 import pytest
 
+from repro import obs
 from repro.optimize.evaluate import EvaluationSettings
 from repro.optimize.runner import (
     ResultCache,
@@ -135,18 +137,53 @@ class TestCache:
         assert "candidate" in payload and "simulated" in payload
 
 
-class TestTransport:
-    def test_shm_equals_pickle_equals_serial(self):
-        serial = optimize(SMALL_SPACE, FAST_SETTINGS, jobs=1)
-        pickled = optimize(
-            SMALL_SPACE, FAST_SETTINGS, jobs=2, transport="pickle"
-        )
-        shm = optimize(SMALL_SPACE, FAST_SETTINGS, jobs=2, transport="shm")
-        # The transport only moves the simulated rows; every refined
-        # evaluation must come back bit-identical.
-        assert serial.refined == pickled.refined
-        assert serial.refined == shm.refined
+class TestRunnerIdentity:
+    """Serial and pooled refinement, telemetry off and on, agree exactly."""
 
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(ValueError, match="transport"):
-            optimize(SMALL_SPACE, FAST_SETTINGS, jobs=2, transport="smoke")
+    def _run(self, jobs, telemetry, cache_dir=None):
+        with obs.session(telemetry):
+            return optimize(
+                SMALL_SPACE, FAST_SETTINGS, jobs=jobs, cache_dir=cache_dir
+            )
+
+    def test_jobs_and_telemetry_do_not_change_refinements(self):
+        runs = [
+            self._run(jobs, telemetry).refined
+            for jobs in (1, 2)
+            for telemetry in (obs.NULL, obs.Telemetry())
+        ]
+        assert all(refined == runs[0] for refined in runs)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_refine_time_per_new_evaluation(self, jobs, tmp_path):
+        tel = obs.Telemetry()
+        cold = self._run(jobs, tel, cache_dir=tmp_path)
+        snapshot = tel.snapshot()
+        assert cold.new_evaluations >= 2
+        for count in (
+            snapshot.histograms["optimize.refine_seconds"][0],
+            snapshot.spans["worker.refine"][0],
+            snapshot.counters["events.chunk"],
+        ):
+            assert count == cold.new_evaluations
+
+        warm_tel = obs.Telemetry()
+        warm = self._run(jobs, warm_tel, cache_dir=tmp_path)
+        assert warm.new_evaluations == 0
+        assert "optimize.refine_seconds" not in warm_tel.snapshot().histograms
+
+
+class TestAtomicCache:
+    def test_failed_publish_leaves_a_miss(self, tmp_path, monkeypatch):
+        cache = ResultCache(tmp_path)
+        refined = optimize(SMALL_SPACE, FAST_SETTINGS).refined[0]
+
+        def broken_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", broken_replace)
+        with pytest.raises(OSError):
+            cache.put("k", refined)
+        monkeypatch.undo()
+        assert cache.lookup("k") == (None, "miss")
+        assert list(tmp_path.iterdir()) == []

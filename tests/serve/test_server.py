@@ -159,6 +159,74 @@ def test_scenario_from_body_rejects_garbage():
             _scenario_from_body(garbage)
 
 
+def raw_exchange(request: bytes) -> bytes:
+    """Send raw request bytes to a live server; return everything it
+    writes back before closing the connection."""
+
+    async def body(client, call, service):
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", client.port
+        )
+        try:
+            writer.write(request)
+            await writer.drain()
+            return await asyncio.wait_for(reader.read(), timeout=60)
+        finally:
+            writer.close()
+            await writer.wait_closed()
+
+    return with_server(body)
+
+
+def post_query(payload) -> bytes:
+    data = json.dumps(payload).encode("utf-8")
+    return raw_exchange(
+        b"POST /query HTTP/1.1\r\nConnection: close\r\n"
+        + f"Content-Length: {len(data)}\r\n\r\n".encode("latin-1")
+        + data
+    )
+
+
+@pytest.mark.parametrize("length", [b"abc", b"-5", b"1.5"])
+def test_malformed_content_length_is_a_400_and_close(length):
+    response = raw_exchange(
+        b"POST /query HTTP/1.1\r\nContent-Length: " + length + b"\r\n\r\n{}"
+    )
+    head, _, payload = response.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert b"Connection: close" in head
+    assert b"Content-Length" in payload
+
+
+@pytest.mark.parametrize(
+    "payload,section",
+    [
+        ({"question": "loss_probability", "system": "x"}, "system"),
+        (
+            {"question": "loss_probability", "system": {"model": 3}},
+            "system.model",
+        ),
+        ({"question": "loss_probability", "policy": [1]}, "policy"),
+        ({"question": "sweep", "sweep": "MV"}, "sweep"),
+        ({"question": "frontier", "space": 1}, "space"),
+        ({"question": "fleet_survival", "timeline": [2]}, "timeline"),
+    ],
+)
+def test_non_object_section_is_a_400(payload, section):
+    response = post_query(payload)
+    assert response.startswith(b"HTTP/1.1 400 ")
+    error = json.loads(response.partition(b"\r\n\r\n")[2])["error"]
+    assert f"'{section}' must be a JSON object" in error
+
+
+def test_removed_variance_reduction_is_a_400():
+    payload = scenario_dict()
+    payload["policy"]["variance_reduction"] = "qmc"
+    response = post_query(payload)
+    assert response.startswith(b"HTTP/1.1 400 ")
+    assert b"variance_reduction" in response
+
+
 # ---------------------------------------------------------------------------
 # stdio / JSON-lines mode
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 from repro.core.faults import FaultType
 from repro.core.parameters import FaultModel
 from repro.core.units import HOURS_PER_YEAR
+from repro.simulation import batch as batch_module
 from repro.simulation.batch import (
     BatchRunResult,
     PiecewiseBatchState,
@@ -532,3 +533,41 @@ class TestPiecewiseStateMachine:
         state.advance_to(2000.0)
         assert state.repair_year_counts is not None
         assert state.repair_year_counts.sum() == state.repairs.sum()
+
+
+class TestEagerDrawCeiling:
+    """``MAX_EAGER_TRIALS`` only changes when draws happen, not what
+    they are: the first block of a subdivided run consumes the generator
+    exactly like a standalone run of that size."""
+
+    @pytest.fixture(autouse=True)
+    def _bind_fast_model(self, fast_model_factory):
+        self.fast_model = fast_model_factory
+
+    def test_block_subdivision_preserves_prefix(self, monkeypatch):
+        # A run over the ceiling subdivides into blocks that reuse one
+        # generator sequentially, so the first block is bit-identical to
+        # a standalone run of the block size with the same seed.
+        monkeypatch.setattr(batch_module, "MAX_EAGER_TRIALS", 500)
+        small = simulate_batch(
+            self.fast_model(), trials=500, horizon=5000.0, seed=11
+        )
+        large = simulate_batch(
+            self.fast_model(), trials=1200, horizon=5000.0, seed=11
+        )
+        assert large.lost.size == 1200
+        assert np.array_equal(large.lost[:500], small.lost)
+        assert np.array_equal(large.end_time[:500], small.end_time)
+        assert np.array_equal(
+            large.first_fault_type[:500], small.first_fault_type
+        )
+
+    def test_subdivided_run_matches_statistics(self, monkeypatch):
+        # The concatenated blocks carry every trial exactly once.
+        monkeypatch.setattr(batch_module, "MAX_EAGER_TRIALS", 300)
+        result = simulate_batch(
+            self.fast_model(), trials=1000, horizon=5000.0, seed=2
+        )
+        assert result.lost.size == 1000
+        assert result.end_time.size == 1000
+        assert result.sweeps > 0

@@ -1,13 +1,12 @@
-"""Tests for the variance-reduced batch estimators (QMC + control variate).
+"""Tests for the variance-reduced batch estimator (the control variate).
 
 The control variate is a conditional-Monte-Carlo estimator: its score is
 the exact conditional loss probability given the skeleton trajectory, so
 its mean must match the exact Markov chain at operating points where the
 kernel's physics and the chain agree (the daily-scrubbed mirrored pair,
 where the audit-grid vs exponential-detection difference is far below
-the Monte-Carlo noise).  The QMC estimator's replicate-spread confidence
-intervals must cover the same exact value.  Both are validated over
-multiple seeds, plus the estimator-axis plumbing and validation rules.
+the Monte-Carlo noise).  It is validated over multiple seeds, plus the
+estimator-axis plumbing and validation rules.
 """
 
 import math
@@ -26,9 +25,7 @@ from repro.simulation.estimators import (
     run_mttdl,
 )
 from repro.simulation.variance_reduction import (
-    SCIPY_QMC_AVAILABLE,
     cv_loss_probability,
-    qmc_loss_probability,
     require_threshold_two,
     variance_reduced_loss_probability,
 )
@@ -99,27 +96,9 @@ class TestControlVariate:
             require_threshold_two(ErasureCode(6, 4), replicas=6)
 
 
-@pytest.mark.skipif(not SCIPY_QMC_AVAILABLE, reason="scipy.stats.qmc unavailable")
-class TestQmc:
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-    def test_covers_exact_markov_value(self, exact_loss, seed):
-        estimate = qmc_loss_probability(
-            RARE_MODEL, mission_time=MISSION, trials=16_384, seed=seed
-        )
-        assert estimate.method == "qmc"
-        assert estimate.std_error > 0
-        assert abs(estimate.mean - exact_loss) <= 3.0 * estimate.std_error
-
-    def test_deterministic_in_seed(self):
-        a = qmc_loss_probability(RARE_MODEL, mission_time=MISSION, trials=4096, seed=9)
-        b = qmc_loss_probability(RARE_MODEL, mission_time=MISSION, trials=4096, seed=9)
-        assert a.mean == b.mean
-        assert a.std_error == b.std_error
-
-
 class TestEstimatorAxis:
     def test_axis_vocabulary(self):
-        assert VARIANCE_REDUCTIONS == ("none", "qmc", "cv")
+        assert VARIANCE_REDUCTIONS == ("none", "cv")
 
     def test_dispatch(self, exact_loss):
         estimate = variance_reduced_loss_probability(

@@ -314,6 +314,6 @@ class TestVarianceReductionAxis:
 
     def test_requires_batch_engine(self):
         with pytest.raises(ValueError, match="batch"):
-            EstimatorPolicy(engine="is", variance_reduction="qmc")
+            EstimatorPolicy(engine="is", variance_reduction="cv")
         with pytest.raises(ValueError, match="batch"):
             EstimatorPolicy(engine="event", variance_reduction="cv")

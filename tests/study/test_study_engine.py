@@ -1,7 +1,11 @@
 """The engine dispatcher: all five questions, cross-checks, provenance."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -361,37 +365,19 @@ class TestVarianceReducedRuns:
         assert result.value > 0
 
 
-class TestProfile:
-    def test_absent_by_default(self):
-        result = run(_point("mttdl", trials=200, max_time_hours=1e6))
-        assert "profile" not in result.details
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats used to be half of the facade's import time; only the
+    # Markov chain's scipy.linalg.expm is needed now.
+    import repro
 
-    def test_phase_breakdown_present_when_requested(self):
-        scenario = _point("mttdl", trials=200, max_time_hours=1e6)
-        plain = run(scenario)
-        profiled = run(scenario, profile=True)
-        profile = profiled.details["profile"]
-        assert set(profile) == {
-            "setup_seconds",
-            "kernel_seconds",
-            "merge_seconds",
-        }
-        assert all(value >= 0.0 for value in profile.values())
-        # Profiling observes the run, it must not change the answer.
-        assert profiled.value == plain.value
-        assert profiled.ci_low == plain.ci_low
-
-    def test_fleet_profile(self):
-        scenario = Scenario(
-            question="fleet_survival",
-            timeline=stationary_timeline(MODEL, 2.0),
-            members=400,
-            chunk_size=200,
-            policy=EstimatorPolicy(engine="fleet", seed=4),
-        )
-        result = run(scenario, profile=True)
-        assert set(result.details["profile"]) == {
-            "setup_seconds",
-            "kernel_seconds",
-            "merge_seconds",
-        }
+    src = Path(repro.__file__).resolve().parents[1]
+    code = "import sys, repro.study; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

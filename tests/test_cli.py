@@ -600,14 +600,3 @@ class TestTelemetry:
         path.write_text("{not json\n", encoding="utf-8")
         assert main(["trace", str(path)]) == 2
         assert "invalid JSON" in capsys.readouterr().err
-
-    def test_optimize_profile_flag(self, capsys):
-        assert main([
-            "optimize", "--budget", "500000", "--trials", "200",
-            "--media", "drive:cheetah", "--replicas", "2",
-            "--audit-rates", "12", "--json", "--profile",
-        ]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert set(payload["result"]["details"]["profile"]) == {
-            "setup_seconds", "kernel_seconds", "merge_seconds",
-        }
