@@ -208,6 +208,18 @@ class FaultModel:
             "alpha": self.correlation_factor,
         }
 
+    @staticmethod
+    def from_dict(payload: Dict[str, object]) -> "FaultModel":
+        """Rebuild a model from :meth:`as_dict`'s paper-notation keys."""
+        return FaultModel(
+            mean_time_to_visible=float(payload["MV"]),
+            mean_time_to_latent=float(payload["ML"]),
+            mean_repair_visible=float(payload["MRV"]),
+            mean_repair_latent=float(payload["MRL"]),
+            mean_detect_latent=float(payload["MDL"]),
+            correlation_factor=float(payload["alpha"]),
+        )
+
     def describe(self) -> str:
         """Return a readable multi-line description of the parameters."""
         lines = [

@@ -26,17 +26,20 @@ chronological stream:
   migration-window probability.
 
 Randomness is split across three streams so fleets compose correctly:
-fault clocks draw from the chunk's piecewise pool stream; the event
+fault clocks draw from the chunk's piecewise stream
+(:func:`~repro.simulation.rng.piecewise_generator`); the event
 *schedule* — shock arrival times and the regions they strike — draws
 from a fleet-level stream keyed by ``schedule_seed`` alone
 (:func:`~repro.simulation.rng.fleet_schedule_generator`), so every
 chunk of one fleet experiences the *same* shocks and a regional event
 genuinely spans chunks; and per-member event *outcomes* (penetration
 panels, migration survival) draw from the chunk's own stream
-(:func:`~repro.simulation.rng.fleet_event_generator`).  Changing the
-shock schedule therefore never shifts which exponentials the fault
-clocks consume, and splitting a fleet into more chunks never multiplies
-the number of shocks it suffers.
+(:func:`~repro.simulation.rng.fleet_event_generator`).  Splitting a
+fleet into more chunks therefore never multiplies the number of shocks
+it suffers.  Every event is also a cut in the kernel's advance, and the
+clock stream is shared by the chunk's members in sweep order, so a
+changed shock schedule changes which clock draws later faults get — the
+same process on different draws, never a different process.
 """
 
 from __future__ import annotations

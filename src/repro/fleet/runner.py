@@ -41,6 +41,14 @@ from repro.store import write_atomic
 DEFAULT_CHUNK_SIZE = 1000
 
 
+#: Version of the chunk kernel's random stream, hashed into every chunk
+#: key.  Bump it whenever the kernel consumes its generator differently:
+#: tallies cached under the old stream then miss instead of merging with
+#: chunks of the same fleet simulated under the new one (which would make
+#: a warm run differ from a cold run at the same seed).
+_KERNEL_VERSION = 2
+
+
 def chunk_cache_key(
     timeline: FleetTimeline, members: int, seed: int, index: int
 ) -> str:
@@ -51,6 +59,7 @@ def chunk_cache_key(
             "members": members,
             "seed": seed,
             "chunk": index,
+            "kernel": _KERNEL_VERSION,
         },
         sort_keys=True,
     )

@@ -48,19 +48,13 @@ from repro.threats.correlation_sources import correlation_pressure
 from repro.threats.taxonomy import ThreatProfile
 
 
-def _model_to_dict(model: FaultModel) -> Dict[str, float]:
-    return model.as_dict()
-
-
-def _model_from_dict(payload: Dict[str, object]) -> FaultModel:
-    return FaultModel(
-        mean_time_to_visible=float(payload["MV"]),
-        mean_time_to_latent=float(payload["ML"]),
-        mean_repair_visible=float(payload["MRV"]),
-        mean_repair_latent=float(payload["MRL"]),
-        mean_detect_latent=float(payload["MDL"]),
-        correlation_factor=float(payload["alpha"]),
-    )
+def _json_object(value: object, path: str) -> Dict[str, object]:
+    """``value`` when it is a JSON object; otherwise a ``ValueError``
+    naming its JSON ``path``, so a malformed plan fails with a message
+    instead of an ``AttributeError`` deep inside a ``from_dict``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"'{path}' must be a JSON object")
+    return value
 
 
 @dataclass(frozen=True)
@@ -274,7 +268,7 @@ class FleetEpoch:
     def as_dict(self) -> Dict[str, object]:
         return {
             "start_year": self.start_year,
-            "model": _model_to_dict(self.model),
+            "model": self.model.as_dict(),
             "audits_per_year": self.audits_per_year,
             "hazard_multiplier": self.hazard_multiplier,
             "annual_cost_per_member": self.annual_cost_per_member,
@@ -285,22 +279,33 @@ class FleetEpoch:
 
     @staticmethod
     def from_dict(payload: Dict[str, object]) -> "FleetEpoch":
-        audits = payload.get("audits_per_year")
-        shocks = payload.get("shocks")
-        return FleetEpoch(
-            start_year=float(payload["start_year"]),
-            model=_model_from_dict(payload["model"]),
-            audits_per_year=None if audits is None else float(audits),
-            hazard_multiplier=float(payload.get("hazard_multiplier", 1.0)),
-            annual_cost_per_member=float(
-                payload.get("annual_cost_per_member", 0.0)
-            ),
-            cost_per_repair=float(payload.get("cost_per_repair", 10.0)),
-            shocks=(
-                RegionalShockModel.from_dict(shocks) if shocks else None
-            ),
-            label=str(payload.get("label", "")),
-        )
+        return _epoch_from_dict(payload, "epoch")
+
+
+def _epoch_from_dict(payload: object, path: str) -> FleetEpoch:
+    payload = _json_object(payload, path)
+    audits = payload.get("audits_per_year")
+    shocks = payload.get("shocks")
+    return FleetEpoch(
+        start_year=float(payload["start_year"]),
+        model=FaultModel.from_dict(
+            _json_object(payload["model"], f"{path}.model")
+        ),
+        audits_per_year=None if audits is None else float(audits),
+        hazard_multiplier=float(payload.get("hazard_multiplier", 1.0)),
+        annual_cost_per_member=float(
+            payload.get("annual_cost_per_member", 0.0)
+        ),
+        cost_per_repair=float(payload.get("cost_per_repair", 10.0)),
+        shocks=(
+            RegionalShockModel.from_dict(
+                _json_object(shocks, f"{path}.shocks")
+            )
+            if shocks
+            else None
+        ),
+        label=str(payload.get("label", "")),
+    )
 
 
 @dataclass(frozen=True)
@@ -439,11 +444,14 @@ class FleetTimeline:
             ),
             label=str(payload.get("label", "")),
             epochs=tuple(
-                FleetEpoch.from_dict(epoch) for epoch in payload["epochs"]
+                _epoch_from_dict(epoch, f"timeline.epochs[{index}]")
+                for index, epoch in enumerate(payload["epochs"])
             ),
             migrations=tuple(
-                MigrationEvent.from_dict(m)
-                for m in payload.get("migrations", ())
+                MigrationEvent.from_dict(
+                    _json_object(m, f"timeline.migrations[{index}]")
+                )
+                for index, m in enumerate(payload.get("migrations", ()))
             ),
         )
 

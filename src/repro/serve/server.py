@@ -44,7 +44,17 @@ _TEXT = "text/plain; charset=utf-8"
 #: The Prometheus text exposition content type ``/metrics`` must serve.
 _PROMETHEUS = "text/plain; version=0.0.4; charset=utf-8"
 
-_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found"}
+_REASONS = {
+    200: "OK",
+    400: "Bad Request",
+    404: "Not Found",
+    413: "Payload Too Large",
+}
+
+#: Largest request body the server buffers.  A scenario is a few KiB;
+#: a bigger declared length gets a 413 and a close before any of the
+#: body is read, so one request cannot make the server buffer gigabytes.
+_MAX_BODY_BYTES = 1 << 20
 
 
 def _head(
@@ -128,11 +138,16 @@ async def _handle_connection(
                 )
                 headers[name.strip().lower()] = value.strip()
             length = _content_length(headers)
-            if length is None:
-                payload = json.dumps(
-                    {"error": "Content-Length must be a non-negative integer"}
-                ).encode("utf-8")
-                writer.write(_head(400, _JSON, len(payload), keep_alive=False))
+            if length is None or length > _MAX_BODY_BYTES:
+                status, error = (
+                    (400, "Content-Length must be a non-negative integer")
+                    if length is None
+                    else (413, f"request body exceeds {_MAX_BODY_BYTES} bytes")
+                )
+                payload = json.dumps({"error": error}).encode("utf-8")
+                writer.write(
+                    _head(status, _JSON, len(payload), keep_alive=False)
+                )
                 writer.write(payload)
                 break
             body = await reader.readexactly(length) if length else b""

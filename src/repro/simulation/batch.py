@@ -76,7 +76,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -198,6 +198,10 @@ def simulate_batch(
 ) -> BatchRunResult:
     """Simulate ``trials`` redundant systems in lock-step to ``horizon``.
 
+    A stationary run is a one-segment timeline: each block of at most
+    :data:`MAX_EAGER_TRIALS` trials is a :class:`PiecewiseBatchState`
+    on the chunk's batch stream, advanced straight to the horizon.
+
     Args:
         model: the fault-model operating point.
         trials: number of independent systems to simulate.
@@ -225,56 +229,29 @@ def simulate_batch(
         ValueError: for non-positive ``trials`` / ``horizon`` / ``bias``
             or a replication degree below 1.
     """
-    if scheme is not None:
-        replicas = scheme.n
-        loss_threshold = scheme.loss_threshold
-    else:
-        loss_threshold = replicas
     if trials <= 0:
         raise ValueError("trials must be positive")
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    if replicas < 1:
-        raise ValueError("replicas must be at least 1")
-    if bias is not None and bias <= 0:
-        raise ValueError("bias must be positive")
-
     rng = batch_generator(seed, chunk)
     tel = obs.current()
     began = time.perf_counter() if tel.enabled else 0.0
-    if trials <= MAX_EAGER_TRIALS:
-        result = _simulate_batch_block(
+    # Memory cap: subdivide, reusing the same generator sequentially so
+    # the whole run stays a deterministic function of (seed, chunk).
+    blocks = []
+    for start in range(0, trials, MAX_EAGER_TRIALS):
+        state = PiecewiseBatchState(
             model,
-            trials,
-            horizon,
-            rng,
-            replicas,
-            loss_threshold,
-            audits_per_year,
-            bias,
+            min(MAX_EAGER_TRIALS, trials - start),
+            replicas=replicas,
+            audits_per_year=audits_per_year,
+            rng=rng,
+            scheme=scheme,
+            bias=bias,
         )
-    else:
-        # Memory cap: subdivide, reusing the same generator sequentially
-        # so the whole run stays a deterministic function of
-        # (seed, chunk).
-        blocks = []
-        start = 0
-        while start < trials:
-            size = min(MAX_EAGER_TRIALS, trials - start)
-            blocks.append(
-                _simulate_batch_block(
-                    model,
-                    size,
-                    horizon,
-                    rng,
-                    replicas,
-                    loss_threshold,
-                    audits_per_year,
-                    bias,
-                )
-            )
-            start += size
-        result = _concatenate_blocks(blocks, float(horizon))
+        state.advance_to(horizon)
+        blocks.append(state.result())
+    result = _concatenate_blocks(blocks, float(horizon))
     if tel.enabled:
         tel.count("batch.calls")
         tel.count("batch.trials", trials)
@@ -286,271 +263,59 @@ def simulate_batch(
 def _concatenate_blocks(
     blocks: Sequence[BatchRunResult], horizon: float
 ) -> BatchRunResult:
-    log_weight = None
-    if blocks[0].log_weight is not None:
-        log_weight = np.concatenate([block.log_weight for block in blocks])
+    if len(blocks) == 1:
+        return blocks[0]
+
+    def joined(field: str) -> np.ndarray:
+        return np.concatenate([getattr(block, field) for block in blocks])
+
     return BatchRunResult(
-        lost=np.concatenate([block.lost for block in blocks]),
-        end_time=np.concatenate([block.end_time for block in blocks]),
-        first_fault_type=np.concatenate(
-            [block.first_fault_type for block in blocks]
-        ),
-        final_fault_type=np.concatenate(
-            [block.final_fault_type for block in blocks]
-        ),
+        lost=joined("lost"),
+        end_time=joined("end_time"),
+        first_fault_type=joined("first_fault_type"),
+        final_fault_type=joined("final_fault_type"),
         horizon=horizon,
         sweeps=sum(block.sweeps for block in blocks),
-        log_weight=log_weight,
-    )
-
-
-def _simulate_batch_block(
-    model: FaultModel,
-    trials: int,
-    horizon: float,
-    rng: np.random.Generator,
-    replicas: int,
-    loss_threshold: int,
-    audits_per_year: Optional[float],
-    bias: Optional[float],
-) -> BatchRunResult:
-    interval = audit_interval_for(model, audits_per_year)
-    mean_visible = model.mean_time_to_visible
-    mean_latent = model.mean_time_to_latent
-    repair_visible = model.mean_repair_visible
-    repair_latent = model.mean_repair_latent
-    alpha = model.correlation_factor
-    correlated = alpha < 1.0
-
-    # Failure biasing: while a trial is degraded (>= 1 faulty replica),
-    # the surviving replicas' fault clocks are drawn at ``accel`` times
-    # their true (already alpha-corrected) rate; first faults keep the
-    # true rate, so only the short windows of vulnerability are
-    # distorted.  The path-measure log-likelihood ratio
-    #   log w = -K log(accel)
-    #           + (accel - 1) * integral of the true degraded fault
-    #             intensity over the trial's degraded sojourns,
-    # (K = faults suffered while already degraded) is accumulated
-    # sojourn by sojourn.
-    accel = 1.0 if bias is None else float(bias)
-    weighting = accel != 1.0
-    # Regime changes require resampling pending arrivals whenever the
-    # degraded-regime sampling rate differs from the base rate — for
-    # correlation, biasing, or both.
-    reschedule = correlated or weighting
-    degraded_scale = alpha / accel
-    inv_alpha = 1.0 / alpha if correlated else 1.0
-    total_rate = 1.0 / mean_visible + 1.0 / mean_latent
-    log_accel = math.log(accel) if weighting else 0.0
-    log_weight = np.zeros(trials) if weighting else None
-    last_event = np.zeros(trials) if weighting else None
-
-    state = np.zeros((trials, replicas), dtype=np.int8)
-    fault_time = np.full((trials, replicas), np.inf)
-    recovery = np.full((trials, replicas), np.inf)
-    next_visible = rng.exponential(mean_visible, size=(trials, replicas))
-    next_latent = rng.exponential(mean_latent, size=(trials, replicas))
-
-    lost = np.zeros(trials, dtype=bool)
-    end_time = np.full(trials, float(horizon))
-    first_type = np.full(trials, -1, dtype=np.int8)
-    final_type = np.full(trials, -1, dtype=np.int8)
-
-    live = np.arange(trials)
-    sweeps = 0
-    while live.size:
-        sweeps += 1
-        # Next event per live trial: healthy replicas race their pending
-        # fault arrivals, faulty replicas wait for their known recovery.
-        fault_candidate = np.minimum(next_visible[live], next_latent[live])
-        candidate = np.where(
-            state[live] == OK, fault_candidate, recovery[live]
-        )
-        which = np.argmin(candidate, axis=1)
-        event_time = candidate[np.arange(live.size), which]
-
-        if weighting:
-            # Exposure term of the likelihood ratio: between a trial's
-            # consecutive events its regime is constant, and sampling
-            # only differs from the truth during degraded sojourns,
-            # where the true intensity is healthy replicas x per-replica
-            # rate divided by alpha.
-            healthy_now = np.count_nonzero(state[live] == OK, axis=1)
-            intensity = np.where(
-                healthy_now < replicas,
-                healthy_now * total_rate * inv_alpha,
-                0.0,
-            )
-            segment_end = np.minimum(event_time, horizon)
-            log_weight[live] += (
-                (accel - 1.0) * intensity * (segment_end - last_event[live])
-            )
-            last_event[live] = segment_end
-
-        # Trials whose next event falls past the horizon are censored.
-        running = event_time < horizon
-        live = live[running]
-        if live.size == 0:
-            break
-        which = which[running]
-        event_time = event_time[running]
-        is_recovery = state[live, which] != OK
-
-        if is_recovery.any():
-            rows = live[is_recovery]
-            cols = which[is_recovery]
-            times = event_time[is_recovery]
-            state[rows, cols] = OK
-            recovery[rows, cols] = np.inf
-            fault_time[rows, cols] = np.inf
-            still_faulty = np.count_nonzero(state[rows] != OK, axis=1)
-            # New arrivals for the recovered replica draw at the current
-            # regime's *sampling* rate (divided by alpha while the trial
-            # stays degraded — the paper's non-compounding correlation —
-            # and additionally accelerated by the failure bias there).
-            scale = np.where(still_faulty > 0, degraded_scale, 1.0)
-            next_visible[rows, cols] = times + rng.exponential(
-                1.0, rows.size
-            ) * (mean_visible * scale)
-            next_latent[rows, cols] = times + rng.exponential(
-                1.0, rows.size
-            ) * (mean_latent * scale)
-            if reschedule:
-                # Leaving the degraded regime: healthy replicas fall back
-                # to base-rate arrivals (memoryless, so resampling is
-                # distributionally exact — same as the event engine's
-                # reschedule).
-                back = still_faulty == 0
-                if back.any():
-                    b_rows = rows[back]
-                    b_times = times[back]
-                    next_visible[b_rows] = b_times[:, None] + rng.exponential(
-                        mean_visible, (b_rows.size, replicas)
-                    )
-                    next_latent[b_rows] = b_times[:, None] + rng.exponential(
-                        mean_latent, (b_rows.size, replicas)
-                    )
-
-        faulted = ~is_recovery
-        if faulted.any():
-            rows = live[faulted]
-            cols = which[faulted]
-            times = event_time[faulted]
-            fault_code = np.where(
-                next_visible[rows, cols] <= next_latent[rows, cols],
-                VISIBLE,
-                LATENT,
-            ).astype(np.int8)
-            state[rows, cols] = fault_code
-            fault_time[rows, cols] = times
-            next_visible[rows, cols] = np.inf
-            next_latent[rows, cols] = np.inf
-
-            # The whole recovery is determined at fault time: visible
-            # faults repair after MRV; latent faults wait for the next
-            # audit-grid point, then repair after MRL (never, without
-            # scrubbing).
-            completed = np.empty(rows.size)
-            visible_mask = fault_code == VISIBLE
-            completed[visible_mask] = times[visible_mask] + repair_visible
-            latent_mask = ~visible_mask
-            if interval is None:
-                completed[latent_mask] = np.inf
-            else:
-                detection = (
-                    np.floor(times[latent_mask] / interval) + 1.0
-                ) * interval
-                completed[latent_mask] = detection + repair_latent
-            recovery[rows, cols] = completed
-
-            faulty_now = np.count_nonzero(state[rows] != OK, axis=1)
-            if weighting:
-                # Jump term: a fault landing on an already-degraded trial
-                # fired from a clock sampled at ``accel`` times its true
-                # rate; first faults fired at the true rate.
-                second_or_later = rows[faulty_now >= 2]
-                log_weight[second_or_later] -= log_accel
-            # An (n, k) scheme loses as soon as the faulty count reaches
-            # n - k + 1; replication is the threshold = n special case.
-            loss_mask = faulty_now >= loss_threshold
-            if loss_mask.any():
-                l_rows = rows[loss_mask]
-                lost[l_rows] = True
-                end_time[l_rows] = times[loss_mask]
-                final_type[l_rows] = fault_code[loss_mask]
-                oldest = np.argmin(fault_time[l_rows], axis=1)
-                first_type[l_rows] = state[l_rows, oldest]
-            if reschedule:
-                # Entering the degraded regime (0 -> 1 faulty replicas):
-                # healthy replicas' pending arrivals accelerate by
-                # 1/alpha (correlation) and by the failure bias.
-                degraded = (faulty_now == 1) & ~loss_mask
-                if degraded.any():
-                    d_rows = rows[degraded]
-                    d_times = times[degraded]
-                    healthy = state[d_rows] == OK
-                    visible_draws = d_times[:, None] + rng.exponential(
-                        mean_visible * degraded_scale, (d_rows.size, replicas)
-                    )
-                    latent_draws = d_times[:, None] + rng.exponential(
-                        mean_latent * degraded_scale, (d_rows.size, replicas)
-                    )
-                    next_visible[d_rows] = np.where(
-                        healthy, visible_draws, next_visible[d_rows]
-                    )
-                    next_latent[d_rows] = np.where(
-                        healthy, latent_draws, next_latent[d_rows]
-                    )
-
-        live = live[~lost[live]]
-
-    return BatchRunResult(
-        lost=lost,
-        end_time=end_time,
-        first_fault_type=first_type,
-        final_fault_type=final_type,
-        horizon=float(horizon),
-        sweeps=sweeps,
-        log_weight=log_weight,
+        log_weight=(
+            None if blocks[0].log_weight is None else joined("log_weight")
+        ),
     )
 
 
 # ---------------------------------------------------------------------------
-# Piecewise-constant (epoch-switched) rates
+# The kernel: piecewise-constant (epoch-switched) rates
 # ---------------------------------------------------------------------------
 #
-# Epoch / horizon boundary semantics (explicit, by construction):
+# Random numbers come from one generator shared by every trial of the
+# state, in a fixed order: the time-zero clocks, then per sweep one
+# ``exponential(1.0, n)`` pair for the replicas returning to service and
+# one ``(n, replicas)`` pair for the trials entering or leaving the
+# degraded regime (when that regime samples at a different rate — under
+# correlation, failure biasing or both).  Which draw a trial receives
+# therefore depends on how the sweeps batch it with the others, so
+# cutting a timeline (an epoch boundary, a shock time) changes a seed's
+# outcome but not its distribution.
+#
+# Epoch boundaries themselves draw nothing:
 #
 # * A fault clock drawn in one rate regime is *exposure-corrected* when
 #   the rates change mid-trial: the remaining delay ``next - t`` is an
 #   exponential with the old sampling mean, so rescaling it by the ratio
 #   of the new mean to the old one yields exactly the new regime's
-#   remaining-delay distribution (memorylessness + scale family).  The
-#   correction consumes no random numbers, so a boundary where nothing
-#   changes is bit-for-bit a no-op — the property the regression test
-#   pins down by requiring a two-epoch timeline with identical rates to
-#   reproduce the single-epoch run exactly under the same seed.
+#   remaining-delay distribution (memorylessness + scale family).  A
+#   switch to the same rates changes no state.
 # * A latent fault still *undetected* at a boundary (its detection time
 #   lies beyond it) is re-anchored to the new epoch's audit grid: the
 #   detection moves to the first new-grid point after the boundary (or
 #   to never, when the new epoch does not scrub) and the repair follows
 #   at the new epoch's ``MRL``.  When the grid is unchanged this is the
 #   identity, because no old-grid point can lie between the fault and
-#   the boundary (the fault would already have been detected).
+#   the boundary (the fault would already have been detected).  The
+#   detection time is not stored: it is the recovery time less the
+#   ``MRL`` the repair was scheduled with.
 # * An *in-flight* repair (visible, or latent already detected) keeps
 #   its completion time: the repair started under the old regime and
 #   its duration was fixed the moment it began.
-#
-# Unlike :func:`simulate_batch`, whose lock-step sweeps share one RNG
-# stream across trials (so the draw a trial receives depends on how the
-# sweep happens to batch it with others), the piecewise kernel gives
-# every (trial, replica) its own pre-drawn pool of unit exponentials and
-# handles *all* regime changes — degraded-regime entry/exit as well as
-# epoch switches — by exposure correction.  Random numbers are consumed
-# only at time zero and when a replica returns to service, indexed by a
-# per-replica cursor, which is what makes chunked/segmented execution
-# (and the fleet simulator's shock injection) reproducible regardless of
-# where the timeline is cut.
 
 
 @dataclass(frozen=True)
@@ -573,17 +338,13 @@ class RateSegment:
             raise ValueError("end_time must be positive")
 
 
-#: Initial per-replica clock-pool depth; pools double when exhausted.
-_POOL_DEPTH = 4
-
-
 class PiecewiseBatchState:
-    """Resumable vectorized fleet/batch state with epoch-switched rates.
+    """Resumable vectorized batch state with epoch-switched rates.
 
-    Drives the same physics as :func:`simulate_batch` (exponential
-    visible/latent faults, deterministic repairs, audit-grid latent
-    detection, the paper's non-compounding multiplicative correlation)
-    but exposes the simulation as a *state machine*:
+    The one Monte-Carlo kernel (exponential visible/latent faults,
+    deterministic repairs, audit-grid latent detection, the paper's
+    non-compounding multiplicative correlation, optional failure
+    biasing), exposed as a *state machine*:
 
     * :meth:`advance_to` runs lock-step sweeps up to an absolute time,
       leaving surviving trials live with their pending clocks intact;
@@ -594,9 +355,11 @@ class PiecewiseBatchState:
       machinery as organic faults;
     * :meth:`result` packages the outcome as a :class:`BatchRunResult`.
 
-    ``repair_year_counts`` (when constructed with ``track_years``)
+    With ``bias`` set, the importance-sampling exposure integral and
+    jump term accumulate across :meth:`advance_to` calls into
+    ``log_weight``.  With ``track_years`` set, ``repair_year_counts``
     accumulates completed repairs per calendar year for cost
-    accounting, and ``repairs`` counts them per trial.
+    accounting and ``repairs`` counts them per trial.
     """
 
     def __init__(
@@ -610,6 +373,7 @@ class PiecewiseBatchState:
         chunk: int = 0,
         track_years: Optional[int] = None,
         scheme: Optional[RedundancyScheme] = None,
+        bias: Optional[float] = None,
     ) -> None:
         if scheme is not None:
             replicas = scheme.n
@@ -617,6 +381,8 @@ class PiecewiseBatchState:
             raise ValueError("trials must be positive")
         if replicas < 1:
             raise ValueError("replicas must be at least 1")
+        if bias is not None and bias <= 0:
+            raise ValueError("bias must be positive")
         self._rng = rng if rng is not None else piecewise_generator(seed, chunk)
         self.trials = trials
         self.replicas = replicas
@@ -625,36 +391,42 @@ class PiecewiseBatchState:
         )
         self.now = 0.0
         self.sweeps = 0
+        # Failure biasing (see the module docstring): ``log_weight``
+        # accumulates each trial's likelihood ratio sojourn by sojourn,
+        # and ``_last_event`` is how far its exposure integral has run.
+        self._accel = 1.0 if bias is None else float(bias)
+        weighting = self._accel != 1.0
+        self.log_weight = np.zeros(trials) if weighting else None
+        self._last_event = np.zeros(trials) if weighting else None
 
         self.state = np.zeros((trials, replicas), dtype=np.int8)
         self.fault_time = np.full((trials, replicas), np.inf)
-        self.detection = np.full((trials, replicas), np.inf)
         self.recovery = np.full((trials, replicas), np.inf)
 
         self.lost = np.zeros(trials, dtype=bool)
         self.end_time = np.full(trials, np.inf)
         self.first_type = np.full(trials, -1, dtype=np.int8)
         self.final_type = np.full(trials, -1, dtype=np.int8)
-        self.repairs = np.zeros(trials, dtype=np.int64)
         self.shock_faults = 0
+        tracking = track_years is not None
+        self.repairs = np.zeros(trials, dtype=np.int64) if tracking else None
         self.repair_year_counts = (
             np.zeros(int(track_years) + 1, dtype=np.int64)
-            if track_years is not None
+            if tracking
             else None
         )
-
-        self._capacity = _POOL_DEPTH
-        self._pool_visible = self._rng.exponential(
-            1.0, (trials, replicas, self._capacity)
-        )
-        self._pool_latent = self._rng.exponential(
-            1.0, (trials, replicas, self._capacity)
-        )
-        self._cursor = np.ones((trials, replicas), dtype=np.int64)
+        # When the latest epoch began, and the MRL each fault older than
+        # that was scheduled with (see ``switch_model``).
+        self._switched_at = 0.0
+        self._latent_mrl: Union[float, np.ndarray] = 0.0
 
         self._set_model(model, audits_per_year)
-        self.next_visible = self._pool_visible[:, :, 0] * self._mean_visible
-        self.next_latent = self._pool_latent[:, :, 0] * self._mean_latent
+        self.next_visible = self._rng.exponential(
+            self._mean_visible, (trials, replicas)
+        )
+        self.next_latent = self._rng.exponential(
+            self._mean_latent, (trials, replicas)
+        )
 
     # -- model / regime ----------------------------------------------------
 
@@ -668,7 +440,13 @@ class PiecewiseBatchState:
         self._repair_visible = model.mean_repair_visible
         self._repair_latent = model.mean_repair_latent
         self._alpha = model.correlation_factor
-        self._correlated = self._alpha < 1.0
+        # Degraded trials sample at ``alpha / accel`` times the base
+        # mean, so leaving or entering that regime redraws the healthy
+        # replicas' clocks whenever the two rates differ.
+        self._degraded_scale = self._alpha / self._accel
+        self._reschedule = self._alpha < 1.0 or self._accel != 1.0
+        self._total_rate = 1.0 / self._mean_visible + 1.0 / self._mean_latent
+        self._inv_alpha = 1.0 / self._alpha if self._alpha < 1.0 else 1.0
 
     def switch_model(
         self, model: FaultModel, audits_per_year: Optional[float] = None
@@ -677,10 +455,10 @@ class PiecewiseBatchState:
 
         Pending fault clocks of healthy replicas are exposure-corrected
         by the ratio of the new sampling mean to the old one (per trial,
-        because degraded trials sample at ``mean * alpha``); undetected
-        latent faults re-anchor to the new audit grid; in-flight repairs
-        keep their completion times.  A switch to an identical regime is
-        exactly a no-op.
+        because degraded trials sample at ``mean * alpha / bias``);
+        undetected latent faults re-anchor to the new audit grid;
+        in-flight repairs keep their completion times.  Nothing is
+        drawn, and a switch to an identical regime changes no state.
         """
         now = self.now
         degraded = np.count_nonzero(self.state != OK, axis=1) > 0
@@ -705,13 +483,21 @@ class PiecewiseBatchState:
                 stretch = now + (clocks - now) * factor[:, None]
                 np.copyto(clocks, stretch, where=healthy & changed[:, None])
 
+        # A latent recovery is its detection plus the MRL it was
+        # scheduled with: the outgoing epoch's for faults landed since
+        # the last switch, the recorded one for older faults.
+        scheduled_mrl = np.where(
+            self.fault_time >= self._switched_at,
+            self._repair_latent,
+            self._latent_mrl,
+        )
         old_interval = self._interval
         old_repair_latent = self._repair_latent
         self._set_model(model, audits_per_year)
 
         undetected = (
             (self.state == LATENT)
-            & (self.detection > now)
+            & (self.recovery > now + scheduled_mrl)
             & ~self.lost[:, None]
         )
         if undetected.any() and (
@@ -719,82 +505,17 @@ class PiecewiseBatchState:
             or self._repair_latent != old_repair_latent
         ):
             if self._interval is None:
-                self.detection[undetected] = np.inf
                 self.recovery[undetected] = np.inf
             else:
                 anchored = (
                     math.floor(now / self._interval) + 1.0
                 ) * self._interval
-                self.detection[undetected] = anchored
                 self.recovery[undetected] = anchored + self._repair_latent
-
-    # -- clock pools -------------------------------------------------------
-
-    def _pop_clocks(
-        self, rows: np.ndarray, cols: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Next unit exponentials for the given replicas' fresh clocks."""
-        cursor = self._cursor[rows, cols]
-        if cursor.max(initial=-1) >= self._capacity:
-            grow = self._capacity
-            self._pool_visible = np.concatenate(
-                [
-                    self._pool_visible,
-                    self._rng.exponential(
-                        1.0, (self.trials, self.replicas, grow)
-                    ),
-                ],
-                axis=2,
-            )
-            self._pool_latent = np.concatenate(
-                [
-                    self._pool_latent,
-                    self._rng.exponential(
-                        1.0, (self.trials, self.replicas, grow)
-                    ),
-                ],
-                axis=2,
-            )
-            self._capacity += grow
-        z_visible = self._pool_visible[rows, cols, cursor]
-        z_latent = self._pool_latent[rows, cols, cursor]
-        self._cursor[rows, cols] = cursor + 1
-        return z_visible, z_latent
-
-    # -- regime-change rescaling -------------------------------------------
-
-    def _rescale_healthy(
-        self,
-        rows: np.ndarray,
-        times: np.ndarray,
-        factor: float,
-        exclude_cols: Optional[np.ndarray] = None,
-    ) -> None:
-        """Exposure-correct pending clocks of ``rows``' healthy replicas.
-
-        ``exclude_cols`` leaves one replica per row untouched (the one
-        whose clocks were just drawn in the new regime already).
-        """
-        mask = self.state[rows] == OK
-        if exclude_cols is not None:
-            mask[np.arange(rows.size), exclude_cols] = False
-        anchor = times[:, None]
-        for clocks in (self.next_visible, self.next_latent):
-            block = clocks[rows]
-            clocks[rows] = np.where(
-                mask, anchor + (block - anchor) * factor, block
-            )
+            scheduled_mrl[undetected] = self._repair_latent
+        self._latent_mrl = scheduled_mrl
+        self._switched_at = now
 
     # -- fault landing (shared by organic faults and shocks) ---------------
-
-    def _record_repairs(self, times: np.ndarray) -> None:
-        if self.repair_year_counts is None:
-            return
-        years = np.minimum(
-            (times / HOURS_PER_YEAR).astype(np.int64),
-            self.repair_year_counts.size - 1,
-        )
-        np.add.at(self.repair_year_counts, years, 1)
 
     def _land_faults(
         self,
@@ -802,44 +523,39 @@ class PiecewiseBatchState:
         cols: np.ndarray,
         times: np.ndarray,
         fault_code: np.ndarray,
-        previously_faulty: np.ndarray,
-    ) -> None:
-        """Apply faults to healthy replicas and run the loss/regime logic.
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Fault healthy replicas and mark the trials this loses.
 
-        ``previously_faulty`` is each row's faulty count *before* the
-        fault lands (used for the degraded-regime entry rescale).  A row
+        The whole recovery is determined at fault time: visible faults
+        repair after MRV; latent faults wait for the next audit-grid
+        point, then repair after MRL (never, without scrubbing).  A row
         may repeat with different columns for a simultaneous
         multi-replica event (shock); ``(row, col)`` pairs must be
-        unique.
+        unique.  Returns each row's faulty count after the landing and
+        the loss mask.
         """
-        self.state[rows, cols] = fault_code
+        state = self.state
+        state[rows, cols] = fault_code
         self.fault_time[rows, cols] = times
         self.next_visible[rows, cols] = np.inf
         self.next_latent[rows, cols] = np.inf
 
         completed = np.empty(rows.size)
-        detected = np.empty(rows.size)
         visible_mask = fault_code == VISIBLE
-        detected[visible_mask] = times[visible_mask]
         completed[visible_mask] = times[visible_mask] + self._repair_visible
         latent_mask = ~visible_mask
-        if latent_mask.any():
-            if self._interval is None:
-                detected[latent_mask] = np.inf
-                completed[latent_mask] = np.inf
-            else:
-                grid = (
-                    np.floor(times[latent_mask] / self._interval) + 1.0
-                ) * self._interval
-                detected[latent_mask] = grid
-                completed[latent_mask] = grid + self._repair_latent
-        self.detection[rows, cols] = detected
+        interval = self._interval
+        if interval is None:
+            completed[latent_mask] = np.inf
+        else:
+            grid = (np.floor(times[latent_mask] / interval) + 1.0) * interval
+            completed[latent_mask] = grid + self._repair_latent
         self.recovery[rows, cols] = completed
 
-        faulty_now = np.count_nonzero(self.state[rows] != OK, axis=1)
-        # ``>=`` because a multi-replica shock can jump the faulty count
-        # past an (n, k) scheme's threshold in one landing; replication
-        # is the threshold = n special case where ``>=`` means ``==``.
+        faulty_now = np.count_nonzero(state[rows] != OK, axis=1)
+        # An (n, k) scheme loses as soon as the faulty count reaches
+        # n - k + 1; ``>=`` because a multi-replica shock can jump past
+        # the threshold in one landing.
         loss_mask = faulty_now >= self.loss_threshold
         if loss_mask.any():
             l_rows = rows[loss_mask]
@@ -847,20 +563,37 @@ class PiecewiseBatchState:
             self.end_time[l_rows] = times[loss_mask]
             self.final_type[l_rows] = fault_code[loss_mask]
             oldest = np.argmin(self.fault_time[l_rows], axis=1)
-            self.first_type[l_rows] = self.state[l_rows, oldest]
-        if self._correlated:
-            entered = (previously_faulty == 0) & ~loss_mask
-            if entered.any():
-                # A multi-replica shock repeats its row once per struck
-                # replica; the regime entry must rescale each trial once.
-                e_rows = rows[entered]
-                e_times = times[entered]
-                unique_rows, first_index = np.unique(
-                    e_rows, return_index=True
-                )
-                self._rescale_healthy(
-                    unique_rows, e_times[first_index], self._alpha
-                )
+            self.first_type[l_rows] = state[l_rows, oldest]
+        return faulty_now, loss_mask
+
+    def _fresh_clocks(
+        self, rows: np.ndarray, times: np.ndarray, scale: float
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Visible, then latent, clocks for every replica of ``rows``
+        from ``times`` at ``scale`` times the base means (memorylessness
+        makes resampling on a regime change exact)."""
+        shape = (rows.size, self.replicas)
+        anchor = times[:, None]
+        visible = anchor + self._rng.exponential(
+            self._mean_visible * scale, shape
+        )
+        latent = anchor + self._rng.exponential(
+            self._mean_latent * scale, shape
+        )
+        return visible, latent
+
+    def _enter_degraded(self, rows: np.ndarray, times: np.ndarray) -> None:
+        """Healthy replicas of ``rows`` (unique) now race at the
+        degraded regime's sampling rate: 1/alpha faster, and faster
+        again by the failure bias."""
+        visible, latent = self._fresh_clocks(rows, times, self._degraded_scale)
+        healthy = self.state[rows] == OK
+        self.next_visible[rows] = np.where(
+            healthy, visible, self.next_visible[rows]
+        )
+        self.next_latent[rows] = np.where(
+            healthy, latent, self.next_latent[rows]
+        )
 
     def inject_faults(
         self,
@@ -889,27 +622,28 @@ class PiecewiseBatchState:
         if members.size == 0:
             return
         hits = replica_hits & (self.state[members] == OK)
-        struck = hits.any(axis=1)
-        if not struck.any():
+        if not hits.any():
             return
         rows_2d, cols_2d = np.nonzero(hits)
         previously_faulty = np.count_nonzero(
             self.state[members] != OK, axis=1
         )
-        # Land per-row so a multi-replica hit runs the same loss logic a
-        # simultaneous multi-fault shock implies; rows stay unique per
-        # call because each replica column appears at most once per row.
+        # One landing call so a multi-replica hit runs the loss logic a
+        # simultaneous multi-fault shock implies; each (row, col) pair
+        # appears once because a replica column appears once per row.
         row_trials = members[rows_2d]
         self.shock_faults += row_trials.size
         times = np.full(row_trials.size, float(time))
         codes = np.full(row_trials.size, fault_code, dtype=np.int8)
-        self._land_faults(
-            row_trials,
-            cols_2d,
-            times,
-            codes,
-            previously_faulty[rows_2d],
-        )
+        _, loss_mask = self._land_faults(row_trials, cols_2d, times, codes)
+        if self._reschedule:
+            # Entering the degraded regime: a shock is not drawn from
+            # the biased clocks, so it adds no jump term, but the
+            # surviving replicas now race at the degraded rate.
+            entered = (previously_faulty[rows_2d] == 0) & ~loss_mask
+            if entered.any():
+                e_rows = np.unique(row_trials[entered])
+                self._enter_degraded(e_rows, np.full(e_rows.size, float(time)))
 
     # -- time advance ------------------------------------------------------
 
@@ -919,81 +653,141 @@ class PiecewiseBatchState:
         next epoch).  Surviving trials keep their pending clocks."""
         if until < self.now:
             raise ValueError("cannot advance backwards")
-        active = np.flatnonzero(~self.lost)
-        while active.size:
-            self.sweeps += 1
-            fault_candidate = np.minimum(
-                self.next_visible[active], self.next_latent[active]
-            )
-            candidate = np.where(
-                self.state[active] == OK,
-                fault_candidate,
-                self.recovery[active],
-            )
+        # The sweep loop reads its arrays and constants from locals.
+        rng = self._rng
+        state = self.state
+        recovery = self.recovery
+        fault_time = self.fault_time
+        next_visible = self.next_visible
+        next_latent = self.next_latent
+        lost = self.lost
+        replicas = self.replicas
+        mean_visible = self._mean_visible
+        mean_latent = self._mean_latent
+        degraded_scale = self._degraded_scale
+        reschedule = self._reschedule
+        log_weight = self.log_weight
+        weighting = log_weight is not None
+        if weighting:
+            accel = self._accel
+            last_event = self._last_event
+            log_accel = math.log(accel)
+            total_rate = self._total_rate
+            inv_alpha = self._inv_alpha
+        repairs = self.repairs
+        year_counts = self.repair_year_counts
+        if repairs is not None:
+            last_year = year_counts.size - 1
+
+        live = np.flatnonzero(~lost)
+        positions = np.arange(live.size)
+        sweeps = 0
+        while live.size:
+            sweeps += 1
+            # Next event per live trial: healthy replicas race their
+            # pending fault arrivals, faulty replicas wait for their
+            # known recovery.
+            healthy = state[live] == OK
+            fault_candidate = np.minimum(next_visible[live], next_latent[live])
+            candidate = np.where(healthy, fault_candidate, recovery[live])
             which = np.argmin(candidate, axis=1)
-            event_time = candidate[np.arange(active.size), which]
+            event_time = candidate[positions[: live.size], which]
+
+            if weighting:
+                # Exposure term of the likelihood ratio: between a
+                # trial's consecutive events its regime is constant, and
+                # sampling only differs from the truth during degraded
+                # sojourns, where the true intensity is healthy replicas
+                # x per-replica rate divided by alpha.
+                healthy_now = np.count_nonzero(healthy, axis=1)
+                intensity = np.where(
+                    healthy_now < replicas,
+                    healthy_now * total_rate * inv_alpha,
+                    0.0,
+                )
+                segment_end = np.minimum(event_time, until)
+                log_weight[live] += (accel - 1.0) * intensity * (
+                    segment_end - last_event[live]
+                )
+                last_event[live] = segment_end
+
+            # Trials whose next event falls at or past ``until`` wait.
             running = event_time < until
-            active = active[running]
-            if active.size == 0:
+            live = live[running]
+            if live.size == 0:
                 break
             which = which[running]
             event_time = event_time[running]
-            is_recovery = self.state[active, which] != OK
+            is_recovery = state[live, which] != OK
 
             if is_recovery.any():
-                rows = active[is_recovery]
+                rows = live[is_recovery]
                 cols = which[is_recovery]
                 times = event_time[is_recovery]
-                self.state[rows, cols] = OK
-                self.recovery[rows, cols] = np.inf
-                self.fault_time[rows, cols] = np.inf
-                self.detection[rows, cols] = np.inf
-                self.repairs[rows] += 1
-                self._record_repairs(times)
-                still_faulty = np.count_nonzero(
-                    self.state[rows] != OK, axis=1
-                )
-                scale = np.where(still_faulty > 0, self._alpha, 1.0)
-                z_visible, z_latent = self._pop_clocks(rows, cols)
-                self.next_visible[rows, cols] = times + z_visible * (
-                    self._mean_visible * scale
-                )
-                self.next_latent[rows, cols] = times + z_latent * (
-                    self._mean_latent * scale
-                )
-                if self._correlated:
+                state[rows, cols] = OK
+                recovery[rows, cols] = np.inf
+                fault_time[rows, cols] = np.inf
+                if repairs is not None:
+                    repairs[rows] += 1
+                    year = (times / HOURS_PER_YEAR).astype(np.int64)
+                    np.add.at(year_counts, np.minimum(year, last_year), 1)
+                # New arrivals for the recovered replica draw at the
+                # current regime's *sampling* rate (divided by alpha
+                # while the trial stays degraded — the paper's
+                # non-compounding correlation — and additionally
+                # accelerated by the failure bias there).
+                visible_mean, latent_mean = mean_visible, mean_latent
+                if reschedule:
+                    still_faulty = np.count_nonzero(state[rows] != OK, axis=1)
+                    scale = np.where(still_faulty > 0, degraded_scale, 1.0)
+                    visible_mean = mean_visible * scale
+                    latent_mean = mean_latent * scale
+                next_visible[rows, cols] = times + rng.exponential(
+                    1.0, rows.size
+                ) * visible_mean
+                next_latent[rows, cols] = times + rng.exponential(
+                    1.0, rows.size
+                ) * latent_mean
+                if reschedule:
+                    # Leaving the degraded regime: every replica falls
+                    # back to base-rate arrivals.
                     back = still_faulty == 0
                     if back.any():
-                        # Leaving the degraded regime: the *other*
-                        # healthy replicas' clocks stretch back to base
-                        # rate; the recovered replica's clocks were just
-                        # drawn at base rate and are excluded.
-                        self._rescale_healthy(
-                            rows[back],
-                            times[back],
-                            1.0 / self._alpha,
-                            exclude_cols=cols[back],
-                        )
+                        b_rows = rows[back]
+                        (
+                            next_visible[b_rows],
+                            next_latent[b_rows],
+                        ) = self._fresh_clocks(b_rows, times[back], 1.0)
 
             faulted = ~is_recovery
             if faulted.any():
-                rows = active[faulted]
+                rows = live[faulted]
                 cols = which[faulted]
                 times = event_time[faulted]
                 fault_code = np.where(
-                    self.next_visible[rows, cols]
-                    <= self.next_latent[rows, cols],
+                    next_visible[rows, cols] <= next_latent[rows, cols],
                     VISIBLE,
                     LATENT,
                 ).astype(np.int8)
-                previously_faulty = np.count_nonzero(
-                    self.state[rows] != OK, axis=1
+                faulty_now, loss_mask = self._land_faults(
+                    rows, cols, times, fault_code
                 )
-                self._land_faults(
-                    rows, cols, times, fault_code, previously_faulty
-                )
-
-            active = active[~self.lost[active]]
+                if weighting:
+                    # Jump term: a fault landing on an already-degraded
+                    # trial fired from a clock sampled at ``accel``
+                    # times its true rate; first faults fired at the
+                    # true rate.
+                    log_weight[rows[faulty_now >= 2]] -= log_accel
+                if reschedule:
+                    # Entering the degraded regime (0 -> 1 faulty
+                    # replicas): healthy replicas' pending arrivals
+                    # accelerate by 1/alpha and by the failure bias.
+                    entered = (faulty_now == 1) & ~loss_mask
+                    if entered.any():
+                        self._enter_degraded(rows[entered], times[entered])
+                if loss_mask.any():
+                    live = live[~lost[live]]
+        self.sweeps += sweeps
         self.now = float(until)
 
     # -- packaging ---------------------------------------------------------
@@ -1011,6 +805,9 @@ class PiecewiseBatchState:
             final_fault_type=self.final_type.copy(),
             horizon=self.now,
             sweeps=self.sweeps,
+            log_weight=(
+                None if self.log_weight is None else self.log_weight.copy()
+            ),
         )
 
 
@@ -1028,10 +825,10 @@ def simulate_batch_piecewise(
     Each :class:`RateSegment` holds until its ``end_time``; at every
     boundary the state applies the explicit epoch semantics documented
     above (exposure-corrected fault clocks, re-anchored latent
-    detection, in-flight repairs kept).  A single segment reproduces the
-    physics of :func:`simulate_batch`, and a timeline split at any point
-    into identical-rate segments returns bit-identical results for the
-    same seed.
+    detection, in-flight repairs kept).  A single segment of at most
+    :data:`MAX_EAGER_TRIALS` trials on ``rng=batch_generator(seed,
+    chunk)`` is :func:`simulate_batch` bit for bit; a timeline split
+    into identical-rate segments is the same process on other draws.
 
     Raises:
         ValueError: for an empty timeline or non-increasing segment end

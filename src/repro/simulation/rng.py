@@ -48,7 +48,7 @@ BATCH_SPAWN_TAG = 2**32 + 1
 SPLITTING_SPAWN_TAG = 2**32 + 2
 
 #: Spawn-key tag reserved for the piecewise (epoch-switched) batch
-#: kernel's per-replica clock pools.
+#: kernel's fleet chunks.
 PIECEWISE_SPAWN_TAG = 2**32 + 3
 
 #: Spawn-key tag reserved for the fleet simulator's per-chunk event
@@ -198,10 +198,11 @@ def splitting_pool_generator(seed: int, stage: int) -> np.random.Generator:
 def piecewise_generator(seed: int, chunk: int = 0) -> np.random.Generator:
     """Generator for one chunk of the piecewise (epoch-switched) kernel.
 
-    The piecewise kernel consumes its stream through per-(trial, replica)
-    clock pools rather than per-sweep draws, so it gets its own reserved
-    tag: sharing :data:`BATCH_SPAWN_TAG` would correlate a piecewise
-    chunk with the plain batch chunk of the same seed.
+    The kernel draws in the same order as :func:`simulate_batch
+    <repro.simulation.batch.simulate_batch>` on :func:`batch_generator`,
+    so a fleet chunk gets its own reserved tag: sharing
+    :data:`BATCH_SPAWN_TAG` would make a stationary fleet chunk replay
+    the plain batch chunk of the same seed draw for draw.
     """
     if seed < 0:
         raise ValueError("seed must be non-negative")
@@ -218,10 +219,11 @@ def fleet_event_generator(seed: int, chunk: int = 0) -> np.random.Generator:
 
     Covers the per-member randomness of scheduled events — which
     replicas a shock penetrates, which members a migration sweep loses.
-    Kept separate from the clock-pool stream so the number of shocks a
-    timeline schedules can never shift which exponentials the fault
-    clocks consume — chunk results stay reproducible when shock or
-    migration settings change everything *except* the fault physics.
+    Kept separate from the fault-clock stream, so event outcomes never
+    consume clock draws and the clock stream never consumes event
+    draws.  (Each event still cuts the kernel's advance, which changes
+    how the shared clock stream is dealt out — see
+    :mod:`repro.simulation.batch`.)
     """
     if seed < 0:
         raise ValueError("seed must be non-negative")

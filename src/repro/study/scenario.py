@@ -25,7 +25,7 @@ from typing import Dict, Optional, Tuple, Union
 from repro.core.parameters import FaultModel
 from repro.core.redundancy import RedundancyScheme
 from repro.core.sensitivity import PARAMETER_FIELDS
-from repro.fleet.timeline import FleetTimeline
+from repro.fleet.timeline import FleetTimeline, _json_object
 from repro.optimize.evaluate import DEFAULT_SCREEN_SLACK
 from repro.optimize.space import DesignSpace
 
@@ -116,20 +116,7 @@ def _section(
     ``from_dict``.
     """
     value = payload.get(key)
-    if value is None or isinstance(value, dict):
-        return value or None
-    raise ValueError(f"'{path or key}' must be a JSON object")
-
-
-def _model_from_dict(payload: Dict[str, object]) -> FaultModel:
-    return FaultModel(
-        mean_time_to_visible=float(payload["MV"]),
-        mean_time_to_latent=float(payload["ML"]),
-        mean_repair_visible=float(payload["MRV"]),
-        mean_repair_latent=float(payload["MRL"]),
-        mean_detect_latent=float(payload["MDL"]),
-        correlation_factor=float(payload["alpha"]),
-    )
+    return None if value is None else _json_object(value, path or key) or None
 
 
 def _space_from_dict(payload: Dict[str, object]) -> DesignSpace:
@@ -195,7 +182,7 @@ class SystemSpec:
         if model is None:
             raise ValueError("'system.model' is required")
         return SystemSpec(
-            model=_model_from_dict(model),
+            model=FaultModel.from_dict(model),
             replicas=int(payload.get("replicas", 2)),
             audits_per_year=None if audits is None else float(audits),
             scheme=(

@@ -1,5 +1,6 @@
 """Tests for chunked, parallel, cached fleet execution."""
 
+import hashlib
 import json
 import os
 
@@ -98,6 +99,33 @@ class TestCache:
         )
         assert redo.new_chunks == 1
         assert redo.tally.as_dict() == run.tally.as_dict()
+
+    def test_entry_under_the_unversioned_recipe_is_a_miss(self, tmp_path):
+        # The recipe before the kernel version joined the key: a tally
+        # stored under it was drawn from an older kernel stream and must
+        # be re-simulated, not merged with chunks of the current one.
+        legacy_key = hashlib.sha256(
+            json.dumps(
+                {
+                    "timeline": timeline().as_dict(),
+                    "members": 200,
+                    "seed": 5,
+                    "chunk": 0,
+                },
+                sort_keys=True,
+            ).encode("utf-8")
+        ).hexdigest()[:32]
+        stale = simulate_fleet(
+            timeline(), members=200, seed=6, chunk_size=200
+        ).tally
+        FleetChunkCache(tmp_path).put(legacy_key, stale)
+        run = simulate_fleet(
+            timeline(), members=200, seed=5, chunk_size=200,
+            cache_dir=tmp_path,
+        )
+        assert chunk_cache_key(timeline(), 200, 5, 0) != legacy_key
+        assert run.cache_hits == 0
+        assert run.new_chunks == 1
 
     def test_key_depends_on_timeline_content(self):
         base = timeline()

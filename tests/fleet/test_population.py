@@ -41,6 +41,25 @@ def fast_model(**overrides):
     return FaultModel(**base)
 
 
+#: Horizon at which about half of :func:`half_lost_model`'s members
+#: are lost (5e4 hours).
+HALF_LIFE_YEARS = 5e4 / HOURS_PER_YEAR
+
+
+def half_lost_model():
+    return fast_model(mean_time_to_visible=5000.0, mean_time_to_latent=1000.0)
+
+
+def assert_within_4_se(a, b):
+    p_a = np.count_nonzero(a.lost) / a.members
+    p_b = np.count_nonzero(b.lost) / b.members
+    assert 0.3 < p_a < 0.7
+    combined_se = np.sqrt(
+        p_a * (1 - p_a) / a.members + p_b * (1 - p_b) / b.members
+    )
+    assert abs(p_a - p_b) < 4 * combined_se
+
+
 class TestStationaryAnchor:
     def test_matches_estimate_loss_probability_within_ci(self):
         """A stationary timeline is the point estimators' system; the
@@ -75,24 +94,25 @@ class TestStationaryAnchor:
 
 
 class TestEpochBoundaries:
-    def test_identical_epochs_are_a_no_op(self):
+    def test_identical_epochs_agree_in_distribution(self):
         """Cutting a stationary timeline into epochs with the same rates
-        must reproduce the single-epoch run bit for bit."""
-        model = fast_model()
-        single = stationary_timeline(model, 2.0)
+        changes no state at the boundaries; the cuts only reshuffle the
+        shared stream's draws, so the loss fraction agrees with the
+        single-epoch run within noise."""
+        model = half_lost_model()
+        single = stationary_timeline(model, HALF_LIFE_YEARS)
         split = FleetTimeline(
-            years=2.0,
+            years=HALF_LIFE_YEARS,
             epochs=(
                 FleetEpoch(0.0, model),
-                FleetEpoch(0.75, model),
-                FleetEpoch(1.5, model),
+                FleetEpoch(0.4 * HALF_LIFE_YEARS, model),
+                FleetEpoch(0.7 * HALF_LIFE_YEARS, model),
             ),
         )
-        a = simulate_fleet_chunk(single, members=800, seed=7)
-        b = simulate_fleet_chunk(split, members=800, seed=7)
-        assert np.array_equal(a.lost, b.lost)
-        assert np.array_equal(a.loss_time, b.loss_time)
-        assert np.array_equal(a.repair_year_counts, b.repair_year_counts)
+        a = simulate_fleet_chunk(single, members=3000, seed=7)
+        b = simulate_fleet_chunk(split, members=3000, seed=7)
+        assert not np.array_equal(a.lost, b.lost)
+        assert_within_4_se(a, b)
 
     def test_switching_to_a_safe_epoch_stops_losses(self):
         """After a switch to a near-immortal regime, the only losses can
@@ -230,30 +250,31 @@ class TestShocks:
         assert a.shock_events > 0
         assert set(a.loss_time[a.lost]) == set(b.loss_time[b.lost])
 
-    def test_shock_randomness_does_not_disturb_fault_clocks(self):
-        """Organic physics draws from the clock stream; adding shocks
-        must not change which exponentials organic faults consume."""
-        quiet = stationary_timeline(paper_model(), 5.0)
+    def test_zero_penetration_shocks_agree_in_distribution(self):
+        """Shocks that damage nothing draw only from the event streams;
+        they cut the kernel's advance at every arrival, which reshuffles
+        the clock stream's draws but not the loss distribution."""
+        model = half_lost_model()
+        quiet = stationary_timeline(model, HALF_LIFE_YEARS)
         noisy = FleetTimeline(
-            years=5.0,
+            years=HALF_LIFE_YEARS,
             epochs=(
                 FleetEpoch(
                     0.0,
-                    paper_model(),
+                    model,
                     shocks=RegionalShockModel(
-                        rate_per_year=0.2,
+                        rate_per_year=2.0,
                         regions=4,
                         replica_penetration=0.0,
                     ),
                 ),
             ),
         )
-        a = simulate_fleet_chunk(quiet, members=600, seed=12)
-        b = simulate_fleet_chunk(noisy, members=600, seed=12)
-        # Zero-penetration shocks consume only event-stream draws, so
-        # the organic outcome is untouched.
-        assert np.array_equal(a.lost, b.lost)
-        assert np.array_equal(a.loss_time, b.loss_time)
+        a = simulate_fleet_chunk(quiet, members=3000, seed=12)
+        b = simulate_fleet_chunk(noisy, members=3000, seed=12)
+        assert b.shock_events > 0
+        assert b.shock_faults == 0
+        assert_within_4_se(a, b)
 
 
 class TestBookkeeping:

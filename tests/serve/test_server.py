@@ -219,6 +219,46 @@ def test_non_object_section_is_a_400(payload, section):
     assert f"'{section}' must be a JSON object" in error
 
 
+_EPOCH = {"start_year": 0.0, "model": MODEL.as_dict()}
+
+
+@pytest.mark.parametrize(
+    "timeline,path",
+    [
+        ({"years": 10, "epochs": ["x"]}, "timeline.epochs[0]"),
+        (
+            {"years": 10, "epochs": [{"start_year": 0.0, "model": 5}]},
+            "timeline.epochs[0].model",
+        ),
+        (
+            {"years": 10, "epochs": [_EPOCH, dict(_EPOCH, shocks=[1])]},
+            "timeline.epochs[1].shocks",
+        ),
+        (
+            {"years": 10, "epochs": [_EPOCH], "migrations": ["y"]},
+            "timeline.migrations[0]",
+        ),
+    ],
+)
+def test_non_object_timeline_entry_is_a_400(timeline, path):
+    response = post_query({"question": "fleet_survival", "timeline": timeline})
+    assert response.startswith(b"HTTP/1.1 400 ")
+    error = json.loads(response.partition(b"\r\n\r\n")[2])["error"]
+    assert f"'{path}' must be a JSON object" in error
+
+
+def test_oversized_body_is_a_413_and_close_before_reading_it():
+    # Only the head is sent: a server that tried to buffer the declared
+    # gigabyte would wait out the exchange's timeout instead.
+    response = raw_exchange(
+        b"POST /query HTTP/1.1\r\nContent-Length: 1000000000\r\n\r\n"
+    )
+    head, _, payload = response.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 413 ")
+    assert b"Connection: close" in head
+    assert "exceeds" in json.loads(payload)["error"]
+
+
 def test_removed_variance_reduction_is_a_400():
     payload = scenario_dict()
     payload["policy"]["variance_reduction"] = "qmc"

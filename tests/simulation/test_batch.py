@@ -21,6 +21,7 @@ from repro.simulation.batch import (
     simulate_batch,
     simulate_batch_piecewise,
 )
+from repro.simulation.rng import batch_generator
 from repro.simulation.monte_carlo import (
     double_fault_combination_counts,
     estimate_loss_probability,
@@ -357,8 +358,11 @@ class TestPiecewiseTimeline:
 
     The contract under test: a fault clock drawn in one rate regime is
     exposure-corrected when rates change mid-trial, so a boundary where
-    nothing changes is exactly a no-op and a genuine rate change is
-    distributionally exact (memorylessness + exponential scaling).
+    nothing changes leaves the state untouched and draws nothing, and a
+    genuine rate change is distributionally exact (memorylessness +
+    exponential scaling).  Cutting a timeline changes how the sweeps
+    batch trials onto the shared stream, so a cut run is the same
+    process on different draws.
     """
 
     def fast_model(self, **overrides):
@@ -373,56 +377,131 @@ class TestPiecewiseTimeline:
         base.update(overrides)
         return FaultModel(**base)
 
+    def half_lost_model(self, alpha):
+        # About half of the trials are lost by HALF_LIFE_HORIZON.
+        if alpha == 1.0:
+            return self.fast_model(
+                mean_time_to_visible=5000.0, mean_time_to_latent=1000.0
+            )
+        return self.fast_model(
+            mean_time_to_visible=12000.0,
+            mean_time_to_latent=2400.0,
+            correlation_factor=alpha,
+        )
+
+    HALF_LIFE_HORIZON = 5e4
+    CUT = 2e4
+
+    @staticmethod
+    def assert_within_4_se(losses_a, losses_b, trials):
+        p_a, p_b = losses_a / trials, losses_b / trials
+        combined_se = np.sqrt(
+            p_a * (1 - p_a) / trials + p_b * (1 - p_b) / trials
+        )
+        assert abs(p_a - p_b) < 4 * combined_se
+
     @pytest.mark.parametrize("alpha", [1.0, 0.2])
-    def test_identical_two_epoch_timeline_matches_single_epoch_exactly(
+    def test_identical_two_epoch_timeline_matches_single_epoch_in_distribution(
         self, alpha
     ):
-        model = self.fast_model(correlation_factor=alpha)
+        model = self.half_lost_model(alpha)
         single = simulate_batch_piecewise(
-            [RateSegment(model, 1e5)], trials=2000, seed=7
+            [RateSegment(model, self.HALF_LIFE_HORIZON)], trials=3000, seed=7
         )
         double = simulate_batch_piecewise(
-            [RateSegment(model, 4e4), RateSegment(model, 1e5)],
-            trials=2000,
+            [
+                RateSegment(model, self.CUT),
+                RateSegment(model, self.HALF_LIFE_HORIZON),
+            ],
+            trials=3000,
             seed=7,
         )
-        assert np.array_equal(single.lost, double.lost)
-        assert np.array_equal(single.end_time, double.end_time)
-        assert np.array_equal(
-            single.first_fault_type, double.first_fault_type
-        )
-        assert np.array_equal(
-            single.final_fault_type, double.final_fault_type
-        )
+        assert 0.3 < single.losses / 3000 < 0.7
+        # Trials are live across the cut, so it reshuffles their draws.
+        assert not np.array_equal(single.lost, double.lost)
+        self.assert_within_4_se(single.losses, double.losses, 3000)
 
-    def test_equal_valued_distinct_models_are_still_a_no_op(self):
-        # The boundary compares rates by value, not identity.
-        a = self.fast_model()
-        b = self.fast_model()
-        single = simulate_batch_piecewise(
-            [RateSegment(a, 5e4)], trials=1000, seed=9
+    @pytest.mark.parametrize("bias", [None, 4.0])
+    def test_equal_valued_distinct_models_are_still_a_no_op(self, bias):
+        # The boundary compares rates by value, not identity: switching
+        # to an equal-valued model mid-run, with degraded trials and
+        # undetected latents live under alpha < 1, changes no state
+        # array and draws nothing.
+        rng = np.random.default_rng(9)
+        state = PiecewiseBatchState(
+            self.fast_model(correlation_factor=0.2),
+            trials=2000,
+            rng=rng,
+            bias=bias,
         )
-        double = simulate_batch_piecewise(
-            [RateSegment(a, 2e4), RateSegment(b, 5e4)], trials=1000, seed=9
-        )
-        assert np.array_equal(single.lost, double.lost)
-        assert np.array_equal(single.end_time, double.end_time)
+        # 45 h is between audits (every 10 h), so some latents landed
+        # since the last one are still undetected.
+        state.advance_to(45.0)
+        live = ~state.lost
+        assert ((state.state != 0).any(axis=1) & live).any()
+        assert ((state.state == 2) & (state.recovery > 45.0 + 1.0)).any()
+        names = (
+            "state", "fault_time", "recovery", "next_visible",
+            "next_latent", "lost", "end_time", "first_type", "final_type",
+        ) + (("log_weight",) if bias else ())
+        before = {name: getattr(state, name).copy() for name in names}
+        stream = rng.bit_generator.state
+        state.switch_model(self.fast_model(correlation_factor=0.2))
+        for name in names:
+            assert np.array_equal(getattr(state, name), before[name]), name
+        assert rng.bit_generator.state == stream
 
     def test_single_segment_agrees_with_simulate_batch(self):
-        model = self.fast_model()
+        self.assert_single_segment_matches_simulate_batch(bias=None)
+
+    def test_biased_single_segment_agrees_with_simulate_batch(self):
+        self.assert_single_segment_matches_simulate_batch(bias=5.0)
+
+    def assert_single_segment_matches_simulate_batch(self, bias):
+        # simulate_batch is a one-segment state on the batch stream.
+        model = self.fast_model(correlation_factor=0.5)
+        state = PiecewiseBatchState(
+            model, trials=3000, rng=batch_generator(11, 2), bias=bias
+        )
+        state.advance_to(2000.0)
+        piecewise = state.result()
         reference = simulate_batch(
-            model, trials=40000, horizon=2000.0, seed=11
+            model, trials=3000, horizon=2000.0, seed=11, chunk=2, bias=bias
         )
-        piecewise = simulate_batch_piecewise(
-            [RateSegment(model, 2000.0)], trials=40000, seed=12
-        )
-        p_ref = reference.losses / reference.trials
-        p_pw = piecewise.losses / piecewise.trials
-        combined_se = np.sqrt(
-            p_ref * (1 - p_ref) / reference.trials
-            + p_pw * (1 - p_pw) / piecewise.trials
-        )
-        assert abs(p_ref - p_pw) < 5 * combined_se
+        assert piecewise.sweeps == reference.sweeps
+        assert piecewise.horizon == reference.horizon
+        for field in (
+            "lost", "end_time", "first_fault_type", "final_fault_type"
+        ):
+            assert np.array_equal(
+                getattr(piecewise, field), getattr(reference, field)
+            ), field
+        if bias is None:
+            assert piecewise.log_weight is None
+            assert reference.log_weight is None
+        else:
+            assert np.array_equal(piecewise.log_weight, reference.log_weight)
+
+    def test_biased_state_accumulates_weights_across_cuts(self):
+        # The exposure integral and jump term carry over advance_to
+        # calls: a biased run cut at nine identical-rate boundaries
+        # estimates the same loss probability as the uncut biased run.
+        model = self.half_lost_model(0.5)
+
+        def weighted_losses(cuts):
+            state = PiecewiseBatchState(model, trials=4000, seed=3, bias=3.0)
+            for cut in cuts:
+                state.advance_to(cut)
+                state.switch_model(self.half_lost_model(0.5))
+            state.advance_to(self.HALF_LIFE_HORIZON)
+            result = state.result()
+            scores = result.weights * result.lost
+            return scores.mean(), scores.std(ddof=1) / np.sqrt(scores.size)
+
+        uncut, uncut_se = weighted_losses([])
+        cut, cut_se = weighted_losses(np.arange(1, 10) * 5e3)
+        assert 0.15 < uncut < 0.85
+        assert abs(uncut - cut) < 4 * np.hypot(uncut_se, cut_se)
 
     def test_switch_to_safe_regime_stops_new_losses(self):
         model = self.fast_model()
@@ -526,6 +605,27 @@ class TestPiecewiseStateMachine:
         assert result.horizon == 200.0
         assert np.all(result.end_time[~result.lost] == 200.0)
 
+    def test_in_flight_latent_repair_survives_later_switches(self):
+        # A latent detected before one switch keeps its completion time
+        # through the next, even when that switch re-anchors (here:
+        # strands) the latents still undetected.  Organic faults are
+        # negligible, so only the injected ones exist.
+        def quiet(mrl):
+            # MDL 5 h: audits every 10 h.
+            return FaultModel(1e12, 1e12, 1.0, mrl, 5.0, 1.0)
+
+        latent = batch_module.LATENT
+        state = PiecewiseBatchState(quiet(1000.0), trials=1, replicas=3)
+        one = np.array([0])
+        state.inject_faults(1.0, one, np.array([[1, 0, 0]]), latent)
+        state.advance_to(15.0)  # detected at 10, repaired at 1010
+        state.switch_model(quiet(1.0))
+        state.inject_faults(16.0, one, np.array([[0, 1, 0]]), latent)
+        state.advance_to(17.0)  # undetected until 20
+        state.switch_model(quiet(1.0), audits_per_year=0.0)
+        assert state.recovery[0, 0] == 1010.0
+        assert state.recovery[0, 1] == np.inf
+
     def test_repair_year_histogram_tracks_completions(self):
         state = PiecewiseBatchState(
             self.fast_model(), trials=200, track_years=1
@@ -571,3 +671,103 @@ class TestEagerDrawCeiling:
         assert result.lost.size == 1000
         assert result.end_time.size == 1000
         assert result.sweeps > 0
+
+
+class TestStreamPins:
+    """``simulate_batch``'s streams, pinned to recorded values.
+
+    Every stationary answer (estimators, planner, serve) rides on these
+    draws, so a kernel change that reorders or adds a draw must show up
+    here rather than as a silent shift in seeded results.  Each row is
+    (trials, losses, sweeps, exactly rounded end-time sum, exactly
+    rounded log-weight sum or ``None``).
+    """
+
+    @pytest.fixture(autouse=True)
+    def _bind_fast_model(self, fast_model_factory):
+        self.fast_model = fast_model_factory
+
+    def cases(self):
+        from repro.core.redundancy import RedundancyScheme
+
+        fast = self.fast_model
+        return {
+            "plain": (
+                dict(model=fast(), trials=2000, horizon=300.0, seed=11),
+                (2000, 628, 28, 498126.0344949456, None),
+            ),
+            "alpha": (
+                dict(
+                    model=fast(correlation_factor=0.2),
+                    trials=2000,
+                    horizon=100.0,
+                    seed=5,
+                ),
+                (2000, 870, 14, 155079.43200405402, None),
+            ),
+            "is": (
+                dict(
+                    model=paper_model(),
+                    trials=2000,
+                    horizon=50 * HOURS_PER_YEAR,
+                    seed=4,
+                    bias=10.0,
+                ),
+                (2000, 353, 23, 794566609.9391822, -507.957177949598),
+            ),
+            "erasure": (
+                dict(
+                    model=fast(),
+                    trials=1000,
+                    horizon=300.0,
+                    seed=9,
+                    scheme=RedundancyScheme(6, 4),
+                ),
+                (1000, 485, 64, 220197.58086617268, None),
+            ),
+            "unscrubbed": (
+                dict(
+                    model=fast(),
+                    trials=2000,
+                    horizon=300.0,
+                    seed=17,
+                    audits_per_year=0.0,
+                ),
+                (2000, 1880, 10, 248746.96453120734, None),
+            ),
+        }
+
+    @pytest.mark.parametrize(
+        "name", ["plain", "alpha", "is", "erasure", "unscrubbed"]
+    )
+    def test_stream_is_pinned(self, name):
+        kwargs, expected = self.cases()[name]
+        assert self.pinned(simulate_batch(**kwargs)) == expected
+
+    def test_subdivided_stream_is_pinned(self, monkeypatch):
+        monkeypatch.setattr(batch_module, "MAX_EAGER_TRIALS", 500)
+        result = simulate_batch(
+            self.fast_model(correlation_factor=0.5),
+            trials=1200,
+            horizon=300.0,
+            seed=13,
+            bias=3.0,
+        )
+        assert self.pinned(result) == (
+            1200, 1015, 58, 166228.04947386627, -394.62019095647884
+        )
+
+    @staticmethod
+    def pinned(result):
+        import math
+
+        log_weight = (
+            None if result.log_weight is None else math.fsum(result.log_weight)
+        )
+        return (
+            result.trials,
+            result.losses,
+            result.sweeps,
+            math.fsum(result.end_time),
+            log_weight,
+        )

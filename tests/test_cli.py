@@ -535,6 +535,16 @@ class TestFleetCommand:
         ]) == 2
         assert "malformed timeline" in capsys.readouterr().err
 
+    def test_non_object_timeline_epoch_is_an_error(self, capsys, tmp_path):
+        path = tmp_path / "epochs.json"
+        path.write_text('{"years": 10, "epochs": ["x"]}', encoding="utf-8")
+        assert main([
+            "fleet", "--timeline", str(path), "--members", "10",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "'timeline.epochs[0]' must be a JSON object" in err
+
     def test_unknown_medium_is_an_error(self, capsys):
         assert main(["fleet", "--medium", "drive:floppy"]) == 2
         assert "unknown medium" in capsys.readouterr().err
