@@ -199,23 +199,26 @@ class MigrationEvent:
 
     @staticmethod
     def from_dict(payload: Dict[str, object]) -> "MigrationEvent":
-        risk = payload["risk"]
-        return MigrationEvent(
-            year=float(payload["year"]),
-            risk=FormatRisk(
-                name=str(risk["name"]),
-                mean_years_to_endangered=float(
-                    risk["mean_years_to_endangered"]
-                ),
-                mean_years_endangered_to_dead=float(
-                    risk["mean_years_endangered_to_dead"]
-                ),
-                migration_sweep_years=float(risk["migration_sweep_years"]),
-                proprietary=bool(risk.get("proprietary", False)),
+        return _migration_from_dict(payload, "migration")
+
+
+def _migration_from_dict(payload: object, path: str) -> MigrationEvent:
+    payload = _json_object(payload, path)
+    risk = _json_object(payload["risk"], f"{path}.risk")
+    return MigrationEvent(
+        year=float(payload["year"]),
+        risk=FormatRisk(
+            name=str(risk["name"]),
+            mean_years_to_endangered=float(risk["mean_years_to_endangered"]),
+            mean_years_endangered_to_dead=float(
+                risk["mean_years_endangered_to_dead"]
             ),
-            cost_per_member=float(payload.get("cost_per_member", 0.0)),
-            label=str(payload.get("label", "")),
-        )
+            migration_sweep_years=float(risk["migration_sweep_years"]),
+            proprietary=bool(risk.get("proprietary", False)),
+        ),
+        cost_per_member=float(payload.get("cost_per_member", 0.0)),
+        label=str(payload.get("label", "")),
+    )
 
 
 @dataclass(frozen=True)
@@ -438,7 +441,9 @@ class FleetTimeline:
             years=float(payload["years"]),
             replicas=int(payload.get("replicas", 2)),
             scheme=(
-                RedundancyScheme.from_dict(scheme)
+                RedundancyScheme.from_dict(
+                    _json_object(scheme, "timeline.scheme")
+                )
                 if scheme is not None
                 else None
             ),
@@ -448,9 +453,7 @@ class FleetTimeline:
                 for index, epoch in enumerate(payload["epochs"])
             ),
             migrations=tuple(
-                MigrationEvent.from_dict(
-                    _json_object(m, f"timeline.migrations[{index}]")
-                )
+                _migration_from_dict(m, f"timeline.migrations[{index}]")
                 for index, m in enumerate(payload.get("migrations", ()))
             ),
         )

@@ -427,6 +427,16 @@ class PiecewiseBatchState:
         self.next_latent = self._rng.exponential(
             self._mean_latent, (trials, replicas)
         )
+        # What each sweep would otherwise re-derive from the 2-D state.
+        # Invariants, kept by every writer of ``state``, ``recovery``
+        # and the fault clocks:
+        #   _next_event == where(state == OK,
+        #                        minimum(next_visible, next_latent),
+        #                        recovery)
+        #   _faulty == count_nonzero(state != OK, axis=1)
+        self._next_event = np.empty((trials, replicas))
+        self._faulty = np.zeros(trials, dtype=np.int64)
+        self._refresh_next_event()
 
     # -- model / regime ----------------------------------------------------
 
@@ -448,6 +458,11 @@ class PiecewiseBatchState:
         self._total_rate = 1.0 / self._mean_visible + 1.0 / self._mean_latent
         self._inv_alpha = 1.0 / self._alpha if self._alpha < 1.0 else 1.0
 
+    def _refresh_next_event(self) -> None:
+        """Recompute the whole next-event cache from the state."""
+        np.minimum(self.next_visible, self.next_latent, out=self._next_event)
+        np.copyto(self._next_event, self.recovery, where=self.state != OK)
+
     def switch_model(
         self, model: FaultModel, audits_per_year: Optional[float] = None
     ) -> None:
@@ -461,7 +476,7 @@ class PiecewiseBatchState:
         drawn, and a switch to an identical regime changes no state.
         """
         now = self.now
-        degraded = np.count_nonzero(self.state != OK, axis=1) > 0
+        degraded = self._faulty > 0
         old_scale = np.where(degraded, self._alpha, 1.0)
         new_scale = np.where(degraded, model.correlation_factor, 1.0)
         factor_visible = (
@@ -514,31 +529,31 @@ class PiecewiseBatchState:
             scheduled_mrl[undetected] = self._repair_latent
         self._latent_mrl = scheduled_mrl
         self._switched_at = now
+        self._refresh_next_event()
 
     # -- fault landing (shared by organic faults and shocks) ---------------
 
     def _land_faults(
         self,
         rows: np.ndarray,
-        cols: np.ndarray,
+        cells: np.ndarray,
         times: np.ndarray,
         fault_code: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Fault healthy replicas and mark the trials this loses.
 
-        The whole recovery is determined at fault time: visible faults
+        ``cells`` are flat ``row * replicas + replica`` indices.  The
+        whole recovery is determined at fault time: visible faults
         repair after MRV; latent faults wait for the next audit-grid
         point, then repair after MRL (never, without scrubbing).  A row
-        may repeat with different columns for a simultaneous
-        multi-replica event (shock); ``(row, col)`` pairs must be
-        unique.  Returns each row's faulty count after the landing and
-        the loss mask.
+        may repeat with different replicas for a simultaneous
+        multi-replica event (shock); cells must be unique.  Returns each
+        row's faulty count after the landing and the loss mask.
         """
-        state = self.state
-        state[rows, cols] = fault_code
-        self.fault_time[rows, cols] = times
-        self.next_visible[rows, cols] = np.inf
-        self.next_latent[rows, cols] = np.inf
+        self.state.reshape(-1)[cells] = fault_code
+        self.fault_time.reshape(-1)[cells] = times
+        self.next_visible.reshape(-1)[cells] = np.inf
+        self.next_latent.reshape(-1)[cells] = np.inf
 
         completed = np.empty(rows.size)
         visible_mask = fault_code == VISIBLE
@@ -550,9 +565,12 @@ class PiecewiseBatchState:
         else:
             grid = (np.floor(times[latent_mask] / interval) + 1.0) * interval
             completed[latent_mask] = grid + self._repair_latent
-        self.recovery[rows, cols] = completed
+        self.recovery.reshape(-1)[cells] = completed
+        self._next_event.reshape(-1)[cells] = completed
 
-        faulty_now = np.count_nonzero(state[rows] != OK, axis=1)
+        # ``add.at`` because a multi-replica shock repeats its row.
+        np.add.at(self._faulty, rows, 1)
+        faulty_now = self._faulty[rows]
         # An (n, k) scheme loses as soon as the faulty count reaches
         # n - k + 1; ``>=`` because a multi-replica shock can jump past
         # the threshold in one landing.
@@ -562,8 +580,10 @@ class PiecewiseBatchState:
             self.lost[l_rows] = True
             self.end_time[l_rows] = times[loss_mask]
             self.final_type[l_rows] = fault_code[loss_mask]
-            oldest = np.argmin(self.fault_time[l_rows], axis=1)
-            self.first_type[l_rows] = state[l_rows, oldest]
+            oldest = np.argmin(self.fault_time.take(l_rows, axis=0), axis=1)
+            self.first_type[l_rows] = self.state.reshape(-1)[
+                l_rows * self.replicas + oldest
+            ]
         return faulty_now, loss_mask
 
     def _fresh_clocks(
@@ -587,12 +607,17 @@ class PiecewiseBatchState:
         degraded regime's sampling rate: 1/alpha faster, and faster
         again by the failure bias."""
         visible, latent = self._fresh_clocks(rows, times, self._degraded_scale)
-        healthy = self.state[rows] == OK
+        healthy = self.state.take(rows, axis=0) == OK
         self.next_visible[rows] = np.where(
-            healthy, visible, self.next_visible[rows]
+            healthy, visible, self.next_visible.take(rows, axis=0)
         )
         self.next_latent[rows] = np.where(
-            healthy, latent, self.next_latent[rows]
+            healthy, latent, self.next_latent.take(rows, axis=0)
+        )
+        self._next_event[rows] = np.where(
+            healthy,
+            np.minimum(visible, latent),
+            self.recovery.take(rows, axis=0),
         )
 
     def inject_faults(
@@ -621,21 +646,21 @@ class PiecewiseBatchState:
         replica_hits = np.asarray(replica_hits, dtype=bool)[alive]
         if members.size == 0:
             return
-        hits = replica_hits & (self.state[members] == OK)
+        hits = replica_hits & (self.state.take(members, axis=0) == OK)
         if not hits.any():
             return
         rows_2d, cols_2d = np.nonzero(hits)
-        previously_faulty = np.count_nonzero(
-            self.state[members] != OK, axis=1
-        )
+        previously_faulty = self._faulty[members]
         # One landing call so a multi-replica hit runs the loss logic a
-        # simultaneous multi-fault shock implies; each (row, col) pair
-        # appears once because a replica column appears once per row.
+        # simultaneous multi-fault shock implies; each cell appears once
+        # because a replica column appears once per row.
         row_trials = members[rows_2d]
         self.shock_faults += row_trials.size
         times = np.full(row_trials.size, float(time))
         codes = np.full(row_trials.size, fault_code, dtype=np.int8)
-        _, loss_mask = self._land_faults(row_trials, cols_2d, times, codes)
+        _, loss_mask = self._land_faults(
+            row_trials, row_trials * self.replicas + cols_2d, times, codes
+        )
         if self._reschedule:
             # Entering the degraded regime: a shock is not drawn from
             # the biased clocks, so it adds no jump term, but the
@@ -653,13 +678,20 @@ class PiecewiseBatchState:
         next epoch).  Surviving trials keep their pending clocks."""
         if until < self.now:
             raise ValueError("cannot advance backwards")
-        # The sweep loop reads its arrays and constants from locals.
+        # The sweep loop reads its arrays and constants from locals, and
+        # (trial, replica) cells through flat ``trial * replicas +
+        # replica`` indices.
         rng = self._rng
-        state = self.state
-        recovery = self.recovery
-        fault_time = self.fault_time
+        flat_state = self.state.reshape(-1)
+        flat_recovery = self.recovery.reshape(-1)
+        flat_fault_time = self.fault_time.reshape(-1)
         next_visible = self.next_visible
         next_latent = self.next_latent
+        flat_visible = next_visible.reshape(-1)
+        flat_latent = next_latent.reshape(-1)
+        next_event = self._next_event
+        flat_event = next_event.reshape(-1)
+        faulty = self._faulty
         lost = self.lost
         replicas = self.replicas
         mean_visible = self._mean_visible
@@ -680,18 +712,20 @@ class PiecewiseBatchState:
             last_year = year_counts.size - 1
 
         live = np.flatnonzero(~lost)
-        positions = np.arange(live.size)
         sweeps = 0
         while live.size:
             sweeps += 1
-            # Next event per live trial: healthy replicas race their
-            # pending fault arrivals, faulty replicas wait for their
-            # known recovery.
-            healthy = state[live] == OK
-            fault_candidate = np.minimum(next_visible[live], next_latent[live])
-            candidate = np.where(healthy, fault_candidate, recovery[live])
-            which = np.argmin(candidate, axis=1)
-            event_time = candidate[positions[: live.size], which]
+            # Next event per live trial: the earliest of its replicas'
+            # cached next events (the first replica on ties, as argmin
+            # would pick).
+            candidate = next_event.take(live, axis=0)
+            event_time = candidate[:, 0]
+            which = np.zeros(live.size, dtype=np.intp)
+            for col in range(1, replicas):
+                column = candidate[:, col]
+                earlier = column < event_time
+                which[earlier] = col
+                event_time = np.minimum(event_time, column)
 
             if weighting:
                 # Exposure term of the likelihood ratio: between a
@@ -699,7 +733,7 @@ class PiecewiseBatchState:
                 # sampling only differs from the truth during degraded
                 # sojourns, where the true intensity is healthy replicas
                 # x per-replica rate divided by alpha.
-                healthy_now = np.count_nonzero(healthy, axis=1)
+                healthy_now = replicas - faulty[live]
                 intensity = np.where(
                     healthy_now < replicas,
                     healthy_now * total_rate * inv_alpha,
@@ -716,17 +750,18 @@ class PiecewiseBatchState:
             live = live[running]
             if live.size == 0:
                 break
-            which = which[running]
+            cell = live * replicas + which[running]
             event_time = event_time[running]
-            is_recovery = state[live, which] != OK
+            is_recovery = flat_state.take(cell) != OK
 
             if is_recovery.any():
                 rows = live[is_recovery]
-                cols = which[is_recovery]
+                cells = cell[is_recovery]
                 times = event_time[is_recovery]
-                state[rows, cols] = OK
-                recovery[rows, cols] = np.inf
-                fault_time[rows, cols] = np.inf
+                flat_state[cells] = OK
+                flat_recovery[cells] = np.inf
+                flat_fault_time[cells] = np.inf
+                faulty[rows] -= 1
                 if repairs is not None:
                     repairs[rows] += 1
                     year = (times / HOURS_PER_YEAR).astype(np.int64)
@@ -738,39 +773,40 @@ class PiecewiseBatchState:
                 # accelerated by the failure bias there).
                 visible_mean, latent_mean = mean_visible, mean_latent
                 if reschedule:
-                    still_faulty = np.count_nonzero(state[rows] != OK, axis=1)
+                    still_faulty = faulty[rows]
                     scale = np.where(still_faulty > 0, degraded_scale, 1.0)
                     visible_mean = mean_visible * scale
                     latent_mean = mean_latent * scale
-                next_visible[rows, cols] = times + rng.exponential(
-                    1.0, rows.size
-                ) * visible_mean
-                next_latent[rows, cols] = times + rng.exponential(
-                    1.0, rows.size
-                ) * latent_mean
+                visible = times + rng.exponential(1.0, rows.size) * visible_mean
+                latent = times + rng.exponential(1.0, rows.size) * latent_mean
+                flat_visible[cells] = visible
+                flat_latent[cells] = latent
+                flat_event[cells] = np.minimum(visible, latent)
                 if reschedule:
                     # Leaving the degraded regime: every replica falls
                     # back to base-rate arrivals.
                     back = still_faulty == 0
                     if back.any():
                         b_rows = rows[back]
-                        (
-                            next_visible[b_rows],
-                            next_latent[b_rows],
-                        ) = self._fresh_clocks(b_rows, times[back], 1.0)
+                        visible, latent = self._fresh_clocks(
+                            b_rows, times[back], 1.0
+                        )
+                        next_visible[b_rows] = visible
+                        next_latent[b_rows] = latent
+                        next_event[b_rows] = np.minimum(visible, latent)
 
             faulted = ~is_recovery
             if faulted.any():
                 rows = live[faulted]
-                cols = which[faulted]
+                cells = cell[faulted]
                 times = event_time[faulted]
                 fault_code = np.where(
-                    next_visible[rows, cols] <= next_latent[rows, cols],
+                    flat_visible.take(cells) <= flat_latent.take(cells),
                     VISIBLE,
                     LATENT,
                 ).astype(np.int8)
                 faulty_now, loss_mask = self._land_faults(
-                    rows, cols, times, fault_code
+                    rows, cells, times, fault_code
                 )
                 if weighting:
                     # Jump term: a fault landing on an already-degraded

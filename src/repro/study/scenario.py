@@ -186,7 +186,9 @@ class SystemSpec:
             replicas=int(payload.get("replicas", 2)),
             audits_per_year=None if audits is None else float(audits),
             scheme=(
-                RedundancyScheme.from_dict(scheme)
+                RedundancyScheme.from_dict(
+                    _json_object(scheme, "system.scheme")
+                )
                 if scheme is not None
                 else None
             ),

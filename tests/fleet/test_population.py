@@ -1,10 +1,13 @@
 """Tests for the vectorized fleet population kernel."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.core.migration import FormatRisk
 from repro.core.parameters import FaultModel
+from repro.core.redundancy import RedundancyScheme
 from repro.core.units import HOURS_PER_YEAR
 from repro.fleet.population import simulate_fleet_chunk
 from repro.fleet.timeline import (
@@ -297,3 +300,143 @@ class TestBookkeeping:
             simulate_fleet_chunk(
                 stationary_timeline(fast_model(), 1.0), members=0
             )
+
+
+class TestStreamPins:
+    """``simulate_fleet_chunk``'s streams, pinned to recorded values.
+
+    Unlike the ``simulate_batch`` pins (tests/simulation/test_batch.py),
+    these run every other writer of the kernel's state: epoch switches
+    that change alpha, the audit rate (scrubbing off included), MRL and
+    the hazard; visible and latent multi-replica shocks; migrations;
+    repair-year tracking; and a (6,4) scheme.  Each row is (losses,
+    sweeps, repairs, shock faults, migration losses, repair-year total,
+    exactly rounded sum of finite loss times).
+
+    Cached fleet chunks are keyed by the kernel's stream version, so a
+    change that makes one of these pins fail must also bump
+    ``_KERNEL_VERSION`` in ``repro/fleet/runner.py`` (and re-record the
+    pins); otherwise a warm run would merge chunks from two streams.
+    """
+
+    @staticmethod
+    def model(mv, ml, mrl=1.0, alpha=1.0):
+        return FaultModel(mv, ml, 1.0, mrl, 5.0, alpha)
+
+    def cases(self):
+        model = self.model
+        return {
+            # alpha < 1 epoch with a visible two-replica shock, a
+            # migration, then an MRL and audit-rate change back.
+            "mirrored": (
+                FleetTimeline(
+                    years=2.0,
+                    replicas=2,
+                    epochs=(
+                        FleetEpoch(0.0, model(20000.0, 4000.0)),
+                        FleetEpoch(
+                            0.6,
+                            model(20000.0, 4000.0, mrl=12.0, alpha=0.2),
+                            audits_per_year=40.0,
+                            shocks=RegionalShockModel(
+                                3.0, regions=2, replica_penetration=0.7
+                            ),
+                        ),
+                        FleetEpoch(1.4, model(20000.0, 4000.0, mrl=3.0)),
+                    ),
+                    migrations=(
+                        MigrationEvent(1.0, FormatRisk("x", 8.0, 5.0, 1.0)),
+                    ),
+                ),
+                2000,
+                21,
+                (1301, 79, 12562, 1358, 221, 12562, 9599401.620959634),
+            ),
+            # Latent then visible shocks on three replicas, ending in an
+            # unscrubbed alpha < 1 epoch.
+            "triple": (
+                FleetTimeline(
+                    years=2.0,
+                    replicas=3,
+                    epochs=(
+                        FleetEpoch(
+                            0.0,
+                            model(5000.0, 1000.0, alpha=0.3),
+                            shocks=RegionalShockModel(
+                                4.0,
+                                regions=2,
+                                replica_penetration=0.5,
+                                latent=True,
+                            ),
+                        ),
+                        FleetEpoch(
+                            0.7,
+                            model(5000.0, 1000.0, mrl=20.0),
+                            audits_per_year=100.0,
+                            shocks=RegionalShockModel(
+                                3.0, regions=3, replica_penetration=0.6
+                            ),
+                        ),
+                        FleetEpoch(
+                            1.5,
+                            model(5000.0, 20000.0, mrl=2.0, alpha=0.5),
+                            audits_per_year=0.0,
+                        ),
+                    ),
+                ),
+                1500,
+                22,
+                (716, 257, 57448, 5238, 0, 57448, 4580011.911222487),
+            ),
+            # (6,4) with latent shocks under alpha < 1, a migration, and
+            # an aged epoch with visible shocks.
+            "erasure": (
+                FleetTimeline(
+                    years=1.5,
+                    scheme=RedundancyScheme(6, 4),
+                    epochs=(
+                        FleetEpoch(
+                            0.0,
+                            model(20000.0, 4000.0, alpha=0.5),
+                            shocks=RegionalShockModel(
+                                4.0,
+                                regions=3,
+                                replica_penetration=0.3,
+                                latent=True,
+                            ),
+                        ),
+                        FleetEpoch(
+                            0.75,
+                            model(20000.0, 4000.0, mrl=10.0),
+                            audits_per_year=50.0,
+                            hazard_multiplier=2.0,
+                            shocks=RegionalShockModel(
+                                2.0, regions=2, replica_penetration=0.4
+                            ),
+                        ),
+                    ),
+                    migrations=(
+                        MigrationEvent(0.5, FormatRisk("y", 8.0, 10.0, 0.5)),
+                    ),
+                ),
+                1000,
+                23,
+                (673, 172, 21867, 2234, 30, 21867, 4618506.568497314),
+            ),
+        }
+
+    @pytest.mark.parametrize("name", ["mirrored", "triple", "erasure"])
+    def test_chunk_stream_is_pinned(self, name):
+        timeline, members, seed, expected = self.cases()[name]
+        chunk = simulate_fleet_chunk(timeline, members=members, seed=seed)
+        assert chunk.shock_events > 0
+        finite = chunk.loss_time[np.isfinite(chunk.loss_time)]
+        assert (
+            int(np.count_nonzero(chunk.lost)),
+            chunk.sweeps,
+            chunk.repairs,
+            chunk.shock_faults,
+            chunk.migration_losses,
+            int(chunk.repair_year_counts.sum()),
+            math.fsum(finite),
+        ) == expected

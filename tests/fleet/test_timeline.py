@@ -216,6 +216,21 @@ class TestSerialisation:
         )
         assert other.content_hash() != timeline.content_hash()
 
+    @pytest.mark.parametrize("risk", ["x", ["camera RAW", 8.0]])
+    def test_non_object_migration_risk_names_its_path(self, risk):
+        payload = self.rich_timeline().as_dict()
+        payload["migrations"][0]["risk"] = risk
+        with pytest.raises(
+            ValueError, match=r"'timeline\.migrations\[0\]\.risk'"
+        ):
+            FleetTimeline.from_dict(payload)
+
+    @pytest.mark.parametrize("scheme", ["6,4", [6, 4]])
+    def test_non_object_scheme_names_its_path(self, scheme):
+        payload = {**self.rich_timeline().as_dict(), "scheme": scheme}
+        with pytest.raises(ValueError, match=r"'timeline\.scheme'"):
+            FleetTimeline.from_dict(payload)
+
 
 class TestBuilders:
     def test_stationary_timeline_is_one_epoch(self):

@@ -210,6 +210,13 @@ def test_malformed_content_length_is_a_400_and_close(length):
         ({"question": "sweep", "sweep": "MV"}, "sweep"),
         ({"question": "frontier", "space": 1}, "space"),
         ({"question": "fleet_survival", "timeline": [2]}, "timeline"),
+        (
+            {
+                "question": "loss_probability",
+                "system": {"model": MODEL.as_dict(), "scheme": "6,4"},
+            },
+            "system.scheme",
+        ),
     ],
 )
 def test_non_object_section_is_a_400(payload, section):
@@ -237,6 +244,14 @@ _EPOCH = {"start_year": 0.0, "model": MODEL.as_dict()}
         (
             {"years": 10, "epochs": [_EPOCH], "migrations": ["y"]},
             "timeline.migrations[0]",
+        ),
+        (
+            {
+                "years": 10,
+                "epochs": [_EPOCH],
+                "migrations": [{"year": 5, "risk": "x"}],
+            },
+            "timeline.migrations[0].risk",
         ),
     ],
 )

@@ -8,9 +8,12 @@ argument validation of the ``backend`` switch are covered here too.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.faults import FaultType
 from repro.core.parameters import FaultModel
+from repro.core.redundancy import RedundancyScheme
 from repro.core.units import HOURS_PER_YEAR
 from repro.simulation import batch as batch_module
 from repro.simulation.batch import (
@@ -633,6 +636,126 @@ class TestPiecewiseStateMachine:
         state.advance_to(2000.0)
         assert state.repair_year_counts is not None
         assert state.repair_year_counts.sum() == state.repairs.sum()
+
+
+def cache_model(mrl=1.0, alpha=1.0, hazard=1.0):
+    """A compressed-time model whose trials see many events per day:
+    audits every 10 h (MDL 5 h), MRV 1 h."""
+    return FaultModel(2000.0 / hazard, 400.0 / hazard, 1.0, mrl, 5.0, alpha)
+
+
+#: State-machine steps: advance by a duration; switch to another
+#: regime (MRL, audit rate with scrubbing off at 0, alpha, hazard);
+#: inject a shock on one member (member position as a fraction of the
+#: trials, replica bitmask, latent or visible).
+cache_steps = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("advance"), st.floats(min_value=0.0, max_value=40.0)
+        ),
+        st.tuples(
+            st.just("switch"),
+            st.sampled_from([1.0, 6.0, 25.0]),
+            st.sampled_from([None, 0.0, 40.0, 400.0]),
+            st.sampled_from([1.0, 0.3]),
+            st.sampled_from([1.0, 2.5]),
+        ),
+        st.tuples(
+            st.just("inject"),
+            st.floats(min_value=0.0, max_value=0.999),
+            st.integers(min_value=1, max_value=63),
+            st.booleans(),
+        ),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestCacheInvariants:
+    """The kernel's private caches always equal what they cache.
+
+    ``advance_to`` selects each trial's next event from a per-replica
+    next-event cache and reads its faulty count from a per-trial cache
+    instead of re-deriving both from the 2-D state every sweep, so every
+    writer of ``state``, ``recovery`` or the fault clocks must keep them
+    current.  Random step sequences drive a state through every writer;
+    the caches are checked after every step and, mid-sweep, whenever
+    faults land.  (A stale entry lies before the advance's end, so the
+    same advance would consume it as a bogus event: only the mid-sweep
+    check sees it.)
+    """
+
+    @staticmethod
+    def assert_caches_hold(state):
+        healthy = state.state == batch_module.OK
+        expected = np.where(
+            healthy,
+            np.minimum(state.next_visible, state.next_latent),
+            state.recovery,
+        )
+        assert np.array_equal(state._next_event, expected)
+        assert np.array_equal(
+            state._faulty, np.count_nonzero(~healthy, axis=1)
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        layout=st.sampled_from([1, 2, 3, 4, (6, 4)]),
+        alpha=st.sampled_from([1.0, 0.3]),
+        bias=st.sampled_from([None, 4.0]),
+        track_years=st.sampled_from([None, 1]),
+        seed=st.integers(min_value=0, max_value=2**16),
+        steps=cache_steps,
+    )
+    def test_caches_match_the_state_after_every_step(
+        self, layout, alpha, bias, track_years, seed, steps
+    ):
+        trials = 24
+        shape = (
+            dict(scheme=RedundancyScheme(*layout))
+            if isinstance(layout, tuple)
+            else dict(replicas=layout)
+        )
+        state = PiecewiseBatchState(
+            cache_model(alpha=alpha),
+            trials=trials,
+            seed=seed,
+            bias=bias,
+            track_years=track_years,
+            **shape,
+        )
+        replicas = state.replicas
+        self.assert_caches_hold(state)
+        land = state._land_faults
+
+        def checked_land(*args):
+            self.assert_caches_hold(state)
+            return land(*args)
+
+        state._land_faults = checked_land
+        for step in steps:
+            if step[0] == "advance":
+                state.advance_to(state.now + step[1])
+            elif step[0] == "switch":
+                _, mrl, audits, new_alpha, hazard = step
+                state.switch_model(
+                    cache_model(mrl, new_alpha, hazard), audits_per_year=audits
+                )
+            else:
+                _, position, mask, latent = step
+                bits = mask % ((1 << replicas) - 1) + 1
+                hits = np.array(
+                    [[(bits >> replica) & 1 for replica in range(replicas)]],
+                    dtype=bool,
+                )
+                state.inject_faults(
+                    state.now,
+                    np.array([int(position * trials)]),
+                    hits,
+                    batch_module.LATENT if latent else batch_module.VISIBLE,
+                )
+            self.assert_caches_hold(state)
 
 
 class TestEagerDrawCeiling:

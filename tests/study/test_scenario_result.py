@@ -160,6 +160,15 @@ class TestScenarioValidation:
                 policy=EstimatorPolicy(engine="fleet"),
             )
 
+    @pytest.mark.parametrize("scheme", ["6,4", [6, 4]])
+    def test_non_object_scheme_names_its_path(self, scheme):
+        payload = {
+            "question": "loss_probability",
+            "system": {"model": MODEL.as_dict(), "scheme": scheme},
+        }
+        with pytest.raises(ValueError, match=r"'system\.scheme'"):
+            Scenario.from_dict(payload)
+
     def test_policy_seed_and_trials_validated(self):
         with pytest.raises(ValueError, match="seed"):
             EstimatorPolicy(seed=-1)
