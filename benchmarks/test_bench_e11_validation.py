@@ -16,7 +16,7 @@ from repro.core.mttdl import mirrored_mttdl
 from repro.core.parameters import FaultModel
 from repro.core.scenarios import paper_scenarios
 from repro.core.units import HOURS_PER_YEAR
-from repro.simulation.monte_carlo import estimate_mttdl
+from repro.simulation.estimators import run_mttdl
 
 #: Compressed-time model for the Monte-Carlo leg of the validation.
 FAST_MODEL = FaultModel(
@@ -82,7 +82,7 @@ def test_bench_e11_monte_carlo_leg(benchmark, experiment_printer):
     def compute():
         analytic = mirrored_mttdl(FAST_MODEL)
         markov = compare_models(FAST_MODEL).markov
-        estimate = estimate_mttdl(FAST_MODEL, trials=200, seed=3, max_time=5e6)
+        estimate = run_mttdl(FAST_MODEL, trials=200, seed=3, max_time=5e6)
         return analytic, markov, estimate
 
     analytic, markov, estimate = benchmark(compute)

@@ -29,7 +29,7 @@ from repro.core.units import HOURS_PER_YEAR
 from repro.markov.builders import build_mirrored_chain
 from repro.markov.transient import loss_probability_over_time
 from repro.simulation.batch import simulate_batch
-from repro.simulation.monte_carlo import estimate_loss_probability
+from repro.simulation.estimators import run_loss_probability
 from repro.simulation.rare_event import default_failure_bias
 
 #: Daily-scrubbed Cheetah mirrored pair: MTTDL in the hundreds of
@@ -67,7 +67,7 @@ def test_bench_e16_rare_event(benchmark, experiment_printer):
 
     # Importance sampling: adaptive run to the target relative error.
     start = time.perf_counter()
-    weighted = estimate_loss_probability(
+    weighted = run_loss_probability(
         RARE_MODEL,
         mission_time=MISSION,
         trials=2000,
@@ -92,7 +92,7 @@ def test_bench_e16_rare_event(benchmark, experiment_printer):
     moderate_exact = loss_probability_over_time(
         build_mirrored_chain(MODERATE_MODEL), MISSION
     )
-    moderate_standard = estimate_loss_probability(
+    moderate_standard = run_loss_probability(
         MODERATE_MODEL,
         mission_time=MISSION,
         trials=4000,
@@ -100,12 +100,12 @@ def test_bench_e16_rare_event(benchmark, experiment_printer):
         backend="batch",
         method="standard",
     )
-    moderate_weighted = estimate_loss_probability(
+    moderate_weighted = run_loss_probability(
         MODERATE_MODEL, mission_time=MISSION, trials=4000, seed=16, method="is"
     )
 
     benchmark(
-        lambda: estimate_loss_probability(
+        lambda: run_loss_probability(
             RARE_MODEL, mission_time=MISSION, trials=2000, seed=16, method="is"
         )
     )

@@ -8,7 +8,7 @@ benchmark (1) times a 2,000-member x 50-year stationary fleet against
 the honest alternative — looping the event-driven engine once per
 member — with a >= 30x acceptance target; (2) anchors correctness by
 requiring the stationary fleet's loss fraction to agree, within 95%
-confidence intervals, with both ``estimate_loss_probability`` and the
+confidence intervals, with both ``run_loss_probability`` and the
 event loop it raced; and (3) records a 3-epoch non-stationary
 demonstration run (generation refresh with aging + Kryder-declining
 costs).  Everything lands in ``BENCH_e17.json`` so the speedup and the
@@ -43,7 +43,7 @@ from repro.fleet import (
     simulate_fleet,
     stationary_timeline,
 )
-from repro.simulation.monte_carlo import estimate_loss_probability
+from repro.simulation.estimators import run_loss_probability
 from repro.simulation.rng import RandomStreams
 from repro.simulation.system import system_from_fault_model
 
@@ -100,7 +100,7 @@ def test_bench_e17_fleet(benchmark, experiment_printer):
     # system, so the three estimates must tell one statistical story.
     fleet_estimate = fleet_result.loss_estimate()
     fleet_low, fleet_high = fleet_estimate.confidence_interval()
-    reference = estimate_loss_probability(
+    reference = run_loss_probability(
         MODEL,
         mission_time=MISSION,
         trials=20000,
@@ -168,7 +168,7 @@ def test_bench_e17_fleet(benchmark, experiment_printer):
                  fleet_high, fleet_seconds],
                 ["event loop / member", p_event, event_low, event_high,
                  event_seconds],
-                ["estimate_loss_probability", reference.mean, ref_low,
+                ["run_loss_probability", reference.mean, ref_low,
                  ref_high, float("nan")],
             ],
         )

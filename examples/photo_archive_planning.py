@@ -28,8 +28,8 @@ answer off a cost-reliability Pareto frontier instead, see
 
 import os
 
+from repro import study
 from repro.analysis.tables import format_dict, format_table
-from repro.simulation.monte_carlo import estimate_loss_probability
 from repro.audit.policies import audits_needed_for_target_mttdl, periodic_schedule, detection_latency
 from repro.audit.online_offline import audit_bandwidth_fraction
 from repro.core.mttdl import mirrored_mttdl
@@ -185,27 +185,30 @@ def verify_by_simulation() -> None:
         mean_detect_latent=HOURS_PER_YEAR / 365.0 / 2.0,  # daily audits
         correlation_factor=two_site_alpha,
     )
-    mission = years_to_hours(MISSION_YEARS)
     trials = max(
         200, int(4000 * float(os.environ.get("REPRO_EXAMPLE_SCALE", "1.0")))
     )
-    standard = estimate_loss_probability(
-        model, mission_time=mission, trials=trials, seed=7,
-        backend="batch", method="standard",
-    )
-    weighted = estimate_loss_probability(
-        model, mission_time=mission, trials=trials, seed=7,
-        method="is", target_relative_error=0.1,
-    )
-    low, high = weighted.confidence_interval()
+
+    def loss_probability(**policy) -> study.StudyResult:
+        return study.run(
+            study.Scenario(
+                question="loss_probability",
+                system=study.SystemSpec(model=model),
+                mission_years=MISSION_YEARS,
+                policy=study.EstimatorPolicy(trials=trials, seed=7, **policy),
+            )
+        )
+
+    standard = loss_probability(engine="batch")
+    weighted = loss_probability(engine="is", target_relative_error=0.1)
     print(
         "\n"
         + format_dict(
             {
                 f"standard losses in {trials} trials": standard.losses,
-                "standard estimate": standard.mean,
-                "IS estimate": weighted.mean,
-                "IS 95% CI": f"[{low:.3g}, {high:.3g}]",
+                "standard estimate": standard.value,
+                "IS estimate": weighted.value,
+                "IS 95% CI": f"[{weighted.ci_low:.3g}, {weighted.ci_high:.3g}]",
                 "IS trials": weighted.trials,
                 "IS effective sample size": weighted.effective_sample_size,
             },

@@ -18,6 +18,7 @@ job) shrinks the Monte-Carlo budgets proportionally.
 
 import os
 
+from repro import study
 from repro.analysis.compare import compare_models
 from repro.analysis.plotting import ascii_line_chart
 from repro.analysis.tables import format_dict, format_table
@@ -25,7 +26,6 @@ from repro.core.mttdl import mirrored_mttdl
 from repro.core.parameters import FaultModel
 from repro.core.units import HOURS_PER_YEAR
 from repro.simulation.lifetime import loss_probability_curve
-from repro.simulation.monte_carlo import estimate_mttdl
 
 #: Compressed-time model: same structure as the paper's Cheetah pair
 #: (latent faults five times as frequent as visible ones, scrub interval
@@ -51,27 +51,32 @@ MODEL = FaultModel(
 def mttdl_comparison() -> None:
     print("== MTTDL under every evaluation method ==\n")
     comparison = compare_models(MODEL)
-    estimate = estimate_mttdl(MODEL, trials=_scaled(300), seed=1, max_time=5e6)
+
+    def mttdl(**policy) -> study.StudyResult:
+        return study.run(
+            study.Scenario(
+                question="mttdl",
+                system=study.SystemSpec(model=MODEL),
+                max_time_hours=5e6,
+                policy=study.EstimatorPolicy(seed=1, **policy),
+            )
+        )
+
+    estimate = mttdl(engine="event", trials=_scaled(300))
     # The vectorized backend makes a 20x larger sample just as cheap,
     # and adaptive sampling keeps extending it until the confidence
     # interval is tight.
-    batch = estimate_mttdl(
-        MODEL,
-        trials=_scaled(6000),
-        seed=1,
-        max_time=5e6,
-        backend="batch",
-        target_relative_error=0.01,
+    batch = mttdl(
+        engine="batch", trials=_scaled(6000), target_relative_error=0.01
     )
     rows = [[name, value] for name, value in comparison.in_years().items()]
     rows.append(
-        [f"monte_carlo ({estimate.trials} trials)", estimate.mean / HOURS_PER_YEAR]
+        [f"monte_carlo ({estimate.trials} trials)", estimate.value / HOURS_PER_YEAR]
     )
-    low, high = estimate.confidence_interval()
-    rows.append(["monte_carlo 95% CI low", low / HOURS_PER_YEAR])
-    rows.append(["monte_carlo 95% CI high", high / HOURS_PER_YEAR])
+    rows.append(["monte_carlo 95% CI low", estimate.ci_low / HOURS_PER_YEAR])
+    rows.append(["monte_carlo 95% CI high", estimate.ci_high / HOURS_PER_YEAR])
     rows.append(
-        [f"batch backend ({batch.trials} trials)", batch.mean / HOURS_PER_YEAR]
+        [f"batch backend ({batch.trials} trials)", batch.value / HOURS_PER_YEAR]
     )
     print(format_table(["method", "MTTDL (years)"], rows))
     print(

@@ -14,8 +14,6 @@ from repro.analysis.sweep import (
     sweep_replication,
     sweep_correlation,
     grid_sweep,
-    simulated_parameter_sweep,
-    simulated_audit_sweep,
 )
 from repro.analysis.compare import (
     ModelComparison,
@@ -46,8 +44,6 @@ __all__ = [
     "sweep_replication",
     "sweep_correlation",
     "grid_sweep",
-    "simulated_parameter_sweep",
-    "simulated_audit_sweep",
     "ModelComparison",
     "compare_models",
     "compare_scenarios",

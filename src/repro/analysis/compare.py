@@ -17,7 +17,7 @@ from repro.core.parameters import FaultModel
 from repro.core.scenarios import Scenario
 from repro.core.units import HOURS_PER_YEAR
 from repro.markov.builders import mirrored_mttdl_markov
-from repro.simulation.monte_carlo import MonteCarloEstimate, estimate_mttdl
+from repro.simulation.estimators import MonteCarloEstimate, run_mttdl
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def compare_models(
     """Evaluate one parameter set with every available method."""
     monte_carlo = None
     if include_monte_carlo:
-        monte_carlo = estimate_mttdl(
+        monte_carlo = run_mttdl(
             model, trials=trials, seed=seed, max_time=max_time
         )
     return ModelComparison(

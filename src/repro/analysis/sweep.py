@@ -6,14 +6,9 @@ function of audit rate (E8), replication degree (E6), correlation factor
 swept values and the metric series so the benchmark harness and the
 ASCII plots can consume the same object.
 
-Alongside the closed-form sweeps, :func:`simulated_parameter_sweep` and
-:func:`simulated_audit_sweep` run the same grids through the Monte-Carlo
-estimators, defaulting to the vectorized ``batch`` backend so sweeping
-thousands of scenario points stays cheap; each simulated series carries
-its standard error next to the analytic prediction.  Both are now thin
-shims over the unified facade (:func:`repro.study.run` with a
-``question="sweep"`` scenario) — same loops, same seeds, bit-for-bit
-identical series.
+Simulated series over the same grids come from :func:`repro.study.run`
+with a ``question="sweep"`` scenario on a Monte-Carlo engine; each
+carries its standard error next to the analytic prediction.
 """
 
 from __future__ import annotations
@@ -26,7 +21,6 @@ from repro.core.parameters import FaultModel
 from repro.core.replication import replicated_mttdl
 from repro.core.sensitivity import PARAMETER_FIELDS
 from repro.core.units import HOURS_PER_YEAR
-from repro.simulation.estimators import check_backend
 
 
 @dataclass(frozen=True)
@@ -204,130 +198,6 @@ def audit_adjusted_model(
     if audits_per_year == 0:
         return model.with_detection_time(model.mean_time_to_latent)
     return model.with_detection_time(HOURS_PER_YEAR / audits_per_year / 2.0)
-
-
-def simulated_parameter_sweep(
-    model: FaultModel,
-    parameter: str,
-    values: Sequence[float],
-    trials: int = 1000,
-    seed: int = 0,
-    backend: str = "batch",
-    metric: str = "mttdl",
-    replicas: int = 2,
-    mission_years: float = 50.0,
-    max_time: Optional[float] = None,
-    audits_per_year: Optional[float] = None,
-    target_relative_error: Optional[float] = None,
-) -> SweepResult:
-    """Simulation-backed counterpart of :func:`sweep_parameter`.
-
-    Args:
-        model: the base operating point.
-        parameter: ``MV``, ``ML``, ``MRV``, ``MRL``, ``MDL``, or
-            ``alpha``.
-        values: values to substitute for the parameter.
-        trials: Monte-Carlo trials per sweep point (per chunk when
-            adaptive).
-        seed: root seed, shared by every sweep point.  Points reuse the
-            same underlying trial streams (common random numbers), which
-            reduces the variance of *differences* along the sweep; each
-            point's reported standard error is valid on its own.
-            Deriving per-point seeds by arithmetic on ``seed`` would
-            reintroduce the cross-seed stream aliasing the spawn-key
-            scheme removes, so it is deliberately avoided.
-        backend: ``"batch"`` (default, vectorized) or ``"event"``.
-        metric: ``"mttdl"`` or ``"loss_probability"``.
-        mission_years: mission length for the loss-probability metric.
-        max_time: censoring horizon for the MTTDL metric.
-        target_relative_error: enables adaptive sampling per point.
-
-    Returns:
-        A :class:`SweepResult` whose metrics hold the simulated series
-        (``sim_<metric>``), its standard error (``sim_std_error``), and
-        — for the MTTDL metric with mirrored pairs — the analytic
-        ``mttdl_hours`` for comparison.
-    """
-    if PARAMETER_FIELDS.get(parameter) is None:
-        raise ValueError(
-            f"unknown parameter {parameter!r}; expected one of "
-            f"{sorted(PARAMETER_FIELDS)}"
-        )
-    if metric not in ("mttdl", "loss_probability"):
-        raise ValueError(
-            f"unknown metric {metric!r}; expected 'mttdl' or 'loss_probability'"
-        )
-    check_backend(backend, None)
-    from repro import study
-
-    scenario = study.Scenario(
-        question="sweep",
-        system=study.SystemSpec(
-            model=model, replicas=replicas, audits_per_year=audits_per_year
-        ),
-        sweep=study.SweepSpec(
-            parameter=parameter, values=tuple(values), metric=metric
-        ),
-        mission_years=mission_years,
-        max_time_hours=max_time,
-        policy=study.EstimatorPolicy(
-            engine=backend,
-            trials=trials,
-            seed=seed,
-            target_relative_error=target_relative_error,
-            cross_check=False,
-        ),
-    )
-    return _sweep_from_details(study.run(scenario).details)
-
-
-def simulated_audit_sweep(
-    model: FaultModel,
-    audits_per_year: Sequence[float],
-    trials: int = 1000,
-    seed: int = 0,
-    backend: str = "batch",
-    max_time: Optional[float] = None,
-    target_relative_error: Optional[float] = None,
-) -> SweepResult:
-    """Simulated MTTDL as a function of the audit rate (E8's sweep).
-
-    The analytic :func:`sweep_audit_rate` series (``mttdl_hours``) is
-    attached for side-by-side comparison; the simulated series carries
-    standard errors so the benchmark harness can check agreement.
-    """
-    check_backend(backend, None)
-    from repro import study
-
-    scenario = study.Scenario(
-        question="sweep",
-        system=study.SystemSpec(model=model),
-        sweep=study.SweepSpec(
-            parameter="audits_per_year",
-            values=tuple(float(rate) for rate in audits_per_year),
-        ),
-        max_time_hours=max_time,
-        policy=study.EstimatorPolicy(
-            engine=backend,
-            trials=trials,
-            seed=seed,
-            target_relative_error=target_relative_error,
-            cross_check=False,
-        ),
-    )
-    return _sweep_from_details(study.run(scenario).details)
-
-
-def _sweep_from_details(details: Dict[str, object]) -> SweepResult:
-    """Rebuild the legacy :class:`SweepResult` from a study's details."""
-    return SweepResult(
-        parameter=str(details["parameter"]),
-        values=list(details["values"]),
-        metrics={
-            name: list(series)
-            for name, series in details["metrics"].items()
-        },
-    )
 
 
 def grid_sweep(

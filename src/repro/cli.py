@@ -73,11 +73,7 @@ from repro.core.scenarios import paper_scenarios
 from repro.fleet import FleetTimeline, generation_refresh_timeline
 from repro.optimize import DesignSpace
 from repro.optimize.space import PLACEMENTS
-from repro.simulation.monte_carlo import HighCensoringWarning
-
-# Re-exported for backward compatibility: the one JSON emission path now
-# lives in the shared renderer.
-_emit_json = study.emit_json
+from repro.simulation.estimators import HighCensoringWarning
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,37 @@ All times are in hours.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict
 
 from repro.core.faults import FaultSpec, FaultType, latent_fault, visible_fault
 from repro.core.units import HOURS_PER_YEAR
+
+
+def json_number(value: object, path: str) -> float:
+    """``value`` as a float when it is a finite JSON number (an int or a
+    float, not a bool); otherwise a ``ValueError`` naming its JSON
+    ``path``."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ValueError(f"'{path}' must be a finite number")
+
+
+def json_integer(value: object, path: str) -> int:
+    """``value`` as an int when it is an integral JSON number (``2000.0``
+    counts, a bool does not); otherwise a ``ValueError`` naming its JSON
+    ``path``."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"'{path}' must be an integer")
 
 
 @dataclass(frozen=True)
@@ -48,15 +74,16 @@ class FaultModel:
     correlation_factor: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.mean_time_to_visible <= 0:
+        # Negated comparisons, so NaN fails every check.
+        if not self.mean_time_to_visible > 0:
             raise ValueError("mean_time_to_visible (MV) must be positive")
-        if self.mean_time_to_latent <= 0:
+        if not self.mean_time_to_latent > 0:
             raise ValueError("mean_time_to_latent (ML) must be positive")
-        if self.mean_repair_visible < 0:
+        if not self.mean_repair_visible >= 0:
             raise ValueError("mean_repair_visible (MRV) must be non-negative")
-        if self.mean_repair_latent < 0:
+        if not self.mean_repair_latent >= 0:
             raise ValueError("mean_repair_latent (MRL) must be non-negative")
-        if self.mean_detect_latent < 0:
+        if not self.mean_detect_latent >= 0:
             raise ValueError("mean_detect_latent (MDL) must be non-negative")
         if not 0 < self.correlation_factor <= 1:
             raise ValueError(
@@ -209,15 +236,25 @@ class FaultModel:
         }
 
     @staticmethod
-    def from_dict(payload: Dict[str, object]) -> "FaultModel":
-        """Rebuild a model from :meth:`as_dict`'s paper-notation keys."""
+    def from_dict(
+        payload: Dict[str, object], path: str = "model"
+    ) -> "FaultModel":
+        """Rebuild a model from :meth:`as_dict`'s paper-notation keys.
+
+        A value that is not a finite number raises a ``ValueError``
+        naming its JSON path (``path`` is the model's own).
+        """
+
+        def number(key: str) -> float:
+            return json_number(payload[key], f"{path}.{key}")
+
         return FaultModel(
-            mean_time_to_visible=float(payload["MV"]),
-            mean_time_to_latent=float(payload["ML"]),
-            mean_repair_visible=float(payload["MRV"]),
-            mean_repair_latent=float(payload["MRL"]),
-            mean_detect_latent=float(payload["MDL"]),
-            correlation_factor=float(payload["alpha"]),
+            mean_time_to_visible=number("MV"),
+            mean_time_to_latent=number("ML"),
+            mean_repair_visible=number("MRV"),
+            mean_repair_latent=number("MRL"),
+            mean_detect_latent=number("MDL"),
+            correlation_factor=number("alpha"),
         )
 
     def describe(self) -> str:

@@ -28,7 +28,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.fleet.population import FleetChunkResult
-from repro.simulation.monte_carlo import MonteCarloEstimate
+from repro.simulation.estimators import MonteCarloEstimate
 from repro.simulation.rare_event import RULE_OF_THREE
 
 
@@ -161,7 +161,7 @@ class FleetTally:
         """The end-of-horizon loss fraction as a binomial estimate.
 
         This is what the stationary-timeline regression anchor compares
-        against :func:`~repro.simulation.monte_carlo.estimate_loss_probability`.
+        against :func:`~repro.simulation.estimators.run_loss_probability`.
         A zero-loss fleet reports the rule-of-three pseudo-error, so the
         95% upper bound is the defensible ``3 / members`` instead of a
         vanishing variance floor.

@@ -32,7 +32,7 @@ from repro import obs, parallel
 from repro.fleet.aggregate import FleetTally
 from repro.fleet.population import simulate_fleet_chunk
 from repro.fleet.timeline import FleetTimeline
-from repro.simulation.monte_carlo import MonteCarloEstimate
+from repro.simulation.estimators import MonteCarloEstimate
 from repro.simulation.rng import spawn_seed
 from repro.store import write_atomic
 

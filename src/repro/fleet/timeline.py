@@ -292,7 +292,7 @@ def _epoch_from_dict(payload: object, path: str) -> FleetEpoch:
     return FleetEpoch(
         start_year=float(payload["start_year"]),
         model=FaultModel.from_dict(
-            _json_object(payload["model"], f"{path}.model")
+            _json_object(payload["model"], f"{path}.model"), f"{path}.model"
         ),
         audits_per_year=None if audits is None else float(audits),
         hazard_multiplier=float(payload.get("hazard_multiplier", 1.0)),
@@ -500,7 +500,7 @@ def stationary_timeline(
 
     A stationary timeline is exactly the system the point estimators
     already model, so its fleet loss fraction must agree with
-    :func:`~repro.simulation.monte_carlo.estimate_loss_probability`
+    :func:`~repro.simulation.estimators.run_loss_probability`
     within Monte-Carlo noise (benchmark e17 asserts this).
     """
     return FleetTimeline(

@@ -13,7 +13,7 @@ Evaluation runs in two fidelities:
    screen is cheap enough to run on every candidate and accurate enough
    in the reliable regime to prune dominated designs before simulating.
 2. **Monte-Carlo refinement** — the vectorized batch backend
-   (:func:`~repro.simulation.monte_carlo.estimate_loss_probability`)
+   (:func:`~repro.simulation.estimators.run_loss_probability`)
    with a deterministic per-candidate seed, attaching a confidence
    interval to each screening survivor.  High-reliability candidates
    used to refine to zero-loss point estimates; with the default
@@ -38,8 +38,11 @@ from repro.core.probability import probability_of_loss
 from repro.core.redundancy import RedundancyScheme
 from repro.core.units import years_to_hours
 from repro.optimize.space import CandidateDesign
-from repro.simulation.estimators import check_method, zero_loss_ci_high
-from repro.simulation.monte_carlo import estimate_loss_probability
+from repro.simulation.estimators import (
+    check_method,
+    run_loss_probability,
+    zero_loss_ci_high,
+)
 from repro.simulation.rare_event import analytic_loss_rate
 from repro.simulation.rng import spawn_seed
 
@@ -325,7 +328,7 @@ def refine(
     """
     candidate = evaluation.candidate
     seed = spawn_seed(settings.seed, candidate.key())
-    estimate = estimate_loss_probability(
+    estimate = run_loss_probability(
         candidate.fault_model(),
         mission_time=years_to_hours(settings.mission_years),
         trials=settings.trials,

@@ -16,7 +16,11 @@ the vectorized batch simulator (``backend="batch"``,
 :mod:`repro.simulation.batch`), which advances thousands of
 FaultModel-derived systems in lock-step NumPy sweeps and also powers the
 adaptive-sampling mode (``target_relative_error=...``) of the
-estimators in :mod:`repro.simulation.monte_carlo`.
+estimation loops in :mod:`repro.simulation.estimators`
+(:func:`run_mttdl`, :func:`run_loss_probability`).  Questions about a
+plain fault model are best posed through :func:`repro.study.run`; call
+the loops directly for custom
+:data:`~repro.simulation.estimators.SystemFactory` systems.
 
 For the paper's realistic high-reliability operating points — where
 plain Monte-Carlo censors nearly every trial — the estimators accept
@@ -80,13 +84,14 @@ from repro.simulation.batch import (
     simulate_batch,
     simulate_batch_piecewise,
 )
-from repro.simulation.monte_carlo import (
+from repro.simulation.estimators import (
+    VARIANCE_REDUCTIONS,
     HighCensoringWarning,
     MonteCarloEstimate,
-    estimate_mttdl,
-    estimate_loss_probability,
-    double_fault_combination_counts,
+    run_loss_probability,
+    run_mttdl,
 )
+from repro.simulation.monte_carlo import double_fault_combination_counts
 from repro.simulation.rare_event import (
     WeightedLossTally,
     analytic_loss_rate,
@@ -99,15 +104,7 @@ from repro.simulation.lifetime import (
     loss_probability_curve,
     mission_summary,
 )
-from repro.simulation.estimators import (
-    VARIANCE_REDUCTIONS,
-    run_loss_probability,
-    run_mttdl,
-)
-from repro.simulation.variance_reduction import (
-    cv_loss_probability,
-    variance_reduced_loss_probability,
-)
+from repro.simulation.variance_reduction import cv_loss_probability
 
 __all__ = [
     "SimulationEngine",
@@ -147,10 +144,11 @@ __all__ = [
     "RateSegment",
     "simulate_batch",
     "simulate_batch_piecewise",
+    "VARIANCE_REDUCTIONS",
     "HighCensoringWarning",
     "MonteCarloEstimate",
-    "estimate_mttdl",
-    "estimate_loss_probability",
+    "run_loss_probability",
+    "run_mttdl",
     "double_fault_combination_counts",
     "WeightedLossTally",
     "analytic_loss_rate",
@@ -160,9 +158,5 @@ __all__ = [
     "splitting_loss_probability",
     "loss_probability_curve",
     "mission_summary",
-    "VARIANCE_REDUCTIONS",
-    "run_loss_probability",
-    "run_mttdl",
     "cv_loss_probability",
-    "variance_reduced_loss_probability",
 ]

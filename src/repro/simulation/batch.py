@@ -34,7 +34,7 @@ exactly the behaviour of the event-driven
 cross-validation tests in ``tests/simulation/test_batch.py`` check
 estimate-for-estimate.
 
-Custom :data:`~repro.simulation.monte_carlo.SystemFactory` systems
+Custom :data:`~repro.simulation.estimators.SystemFactory` systems
 (shared-fate shocks, Weibull hazards, stochastic repair policies) are
 not expressible here; use ``backend="event"`` for those.
 

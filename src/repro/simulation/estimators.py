@@ -1,22 +1,80 @@
-"""Shared estimator plumbing for every Monte-Carlo front end.
+"""The Monte-Carlo estimation loops behind every simulated answer.
 
-Historically the argument checking, adaptive-sampling caps and the
-pilot→censoring-check→rare-event-escalation loops lived in
-:mod:`repro.simulation.monte_carlo` and were re-implemented piecemeal by
-:mod:`repro.optimize.evaluate`.  This module is now the single owner:
+:func:`repro.study.run` dispatches its simulated point estimates straight
+to :func:`run_mttdl` and :func:`run_loss_probability`; library callers
+with custom :data:`SystemFactory` systems call them directly.  This
+module also owns the shared plumbing:
 
-* :func:`check_backend` / :func:`check_method` — validation of the
-  ``backend`` / ``method`` knobs (one error message, everywhere);
+* :func:`check_backend` / :func:`check_method` /
+  :func:`check_variance_reduction` — validation of the ``backend`` /
+  ``method`` / ``variance_reduction`` knobs (one error message,
+  everywhere);
 * :func:`adaptive_cap` — the ``target_relative_error`` trial budget;
-* :func:`run_mttdl` / :func:`run_loss_probability` — the estimation
-  loops themselves, including the ``method="auto"`` pilot escalation to
-  importance sampling or multilevel splitting;
 * :func:`zero_loss_ci_high` — the rule-of-three upper bound attached to
   zero-loss refinements.
 
-:mod:`repro.simulation.monte_carlo` re-exports the public names, so the
-historical import paths keep working; :mod:`repro.study.engine`
-dispatches straight to the loops here.
+Backends
+--------
+
+Both loops accept ``backend="event"`` (the default — one
+:class:`~repro.simulation.system.ReplicatedStorageSystem` event loop per
+trial, supporting arbitrary :data:`SystemFactory` configurations) or
+``backend="batch"`` (the vectorized lock-step simulator in
+:mod:`repro.simulation.batch`, which is 1-2 orders of magnitude faster
+for :class:`~repro.core.parameters.FaultModel`-derived systems).  The two
+backends draw from disjoint streams of the same root seed, so their
+trajectories differ trial-for-trial but their estimates agree within
+Monte-Carlo noise (cross-validated in ``tests/simulation/test_batch.py``).
+
+Adaptive sampling
+-----------------
+
+Passing ``target_relative_error=...`` keeps extending the run in chunks
+of ``trials`` until the estimate's standard error falls below the target
+fraction of the mean (or ``max_trials`` is reached).  Chunks use
+independent sub-streams of the root seed, so an adaptive run is exactly
+reproducible for a given seed regardless of where it stops.
+
+Censoring
+---------
+
+:func:`run_mttdl` treats trials that survive to the horizon as
+*censored* observations and uses the censoring-correct exponential MLE —
+total observed time divided by the number of observed losses — rather
+than folding horizon times into a plain sample mean (which would bias
+the MTTDL downward exactly when the system is most reliable).  A
+:class:`HighCensoringWarning` is emitted when more than 20% of trials
+are censored; with no observed losses at all the estimate is infinite
+and only meaningful as "no loss seen in ``total time`` of operation".
+
+Rare-event methods
+------------------
+
+At realistic archival operating points almost every trial censors and
+the standard estimators degenerate.  Both loops therefore accept a
+``method``:
+
+* ``"standard"`` — plain Monte-Carlo as described above (the default).
+* ``"is"`` — failure-biased importance sampling on the batch machinery
+  (:mod:`repro.simulation.rare_event`): degraded-regime fault clocks
+  are accelerated and the trials reweighted by exact path-measure
+  likelihood ratios.  Requires a :class:`FaultModel`; the ``backend``
+  argument is ignored (IS always runs vectorized).
+* ``"splitting"`` — fixed-effort multilevel splitting on the
+  event-driven machinery, keyed on the number of simultaneously faulty
+  replicas; works with custom :data:`SystemFactory` systems.  Loss
+  probabilities only.
+* ``"auto"`` — run one standard pilot chunk; when it censors too
+  heavily to be informative (above the
+  :data:`CENSORED_WARNING_FRACTION` threshold for MTTDL, fewer than
+  :data:`AUTO_MIN_LOSSES` observed losses for loss probabilities),
+  discard it and switch to ``"is"`` (model-based runs) or
+  ``"splitting"`` (factory-based loss runs); otherwise keep extending
+  the standard run.
+
+Weighted estimates report a Kish effective sample size
+(``MonteCarloEstimate.effective_sample_size``); an ESS far below the
+observed loss count signals weight degeneracy.
 """
 
 from __future__ import annotations
@@ -396,16 +454,34 @@ def run_mttdl(
     scheme: Optional[RedundancyScheme] = None,
     variance_reduction: str = "none",
 ) -> MonteCarloEstimate:
-    """The MTTDL estimation loop (see :func:`~repro.simulation.monte_carlo.estimate_mttdl`).
+    """Estimate the MTTDL by simulating until data loss.
 
-    Runs independent trials until data loss or the censoring horizon,
-    extends adaptively toward a ``target_relative_error``, and — under
-    ``method="auto"`` — discards a pilot that censored past the warning
-    threshold in favour of failure-biased importance sampling.  With
-    ``variance_reduction`` set, the horizon loss probability is
-    estimated by the requested variance-reduced estimator
-    (:mod:`repro.simulation.variance_reduction`) and inverted through
-    the exponential loss law instead.
+    Each trial runs an independent system until data loss or ``max_time``
+    (default: 1000 times the model's mean time to a visible fault —
+    generous for the compressed-time operating points used in tests and
+    examples, but highly reliable configurations need an explicit
+    ``max_time`` to keep censoring rare).  Surviving trials enter the
+    censoring-correct MLE (see the module docstring).  Either ``model``
+    or ``factory`` must be provided; the ``batch`` backend requires a
+    model.  With ``target_relative_error`` the run extends in chunks of
+    ``trials`` until the standard error falls below that fraction of the
+    mean or ``max_trials`` (default 64 chunks) is reached.
+
+    ``method="is"`` (or an ``"auto"`` run whose pilot censors past the
+    warning threshold) estimates ``P(loss by max_time)`` with
+    failure-biased importance sampling and inverts the exponential loss
+    law — exact in the rare-event regime where the loss process is
+    regenerative — so high-reliability MTTDLs converge in thousands of
+    trials instead of censoring to death.  ``bias`` overrides the
+    automatic failure-biasing factor.  With ``variance_reduction="cv"``
+    the horizon loss probability comes from the control-variate
+    estimator (:mod:`repro.simulation.variance_reduction`) and is
+    inverted the same way.
+
+    Raises:
+        ValueError: if neither a model nor a factory is given, trials is
+            not positive, or the backend/factory/method combination is
+            invalid.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
@@ -415,7 +491,7 @@ def run_mttdl(
     if method == "splitting":
         raise ValueError(
             "splitting estimates mission loss probabilities; use "
-            "estimate_loss_probability or method='is' for the MTTDL"
+            "run_loss_probability or method='is' for the MTTDL"
         )
     if method == "is" and model is None:
         raise ValueError("method='is' needs a FaultModel")
@@ -436,10 +512,9 @@ def run_mttdl(
 
     if variance_reduction != "none":
         from repro.simulation import rare_event
-        from repro.simulation import variance_reduction as vr_module
+        from repro.simulation.variance_reduction import cv_loss_probability
 
-        estimate = vr_module.variance_reduced_loss_probability(
-            variance_reduction,
+        estimate = cv_loss_probability(
             model,
             max_time,
             trials,
@@ -649,15 +724,24 @@ def run_loss_probability(
     scheme: Optional[RedundancyScheme] = None,
     variance_reduction: str = "none",
 ) -> MonteCarloEstimate:
-    """The loss-probability estimation loop (see
-    :func:`~repro.simulation.monte_carlo.estimate_loss_probability`).
+    """Estimate the probability of data loss within a mission time.
 
-    A ``method="auto"`` pilot with fewer than :data:`AUTO_MIN_LOSSES`
-    observed losses is discarded in favour of importance sampling (plain
-    models) or multilevel splitting (custom factories).  With
-    ``variance_reduction`` set, the plain batch estimator is replaced by
-    the requested variance-reduced one
-    (:mod:`repro.simulation.variance_reduction`).
+    This matches the paper's "probability of data loss in 50 years"
+    metric without the exponential shortcut; the estimate's confidence
+    interval is clamped to [0, 1].  ``backend`` and
+    ``target_relative_error`` behave as in :func:`run_mttdl`.
+
+    ``method="is"`` runs failure-biased importance sampling on the batch
+    machinery (``bias`` overrides the automatic acceleration factor,
+    ``trials`` sizes each weighted chunk), ``"splitting"`` runs
+    fixed-effort multilevel splitting on the event machinery
+    (``trials`` systems per level, so factory-built systems work too),
+    and ``"auto"`` pilots a standard chunk first, switching to IS
+    (model runs) or splitting (factory runs) when fewer than
+    :data:`AUTO_MIN_LOSSES` losses were observed.  With
+    ``variance_reduction="cv"`` the control-variate estimator
+    (:mod:`repro.simulation.variance_reduction`) replaces the plain
+    batch one.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
@@ -676,12 +760,11 @@ def run_loss_probability(
             factory = default_factory(model, replicas, audits_per_year, scheme)
 
     if variance_reduction != "none":
-        from repro.simulation import variance_reduction as vr_module
+        from repro.simulation.variance_reduction import cv_loss_probability
 
         return _emit_estimate(
             "loss_probability",
-            vr_module.variance_reduced_loss_probability(
-                variance_reduction,
+            cv_loss_probability(
                 model,
                 mission_time,
                 trials,

@@ -18,7 +18,7 @@ import numpy as np
 from repro.core.parameters import FaultModel
 from repro.core.probability import probability_of_loss
 from repro.core.units import HOURS_PER_YEAR
-from repro.simulation.monte_carlo import SystemFactory, _default_factory
+from repro.simulation.estimators import SystemFactory, default_factory
 from repro.simulation.rng import RandomStreams
 
 
@@ -70,7 +70,7 @@ def loss_probability_curve(
     if any(h <= 0 for h in horizons):
         raise ValueError("mission lengths must be positive")
     if factory is None:
-        factory = _default_factory(model, replicas, audits_per_year)
+        factory = default_factory(model, replicas, audits_per_year)
     longest = horizons[-1]
 
     root = RandomStreams(seed=seed)

@@ -1,85 +1,12 @@
-"""Monte-Carlo estimation harness.
+"""Figure-shaped Monte-Carlo experiments on plain fault models.
 
-Runs many independent simulated systems and aggregates the results into
-MTTDL estimates (with confidence intervals), mission loss probabilities,
-and double-fault combination statistics (experiment E10).
-
-.. note::
-   :func:`estimate_mttdl` and :func:`estimate_loss_probability` are the
-   historical entry points and remain fully supported, but new code
-   should pose reliability questions through the unified facade,
-   :func:`repro.study.run` — a declarative
-   :class:`~repro.study.Scenario` in, a schema-versioned
-   :class:`~repro.study.StudyResult` out.  Both functions are now thin
-   shims: when a call is expressible as a scenario they delegate to the
-   facade (bit-for-bit identical numbers at a fixed seed — the
-   estimation loops themselves live in
-   :mod:`repro.simulation.estimators` and are shared); calls the
-   declarative layer cannot express (custom :data:`SystemFactory`
-   systems) run the shared loops directly.
-
-Backends
---------
-
-Every estimator accepts ``backend="event"`` (the default — one
-:class:`~repro.simulation.system.ReplicatedStorageSystem` event loop per
-trial, supporting arbitrary :data:`SystemFactory` configurations) or
-``backend="batch"`` (the vectorized lock-step simulator in
-:mod:`repro.simulation.batch`, which is 1-2 orders of magnitude faster
-for :class:`~repro.core.parameters.FaultModel`-derived systems).  The two
-backends draw from disjoint streams of the same root seed, so their
-trajectories differ trial-for-trial but their estimates agree within
-Monte-Carlo noise (cross-validated in ``tests/simulation/test_batch.py``).
-
-Adaptive sampling
------------------
-
-Passing ``target_relative_error=...`` keeps extending the run in chunks
-of ``trials`` until the estimate's standard error falls below the target
-fraction of the mean (or ``max_trials`` is reached).  Chunks use
-independent sub-streams of the root seed, so an adaptive run is exactly
-reproducible for a given seed regardless of where it stops.
-
-Censoring
----------
-
-``estimate_mttdl`` treats trials that survive to the horizon as
-*censored* observations and uses the censoring-correct exponential MLE —
-total observed time divided by the number of observed losses — rather
-than folding horizon times into a plain sample mean (which would bias
-the MTTDL downward exactly when the system is most reliable).  A
-:class:`HighCensoringWarning` is emitted when more than 20% of trials
-are censored; with no observed losses at all the estimate is infinite
-and only meaningful as "no loss seen in ``total time`` of operation".
-
-Rare-event methods
-------------------
-
-At realistic archival operating points almost every trial censors and
-the standard estimators degenerate.  Both estimators therefore accept a
-``method``:
-
-* ``"standard"`` — plain Monte-Carlo as described above (the default).
-* ``"is"`` — failure-biased importance sampling on the batch machinery
-  (:mod:`repro.simulation.rare_event`): degraded-regime fault clocks
-  are accelerated and the trials reweighted by exact path-measure
-  likelihood ratios.  Requires a :class:`FaultModel`; the ``backend``
-  argument is ignored (IS always runs vectorized).
-* ``"splitting"`` — fixed-effort multilevel splitting on the
-  event-driven machinery, keyed on the number of simultaneously faulty
-  replicas; works with custom :data:`SystemFactory` systems.  Loss
-  probabilities only.
-* ``"auto"`` — run one standard pilot chunk; when it censors too
-  heavily to be informative (above the
-  :data:`CENSORED_WARNING_FRACTION` threshold for MTTDL, fewer than
-  :data:`AUTO_MIN_LOSSES` observed losses for loss probabilities),
-  discard it and switch to ``"is"`` (model-based runs) or
-  ``"splitting"`` (factory-based loss runs); otherwise keep extending
-  the standard run.
-
-Weighted estimates report a Kish effective sample size
-(``MonteCarloEstimate.effective_sample_size``); an ESS far below the
-observed loss count signals weight degeneracy.
+:func:`double_fault_combination_counts` tallies which fault combination
+caused each simulated loss (experiment E10, the paper's Figure 2), and
+:func:`run_single_trace` records one traced trajectory (experiment E9).
+MTTDL and mission loss-probability estimates come from
+:func:`repro.study.run`, or from the estimation loops in
+:mod:`repro.simulation.estimators` for custom
+:data:`~repro.simulation.estimators.SystemFactory` systems.
 """
 
 from __future__ import annotations
@@ -88,267 +15,12 @@ from typing import Dict, Optional, Tuple
 
 from repro.core.faults import FaultType
 from repro.core.parameters import FaultModel
-from repro.core.redundancy import RedundancyScheme
-from repro.core.units import HOURS_PER_YEAR
 from repro.simulation.batch import simulate_batch
-from repro.simulation.estimators import (
-    AUTO_MIN_LOSSES,
-    CENSORED_WARNING_FRACTION,
-    DEFAULT_ADAPTIVE_CHUNK_LIMIT,
-    HighCensoringWarning,
-    MonteCarloEstimate,
-    SystemFactory,
-    check_backend,
-    default_factory,
-    run_loss_probability,
-    run_mttdl,
-)
+from repro.simulation.estimators import check_backend
 from repro.simulation.rng import RandomStreams
 from repro.simulation.system import RunResult, system_from_fault_model
 
-__all__ = [
-    "AUTO_MIN_LOSSES",
-    "CENSORED_WARNING_FRACTION",
-    "DEFAULT_ADAPTIVE_CHUNK_LIMIT",
-    "HighCensoringWarning",
-    "MonteCarloEstimate",
-    "SystemFactory",
-    "estimate_mttdl",
-    "estimate_loss_probability",
-    "double_fault_combination_counts",
-    "run_single_trace",
-]
-
-# Historical private aliases, kept for callers that imported the
-# pre-extraction names (e.g. repro.simulation.lifetime).
-_default_factory = default_factory
-_check_backend = check_backend
-
-
-def _delegate_to_study(
-    question: str,
-    model: Optional[FaultModel],
-    factory: Optional[SystemFactory],
-    backend: str,
-    method: str,
-    trials: int,
-    seed: int,
-    replicas: int,
-    audits_per_year: Optional[float],
-    target_relative_error: Optional[float],
-    max_trials: Optional[int],
-    bias: Optional[float],
-    mission_time: Optional[float] = None,
-    max_time: Optional[float] = None,
-    scheme: Optional[RedundancyScheme] = None,
-) -> Optional[MonteCarloEstimate]:
-    """Route a legacy call through :func:`repro.study.run` when possible.
-
-    Returns ``None`` when the call is not expressible as a declarative
-    scenario — a custom factory, an invalid parameter combination (the
-    shared loops raise the canonical error), a backend/method pair
-    with no engine equivalent (``backend="event"`` with
-    ``method="auto"`` pilots on the event loop, which the single-axis
-    engine vocabulary deliberately does not encode), or a mission time
-    whose hours→years→hours conversion would not round-trip exactly
-    (scenarios speak years; losing even one ulp of the horizon could
-    flip a censoring decision and break bit-for-bit reproduction).
-    """
-    if model is None or factory is not None or trials <= 0:
-        return None
-    mission_years = 50.0
-    if mission_time is not None:
-        mission_years = mission_time / HOURS_PER_YEAR
-        if mission_years * HOURS_PER_YEAR != mission_time:
-            return None
-    from repro import study
-
-    engine = study.engine_for(backend, method)
-    if engine is None or (question == "mttdl" and engine == "splitting"):
-        return None
-    scenario = study.Scenario(
-        question=question,
-        system=study.SystemSpec(
-            model=model,
-            replicas=replicas,
-            audits_per_year=audits_per_year,
-            scheme=scheme,
-        ),
-        mission_years=mission_years,
-        max_time_hours=max_time,
-        policy=study.EstimatorPolicy(
-            engine=engine,
-            trials=trials,
-            max_trials=max_trials,
-            target_relative_error=target_relative_error,
-            seed=seed,
-            bias=bias,
-            cross_check=False,
-        ),
-    )
-    return study.run(scenario).estimate()
-
-
-def estimate_mttdl(
-    model: Optional[FaultModel] = None,
-    trials: int = 200,
-    seed: int = 0,
-    max_time: Optional[float] = None,
-    replicas: int = 2,
-    audits_per_year: Optional[float] = None,
-    factory: Optional[SystemFactory] = None,
-    backend: str = "event",
-    target_relative_error: Optional[float] = None,
-    max_trials: Optional[int] = None,
-    method: str = "standard",
-    bias: Optional[float] = None,
-    scheme: Optional[RedundancyScheme] = None,
-) -> MonteCarloEstimate:
-    """Estimate the MTTDL by simulating until data loss.
-
-    Each trial runs an independent system until data loss or ``max_time``
-    (default: 1000 times the model's mean time to a visible fault —
-    generous for the compressed-time operating points used in tests and
-    examples, but highly reliable configurations need an explicit
-    ``max_time`` to keep censoring rare).  Trials that survive to the
-    horizon are *censored*
-    and enter the censoring-correct exponential MLE (total observed time
-    divided by observed losses) rather than biasing a sample mean; a
-    :class:`HighCensoringWarning` fires when more than 20% of trials are
-    censored.
-
-    Either ``model`` or ``factory`` must be provided; the ``batch``
-    backend requires a model.  With ``target_relative_error`` the run
-    extends in chunks of ``trials`` until the standard error falls below
-    that fraction of the mean or ``max_trials`` (default 64 chunks) is
-    reached.
-
-    ``method="is"`` (or an ``"auto"`` run whose pilot censors above the
-    warning threshold) estimates ``P(loss by max_time)`` with
-    failure-biased importance sampling and inverts the exponential loss
-    law — exact in the rare-event regime where the loss process is
-    regenerative — so high-reliability MTTDLs converge in thousands of
-    trials instead of censoring to death.  ``bias`` overrides the
-    automatic failure-biasing factor.  ``method="splitting"`` is not an
-    MTTDL method (it estimates mission loss probabilities); request it
-    via :func:`estimate_loss_probability`.
-
-    .. deprecated:: 1.1
-       Prefer :func:`repro.study.run` with a ``question="mttdl"``
-       scenario; this shim delegates to it when the call is expressible.
-
-    Raises:
-        ValueError: if neither a model nor a factory is given, trials is
-            not positive, or the backend/factory/method combination is
-            invalid.
-    """
-    delegated = _delegate_to_study(
-        "mttdl",
-        model,
-        factory,
-        backend,
-        method,
-        trials,
-        seed,
-        replicas,
-        audits_per_year,
-        target_relative_error,
-        max_trials,
-        bias,
-        max_time=max_time,
-        scheme=scheme,
-    )
-    if delegated is not None:
-        return delegated
-    return run_mttdl(
-        model=model,
-        trials=trials,
-        seed=seed,
-        max_time=max_time,
-        replicas=replicas,
-        audits_per_year=audits_per_year,
-        factory=factory,
-        backend=backend,
-        target_relative_error=target_relative_error,
-        max_trials=max_trials,
-        method=method,
-        bias=bias,
-        scheme=scheme,
-    )
-
-
-def estimate_loss_probability(
-    model: Optional[FaultModel] = None,
-    mission_time: float = 50.0 * HOURS_PER_YEAR,
-    trials: int = 500,
-    seed: int = 0,
-    replicas: int = 2,
-    audits_per_year: Optional[float] = None,
-    factory: Optional[SystemFactory] = None,
-    backend: str = "event",
-    target_relative_error: Optional[float] = None,
-    max_trials: Optional[int] = None,
-    method: str = "standard",
-    bias: Optional[float] = None,
-    scheme: Optional[RedundancyScheme] = None,
-) -> MonteCarloEstimate:
-    """Estimate the probability of data loss within a mission time.
-
-    This matches the paper's "probability of data loss in 50 years"
-    metric without the exponential shortcut.  The returned estimate's
-    confidence interval is clamped to [0, 1].  ``backend`` and
-    ``target_relative_error`` behave as in :func:`estimate_mttdl`.
-
-    ``method`` selects the estimator (see the module docstring):
-    ``"is"`` runs failure-biased importance sampling on the batch
-    machinery (``bias`` overrides the automatic acceleration factor,
-    ``trials`` sizes each weighted chunk), ``"splitting"`` runs
-    fixed-effort multilevel splitting on the event machinery
-    (``trials`` systems per level, so factory-built systems work too),
-    and ``"auto"`` pilots a standard chunk first, switching to IS
-    (model runs) or splitting (factory runs) when fewer than
-    :data:`AUTO_MIN_LOSSES` losses were observed.
-
-    .. deprecated:: 1.1
-       Prefer :func:`repro.study.run` with a
-       ``question="loss_probability"`` scenario; this shim delegates to
-       it when the call is expressible.
-    """
-    if mission_time <= 0:
-        raise ValueError("mission_time must be positive")
-    delegated = _delegate_to_study(
-        "loss_probability",
-        model,
-        factory,
-        backend,
-        method,
-        trials,
-        seed,
-        replicas,
-        audits_per_year,
-        target_relative_error,
-        max_trials,
-        bias,
-        mission_time=mission_time,
-        scheme=scheme,
-    )
-    if delegated is not None:
-        return delegated
-    return run_loss_probability(
-        model=model,
-        mission_time=mission_time,
-        trials=trials,
-        seed=seed,
-        replicas=replicas,
-        audits_per_year=audits_per_year,
-        factory=factory,
-        backend=backend,
-        target_relative_error=target_relative_error,
-        max_trials=max_trials,
-        method=method,
-        bias=bias,
-        scheme=scheme,
-    )
+__all__ = ["double_fault_combination_counts", "run_single_trace"]
 
 
 def double_fault_combination_counts(

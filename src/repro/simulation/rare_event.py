@@ -24,11 +24,11 @@ function.  Each stage restarts ``trials_per_level`` systems from the
 entry states of the previous level (captured as
 :class:`~repro.simulation.system.SystemSnapshot`) and measures the
 conditional probability of reaching the next level, so custom
-:data:`~repro.simulation.monte_carlo.SystemFactory` systems — shocks,
+:data:`~repro.simulation.estimators.SystemFactory` systems — shocks,
 Weibull hazards, stochastic repairs — get rare-event acceleration the
 batch backend cannot express.
 
-The estimator front ends live in :mod:`repro.simulation.monte_carlo`
+The estimation loops in :mod:`repro.simulation.estimators` drive both
 (``method="is" | "splitting" | "auto"``).
 """
 
@@ -43,17 +43,17 @@ import numpy as np
 from repro.core.parameters import FaultModel
 from repro.core.redundancy import RedundancyScheme, resolve_scheme, scheme_loss_rate
 from repro.simulation.batch import BatchRunResult
-from repro.simulation.monte_carlo import MonteCarloEstimate, SystemFactory
+from repro.simulation.estimators import (
+    MonteCarloEstimate,
+    SystemFactory,
+    default_factory,
+)
 from repro.simulation.rng import (
     RandomStreams,
     splitting_pool_generator,
     splitting_streams,
 )
-from repro.simulation.system import (
-    ReplicatedStorageSystem,
-    SystemSnapshot,
-    system_from_fault_model,
-)
+from repro.simulation.system import SystemSnapshot
 
 #: Target probability that a *biased* mirrored trial loses data; higher
 #: replication degrees target the (replicas - 1)-th power of this, since
@@ -266,24 +266,6 @@ def mttdl_from_loss_probability(
     )
 
 
-def _default_factory(
-    model: FaultModel,
-    replicas: int,
-    audits_per_year: Optional[float],
-    scheme: Optional[RedundancyScheme] = None,
-) -> SystemFactory:
-    def factory(streams: RandomStreams) -> ReplicatedStorageSystem:
-        return system_from_fault_model(
-            model,
-            replicas=replicas,
-            streams=streams,
-            audits_per_year=audits_per_year,
-            scheme=scheme,
-        )
-
-    return factory
-
-
 @dataclass(frozen=True)
 class SplittingRun:
     """Raw outcome of one fixed-effort multilevel-splitting pass.
@@ -361,8 +343,8 @@ def splitting_loss_probability(
     adaptive sampling.
 
     Returns the raw :class:`SplittingRun`;
-    :func:`repro.simulation.monte_carlo.estimate_loss_probability` wraps
-    it into a :class:`~repro.simulation.monte_carlo.MonteCarloEstimate`.
+    :func:`repro.simulation.estimators.run_loss_probability` wraps it
+    into a :class:`~repro.simulation.estimators.MonteCarloEstimate`.
     """
     if mission_time <= 0:
         raise ValueError("mission_time must be positive")
@@ -373,7 +355,7 @@ def splitting_loss_probability(
     if factory is None:
         if model is None:
             raise ValueError("either model or factory must be provided")
-        factory = _default_factory(model, replicas, audits_per_year, scheme)
+        factory = default_factory(model, replicas, audits_per_year, scheme)
         levels = (
             scheme.loss_threshold if scheme is not None else replicas
         )

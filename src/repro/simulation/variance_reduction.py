@@ -209,34 +209,3 @@ def cv_loss_probability(
         clamp_hi=1.0,
         method="cv",
     )
-
-
-def variance_reduced_loss_probability(
-    variance_reduction: str,
-    model: FaultModel,
-    mission_time: float,
-    trials: int,
-    seed: int,
-    replicas: int = 2,
-    audits_per_year: Optional[float] = None,
-    target_relative_error: Optional[float] = None,
-    max_trials: Optional[int] = None,
-    scheme: Optional[RedundancyScheme] = None,
-) -> MonteCarloEstimate:
-    """Dispatch to the requested variance-reduced estimator."""
-    if variance_reduction != "cv":
-        raise ValueError(
-            f"unknown variance_reduction {variance_reduction!r}; expected "
-            "'cv'"
-        )
-    return cv_loss_probability(
-        model,
-        mission_time,
-        trials,
-        seed,
-        replicas=replicas,
-        audits_per_year=audits_per_year,
-        target_relative_error=target_relative_error,
-        max_trials=max_trials,
-        scheme=scheme,
-    )

@@ -22,10 +22,11 @@ Scenarios cover five question kinds (``mttdl``, ``loss_probability``,
 (``auto``, ``analytic``, ``markov``, ``event``, ``batch``, ``is``,
 ``splitting``, ``fleet``); both the scenario and the result JSON-
 roundtrip, tolerate unknown fields, and carry content hashes compatible
-with the optimize/fleet result caches.  The historical entry points
-(:func:`repro.simulation.monte_carlo.estimate_mttdl`,
-``estimate_loss_probability``, the simulated sweeps) remain as thin
-shims that delegate here.
+with the optimize/fleet result caches.  Library callers that simulate
+custom :data:`~repro.simulation.estimators.SystemFactory` systems call
+the estimation loops (:func:`~repro.simulation.estimators.run_mttdl`,
+:func:`~repro.simulation.estimators.run_loss_probability`) directly;
+every other question comes through :func:`run`.
 """
 
 from repro.study.engine import run

@@ -443,13 +443,16 @@ def _run_sweep(scenario: Scenario) -> StudyResult:
 def _simulated_sweep(
     scenario: Scenario, backend: str, method: str
 ) -> tuple:
-    """The simulation-backed sweep loops (moved here from
-    :mod:`repro.analysis.sweep`, whose public functions now shim to the
-    facade).
+    """The simulation-backed sweep loops.
 
-    Every point reuses the same root seed (common random numbers — see
-    the note in :func:`repro.analysis.sweep.simulated_parameter_sweep`);
-    the analytic series is attached for mirrored-pair MTTDL sweeps.
+    Every point reuses the policy's root seed, so points reuse the same
+    underlying trial streams (common random numbers).  That reduces the
+    variance of *differences* along the sweep; each point's reported
+    standard error is valid on its own.  Deriving per-point seeds by
+    arithmetic on the seed would reintroduce the cross-seed stream
+    aliasing the spawn-key scheme removes, so it is deliberately
+    avoided.  The analytic series is attached for mirrored-pair MTTDL
+    sweeps.
     """
     spec = scenario.sweep
     system = scenario.system

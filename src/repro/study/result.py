@@ -121,27 +121,6 @@ class StudyResult:
             details=details or {},
         )
 
-    def estimate(self) -> MonteCarloEstimate:
-        """The result as the Monte-Carlo layer's estimate type.
-
-        This is the bridge the legacy shims
-        (:func:`repro.simulation.monte_carlo.estimate_mttdl` and
-        friends) return through — bit-for-bit the estimate the engine
-        produced, including the physical clamps implied by ``units``.
-        """
-        value = math.inf if self.value is None else self.value
-        std_error = math.inf if self.std_error is None else self.std_error
-        return MonteCarloEstimate(
-            mean=value,
-            std_error=std_error,
-            trials=self.trials,
-            censored=self.censored,
-            clamp_lo=0.0,
-            clamp_hi=1.0 if self.units == "probability" else None,
-            method=self.method,
-            effective_sample_size=self.effective_sample_size,
-        )
-
     # -- serialisation -----------------------------------------------------
 
     def as_dict(self) -> Dict[str, object]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
-from repro.core.parameters import FaultModel
+from repro.core.parameters import FaultModel, json_integer, json_number
 from repro.core.redundancy import RedundancyScheme
 from repro.core.sensitivity import PARAMETER_FIELDS
 from repro.fleet.timeline import FleetTimeline, _json_object
@@ -78,7 +78,7 @@ _EXTRA_SWEEP_PARAMETERS: Tuple[str, ...] = ("audits_per_year", "replicas")
 
 
 def engine_for(backend: str, method: str) -> Optional[str]:
-    """Map a legacy ``(backend, method)`` pair onto an engine name.
+    """Map a ``(backend, method)`` pair (the CLI's flags) onto an engine.
 
     Returns ``None`` for combinations the single-axis engine vocabulary
     does not encode (including invalid values — the shared estimator
@@ -103,6 +103,12 @@ def engine_backend_method(engine: str) -> Tuple[str, str]:
         raise ValueError(
             f"engine {engine!r} has no Monte-Carlo backend/method mapping"
         ) from None
+
+
+def _optional(payload: Dict[str, object], key: str, path: str, read):
+    """``read(payload[key], path)``; ``None`` when absent or null."""
+    value = payload.get(key)
+    return None if value is None else read(value, path)
 
 
 def _section(
@@ -176,15 +182,19 @@ class SystemSpec:
 
     @staticmethod
     def from_dict(payload: Dict[str, object]) -> "SystemSpec":
-        audits = payload.get("audits_per_year")
         scheme = payload.get("scheme")
         model = _section(payload, "model", "system.model")
         if model is None:
             raise ValueError("'system.model' is required")
         return SystemSpec(
-            model=FaultModel.from_dict(model),
-            replicas=int(payload.get("replicas", 2)),
-            audits_per_year=None if audits is None else float(audits),
+            model=FaultModel.from_dict(model, "system.model"),
+            replicas=json_integer(
+                payload.get("replicas", 2), "system.replicas"
+            ),
+            audits_per_year=_optional(
+                payload, "audits_per_year", "system.audits_per_year",
+                json_number,
+            ),
             scheme=(
                 RedundancyScheme.from_dict(
                     _json_object(scheme, "system.scheme")
@@ -342,22 +352,22 @@ class EstimatorPolicy:
 
     @staticmethod
     def from_dict(payload: Dict[str, object]) -> "EstimatorPolicy":
-        def _opt_float(key: str) -> Optional[float]:
-            value = payload.get(key)
-            return None if value is None else float(value)
-
+        cross_check = payload.get("cross_check", True)
+        if not isinstance(cross_check, bool):
+            raise ValueError("'policy.cross_check' must be true or false")
         return EstimatorPolicy(
             engine=str(payload.get("engine", "auto")),
-            trials=int(payload.get("trials", 1000)),
-            max_trials=(
-                None
-                if payload.get("max_trials") is None
-                else int(payload["max_trials"])
+            trials=json_integer(payload.get("trials", 1000), "policy.trials"),
+            max_trials=_optional(
+                payload, "max_trials", "policy.max_trials", json_integer
             ),
-            target_relative_error=_opt_float("target_relative_error"),
-            seed=int(payload.get("seed", 0)),
-            bias=_opt_float("bias"),
-            cross_check=bool(payload.get("cross_check", True)),
+            target_relative_error=_optional(
+                payload, "target_relative_error",
+                "policy.target_relative_error", json_number,
+            ),
+            seed=json_integer(payload.get("seed", 0), "policy.seed"),
+            bias=_optional(payload, "bias", "policy.bias", json_number),
+            cross_check=cross_check,
             variance_reduction=str(payload.get("variance_reduction", "none")),
         )
 
@@ -508,28 +518,33 @@ class Scenario:
         loadable — forward compatibility for the serialised form.
         """
 
-        def _opt_float(key: str) -> Optional[float]:
-            value = payload.get(key)
-            return None if value is None else float(value)
-
         def _parsed(key: str, parse):
             section = _section(payload, key)
             return None if section is None else parse(section)
+
+        def _number(key: str) -> Optional[float]:
+            return _optional(payload, key, key, json_number)
 
         label = payload.get("label")
         return Scenario(
             question=str(payload["question"]),
             system=_parsed("system", SystemSpec.from_dict),
-            mission_years=float(payload.get("mission_years", 50.0)),
-            max_time_hours=_opt_float("max_time_hours"),
+            mission_years=json_number(
+                payload.get("mission_years", 50.0), "mission_years"
+            ),
+            max_time_hours=_number("max_time_hours"),
             sweep=_parsed("sweep", SweepSpec.from_dict),
             space=_parsed("space", _space_from_dict),
-            budget=_opt_float("budget"),
-            target_loss=_opt_float("target_loss"),
-            slack=float(payload.get("slack", DEFAULT_SCREEN_SLACK)),
+            budget=_number("budget"),
+            target_loss=_number("target_loss"),
+            slack=json_number(
+                payload.get("slack", DEFAULT_SCREEN_SLACK), "slack"
+            ),
             timeline=_parsed("timeline", FleetTimeline.from_dict),
-            members=int(payload.get("members", 2000)),
-            chunk_size=int(payload.get("chunk_size", 1000)),
+            members=json_integer(payload.get("members", 2000), "members"),
+            chunk_size=json_integer(
+                payload.get("chunk_size", 1000), "chunk_size"
+            ),
             policy=EstimatorPolicy.from_dict(
                 _section(payload, "policy") or {}
             ),

@@ -17,8 +17,6 @@ from repro.analysis.plotting import (
 from repro.analysis.report import ExperimentRecord, ExperimentReport, scenario_experiment_report
 from repro.analysis.sweep import (
     grid_sweep,
-    simulated_audit_sweep,
-    simulated_parameter_sweep,
     sweep_audit_rate,
     sweep_correlation,
     sweep_parameter,
@@ -28,6 +26,7 @@ from repro.analysis.tables import format_dict, format_scenario_table, format_swe
 from repro.core.mttdl import mirrored_mttdl
 from repro.core.parameters import FaultModel
 from repro.core.scenarios import cheetah_scrubbed_scenario, paper_scenarios
+from repro.study import EstimatorPolicy, Scenario, SweepSpec, SystemSpec, run
 
 
 def model(**overrides):
@@ -102,83 +101,92 @@ class TestSimulatedSweeps:
         # The canonical compressed-time model lives in tests/conftest.py.
         self.fast_model = fast_model_factory
 
+    def sweep(self, parameter, values, trials, seed, metric="mttdl",
+              audits_per_year=None, **scenario):
+        """The details of a batch-engine ``question="sweep"`` run."""
+        return run(
+            Scenario(
+                question="sweep",
+                system=SystemSpec(
+                    model=self.fast_model(), audits_per_year=audits_per_year
+                ),
+                sweep=SweepSpec(
+                    parameter=parameter, values=tuple(values), metric=metric
+                ),
+                policy=EstimatorPolicy(engine="batch", trials=trials, seed=seed),
+                **scenario,
+            )
+        ).details
+
     def test_parameter_sweep_shapes_and_analytic_series(self):
-        result = simulated_parameter_sweep(
-            self.fast_model(),
-            "alpha",
-            [0.2, 1.0],
-            trials=800,
-            seed=1,
-            max_time=1e6,
+        details = self.sweep(
+            "alpha", [0.2, 1.0], trials=800, seed=1, max_time_hours=1e6
         )
-        assert result.values == [0.2, 1.0]
-        assert len(result.metric("sim_mttdl")) == 2
-        assert len(result.metric("sim_std_error")) == 2
-        assert len(result.metric("mttdl_hours")) == 2
+        metrics = details["metrics"]
+        assert details["values"] == [0.2, 1.0]
+        assert len(metrics["sim_mttdl"]) == 2
+        assert len(metrics["sim_std_error"]) == 2
+        assert len(metrics["mttdl_hours"]) == 2
         # Stronger correlation must hurt the simulated MTTDL too.
-        assert result.metric("sim_mttdl")[0] < result.metric("sim_mttdl")[1]
+        assert metrics["sim_mttdl"][0] < metrics["sim_mttdl"][1]
 
     def test_parameter_sweep_loss_metric(self):
-        result = simulated_parameter_sweep(
-            self.fast_model(),
+        metrics = self.sweep(
             "MDL",
             [5.0, 100.0],
             trials=800,
             seed=2,
             metric="loss_probability",
             mission_years=0.5,
-        )
-        series = result.metric("sim_loss_probability")
+        )["metrics"]
+        series = metrics["sim_loss_probability"]
         assert all(0.0 <= value <= 1.0 for value in series)
         # Slower detection means a riskier mission.
         assert series[0] <= series[1]
-        assert "mttdl_hours" not in result.metrics
+        assert "mttdl_hours" not in metrics
 
     def test_parameter_sweep_validation(self):
         with pytest.raises(ValueError):
-            simulated_parameter_sweep(self.fast_model(), "bogus", [1.0], trials=10)
+            self.sweep("bogus", [1.0], trials=10, seed=0)
         with pytest.raises(ValueError):
-            simulated_parameter_sweep(
-                self.fast_model(), "MDL", [5.0], trials=10, metric="latency"
-            )
+            self.sweep("MDL", [5.0], trials=10, seed=0, metric="latency")
 
     def test_parameter_sweep_analytic_respects_audit_override(self):
         # With auditing disabled, the attached analytic series must
         # describe the no-scrub regime (MDL = ML), not the base model's
         # scrubbed MDL — otherwise the sim-vs-analytic comparison spans
         # two different physical systems.
-        result = simulated_parameter_sweep(
-            self.fast_model(),
+        metrics = self.sweep(
             "MV",
             [500.0],
             trials=600,
             seed=4,
-            max_time=1e6,
+            max_time_hours=1e6,
             audits_per_year=0.0,
-        )
+        )["metrics"]
         base = self.fast_model()
         no_scrub = mirrored_mttdl(
             base.with_detection_time(base.mean_time_to_latent)
         )
         scrubbed = mirrored_mttdl(base)
-        analytic = result.metric("mttdl_hours")[0]
+        analytic = metrics["mttdl_hours"][0]
         assert analytic == pytest.approx(no_scrub)
         assert analytic < scrubbed / 3.0
         # And the simulated value sits within the simulator's documented
         # factor of the matching closed form.
-        assert no_scrub / 3.0 < result.metric("sim_mttdl")[0] < no_scrub * 3.0
+        assert no_scrub / 3.0 < metrics["sim_mttdl"][0] < no_scrub * 3.0
 
     def test_audit_sweep_tracks_analytic_shape(self):
-        result = simulated_audit_sweep(
-            self.fast_model(),
+        metrics = self.sweep(
+            "audits_per_year",
             [0.0, 400.0, 1800.0],
             trials=800,
             seed=3,
-            max_time=1e6,
-        )
-        simulated = result.metric("sim_mttdl_hours")
+            max_time_hours=1e6,
+        )["metrics"]
+        simulated = metrics["sim_mttdl_hours"]
         assert len(simulated) == 3
-        assert len(result.metric("mttdl_hours")) == 3
+        assert len(metrics["mttdl_hours"]) == 3
         # More frequent audits help, in simulation as in the closed form.
         assert simulated[0] < simulated[-1]
 

@@ -1,10 +1,17 @@
 """Tests for the FaultModel parameter set."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.faults import FaultType, latent_fault, visible_fault
-from repro.core.parameters import FaultModel, model_from_specs
+from repro.core.parameters import (
+    FaultModel,
+    json_integer,
+    json_number,
+    model_from_specs,
+)
 
 
 def make_model(**overrides):
@@ -53,6 +60,21 @@ class TestConstruction:
 
     def test_alpha_of_exactly_one_allowed(self):
         assert make_model(correlation_factor=1.0).alpha == 1.0
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "mean_time_to_visible",
+            "mean_time_to_latent",
+            "mean_repair_visible",
+            "mean_repair_latent",
+            "mean_detect_latent",
+            "correlation_factor",
+        ],
+    )
+    def test_rejects_nan(self, field):
+        with pytest.raises(ValueError):
+            make_model(**{field: math.nan})
 
 
 class TestDerivedQuantities:
@@ -146,6 +168,45 @@ class TestSerialisation:
         text = make_model().describe()
         for token in ("MV", "ML", "MRV", "MRL", "MDL", "alpha"):
             assert token in text
+
+    def test_from_dict_roundtrips(self):
+        model = make_model()
+        assert FaultModel.from_dict(model.as_dict()) == model
+
+    @pytest.mark.parametrize("value", ["1", [1], None, True, math.nan])
+    def test_from_dict_names_the_path_of_a_bad_number(self, value):
+        payload = {**make_model().as_dict(), "MV": value}
+        with pytest.raises(ValueError, match=r"'system\.model\.MV'"):
+            FaultModel.from_dict(payload, "system.model")
+
+
+class TestJsonNumbers:
+    @pytest.mark.parametrize("value", [0, 2, -1.5, 1e300])
+    def test_finite_reals_are_numbers(self, value):
+        assert json_number(value, "x") == float(value)
+        assert type(json_number(value, "x")) is float
+
+    @pytest.mark.parametrize(
+        "value",
+        [math.nan, math.inf, -math.inf, 10**400, True, False, "1", [1], None],
+    )
+    def test_everything_else_is_rejected_with_its_path(self, value):
+        with pytest.raises(ValueError, match=r"'a\.b' must be a finite"):
+            json_number(value, "a.b")
+
+    @pytest.mark.parametrize(
+        "value,expected", [(3, 3), (2000.0, 2000), (0, 0)]
+    )
+    def test_integral_values_are_integers(self, value, expected):
+        assert json_integer(value, "x") == expected
+        assert type(json_integer(value, "x")) is int
+
+    @pytest.mark.parametrize(
+        "value", [2.7, 1999.9, math.nan, math.inf, True, "2", [2], None]
+    )
+    def test_non_integers_are_rejected_with_their_path(self, value):
+        with pytest.raises(ValueError, match=r"'a\.b' must be an integer"):
+            json_integer(value, "a.b")
 
 
 class TestModelFromSpecs:

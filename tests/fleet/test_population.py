@@ -17,7 +17,7 @@ from repro.fleet.timeline import (
     RegionalShockModel,
     stationary_timeline,
 )
-from repro.simulation.monte_carlo import estimate_loss_probability
+from repro.simulation.estimators import run_loss_probability
 
 
 def paper_model():
@@ -64,7 +64,7 @@ def assert_within_4_se(a, b):
 
 
 class TestStationaryAnchor:
-    def test_matches_estimate_loss_probability_within_ci(self):
+    def test_matches_run_loss_probability_within_ci(self):
         """A stationary timeline is the point estimators' system; the
         fleet loss fraction must agree within combined 95% CIs."""
         model = paper_model()
@@ -73,7 +73,7 @@ class TestStationaryAnchor:
         )
         p_fleet = np.count_nonzero(chunk.lost) / chunk.members
         se_fleet = np.sqrt(p_fleet * (1 - p_fleet) / chunk.members)
-        reference = estimate_loss_probability(
+        reference = run_loss_probability(
             model,
             mission_time=50.0 * HOURS_PER_YEAR,
             trials=20000,

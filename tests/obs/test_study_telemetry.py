@@ -14,7 +14,7 @@ import pytest
 from repro import obs
 from repro.core.parameters import FaultModel
 from repro.fleet import stationary_timeline
-from repro.optimize import DesignSpace
+from repro.optimize import DesignSpace, EvaluationSettings, optimize
 from repro.study import EstimatorPolicy, Scenario, SystemSpec, run
 import repro.study.engine as engine_module
 
@@ -122,6 +122,27 @@ class TestDetailsSurface:
         assert covered >= 0.5 * result.wall_time_seconds
         assert snapshot.counters["fleet.chunks"] == 2
         assert snapshot.spans["worker.fleet_chunk"][0] == 2
+
+
+class TestRefinementTelemetry:
+    def test_frontier_refinements_record_their_escalations(self):
+        # Realistic drives: most standard pilots see too few losses, so
+        # method="auto" escalates those refinements to importance
+        # sampling, in-process at jobs=1 and into the caller's registry.
+        tel = obs.Telemetry()
+        with obs.session(tel):
+            result = optimize(
+                DesignSpace(media=("drive:cheetah",)),
+                EvaluationSettings(trials=300, seed=1, method="auto"),
+                jobs=1,
+            )
+        escalated = sum(
+            evaluation.simulated.method == "is"
+            for evaluation in result.refined
+        )
+        counters = tel.snapshot().counters
+        assert escalated > 0
+        assert counters.get("estimator.escalations") == escalated
 
 
 class TestTraceDeterminism:

@@ -262,6 +262,28 @@ def test_non_object_timeline_entry_is_a_400(timeline, path):
     assert f"'{path}' must be a JSON object" in error
 
 
+@pytest.mark.parametrize(
+    "path,value",
+    [
+        ("mission_years", float("nan")),
+        ("system.replicas", 2.7),
+        ("system.model.MV", [1]),
+        ("policy.trials", True),
+    ],
+)
+def test_malformed_number_is_a_400_naming_its_path(path, value):
+    payload = scenario_dict()
+    *parents, key = path.split(".")
+    section = payload
+    for name in parents:
+        section = section[name]
+    section[key] = value
+    response = post_query(payload)
+    assert response.startswith(b"HTTP/1.1 400 ")
+    error = json.loads(response.partition(b"\r\n\r\n")[2])["error"]
+    assert f"'{path}'" in error
+
+
 def test_oversized_body_is_a_413_and_close_before_reading_it():
     # Only the head is sent: a server that tried to buffer the declared
     # gigabyte would wait out the exchange's timeout instead.

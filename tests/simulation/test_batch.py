@@ -25,11 +25,8 @@ from repro.simulation.batch import (
     simulate_batch_piecewise,
 )
 from repro.simulation.rng import batch_generator
-from repro.simulation.monte_carlo import (
-    double_fault_combination_counts,
-    estimate_loss_probability,
-    estimate_mttdl,
-)
+from repro.simulation.estimators import run_loss_probability, run_mttdl
+from repro.simulation.monte_carlo import double_fault_combination_counts
 
 
 def paper_model():
@@ -124,39 +121,39 @@ class TestBackendCrossValidation:
 
     def test_mttdl_matches_event_backend(self):
         model = self.fast_model()
-        event = estimate_mttdl(model, trials=300, seed=2, max_time=1e6)
-        batch = estimate_mttdl(
+        event = run_mttdl(model, trials=300, seed=2, max_time=1e6)
+        batch = run_mttdl(
             model, trials=2000, seed=2, max_time=1e6, backend="batch"
         )
         assert intervals_overlap(event, batch)
 
     def test_mttdl_matches_with_correlation(self):
         model = self.fast_model(correlation_factor=0.2)
-        event = estimate_mttdl(model, trials=300, seed=4, max_time=1e6)
-        batch = estimate_mttdl(
+        event = run_mttdl(model, trials=300, seed=4, max_time=1e6)
+        batch = run_mttdl(
             model, trials=2000, seed=4, max_time=1e6, backend="batch"
         )
         assert intervals_overlap(event, batch)
         # Correlation must hurt in both backends.
-        independent = estimate_mttdl(
+        independent = run_mttdl(
             self.fast_model(), trials=2000, seed=4, max_time=1e6, backend="batch"
         )
         assert batch.mean < independent.mean
 
     def test_mttdl_matches_with_three_replicas(self):
         model = self.fast_model()
-        event = estimate_mttdl(model, trials=150, seed=6, max_time=1e7, replicas=3)
-        batch = estimate_mttdl(
+        event = run_mttdl(model, trials=150, seed=6, max_time=1e7, replicas=3)
+        batch = run_mttdl(
             model, trials=1500, seed=6, max_time=1e7, replicas=3, backend="batch"
         )
         assert intervals_overlap(event, batch)
 
     def test_loss_probability_matches_event_backend(self):
         model = self.fast_model()
-        event = estimate_loss_probability(
+        event = run_loss_probability(
             model, mission_time=1500.0, trials=400, seed=3
         )
-        batch = estimate_loss_probability(
+        batch = run_loss_probability(
             model, mission_time=1500.0, trials=4000, seed=3, backend="batch"
         )
         assert intervals_overlap(event, batch)
@@ -167,10 +164,10 @@ class TestBackendCrossValidation:
         # with overlapping confidence intervals.
         model = paper_model()
         mission = 50.0 * HOURS_PER_YEAR
-        event = estimate_loss_probability(
+        event = run_loss_probability(
             model, mission_time=mission, trials=150, seed=1
         )
-        batch = estimate_loss_probability(
+        batch = run_loss_probability(
             model, mission_time=mission, trials=3000, seed=1, backend="batch"
         )
         assert intervals_overlap(event, batch)
@@ -180,10 +177,10 @@ class TestBackendCrossValidation:
 
     def test_scrubbing_improves_batch_mttdl(self):
         base = self.fast_model()
-        scrubbed = estimate_mttdl(
+        scrubbed = run_mttdl(
             base, trials=2000, seed=3, max_time=1e6, backend="batch"
         )
-        unscrubbed = estimate_mttdl(
+        unscrubbed = run_mttdl(
             base.with_detection_time(base.mean_time_to_latent),
             trials=2000,
             seed=3,
@@ -222,13 +219,13 @@ class TestBackendCrossValidation:
 
     def test_batch_rejects_factory(self):
         with pytest.raises(ValueError):
-            estimate_mttdl(
+            run_mttdl(
                 factory=lambda streams: None, trials=10, backend="batch"
             )
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
-            estimate_mttdl(self.fast_model(), trials=10, backend="gpu")
+            run_mttdl(self.fast_model(), trials=10, backend="gpu")
 
 
 class TestAdaptiveSampling:
@@ -238,7 +235,7 @@ class TestAdaptiveSampling:
         self.fast_model = fast_model_factory
 
     def test_extends_until_target_met(self):
-        estimate = estimate_mttdl(
+        estimate = run_mttdl(
             self.fast_model(),
             trials=100,
             seed=5,
@@ -251,7 +248,7 @@ class TestAdaptiveSampling:
         assert estimate.relative_error <= 0.02
 
     def test_single_chunk_when_target_already_met(self):
-        estimate = estimate_mttdl(
+        estimate = run_mttdl(
             self.fast_model(),
             trials=500,
             seed=5,
@@ -262,7 +259,7 @@ class TestAdaptiveSampling:
         assert estimate.trials == 500
 
     def test_respects_max_trials(self):
-        estimate = estimate_mttdl(
+        estimate = run_mttdl(
             self.fast_model(),
             trials=100,
             seed=5,
@@ -277,7 +274,7 @@ class TestAdaptiveSampling:
     def test_max_trials_is_a_hard_cap_for_partial_chunks(self):
         # A cap that is not a multiple of the chunk size clamps the
         # final chunk instead of overshooting by up to trials - 1.
-        estimate = estimate_mttdl(
+        estimate = run_mttdl(
             self.fast_model(),
             trials=100,
             seed=5,
@@ -290,7 +287,7 @@ class TestAdaptiveSampling:
 
     def test_max_trials_below_initial_rejected(self):
         with pytest.raises(ValueError):
-            estimate_mttdl(
+            run_mttdl(
                 self.fast_model(),
                 trials=100,
                 backend="batch",
@@ -306,13 +303,13 @@ class TestAdaptiveSampling:
             backend="batch",
             target_relative_error=0.05,
         )
-        a = estimate_mttdl(self.fast_model(), **kwargs)
-        b = estimate_mttdl(self.fast_model(), **kwargs)
+        a = run_mttdl(self.fast_model(), **kwargs)
+        b = run_mttdl(self.fast_model(), **kwargs)
         assert a.mean == b.mean
         assert a.trials == b.trials
 
     def test_adaptive_works_on_event_backend(self):
-        estimate = estimate_mttdl(
+        estimate = run_mttdl(
             self.fast_model(),
             trials=40,
             seed=5,
@@ -324,7 +321,7 @@ class TestAdaptiveSampling:
         assert estimate.relative_error <= 0.1
 
     def test_adaptive_loss_probability(self):
-        estimate = estimate_loss_probability(
+        estimate = run_loss_probability(
             self.fast_model(),
             mission_time=1500.0,
             trials=200,

@@ -1,9 +1,8 @@
-"""Property tests for the extracted shared estimator plumbing.
+"""Property tests for the shared estimator plumbing.
 
-The extraction of :mod:`repro.simulation.estimators` out of
-``monte_carlo.py`` (and its adoption by ``optimize/evaluate.py``) must
-be behaviour-preserving: same validation errors, same adaptive caps,
-same re-exported objects, same numbers.
+Every Monte-Carlo front end validates and budgets through
+:mod:`repro.simulation.estimators`: same validation errors, same
+adaptive caps, same numbers.
 """
 
 import math
@@ -12,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulation import estimators, monte_carlo
+from repro.simulation import estimators
 from repro.simulation.estimators import (
     BACKENDS,
     METHODS,
@@ -24,27 +23,6 @@ from repro.simulation.estimators import (
     zero_loss_ci_high,
 )
 from repro.simulation.rare_event import RULE_OF_THREE
-
-
-class TestReexports:
-    """monte_carlo's historical import surface aliases the new module."""
-
-    def test_classes_and_constants_are_the_same_objects(self):
-        assert monte_carlo.MonteCarloEstimate is estimators.MonteCarloEstimate
-        assert monte_carlo.HighCensoringWarning is estimators.HighCensoringWarning
-        assert (
-            monte_carlo.CENSORED_WARNING_FRACTION
-            == estimators.CENSORED_WARNING_FRACTION
-        )
-        assert monte_carlo.AUTO_MIN_LOSSES == estimators.AUTO_MIN_LOSSES
-        assert (
-            monte_carlo.DEFAULT_ADAPTIVE_CHUNK_LIMIT
-            == estimators.DEFAULT_ADAPTIVE_CHUNK_LIMIT
-        )
-
-    def test_private_aliases_kept_for_old_callers(self):
-        assert monte_carlo._default_factory is estimators.default_factory
-        assert monte_carlo._check_backend is estimators.check_backend
 
 
 class TestCheckBackend:

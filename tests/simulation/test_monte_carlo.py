@@ -13,12 +13,14 @@ from repro.simulation.lifetime import (
     loss_probability_curve,
     mission_summary,
 )
-from repro.simulation.monte_carlo import (
+from repro.simulation.estimators import (
     HighCensoringWarning,
     MonteCarloEstimate,
+    run_loss_probability,
+    run_mttdl,
+)
+from repro.simulation.monte_carlo import (
     double_fault_combination_counts,
-    estimate_loss_probability,
-    estimate_mttdl,
     run_single_trace,
 )
 
@@ -61,7 +63,7 @@ class TestMonteCarloEstimate:
         # "converged" zero.
         model = fast_model(mean_repair_visible=0.01, mean_repair_latent=0.01,
                            mean_detect_latent=0.05)
-        estimate = estimate_loss_probability(
+        estimate = run_loss_probability(
             model,
             mission_time=40.0,
             trials=40,
@@ -107,13 +109,13 @@ class TestMonteCarloEstimate:
 
 class TestEstimateMttdl:
     def test_reproducible_for_same_seed(self):
-        a = estimate_mttdl(fast_model(), trials=30, seed=1, max_time=1e6)
-        b = estimate_mttdl(fast_model(), trials=30, seed=1, max_time=1e6)
+        a = run_mttdl(fast_model(), trials=30, seed=1, max_time=1e6)
+        b = run_mttdl(fast_model(), trials=30, seed=1, max_time=1e6)
         assert a.mean == b.mean
 
     def test_agrees_with_analytic_model_within_noise(self):
         model = fast_model()
-        estimate = estimate_mttdl(model, trials=120, seed=2, max_time=1e6)
+        estimate = run_mttdl(model, trials=120, seed=2, max_time=1e6)
         analytic = mirrored_mttdl(model)
         # The simulator counts first faults on both copies (factor ~2 vs
         # the paper's convention) and races detection against the second
@@ -123,8 +125,8 @@ class TestEstimateMttdl:
 
     def test_scrubbing_improves_simulated_mttdl(self):
         base = fast_model()
-        scrubbed = estimate_mttdl(base, trials=60, seed=3, max_time=1e6)
-        unscrubbed = estimate_mttdl(
+        scrubbed = run_mttdl(base, trials=60, seed=3, max_time=1e6)
+        unscrubbed = run_mttdl(
             base.with_detection_time(base.mean_time_to_latent),
             trials=60,
             seed=3,
@@ -136,7 +138,7 @@ class TestEstimateMttdl:
         # A 10-hour horizon is far below the MTTDL, so essentially every
         # trial is censored (an occasional early double fault is possible).
         with pytest.warns(HighCensoringWarning):
-            estimate = estimate_mttdl(
+            estimate = run_mttdl(
                 fast_model(), trials=20, seed=4, max_time=10.0
             )
         assert estimate.censored >= 18
@@ -151,10 +153,10 @@ class TestEstimateMttdl:
         # censoring) must not come out below the generous-horizon answer,
         # which is what folding horizon times into a plain mean did.
         model = fast_model()
-        generous = estimate_mttdl(model, trials=150, seed=21, max_time=1e6)
+        generous = run_mttdl(model, trials=150, seed=21, max_time=1e6)
         assert generous.censored == 0
         with pytest.warns(HighCensoringWarning):
-            tight = estimate_mttdl(model, trials=150, seed=21, max_time=300.0)
+            tight = run_mttdl(model, trials=150, seed=21, max_time=300.0)
         assert tight.censored > 30
         # Biased estimator would give ~<300; the MLE stays in the same
         # range as the uncensored answer (within a few standard errors).
@@ -166,7 +168,7 @@ class TestEstimateMttdl:
     def test_no_warning_when_censoring_is_rare(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", HighCensoringWarning)
-            estimate = estimate_mttdl(
+            estimate = run_mttdl(
                 fast_model(), trials=40, seed=2, max_time=1e6
             )
         assert estimate.censored <= 0.2 * estimate.trials
@@ -174,7 +176,7 @@ class TestEstimateMttdl:
     def test_mle_equals_plain_mean_without_censoring(self):
         # With zero censored trials, total time / losses is exactly the
         # sample mean of the loss times.
-        estimate = estimate_mttdl(fast_model(), trials=50, seed=13, max_time=1e6)
+        estimate = run_mttdl(fast_model(), trials=50, seed=13, max_time=1e6)
         assert estimate.censored == 0
         assert estimate.losses == 50
         assert estimate.std_error == pytest.approx(
@@ -183,32 +185,32 @@ class TestEstimateMttdl:
 
     def test_requires_model_or_factory(self):
         with pytest.raises(ValueError):
-            estimate_mttdl(None, trials=10)
+            run_mttdl(None, trials=10)
 
     def test_rejects_non_positive_trials(self):
         with pytest.raises(ValueError):
-            estimate_mttdl(fast_model(), trials=0)
+            run_mttdl(fast_model(), trials=0)
 
 
 class TestEstimateLossProbability:
     def test_probability_between_zero_and_one(self):
-        estimate = estimate_loss_probability(
+        estimate = run_loss_probability(
             fast_model(), mission_time=5000.0, trials=60, seed=5
         )
         assert 0.0 <= estimate.mean <= 1.0
 
     def test_longer_missions_riskier(self):
-        short = estimate_loss_probability(
+        short = run_loss_probability(
             fast_model(), mission_time=1000.0, trials=80, seed=6
         )
-        long = estimate_loss_probability(
+        long = run_loss_probability(
             fast_model(), mission_time=50000.0, trials=80, seed=6
         )
         assert long.mean >= short.mean
 
     def test_rejects_bad_mission(self):
         with pytest.raises(ValueError):
-            estimate_loss_probability(fast_model(), mission_time=0.0, trials=10)
+            run_loss_probability(fast_model(), mission_time=0.0, trials=10)
 
 
 class TestDoubleFaultCombinations:

@@ -20,9 +20,10 @@ from repro.simulation.batch import simulate_batch
 from repro.simulation.correlation import SharedFateShocks
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.faults import ExponentialFaultProcess
-from repro.simulation.monte_carlo import (
-    estimate_loss_probability,
-    estimate_mttdl,
+from repro.simulation.estimators import (
+    MonteCarloEstimate,
+    run_loss_probability,
+    run_mttdl,
 )
 from repro.simulation.rare_event import (
     WeightedLossTally,
@@ -125,7 +126,7 @@ class TestImportanceWeights:
         # Moderate operating point where both estimators converge: the
         # paper's scrubbed Cheetah pair at ~2% mission loss.
         model = paper_moderate_model()
-        standard = estimate_loss_probability(
+        standard = run_loss_probability(
             model,
             mission_time=MISSION,
             trials=3000,
@@ -133,7 +134,7 @@ class TestImportanceWeights:
             backend="batch",
             method="standard",
         )
-        weighted = estimate_loss_probability(
+        weighted = run_loss_probability(
             model, mission_time=MISSION, trials=3000, seed=seed, method="is"
         )
         assert standard.losses > 0
@@ -183,7 +184,7 @@ class TestImportanceSampledEstimates:
     def test_loss_ci_covers_markov_exact_at_rare_point(self):
         model = paper_rare_model()
         exact = loss_probability_over_time(build_mirrored_chain(model), MISSION)
-        estimate = estimate_loss_probability(
+        estimate = run_loss_probability(
             model,
             mission_time=MISSION,
             trials=2000,
@@ -199,7 +200,7 @@ class TestImportanceSampledEstimates:
     def test_mttdl_ci_covers_markov_exact_at_rare_point(self):
         model = paper_rare_model()
         exact = mirrored_mttdl_markov(model)
-        estimate = estimate_mttdl(
+        estimate = run_mttdl(
             model,
             trials=2000,
             seed=5,
@@ -216,13 +217,13 @@ class TestImportanceSampledEstimates:
         kwargs = dict(
             mission_time=MISSION, trials=1000, seed=9, method="is", bias=500.0
         )
-        a = estimate_loss_probability(model, **kwargs)
-        b = estimate_loss_probability(model, **kwargs)
+        a = run_loss_probability(model, **kwargs)
+        b = run_loss_probability(model, **kwargs)
         assert a.mean == b.mean
         assert a.trials == b.trials
 
     def test_adaptive_is_extends_until_target(self):
-        estimate = estimate_loss_probability(
+        estimate = run_loss_probability(
             paper_rare_model(),
             mission_time=MISSION,
             trials=500,
@@ -235,7 +236,7 @@ class TestImportanceSampledEstimates:
 
     def test_is_requires_a_model(self):
         with pytest.raises(ValueError):
-            estimate_loss_probability(
+            run_loss_probability(
                 factory=lambda streams: None,
                 mission_time=1e4,
                 trials=10,
@@ -244,11 +245,11 @@ class TestImportanceSampledEstimates:
 
     def test_splitting_rejected_for_mttdl(self, fast_model):
         with pytest.raises(ValueError):
-            estimate_mttdl(fast_model, trials=10, method="splitting")
+            run_mttdl(fast_model, trials=10, method="splitting")
 
     def test_unknown_method_rejected(self, fast_model):
         with pytest.raises(ValueError):
-            estimate_loss_probability(fast_model, trials=10, method="antithetic")
+            run_loss_probability(fast_model, trials=10, method="antithetic")
 
 
 class TestWeightedLossTally:
@@ -292,23 +293,17 @@ class TestWeightedLossTally:
 
 class TestMttdlInversion:
     def test_small_probability_reduces_to_horizon_over_p(self):
-        from repro.simulation.monte_carlo import MonteCarloEstimate
-
         p = MonteCarloEstimate(mean=1e-6, std_error=1e-7, trials=1000)
         mttdl = mttdl_from_loss_probability(p, 1e4)
         assert mttdl.mean == pytest.approx(1e4 / 1e-6, rel=1e-3)
         assert mttdl.std_error == pytest.approx(mttdl.mean * 0.1, rel=1e-2)
 
     def test_zero_probability_gives_infinite_mttdl(self):
-        from repro.simulation.monte_carlo import MonteCarloEstimate
-
         p = MonteCarloEstimate(mean=0.0, std_error=0.0, trials=100)
         mttdl = mttdl_from_loss_probability(p, 1e4)
         assert mttdl.mean == math.inf
 
     def test_rejects_bad_horizon(self):
-        from repro.simulation.monte_carlo import MonteCarloEstimate
-
         with pytest.raises(ValueError):
             mttdl_from_loss_probability(
                 MonteCarloEstimate(0.1, 0.01, 10), 0.0
@@ -317,7 +312,7 @@ class TestMttdlInversion:
 
 class TestAutoMethod:
     def test_auto_switches_to_is_on_rare_model(self):
-        estimate = estimate_loss_probability(
+        estimate = run_loss_probability(
             paper_rare_model(),
             mission_time=MISSION,
             trials=500,
@@ -329,7 +324,7 @@ class TestAutoMethod:
         assert estimate.mean > 0
 
     def test_auto_stays_standard_on_lossy_model(self, fast_model):
-        estimate = estimate_loss_probability(
+        estimate = run_loss_probability(
             fast_model,
             mission_time=1500.0,
             trials=500,
@@ -348,7 +343,7 @@ class TestAutoMethod:
         def factory(streams):
             return system_from_fault_model(model, replicas=2, streams=streams)
 
-        estimate = estimate_loss_probability(
+        estimate = run_loss_probability(
             factory=factory,
             mission_time=50.0,
             trials=100,
@@ -368,7 +363,7 @@ class TestAutoMethod:
         def factory(streams):
             return system_from_fault_model(reliable, replicas=2, streams=streams)
 
-        estimate = estimate_loss_probability(
+        estimate = run_loss_probability(
             model=paper_moderate_model(),  # would read ~2e-2 if estimated
             factory=factory,
             mission_time=50.0,
@@ -383,7 +378,7 @@ class TestAutoMethod:
         # Regression: ~30% censoring used to trigger the IS switch even
         # when the standard pilot had already met the adaptive target,
         # throwing away converged work.
-        estimate = estimate_mttdl(
+        estimate = run_mttdl(
             FaultModel(500.0, 100.0, 1.0, 1.0, 5.0, 1.0),
             trials=1000,
             seed=3,
@@ -405,7 +400,7 @@ class TestAutoMethod:
             return system_from_fault_model(reliable, replicas=2, streams=streams)
 
         with pytest.warns(Warning):
-            estimate = estimate_mttdl(
+            estimate = run_mttdl(
                 model=paper_moderate_model(),
                 factory=factory,
                 trials=50,
@@ -416,7 +411,7 @@ class TestAutoMethod:
         assert estimate.method == "standard"
 
     def test_auto_mttdl_switches_on_censoring(self):
-        estimate = estimate_mttdl(
+        estimate = run_mttdl(
             paper_rare_model(),
             trials=300,
             seed=3,
@@ -430,7 +425,7 @@ class TestAutoMethod:
 
 class TestSplitting:
     def test_agrees_with_standard_at_moderate_point(self, fast_model):
-        standard = estimate_loss_probability(
+        standard = run_loss_probability(
             fast_model,
             mission_time=1500.0,
             trials=20000,
@@ -438,7 +433,7 @@ class TestSplitting:
             backend="batch",
             method="standard",
         )
-        split = estimate_loss_probability(
+        split = run_loss_probability(
             fast_model,
             mission_time=1500.0,
             trials=400,
@@ -509,10 +504,10 @@ class TestSplitting:
             )
             return ReplicatedStorageSystem(config, streams)
 
-        standard = estimate_loss_probability(
+        standard = run_loss_probability(
             factory=factory, mission_time=2000.0, trials=800, seed=8
         )
-        split = estimate_loss_probability(
+        split = run_loss_probability(
             factory=factory,
             mission_time=2000.0,
             trials=250,
@@ -543,7 +538,7 @@ class TestSplitting:
             factory=factory, mission_time=2000.0, trials_per_level=100, seed=5
         )
         assert run.losses <= run.trials
-        estimate = estimate_loss_probability(
+        estimate = run_loss_probability(
             factory=factory,
             mission_time=2000.0,
             trials=100,

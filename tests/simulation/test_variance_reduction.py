@@ -27,7 +27,6 @@ from repro.simulation.estimators import (
 from repro.simulation.variance_reduction import (
     cv_loss_probability,
     require_threshold_two,
-    variance_reduced_loss_probability,
 )
 
 #: Daily-scrubbed Cheetah mirrored pair: the high-reliability regime
@@ -99,16 +98,6 @@ class TestControlVariate:
 class TestEstimatorAxis:
     def test_axis_vocabulary(self):
         assert VARIANCE_REDUCTIONS == ("none", "cv")
-
-    def test_dispatch(self, exact_loss):
-        estimate = variance_reduced_loss_probability(
-            "cv", RARE_MODEL, mission_time=MISSION, trials=2000, seed=1
-        )
-        assert estimate.method == "cv"
-        with pytest.raises(ValueError, match="variance_reduction"):
-            variance_reduced_loss_probability(
-                "bogus", RARE_MODEL, mission_time=MISSION, trials=10, seed=0
-            )
 
     def test_run_loss_probability_cv(self, exact_loss):
         estimate = run_loss_probability(

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -169,6 +170,49 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match=r"'system\.scheme'"):
             Scenario.from_dict(payload)
 
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            ("mission_years", math.nan),
+            ("mission_years", [1]),
+            ("mission_years", "50"),
+            ("max_time_hours", math.inf),
+            ("budget", True),
+            ("members", 2.5),
+            ("system.replicas", 2.7),
+            ("system.replicas", True),
+            ("system.audits_per_year", math.nan),
+            ("system.model.MV", [1]),
+            ("system.model.alpha", math.nan),
+            ("policy.trials", 1999.9),
+            ("policy.trials", True),
+            ("policy.max_trials", "4000"),
+            ("policy.seed", 1.5),
+            ("policy.target_relative_error", math.nan),
+            ("policy.bias", math.nan),
+            ("policy.cross_check", "false"),
+            ("policy.cross_check", 0),
+        ],
+    )
+    def test_malformed_numbers_name_their_path(self, path, value):
+        payload = _scenarios_of_every_kind()[1].as_dict()
+        *parents, key = path.split(".")
+        section = payload
+        for name in parents:
+            section = section[name]
+        section[key] = value
+        with pytest.raises(ValueError, match=f"'{re.escape(path)}'"):
+            Scenario.from_dict(payload)
+
+    def test_integral_floats_still_load(self):
+        payload = _scenarios_of_every_kind()[1].as_dict()
+        payload["policy"]["trials"] = 2000.0
+        payload["system"]["replicas"] = 2.0
+        scenario = Scenario.from_dict(payload)
+        assert scenario.policy.trials == 2000
+        assert type(scenario.policy.trials) is int
+        assert scenario.system.replicas == 2
+
     def test_policy_seed_and_trials_validated(self):
         with pytest.raises(ValueError, match="seed"):
             EstimatorPolicy(seed=-1)
@@ -259,22 +303,10 @@ class TestStudyResultSerialisation:
         payload = json.loads(lossless.to_json())
         assert payload["value"] is None
         assert payload["std_error"] is None
-        # ...and the bridge back to the Monte-Carlo layer restores inf.
-        assert StudyResult.from_dict(payload).estimate().mean == math.inf
+        assert StudyResult.from_dict(payload).value is None
 
     def test_cache_key_is_the_scenario_hash(self):
         assert self.RESULT.cache_key == self.RESULT.scenario_hash
-
-    def test_estimate_bridge_preserves_clamps(self):
-        estimate = self.RESULT.estimate()
-        assert estimate.clamp_hi == 1.0
-        assert estimate.method == "is"
-        assert estimate.effective_sample_size == 812.5
-        hours = StudyResult(
-            question="mttdl", engine="batch", method="standard",
-            value=1e6, std_error=1e4, units="hours", trials=10,
-        )
-        assert hours.estimate().clamp_hi is None
 
 
 class TestVarianceReductionAxis:

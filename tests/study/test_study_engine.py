@@ -16,13 +16,18 @@ from repro.core.parameters import FaultModel
 from repro.fleet import simulate_fleet, stationary_timeline
 from repro.markov.builders import mirrored_mttdl_markov
 from repro.optimize import DesignSpace, EvaluationSettings, optimize, recommend
-from repro.simulation.monte_carlo import HighCensoringWarning
+from repro.simulation.estimators import (
+    HighCensoringWarning,
+    run_loss_probability,
+    run_mttdl,
+)
 from repro.study import (
     EstimatorPolicy,
     Scenario,
     StudyResult,
     SweepSpec,
     SystemSpec,
+    engine_backend_method,
     run,
 )
 
@@ -282,6 +287,82 @@ class TestWarnings:
             result = run(scenario)
         assert result.warnings
         assert "censored" in result.warnings[0]
+
+
+#: (question, engine, variance_reduction) for every Monte-Carlo engine
+#: a point question accepts.
+LOOP_CASES = [
+    ("mttdl", "batch", "none"),
+    ("mttdl", "event", "none"),
+    ("mttdl", "auto", "none"),
+    ("mttdl", "is", "none"),
+    ("loss_probability", "batch", "none"),
+    ("loss_probability", "event", "none"),
+    ("loss_probability", "auto", "none"),
+    ("loss_probability", "is", "none"),
+    ("loss_probability", "splitting", "none"),
+    ("loss_probability", "batch", "cv"),
+]
+
+
+class TestPointQuestionsRunTheLoops:
+    """A simulated point question is answered by exactly what the
+    estimation loop returns for the engine's (backend, method) pair."""
+
+    @pytest.mark.parametrize(
+        "question,engine,reduction",
+        LOOP_CASES,
+        ids=["-".join(case) for case in LOOP_CASES],
+    )
+    def test_bit_for_bit(self, question, engine, reduction):
+        # A 0.01-year mission sees ~10% losses, so the auto pilot
+        # escalates to importance sampling; the MTTDL horizon censors
+        # nothing, so its auto pilot stays standard.
+        mission_years = 0.01
+        result = run(
+            Scenario(
+                question=question,
+                system=SystemSpec(model=MODEL),
+                mission_years=mission_years,
+                max_time_hours=1e5,
+                policy=EstimatorPolicy(
+                    engine=engine,
+                    trials=150,
+                    seed=7,
+                    variance_reduction=reduction,
+                ),
+            )
+        )
+        backend, method = engine_backend_method(engine)
+        settings = dict(
+            model=MODEL,
+            trials=150,
+            seed=7,
+            backend=backend,
+            method=method,
+            variance_reduction=reduction,
+        )
+        if question == "mttdl":
+            loop = run_mttdl(max_time=1e5, **settings)
+        else:
+            loop = run_loss_probability(
+                mission_time=years_to_hours(mission_years), **settings
+            )
+        assert (
+            result.value,
+            result.std_error,
+            result.trials,
+            result.censored,
+            result.method,
+            result.effective_sample_size,
+        ) == (
+            loop.mean,
+            loop.std_error,
+            loop.trials,
+            loop.censored,
+            loop.method,
+            loop.effective_sample_size,
+        )
 
 
 class TestFacadeMatchesTheSubsystems:

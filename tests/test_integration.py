@@ -21,7 +21,7 @@ from repro.core.scenarios import cheetah_scrubbed_scenario
 from repro.core.strategies import Strategy, evaluate_all_strategies
 from repro.core.units import HOURS_PER_YEAR
 from repro.markov.builders import mirrored_mttdl_markov
-from repro.simulation.monte_carlo import estimate_mttdl
+from repro.simulation.estimators import run_mttdl
 from repro.storage.drives import BARRACUDA_ST3200822A
 from repro.storage.media import OFFLINE_TAPE, ONLINE_DISK, fault_model_for_media
 from repro.storage.site import assess_independence, diversified_placement, single_site_placement
@@ -113,7 +113,7 @@ class TestThreeWayValidation:
 
     def test_markov_and_monte_carlo_agree(self):
         markov = mirrored_mttdl_markov(self.MODEL)
-        estimate = estimate_mttdl(self.MODEL, trials=150, seed=7, max_time=3e6)
+        estimate = run_mttdl(self.MODEL, trials=150, seed=7, max_time=3e6)
         assert estimate.censored == 0
         assert estimate.mean == pytest.approx(markov, rel=0.3)
 
@@ -127,8 +127,8 @@ class TestThreeWayValidation:
         markov_ratio = mirrored_mttdl_markov(correlated) / mirrored_mttdl_markov(
             self.MODEL
         )
-        mc_base = estimate_mttdl(self.MODEL, trials=80, seed=9, max_time=3e6).mean
-        mc_corr = estimate_mttdl(correlated, trials=80, seed=9, max_time=3e6).mean
+        mc_base = run_mttdl(self.MODEL, trials=80, seed=9, max_time=3e6).mean
+        mc_corr = run_mttdl(correlated, trials=80, seed=9, max_time=3e6).mean
         assert analytic_ratio < 1.0
         assert markov_ratio < 1.0
         assert mc_corr < mc_base
