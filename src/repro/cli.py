@@ -70,7 +70,11 @@ from repro.analysis.tables import format_scenario_table
 from repro.core.parameters import FaultModel
 from repro.core.redundancy import parse_scheme
 from repro.core.scenarios import paper_scenarios
-from repro.fleet import FleetTimeline, generation_refresh_timeline
+from repro.fleet import (
+    DEFAULT_CHUNK_SIZE,
+    FleetTimeline,
+    generation_refresh_timeline,
+)
 from repro.optimize import DesignSpace
 from repro.optimize.space import PLACEMENTS
 from repro.simulation.estimators import HighCensoringWarning
@@ -609,8 +613,10 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--audits-per-year", type=float, default=12.0,
                        help="audit rate of the default timeline "
                        "(default: 12)")
-    fleet.add_argument("--chunk-size", type=int, default=1000,
-                       help="members per chunk (default: 1000)")
+    fleet.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE,
+                       help="members per chunk; the chunking, not --jobs, "
+                       "decides the random streams "
+                       f"(default: {DEFAULT_CHUNK_SIZE})")
     fleet.add_argument("--cache-dir", default=None,
                        help="directory for the chunk tally cache "
                        "(default: no cache)")

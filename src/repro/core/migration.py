@@ -46,11 +46,12 @@ class FormatRisk:
     proprietary: bool = False
 
     def __post_init__(self) -> None:
-        if self.mean_years_to_endangered <= 0:
+        # Negated comparisons, so NaN fails every check.
+        if not self.mean_years_to_endangered > 0:
             raise ValueError("mean_years_to_endangered must be positive")
-        if self.mean_years_endangered_to_dead <= 0:
+        if not self.mean_years_endangered_to_dead > 0:
             raise ValueError("mean_years_endangered_to_dead must be positive")
-        if self.migration_sweep_years <= 0:
+        if not self.migration_sweep_years > 0:
             raise ValueError("migration_sweep_years must be positive")
 
 

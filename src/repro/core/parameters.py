@@ -52,6 +52,14 @@ def json_integer(value: object, path: str) -> int:
     raise ValueError(f"'{path}' must be an integer")
 
 
+def json_boolean(value: object, path: str) -> bool:
+    """``value`` when it is a JSON boolean (the string ``"false"`` is
+    not); otherwise a ``ValueError`` naming its JSON ``path``."""
+    if isinstance(value, bool):
+        return value
+    raise ValueError(f"'{path}' must be true or false")
+
+
 @dataclass(frozen=True)
 class FaultModel:
     """Parameters of the paper's reliability model for one replica.

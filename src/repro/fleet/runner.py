@@ -36,9 +36,18 @@ from repro.simulation.estimators import MonteCarloEstimate
 from repro.simulation.rng import spawn_seed
 from repro.store import write_atomic
 
-#: Default members per chunk: large enough to amortise the kernel's
-#: per-sweep overhead, small enough to spread across a worker pool.
-DEFAULT_CHUNK_SIZE = 1000
+#: Default members per chunk, and the only copy of that default: the
+#: study scenario and the CLI read it from here.  Every chunk replays
+#: every epoch switch and every shock, and below ~10,000 rows a
+#: lock-step sweep costs mostly NumPy call overhead.  On a 2-core host
+#: without numba, the nine perfbench fleets (20,000 members x 50 years)
+#: took 2.2-2.4 s at 1,000 members per chunk and 0.93-0.95 s at 10,000
+#: serially, and 0.63-0.66 s at 10,000 on two workers, where one
+#: 20,000-member chunk (0.80-0.86 s) leaves a worker idle.  The
+#: partition decides the random streams (each chunk draws from its own
+#: spawned seed), so it depends only on ``members`` and this size,
+#: never on ``jobs`` or the host: ``jobs`` only decides dispatch.
+DEFAULT_CHUNK_SIZE = 10_000
 
 
 #: Version of the chunk kernel's random stream, hashed into every chunk
@@ -246,7 +255,9 @@ def simulate_fleet(
         seed: root seed; per-chunk seeds are spawned deterministically.
         jobs: worker processes (:func:`repro.parallel.map_timed`); 1
             runs serially in-process.
-        chunk_size: members per chunk.
+        chunk_size: members per chunk.  The partition decides the
+            random streams, so the answer depends on it, never on
+            ``jobs``.
         cache_dir: directory for the chunk tally cache; ``None``
             disables caching.
 

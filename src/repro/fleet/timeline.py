@@ -39,7 +39,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.migration import FormatRisk
-from repro.core.parameters import FaultModel
+from repro.core.parameters import (
+    FaultModel,
+    json_boolean,
+    json_integer,
+    json_number,
+)
 from repro.core.redundancy import RedundancyScheme
 from repro.core.units import HOURS_PER_YEAR
 from repro.storage.costs import kryder_declined_cost, scheme_storage_cost
@@ -54,6 +59,14 @@ def _json_object(value: object, path: str) -> Dict[str, object]:
     instead of an ``AttributeError`` deep inside a ``from_dict``."""
     if not isinstance(value, dict):
         raise ValueError(f"'{path}' must be a JSON object")
+    return value
+
+
+def _json_array(value: object, path: str) -> List[object]:
+    """``value`` when it is a JSON array; otherwise a ``ValueError``
+    naming its JSON ``path``."""
+    if not isinstance(value, list):
+        raise ValueError(f"'{path}' must be a JSON array")
     return value
 
 
@@ -87,9 +100,10 @@ class RegionalShockModel:
     latent: bool = False
 
     def __post_init__(self) -> None:
-        if self.rate_per_year < 0:
+        # Negated comparisons, so NaN fails every check.
+        if not self.rate_per_year >= 0:
             raise ValueError("rate_per_year must be non-negative")
-        if self.regions < 1:
+        if not self.regions >= 1:
             raise ValueError("regions must be at least 1")
         if not 0 <= self.replica_penetration <= 1:
             raise ValueError("replica_penetration must be in [0, 1]")
@@ -103,12 +117,27 @@ class RegionalShockModel:
         }
 
     @staticmethod
-    def from_dict(payload: Dict[str, object]) -> "RegionalShockModel":
+    def from_dict(
+        payload: Dict[str, object], path: str = "shocks"
+    ) -> "RegionalShockModel":
+        """Rebuild a model from :meth:`as_dict`'s keys.
+
+        A malformed value raises a ``ValueError`` naming its JSON path
+        (``path`` is the model's own).
+        """
+        payload = _json_object(payload, path)
         return RegionalShockModel(
-            rate_per_year=float(payload["rate_per_year"]),
-            regions=int(payload["regions"]),
-            replica_penetration=float(payload["replica_penetration"]),
-            latent=bool(payload.get("latent", False)),
+            rate_per_year=json_number(
+                payload.get("rate_per_year"), f"{path}.rate_per_year"
+            ),
+            regions=json_integer(payload.get("regions"), f"{path}.regions"),
+            replica_penetration=json_number(
+                payload.get("replica_penetration"),
+                f"{path}.replica_penetration",
+            ),
+            latent=json_boolean(
+                payload.get("latent", False), f"{path}.latent"
+            ),
         )
 
 
@@ -170,9 +199,10 @@ class MigrationEvent:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.year < 0:
+        # Negated comparisons, so NaN fails every check.
+        if not self.year >= 0:
             raise ValueError("year must be non-negative")
-        if self.cost_per_member < 0:
+        if not self.cost_per_member >= 0:
             raise ValueError("cost_per_member must be non-negative")
 
     @property
@@ -204,19 +234,27 @@ class MigrationEvent:
 
 def _migration_from_dict(payload: object, path: str) -> MigrationEvent:
     payload = _json_object(payload, path)
-    risk = _json_object(payload["risk"], f"{path}.risk")
+    risk = _json_object(payload.get("risk"), f"{path}.risk")
+
+    def risk_years(key: str) -> float:
+        return json_number(risk.get(key), f"{path}.risk.{key}")
+
     return MigrationEvent(
-        year=float(payload["year"]),
+        year=json_number(payload.get("year"), f"{path}.year"),
         risk=FormatRisk(
             name=str(risk["name"]),
-            mean_years_to_endangered=float(risk["mean_years_to_endangered"]),
-            mean_years_endangered_to_dead=float(
-                risk["mean_years_endangered_to_dead"]
+            mean_years_to_endangered=risk_years("mean_years_to_endangered"),
+            mean_years_endangered_to_dead=risk_years(
+                "mean_years_endangered_to_dead"
             ),
-            migration_sweep_years=float(risk["migration_sweep_years"]),
-            proprietary=bool(risk.get("proprietary", False)),
+            migration_sweep_years=risk_years("migration_sweep_years"),
+            proprietary=json_boolean(
+                risk.get("proprietary", False), f"{path}.risk.proprietary"
+            ),
         ),
-        cost_per_member=float(payload.get("cost_per_member", 0.0)),
+        cost_per_member=json_number(
+            payload.get("cost_per_member", 0.0), f"{path}.cost_per_member"
+        ),
         label=str(payload.get("label", "")),
     )
 
@@ -251,15 +289,16 @@ class FleetEpoch:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.start_year < 0:
+        # Negated comparisons, so NaN fails every check.
+        if not self.start_year >= 0:
             raise ValueError("start_year must be non-negative")
-        if self.hazard_multiplier <= 0:
+        if not self.hazard_multiplier > 0:
             raise ValueError("hazard_multiplier must be positive")
-        if self.annual_cost_per_member < 0:
+        if not self.annual_cost_per_member >= 0:
             raise ValueError("annual_cost_per_member must be non-negative")
-        if self.cost_per_repair < 0:
+        if not self.cost_per_repair >= 0:
             raise ValueError("cost_per_repair must be non-negative")
-        if self.audits_per_year is not None and self.audits_per_year < 0:
+        if self.audits_per_year is not None and not self.audits_per_year >= 0:
             raise ValueError("audits_per_year must be non-negative")
 
     def effective_model(self) -> FaultModel:
@@ -289,22 +328,24 @@ def _epoch_from_dict(payload: object, path: str) -> FleetEpoch:
     payload = _json_object(payload, path)
     audits = payload.get("audits_per_year")
     shocks = payload.get("shocks")
+
+    def number(key: str, default: Optional[float] = None) -> float:
+        return json_number(payload.get(key, default), f"{path}.{key}")
+
     return FleetEpoch(
-        start_year=float(payload["start_year"]),
+        start_year=number("start_year"),
         model=FaultModel.from_dict(
-            _json_object(payload["model"], f"{path}.model"), f"{path}.model"
+            _json_object(payload.get("model"), f"{path}.model"),
+            f"{path}.model",
         ),
-        audits_per_year=None if audits is None else float(audits),
-        hazard_multiplier=float(payload.get("hazard_multiplier", 1.0)),
-        annual_cost_per_member=float(
-            payload.get("annual_cost_per_member", 0.0)
-        ),
-        cost_per_repair=float(payload.get("cost_per_repair", 10.0)),
+        audits_per_year=None if audits is None else number("audits_per_year"),
+        hazard_multiplier=number("hazard_multiplier", 1.0),
+        annual_cost_per_member=number("annual_cost_per_member", 0.0),
+        cost_per_repair=number("cost_per_repair", 10.0),
+        # An empty object, like null, means no shock exposure.
         shocks=(
-            RegionalShockModel.from_dict(
-                _json_object(shocks, f"{path}.shocks")
-            )
-            if shocks
+            RegionalShockModel.from_dict(shocks, f"{path}.shocks")
+            if shocks is not None and _json_object(shocks, f"{path}.shocks")
             else None
         ),
         label=str(payload.get("label", "")),
@@ -339,21 +380,22 @@ class FleetTimeline:
     def __post_init__(self) -> None:
         if self.scheme is not None:
             object.__setattr__(self, "replicas", self.scheme.n)
-        if self.years <= 0:
-            raise ValueError("years must be positive")
+        # Negated comparisons, so NaN fails every check.
+        if not 0 < self.years < math.inf:
+            raise ValueError("years must be positive and finite")
         if not self.epochs:
             raise ValueError("at least one epoch is required")
-        if self.replicas < 1:
+        if not self.replicas >= 1:
             raise ValueError("replicas must be at least 1")
         starts = [epoch.start_year for epoch in self.epochs]
         if starts[0] != 0:
             raise ValueError("the first epoch must start at year 0")
-        if any(b <= a for a, b in zip(starts, starts[1:])):
+        if not all(b > a for a, b in zip(starts, starts[1:])):
             raise ValueError("epoch start years must be strictly increasing")
-        if starts[-1] >= self.years:
+        if not starts[-1] < self.years:
             raise ValueError("every epoch must start before the horizon")
         for migration in self.migrations:
-            if migration.year >= self.years:
+            if not migration.year < self.years:
                 raise ValueError("migrations must occur before the horizon")
 
     # -- structure ---------------------------------------------------------
@@ -435,26 +477,44 @@ class FleetTimeline:
         return payload
 
     @staticmethod
-    def from_dict(payload: Dict[str, object]) -> "FleetTimeline":
+    def from_dict(
+        payload: Dict[str, object], path: str = "timeline"
+    ) -> "FleetTimeline":
+        """Rebuild a timeline from :meth:`as_dict`'s keys.
+
+        Every number, count, boolean and array is typed: a malformed
+        value raises a ``ValueError`` naming its JSON path (``path`` is
+        the timeline's own, e.g. ``timeline.epochs[1].start_year``).
+        """
+        payload = _json_object(payload, path)
         scheme = payload.get("scheme")
+        migrations = payload.get("migrations")
         return FleetTimeline(
-            years=float(payload["years"]),
-            replicas=int(payload.get("replicas", 2)),
+            years=json_number(payload.get("years"), f"{path}.years"),
+            replicas=json_integer(
+                payload.get("replicas", 2), f"{path}.replicas"
+            ),
             scheme=(
                 RedundancyScheme.from_dict(
-                    _json_object(scheme, "timeline.scheme")
+                    _json_object(scheme, f"{path}.scheme")
                 )
                 if scheme is not None
                 else None
             ),
             label=str(payload.get("label", "")),
             epochs=tuple(
-                _epoch_from_dict(epoch, f"timeline.epochs[{index}]")
-                for index, epoch in enumerate(payload["epochs"])
+                _epoch_from_dict(epoch, f"{path}.epochs[{index}]")
+                for index, epoch in enumerate(
+                    _json_array(payload.get("epochs"), f"{path}.epochs")
+                )
             ),
             migrations=tuple(
-                _migration_from_dict(m, f"timeline.migrations[{index}]")
-                for index, m in enumerate(payload.get("migrations", ()))
+                _migration_from_dict(m, f"{path}.migrations[{index}]")
+                for index, m in enumerate(
+                    ()
+                    if migrations is None
+                    else _json_array(migrations, f"{path}.migrations")
+                )
             ),
         )
 

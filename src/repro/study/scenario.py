@@ -22,9 +22,15 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
-from repro.core.parameters import FaultModel, json_integer, json_number
+from repro.core.parameters import (
+    FaultModel,
+    json_boolean,
+    json_integer,
+    json_number,
+)
 from repro.core.redundancy import RedundancyScheme
 from repro.core.sensitivity import PARAMETER_FIELDS
+from repro.fleet.runner import DEFAULT_CHUNK_SIZE
 from repro.fleet.timeline import FleetTimeline, _json_object
 from repro.optimize.evaluate import DEFAULT_SCREEN_SLACK
 from repro.optimize.space import DesignSpace
@@ -352,9 +358,6 @@ class EstimatorPolicy:
 
     @staticmethod
     def from_dict(payload: Dict[str, object]) -> "EstimatorPolicy":
-        cross_check = payload.get("cross_check", True)
-        if not isinstance(cross_check, bool):
-            raise ValueError("'policy.cross_check' must be true or false")
         return EstimatorPolicy(
             engine=str(payload.get("engine", "auto")),
             trials=json_integer(payload.get("trials", 1000), "policy.trials"),
@@ -367,7 +370,9 @@ class EstimatorPolicy:
             ),
             seed=json_integer(payload.get("seed", 0), "policy.seed"),
             bias=_optional(payload, "bias", "policy.bias", json_number),
-            cross_check=cross_check,
+            cross_check=json_boolean(
+                payload.get("cross_check", True), "policy.cross_check"
+            ),
             variance_reduction=str(payload.get("variance_reduction", "none")),
         )
 
@@ -390,7 +395,11 @@ class Scenario:
         slack: analytic screening slack (``frontier`` questions).
         timeline: the fleet plan (``fleet_survival`` questions).
         members: fleet size.
-        chunk_size: members per fleet chunk.
+        chunk_size: members per fleet chunk (default
+            :data:`repro.fleet.runner.DEFAULT_CHUNK_SIZE`, 10,000).  The
+            partition decides each chunk's random stream, so a fleet's
+            answer depends on it (and not on ``jobs``); scenarios that
+            carry an explicit size keep reproducing their answers.
         policy: the :class:`EstimatorPolicy`.
         label: optional human-readable name carried into results.
     """
@@ -406,7 +415,7 @@ class Scenario:
     slack: float = DEFAULT_SCREEN_SLACK
     timeline: Optional[FleetTimeline] = None
     members: int = 2000
-    chunk_size: int = 1000
+    chunk_size: int = DEFAULT_CHUNK_SIZE
     policy: EstimatorPolicy = field(default_factory=EstimatorPolicy)
     label: Optional[str] = None
 
@@ -543,7 +552,7 @@ class Scenario:
             timeline=_parsed("timeline", FleetTimeline.from_dict),
             members=json_integer(payload.get("members", 2000), "members"),
             chunk_size=json_integer(
-                payload.get("chunk_size", 1000), "chunk_size"
+                payload.get("chunk_size", DEFAULT_CHUNK_SIZE), "chunk_size"
             ),
             policy=EstimatorPolicy.from_dict(
                 _section(payload, "policy") or {}

@@ -1,15 +1,18 @@
 """Tests for chunked, parallel, cached fleet execution."""
 
 import hashlib
+import inspect
 import json
 import os
 
 import numpy as np
 import pytest
 
-from repro import obs
+from repro import obs, study
+from repro.cli import build_parser
 from repro.core.parameters import FaultModel
 from repro.fleet.runner import (
+    DEFAULT_CHUNK_SIZE,
     FleetChunkCache,
     _chunk_sizes,
     chunk_cache_key,
@@ -26,11 +29,20 @@ def timeline():
     return stationary_timeline(fast_model(), 2.0, annual_cost_per_member=50.0)
 
 
+def lossy_timeline():
+    """Two years that lose ~2% of the members.  ``fast_model`` loses
+    every member, which would make comparing two tallies vacuous."""
+    return stationary_timeline(FaultModel(5e4, 1e4, 1.0, 1.0, 50.0, 1.0), 2.0)
+
+
 class TestChunking:
     def test_chunk_sizes_cover_the_fleet(self):
         assert _chunk_sizes(2500, 1000) == [1000, 1000, 500]
         assert _chunk_sizes(1000, 1000) == [1000]
         assert _chunk_sizes(3, 10) == [3]
+        assert _chunk_sizes(25_000, DEFAULT_CHUNK_SIZE) == [
+            10_000, 10_000, 5_000
+        ]
 
     def test_parallel_equals_serial(self):
         serial = simulate_fleet(
@@ -56,6 +68,69 @@ class TestChunking:
             simulate_fleet(timeline(), members=10, chunk_size=0)
         with pytest.raises(ValueError):
             simulate_fleet(timeline(), members=10, jobs=0)
+
+
+class TestDefaultGeometry:
+    """The default partition depends on the fleet, never on ``jobs``."""
+
+    def test_jobs_do_not_change_a_default_fleet(self):
+        serial = simulate_fleet(lossy_timeline(), members=25_000, seed=5)
+        pooled = simulate_fleet(
+            lossy_timeline(), members=25_000, seed=5, jobs=2
+        )
+        assert 0 < serial.tally.loss_fraction < 1
+        assert serial.chunks == pooled.chunks == 3
+        assert serial.tally.as_dict() == pooled.tally.as_dict()
+
+    def test_growing_a_cached_fleet_pays_only_for_new_members(
+        self, tmp_path
+    ):
+        first = simulate_fleet(
+            lossy_timeline(), members=20_000, seed=5, cache_dir=tmp_path
+        )
+        grown = simulate_fleet(
+            lossy_timeline(), members=25_000, seed=5, cache_dir=tmp_path
+        )
+        cold = simulate_fleet(lossy_timeline(), members=25_000, seed=5)
+        assert first.new_chunks == 2
+        assert grown.cache_hits == 2
+        assert grown.new_chunks == 1
+        assert grown.tally.as_dict() == cold.tally.as_dict()
+
+
+class TestSingleDefault:
+    """The runner owns the default chunk size; every layer reads it."""
+
+    def test_every_layer_defaults_to_the_runner_constant(self):
+        plan = lossy_timeline()
+        built = study.Scenario(question="fleet_survival", timeline=plan)
+        loaded = study.Scenario.from_dict(
+            {"question": "fleet_survival", "timeline": plan.as_dict()}
+        )
+        cli = build_parser().parse_args(["fleet"])
+        runner = inspect.signature(simulate_fleet).parameters["chunk_size"]
+        assert DEFAULT_CHUNK_SIZE == 10_000
+        assert built.chunk_size == DEFAULT_CHUNK_SIZE
+        assert loaded.chunk_size == DEFAULT_CHUNK_SIZE
+        assert cli.chunk_size == DEFAULT_CHUNK_SIZE
+        assert runner.default == DEFAULT_CHUNK_SIZE
+
+    def test_a_scenario_file_with_chunk_size_1000_keeps_its_chunks(self):
+        # Scenario files written under the old default carry the size
+        # explicitly, so they keep reproducing their answers.
+        payload = study.Scenario(
+            question="fleet_survival",
+            timeline=lossy_timeline(),
+            members=3000,
+            policy=study.EstimatorPolicy(engine="fleet", seed=5),
+        ).as_dict()
+        payload["chunk_size"] = 1000
+        result = study.run(study.Scenario.from_dict(payload))
+        direct = simulate_fleet(
+            lossy_timeline(), members=3000, seed=5, chunk_size=1000
+        )
+        assert result.details["summary"]["chunks"] == 3000 // 1000
+        assert result.details == direct.as_dict()
 
 
 class TestCache:

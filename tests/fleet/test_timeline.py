@@ -323,3 +323,141 @@ class TestShockFromThreats:
             profiles, placement=diversified_placement(3)
         )
         assert diverse.replica_penetration < shared.replica_penetration
+
+
+def _set(path, value):
+    """A mutation that sets the dotted/indexed ``path`` of a payload."""
+    keys = [
+        int(part) if part.isdigit() else part
+        for part in path.replace("[", ".").replace("]", "").split(".")
+    ]
+
+    def mutate(payload):
+        section = payload
+        for key in keys[:-1]:
+            section = section[key]
+        section[keys[-1]] = value
+
+    return mutate
+
+
+NAN = float("nan")
+NUMBER = "must be a finite number"
+INTEGER = "must be an integer"
+BOOLEAN = "must be true or false"
+ARRAY = "must be a JSON array"
+
+
+class TestFailClosed:
+    """Every timeline number, count, boolean and array is typed, and a
+    malformed one is a ``ValueError`` naming its JSON path."""
+
+    def payload(self):
+        return TestSerialisation().rich_timeline().as_dict()
+
+    @pytest.mark.parametrize(
+        "path,value,message",
+        [
+            ("years", NAN, NUMBER),
+            ("years", [1], NUMBER),
+            ("years", "10", NUMBER),
+            ("replicas", 2.7, INTEGER),
+            ("replicas", True, INTEGER),
+            ("epochs", 5, ARRAY),
+            ("epochs", {"0": {}}, ARRAY),
+            ("migrations", "y", ARRAY),
+            ("epochs[1].start_year", NAN, NUMBER),
+            ("epochs[0].hazard_multiplier", NAN, NUMBER),
+            ("epochs[0].audits_per_year", "12", NUMBER),
+            ("epochs[0].annual_cost_per_member", NAN, NUMBER),
+            ("epochs[1].cost_per_repair", [10], NUMBER),
+            ("epochs[0].shocks.rate_per_year", NAN, NUMBER),
+            ("epochs[0].shocks.regions", 2.5, INTEGER),
+            ("epochs[0].shocks.replica_penetration", "0.4", NUMBER),
+            ("epochs[0].shocks.latent", "false", BOOLEAN),
+            ("epochs[0].shocks.latent", 0, BOOLEAN),
+            ("epochs[0].shocks", 0, "must be a JSON object"),
+            ("migrations[0].year", NAN, NUMBER),
+            ("migrations[0].cost_per_member", NAN, NUMBER),
+            ("migrations[0].risk.mean_years_to_endangered", NAN, NUMBER),
+            ("migrations[0].risk.mean_years_endangered_to_dead", "5", NUMBER),
+            ("migrations[0].risk.migration_sweep_years", None, NUMBER),
+            ("migrations[0].risk.proprietary", "no", BOOLEAN),
+        ],
+    )
+    def test_malformed_field_names_its_path(self, path, value, message):
+        payload = self.payload()
+        _set(path, value)(payload)
+        with pytest.raises(ValueError) as raised:
+            FleetTimeline.from_dict(payload)
+        assert str(raised.value) == f"'timeline.{path}' {message}"
+
+    def test_missing_required_field_names_its_path(self):
+        payload = self.payload()
+        del payload["epochs"][1]["start_year"]
+        with pytest.raises(
+            ValueError, match=r"'timeline\.epochs\[1\]\.start_year'"
+        ):
+            FleetTimeline.from_dict(payload)
+
+    def test_parsers_take_the_caller_path(self):
+        payload = self.payload()
+        payload["years"] = NAN
+        with pytest.raises(ValueError, match=r"^'plan\.years' "):
+            FleetTimeline.from_dict(payload, "plan")
+        with pytest.raises(ValueError, match=r"^'shocks\.regions' "):
+            RegionalShockModel.from_dict(
+                {"rate_per_year": 0.1, "regions": 2.5,
+                 "replica_penetration": 0.4}
+            )
+        with pytest.raises(ValueError, match=r"^'plan' must be a JSON object"):
+            FleetTimeline.from_dict([1], "plan")
+
+    def test_absent_sections_mean_none(self):
+        payload = self.payload()
+        payload["migrations"] = None
+        payload["epochs"][0]["shocks"] = {}
+        timeline = FleetTimeline.from_dict(payload)
+        assert timeline.migrations == ()
+        assert timeline.epochs[0].shocks is None
+
+    def test_integral_floats_and_real_booleans_still_load(self):
+        payload = self.payload()
+        payload["replicas"] = 3.0
+        payload["epochs"][0]["shocks"]["regions"] = 3.0
+        assert FleetTimeline.from_dict(payload) == (
+            TestSerialisation().rich_timeline()
+        )
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: RegionalShockModel(rate_per_year=NAN),
+            lambda: RegionalShockModel(rate_per_year=0.1, regions=NAN),
+            lambda: RegionalShockModel(0.1, replica_penetration=NAN),
+            lambda: MigrationEvent(NAN, CAMERA_RAW),
+            lambda: MigrationEvent(1.0, CAMERA_RAW, cost_per_member=NAN),
+            lambda: FormatRisk("x", NAN, 5.0, 1.0),
+            lambda: FormatRisk("x", 8.0, NAN, 1.0),
+            lambda: FormatRisk("x", 8.0, 5.0, NAN),
+            lambda: FleetEpoch(NAN, fast_model()),
+            lambda: FleetEpoch(0.0, fast_model(), hazard_multiplier=NAN),
+            lambda: FleetEpoch(0.0, fast_model(), audits_per_year=NAN),
+            lambda: FleetEpoch(0.0, fast_model(), annual_cost_per_member=NAN),
+            lambda: FleetEpoch(0.0, fast_model(), cost_per_repair=NAN),
+            lambda: FleetTimeline(
+                years=NAN, epochs=(FleetEpoch(0.0, fast_model()),)
+            ),
+            lambda: FleetTimeline(
+                years=math.inf, epochs=(FleetEpoch(0.0, fast_model()),)
+            ),
+            lambda: FleetTimeline(
+                years=10.0,
+                replicas=NAN,
+                epochs=(FleetEpoch(0.0, fast_model()),),
+            ),
+        ],
+    )
+    def test_dataclasses_reject_nan(self, build):
+        with pytest.raises(ValueError):
+            build()

@@ -262,6 +262,64 @@ def test_non_object_timeline_entry_is_a_400(timeline, path):
     assert f"'{path}' must be a JSON object" in error
 
 
+_SHOCKS = {"rate_per_year": 0.5, "regions": 2, "replica_penetration": 0.5}
+_RISK = {
+    "name": "camera RAW",
+    "mean_years_to_endangered": 8.0,
+    "mean_years_endangered_to_dead": 5.0,
+    "migration_sweep_years": 1.0,
+}
+
+
+def fleet_scenario(path, value):
+    """A small, valid shocked and migrating fleet scenario with the
+    timeline field at ``path`` set to ``value``."""
+    timeline = {
+        "years": 2,
+        "epochs": [
+            dict(_EPOCH, shocks=dict(_SHOCKS)),
+            dict(_EPOCH, start_year=1.0),
+        ],
+        "migrations": [{"year": 1.0, "risk": dict(_RISK)}],
+    }
+    *parents, key = path.replace("[", ".").replace("]", "").split(".")
+    section = timeline
+    for name in parents:
+        section = section[int(name) if name.isdigit() else name]
+    section[key] = value
+    return {
+        "question": "fleet_survival",
+        "members": 200,
+        "timeline": timeline,
+    }
+
+
+@pytest.mark.parametrize(
+    "path,value",
+    [
+        # Reaches the chunk kernel, which crashes and drops the
+        # connection.
+        ("migrations[0].year", float("nan")),
+        # Would run silently as a different plan.
+        ("replicas", 2.7),
+        ("epochs[0].shocks.regions", 2.5),
+        ("epochs[0].shocks.rate_per_year", float("nan")),
+        ("epochs[0].shocks.latent", "false"),
+        # Would fail with an error naming no field, or the wrong one.
+        ("years", float("nan")),
+        ("years", [1]),
+        ("epochs", 5),
+        ("epochs[1].start_year", float("nan")),
+        ("epochs[0].hazard_multiplier", float("nan")),
+    ],
+)
+def test_malformed_timeline_field_is_a_400_naming_its_path(path, value):
+    response = post_query(fleet_scenario(path, value))
+    assert response.startswith(b"HTTP/1.1 400 "), response[:80]
+    error = json.loads(response.partition(b"\r\n\r\n")[2])["error"]
+    assert f"'timeline.{path}'" in error
+
+
 @pytest.mark.parametrize(
     "path,value",
     [
