@@ -99,7 +99,8 @@ class ServeClient:
 
         ``on_event`` receives each ndjson progress record
         (``{"event", "data", "timing"}``) as it arrives; the final
-        answer envelope is returned.
+        answer envelope is returned, and a final ``{"error"}`` line
+        raises :class:`ServeError`.
         """
         conn = self._connect()
         try:
@@ -121,6 +122,11 @@ class ServeClient:
                 record = json.loads(line)
                 if "result" in record:
                     final = record
+                elif "error" in record:
+                    # A Connection: close response owns the socket, and
+                    # conn.close() below does not close it.
+                    response.close()
+                    raise ServeError(response.status, str(record["error"]))
                 elif on_event is not None:
                     on_event(record)
             if final is None:

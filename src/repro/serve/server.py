@@ -8,11 +8,14 @@ zero-dependency discipline.  Four routes:
 * ``GET /metrics`` — the service registry rendered through the
   Prometheus text exposition (:func:`repro.obs.export.to_prometheus`);
 * ``POST /query`` — a Scenario JSON body in, one answer envelope
-  ``{"schema", "served_from", "scenario_hash", "result"}`` out;
+  ``{"schema", "served_from", "scenario_hash", "result"}`` out; an
+  invalid scenario gets a 400 and any other engine failure a 500, each
+  with an ``{"error"}`` body;
 * ``POST /query/stream`` — the same query as newline-delimited JSON:
   one ``{"event", "data", "timing"}`` progress record per engine event
   (fed from the ``obs`` flight-recorder stream), then the final
-  ``{"served_from", ..., "result"}`` line.
+  ``{"served_from", ..., "result"}`` line, or an ``{"error"}`` line if
+  the engine fails after the 200 head went out.
 
 Keep-alive is honoured on the plain routes; streaming responses close
 the connection (their length is unknown up front and the stdlib-only
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 from typing import Callable, Dict, Optional
 
 from repro.obs.export import to_prometheus
@@ -35,6 +39,8 @@ from repro.serve.service import StudyService
 from repro.study.scenario import Scenario
 
 __all__ = ["ANSWER_SCHEMA_VERSION", "serve_lines", "start_server"]
+
+_LOG = logging.getLogger(__name__)
 
 #: Version of the ``/query`` answer envelope (and the stdio final line).
 ANSWER_SCHEMA_VERSION = 1
@@ -49,6 +55,7 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     413: "Payload Too Large",
+    500: "Internal Server Error",
 }
 
 #: Largest request body the server buffers.  A scenario is a few KiB;
@@ -80,6 +87,12 @@ def _answer_payload(answer) -> Dict[str, object]:
         "scenario_hash": answer.scenario_hash,
         "result": answer.result.as_dict(),
     }
+
+
+def _report_failure(exc: Exception) -> str:
+    """Log an engine failure's traceback; return its ``error`` text."""
+    _LOG.error("engine failure", exc_info=exc)
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _content_length(headers: Dict[str, str]) -> Optional[int]:
@@ -172,15 +185,14 @@ async def _handle_connection(
                     scenario = _scenario_from_body(body)
                     answer = await service.submit(scenario)
                 except ValueError as exc:
-                    payload = json.dumps({"error": str(exc)}).encode("utf-8")
-                    writer.write(_head(400, _JSON, len(payload), keep_alive))
-                    writer.write(payload)
+                    status, reply = 400, {"error": str(exc)}
+                except Exception as exc:  # noqa: BLE001 — an engine failure
+                    status, reply = 500, {"error": _report_failure(exc)}
                 else:
-                    payload = json.dumps(_answer_payload(answer)).encode(
-                        "utf-8"
-                    )
-                    writer.write(_head(200, _JSON, len(payload), keep_alive))
-                    writer.write(payload)
+                    status, reply = 200, _answer_payload(answer)
+                payload = json.dumps(reply).encode("utf-8")
+                writer.write(_head(status, _JSON, len(payload), keep_alive))
+                writer.write(payload)
             elif method == "POST" and target == "/query/stream":
                 await _stream_query(service, writer, body)
                 keep_alive = False
@@ -197,6 +209,10 @@ async def _handle_connection(
     except (asyncio.IncompleteReadError, ConnectionError):
         pass
     finally:
+        try:
+            await _shut_down(writer)
+        except (OSError, asyncio.CancelledError):
+            pass
         writer.close()
         try:
             await writer.wait_closed()
@@ -204,6 +220,25 @@ async def _handle_connection(
             # Server shutdown cancels handlers mid-close; the coroutine
             # ends here either way, so suppressing is safe.
             pass
+
+
+async def _shut_down(writer: asyncio.StreamWriter) -> None:
+    """Flush the response, then shut the socket down for writing.
+
+    A pool worker forked while this connection was open holds a copy of
+    its socket (:mod:`repro.parallel` keeps workers for the process's
+    lifetime), and ``close()`` sends no FIN while any copy is open, so a
+    client reading a streamed answer to EOF would hang.  ``shutdown()``
+    sends the FIN however many processes hold the socket.
+    """
+    if writer.transport.is_closing():
+        return
+    # write_eof() on a non-empty buffer defers the shutdown until the
+    # buffer drains, and a close() in the meantime skips it; with a zero
+    # high-water mark drain() returns only once the buffer is empty.
+    writer.transport.set_write_buffer_limits(0)
+    await writer.drain()
+    writer.write_eof()
 
 
 async def _stream_query(
@@ -226,10 +261,13 @@ async def _stream_query(
         # call writes one complete line, so records never interleave.
         writer.write((json.dumps(record) + "\n").encode("utf-8"))
 
-    answer = await service.submit(scenario, progress=progress)
-    writer.write(
-        (json.dumps(_answer_payload(answer)) + "\n").encode("utf-8")
-    )
+    try:
+        answer = await service.submit(scenario, progress=progress)
+    except Exception as exc:  # noqa: BLE001 — the 200 head is already out
+        final: Dict[str, object] = {"error": _report_failure(exc)}
+    else:
+        final = _answer_payload(answer)
+    writer.write((json.dumps(final) + "\n").encode("utf-8"))
 
 
 async def start_server(

@@ -10,7 +10,9 @@ import json
 
 import pytest
 
+from repro import study
 from repro.core.parameters import FaultModel
+from repro.parallel import map_timed
 from repro.serve import (
     ANSWER_SCHEMA_VERSION,
     ResultStore,
@@ -35,11 +37,11 @@ def scenario_dict(mission=0.5, trials=300, seed=3, engine="batch"):
     ).as_dict()
 
 
-def with_server(test_body, store=None):
+def with_server(test_body, store=None, jobs=1):
     """Run ``await test_body(client)`` against a live server on port 0."""
 
     async def main():
-        service = StudyService(store=store)
+        service = StudyService(store=store, jobs=jobs)
         server = await start_server(service, port=0)
         port = server.sockets[0].getsockname()[1]
         client = ServeClient(port=port)
@@ -360,6 +362,72 @@ def test_removed_variance_reduction_is_a_400():
     response = post_query(payload)
     assert response.startswith(b"HTTP/1.1 400 ")
     assert b"variance_reduction" in response
+
+
+@pytest.fixture
+def failing_event_engine(monkeypatch):
+    """``study.run`` raises for event-engine questions only."""
+    real_run = study.run
+
+    def run(scenario, **kwargs):
+        if scenario.policy.engine == "event":
+            raise RuntimeError("engine exploded")
+        return real_run(scenario, **kwargs)
+
+    monkeypatch.setattr(study, "run", run)
+
+
+def test_engine_failure_is_a_500_and_the_server_keeps_serving(
+    failing_event_engine,
+):
+    async def body(client, call, service):
+        with pytest.raises(ServeError) as failed:
+            await call(client.query, scenario_dict(engine="event"))
+        answer = await call(client.query, scenario_dict())
+        return failed.value, answer
+
+    error, answer = with_server(body)
+    assert error.status == 500
+    assert error.detail == "RuntimeError: engine exploded"
+    assert answer["served_from"] == "engine"
+
+
+def test_stream_engine_failure_ends_with_an_error_line(failing_event_engine):
+    async def body(client, call, service):
+        with pytest.raises(ServeError) as failed:
+            await call(client.query_stream, scenario_dict(engine="event"))
+        answer = await call(client.query_stream, scenario_dict())
+        return failed.value, answer
+
+    error, answer = with_server(body)
+    assert error.status == 200
+    assert error.detail == "RuntimeError: engine exploded"
+    assert answer["served_from"] == "engine"
+
+
+def test_parallel_stream_ends_while_workers_hold_its_socket():
+    # A map at another size first, so that the server's jobs=2 answer
+    # forks fresh workers while the stream's connection is open,
+    # whichever pool this process already had.
+    map_timed(abs, [-1, -2, -3], 3)
+    fleet = {
+        "question": "fleet_survival",
+        "members": 20_000,  # two chunks, so the answer uses the pool
+        "timeline": {"years": 0.05, "epochs": [_EPOCH]},
+        "policy": {"seed": 7},
+    }
+
+    async def body(client, call, service):
+        # The workers' copies of the socket keep close() from sending a
+        # FIN; a server that only closed would hang this call until its
+        # timeout.
+        quick = ServeClient(port=client.port, timeout=60.0)
+        return await call(quick.query_stream, fleet)
+
+    answer = with_server(body, jobs=2)
+    local = study.run(Scenario.from_dict(fleet), jobs=1)
+    assert answer["result"]["value"] == local.value
+    assert answer["result"]["losses"] == local.losses
 
 
 # ---------------------------------------------------------------------------
