@@ -60,6 +60,14 @@ def json_boolean(value: object, path: str) -> bool:
     raise ValueError(f"'{path}' must be true or false")
 
 
+def json_string(value: object, path: str) -> str:
+    """``value`` when it is a JSON string; otherwise a ``ValueError``
+    naming its JSON ``path``."""
+    if isinstance(value, str):
+        return value
+    raise ValueError(f"'{path}' must be a string")
+
+
 @dataclass(frozen=True)
 class FaultModel:
     """Parameters of the paper's reliability model for one replica.

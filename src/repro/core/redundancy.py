@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Union
 
-from repro.core.parameters import FaultModel
+from repro.core.parameters import FaultModel, json_integer
 
 
 @dataclass(frozen=True)
@@ -99,8 +99,15 @@ class RedundancyScheme:
         return {"n": self.n, "k": self.k}
 
     @staticmethod
-    def from_dict(payload: Dict[str, int]) -> "RedundancyScheme":
-        return RedundancyScheme(n=int(payload["n"]), k=int(payload["k"]))
+    def from_dict(
+        payload: Dict[str, object], path: str = "scheme"
+    ) -> "RedundancyScheme":
+        """Rebuild from :meth:`as_dict`; a count that is not an integer
+        raises a ``ValueError`` naming its JSON path under ``path``."""
+        return RedundancyScheme(
+            n=json_integer(payload.get("n"), f"{path}.n"),
+            k=json_integer(payload.get("k"), f"{path}.k"),
+        )
 
 
 def Replication(replicas: int) -> RedundancyScheme:

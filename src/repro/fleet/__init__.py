@@ -16,7 +16,6 @@ from repro.fleet.aggregate import FleetTally
 from repro.fleet.population import FleetChunkResult, simulate_fleet_chunk
 from repro.fleet.runner import (
     DEFAULT_CHUNK_SIZE,
-    FleetChunkCache,
     FleetResult,
     chunk_cache_key,
     simulate_fleet,
@@ -34,7 +33,6 @@ from repro.fleet.timeline import (
 
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
-    "FleetChunkCache",
     "FleetChunkResult",
     "FleetEpoch",
     "FleetResult",

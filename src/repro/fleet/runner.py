@@ -12,16 +12,16 @@ trajectory.  Two properties make runs composable:
   by :func:`repro.simulation.rng.spawn_seed` on the chunk index, so
   serial and parallel runs (and any worker scheduling) produce
   bit-identical tallies;
-* **content-hash caching** — a chunk's tally is cached under a hash of
-  the full timeline definition, the chunk geometry and the root seed
-  (the same recipe as the optimizer's refinement cache), so re-running
-  a fleet costs nothing and growing one only pays for the new members.
+* **content-hash caching** — a chunk's tally is kept in the ``fleet``
+  scope of the content-addressed :class:`repro.store.Store`, keyed by
+  the full timeline definition, the chunk geometry, the root seed and
+  the kernel version, so re-running a fleet costs nothing and growing
+  one only pays for the new members.  An unreadable entry is re-simulated
+  and a failed write only costs the entry (the store's fault contract).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -34,7 +34,7 @@ from repro.fleet.population import simulate_fleet_chunk
 from repro.fleet.timeline import FleetTimeline
 from repro.simulation.estimators import MonteCarloEstimate
 from repro.simulation.rng import spawn_seed
-from repro.store import write_atomic
+from repro.store import Store, content_key
 
 #: Default members per chunk, and the only copy of that default: the
 #: study scenario and the CLI read it from here.  Every chunk replays
@@ -61,67 +61,16 @@ _KERNEL_VERSION = 2
 def chunk_cache_key(
     timeline: FleetTimeline, members: int, seed: int, index: int
 ) -> str:
-    """Content hash identifying one chunk's tally."""
-    canonical = json.dumps(
+    """Content key identifying one chunk's tally."""
+    return content_key(
         {
             "timeline": timeline.as_dict(),
             "members": members,
             "seed": seed,
             "chunk": index,
             "kernel": _KERNEL_VERSION,
-        },
-        sort_keys=True,
+        }
     )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:32]
-
-
-class FleetChunkCache:
-    """Directory-backed store of per-chunk fleet tallies.
-
-    One JSON file per chunk, named by its content hash and published
-    atomically (:func:`repro.store.write_atomic`); unreadable or
-    malformed entries degrade to re-simulation rather than failing the
-    run (the same contract as the optimizer's
-    :class:`~repro.optimize.runner.ResultCache`).  The ``hits`` /
-    ``misses`` / ``errors`` / ``stores`` counters make the degradation
-    observable: a corrupt entry is an ``error``, not a silent miss.
-    """
-
-    def __init__(self, directory: Union[str, Path]) -> None:
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-        self.errors = 0
-        self.stores = 0
-
-    def _path(self, key: str) -> Path:
-        return self.directory / f"fleet-{key}.json"
-
-    def lookup(self, key: str) -> Tuple[Optional[FleetTally], str]:
-        """The tally for ``key`` plus the outcome: hit, miss or error."""
-        path = self._path(key)
-        if not path.exists():
-            self.misses += 1
-            return None, "miss"
-        try:
-            tally = FleetTally.from_dict(
-                json.loads(path.read_text(encoding="utf-8"))
-            )
-        except (ValueError, KeyError, TypeError):
-            self.errors += 1
-            return None, "error"
-        self.hits += 1
-        return tally, "hit"
-
-    def get(self, key: str) -> Optional[FleetTally]:
-        return self.lookup(key)[0]
-
-    def put(self, key: str, tally: FleetTally) -> None:
-        write_atomic(
-            self._path(key), json.dumps(tally.as_dict(), sort_keys=True)
-        )
-        self.stores += 1
 
 
 def _chunk_task(payload: Tuple[FleetTimeline, int, int, int]) -> FleetTally:
@@ -258,8 +207,8 @@ def simulate_fleet(
         chunk_size: members per chunk.  The partition decides the
             random streams, so the answer depends on it, never on
             ``jobs``.
-        cache_dir: directory for the chunk tally cache; ``None``
-            disables caching.
+        cache_dir: directory of the content-addressed store that keeps
+            chunk tallies; ``None`` disables caching.
 
     Raises:
         ValueError: for a non-positive fleet size, chunk size or job
@@ -274,30 +223,19 @@ def simulate_fleet(
 
     tel = obs.current()
     timed = tel.enabled
-    cache = FleetChunkCache(cache_dir) if cache_dir is not None else None
+    store = Store(cache_dir, "fleet") if cache_dir is not None else None
     sizes = _chunk_sizes(members, chunk_size)
     tallies: Dict[int, FleetTally] = {}
     pending: List[Tuple[int, Tuple[FleetTimeline, int, int]]] = []
-    cache_hits = 0
     for index, size in enumerate(sizes):
         cached = None
-        if cache is not None:
-            key = chunk_cache_key(timeline, size, seed, index)
-            cached, outcome = cache.lookup(key)
-            if timed:
-                tel.count(f"cache.fleet.{outcome}")
-                tel.event(
-                    "cache",
-                    data={
-                        "scope": "fleet",
-                        "chunk": index,
-                        "key": key,
-                        "outcome": outcome,
-                    },
-                )
+        if store is not None:
+            cached, _ = store.get(
+                chunk_cache_key(timeline, size, seed, index),
+                FleetTally.from_dict,
+            )
         if cached is not None:
             tallies[index] = cached
-            cache_hits += 1
         else:
             chunk_seed = spawn_seed(seed, f"fleet-chunk-{index}")
             # The schedule seed is the fleet's root seed: every chunk
@@ -309,20 +247,11 @@ def simulate_fleet(
     )
     for (index, payload), (tally, seconds) in zip(pending, outcomes):
         tallies[index] = tally
-        if cache is not None:
-            cache.put(
-                chunk_cache_key(timeline, payload[1], seed, index), tally
+        if store is not None:
+            store.put(
+                chunk_cache_key(timeline, payload[1], seed, index),
+                tally.as_dict(),
             )
-            if timed:
-                tel.count("cache.fleet.store")
-                tel.event(
-                    "cache",
-                    data={
-                        "scope": "fleet",
-                        "chunk": index,
-                        "outcome": "store",
-                    },
-                )
         if timed:
             tel.observe("fleet.chunk_seconds", seconds)
             tel.absorb(
@@ -353,6 +282,6 @@ def simulate_fleet(
         tally=merged,
         chunks=len(sizes),
         new_chunks=len(pending),
-        cache_hits=cache_hits,
-        cache_errors=cache.errors if cache is not None else 0,
+        cache_hits=len(sizes) - len(pending),
+        cache_errors=store.counts["error"] if store is not None else 0,
     )

@@ -70,6 +70,18 @@ def _json_array(value: object, path: str) -> List[object]:
     return value
 
 
+def _json_items(
+    payload: Dict[str, object], key: str, path: str, read, default=None
+) -> tuple:
+    """``read(item, "<path>[<index>]")`` for each item of the JSON array
+    at ``payload[key]``; ``default`` when that is absent or null."""
+    value = payload.get(key)
+    items = _json_array(default if value is None else value, path)
+    return tuple(
+        read(item, f"{path}[{index}]") for index, item in enumerate(items)
+    )
+
+
 @dataclass(frozen=True)
 class RegionalShockModel:
     """Fleet-wide correlated shock exposure during one epoch.
@@ -488,7 +500,6 @@ class FleetTimeline:
         """
         payload = _json_object(payload, path)
         scheme = payload.get("scheme")
-        migrations = payload.get("migrations")
         return FleetTimeline(
             years=json_number(payload.get("years"), f"{path}.years"),
             replicas=json_integer(
@@ -496,25 +507,18 @@ class FleetTimeline:
             ),
             scheme=(
                 RedundancyScheme.from_dict(
-                    _json_object(scheme, f"{path}.scheme")
+                    _json_object(scheme, f"{path}.scheme"), f"{path}.scheme"
                 )
                 if scheme is not None
                 else None
             ),
             label=str(payload.get("label", "")),
-            epochs=tuple(
-                _epoch_from_dict(epoch, f"{path}.epochs[{index}]")
-                for index, epoch in enumerate(
-                    _json_array(payload.get("epochs"), f"{path}.epochs")
-                )
+            epochs=_json_items(
+                payload, "epochs", f"{path}.epochs", _epoch_from_dict
             ),
-            migrations=tuple(
-                _migration_from_dict(m, f"{path}.migrations[{index}]")
-                for index, m in enumerate(
-                    ()
-                    if migrations is None
-                    else _json_array(migrations, f"{path}.migrations")
-                )
+            migrations=_json_items(
+                payload, "migrations", f"{path}.migrations",
+                _migration_from_dict, [],
             ),
         )
 

@@ -22,7 +22,6 @@ from repro.optimize.evaluate import (
 from repro.optimize.frontier import dominates, pareto_frontier, recommend
 from repro.optimize.runner import (
     OptimizationResult,
-    ResultCache,
     evaluation_cache_key,
     optimize,
     refine_evaluations,
@@ -42,7 +41,6 @@ __all__ = [
     "EvaluationSettings",
     "OptimizationResult",
     "ResolvedMedium",
-    "ResultCache",
     "SimulatedLoss",
     "dominates",
     "evaluation_cache_key",

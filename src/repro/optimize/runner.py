@@ -1,4 +1,4 @@
-"""Parallel candidate evaluation with a content-hash result cache.
+"""Parallel candidate evaluation with a content-addressed result cache.
 
 The runner orchestrates the multi-fidelity pipeline end to end:
 
@@ -9,10 +9,12 @@ The runner orchestrates the multi-fidelity pipeline end to end:
    skipping any survivor whose refinement is already in the cache,
 4. extract the CI-aware Pareto frontier from the refined evaluations.
 
-Refinements are keyed by a content hash of the candidate configuration
-*and* the evaluation settings, so a re-run evaluates zero new
-candidates, an enlarged space only pays for the new points, and a
-changed seed or trial count never reads stale results.  Per-candidate
+Refinements are kept in the ``optimize`` scope of the content-addressed
+:class:`repro.store.Store`, keyed by the candidate configuration *and*
+the evaluation settings, so a re-run evaluates zero new candidates, an
+enlarged space only pays for the new points, and a changed seed or
+trial count never reads stale results.  An unreadable entry is refined
+again and a failed write only costs the entry.  Per-candidate
 seeds are spawned deterministically from the root seed
 (:func:`repro.simulation.rng.spawn_seed`), making serial and parallel
 runs bit-identical.
@@ -20,8 +22,6 @@ runs bit-identical.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -37,74 +37,19 @@ from repro.optimize.evaluate import (
 )
 from repro.optimize.frontier import pareto_frontier
 from repro.optimize.space import DesignSpace
-from repro.store import write_atomic
+from repro.store import Store, content_key
 
 
 def evaluation_cache_key(
     evaluation: CandidateEvaluation, settings: EvaluationSettings
 ) -> str:
-    """Content hash identifying one refinement result."""
-    canonical = json.dumps(
+    """Content key identifying one refinement result."""
+    return content_key(
         {
             "candidate": evaluation.candidate.as_dict(),
             "settings": settings.as_dict(),
-        },
-        sort_keys=True,
+        }
     )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:32]
-
-
-class ResultCache:
-    """Directory-backed store of refined candidate evaluations.
-
-    Each entry is one JSON file named by the evaluation's content hash
-    and published atomically (:func:`repro.store.write_atomic`);
-    unreadable or malformed entries are treated as misses so a corrupted
-    cache degrades to re-evaluation instead of failing the run.  The
-    ``hits`` / ``misses`` / ``errors`` / ``stores`` counters make the
-    degradation observable: a corrupt entry is an ``error``, not a
-    silent miss.
-    """
-
-    def __init__(self, directory: Union[str, Path]) -> None:
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-        self.errors = 0
-        self.stores = 0
-
-    def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
-
-    def lookup(
-        self, key: str
-    ) -> Tuple[Optional[CandidateEvaluation], str]:
-        """The entry for ``key`` plus the outcome: hit, miss or error."""
-        path = self._path(key)
-        if not path.exists():
-            self.misses += 1
-            return None, "miss"
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            evaluation = CandidateEvaluation.from_dict(payload)
-        except (ValueError, KeyError, TypeError):
-            self.errors += 1
-            return None, "error"
-        self.hits += 1
-        return evaluation, "hit"
-
-    def get(self, key: str) -> Optional[CandidateEvaluation]:
-        return self.lookup(key)[0]
-
-    def put(self, key: str, evaluation: CandidateEvaluation) -> None:
-        write_atomic(
-            self._path(key), json.dumps(evaluation.as_dict(), sort_keys=True)
-        )
-        self.stores += 1
-
-    def __len__(self) -> int:
-        return len(list(self.directory.glob("*.json")))
 
 
 def _refine_task(
@@ -175,9 +120,9 @@ def refine_evaluations(
     survivors: Sequence[CandidateEvaluation],
     settings: EvaluationSettings,
     jobs: int = 1,
-    cache: Optional[ResultCache] = None,
+    cache: Optional[Store] = None,
 ) -> Tuple[List[CandidateEvaluation], int, int]:
-    """Refine the survivors, reusing cached results where possible.
+    """Refine the survivors, reusing cached refinements where possible.
 
     Returns ``(refined, new_evaluations, cache_hits)`` with ``refined``
     in the same order as ``survivors``.  Uncached survivors are refined
@@ -189,30 +134,20 @@ def refine_evaluations(
     timed = tel.enabled
     refined: Dict[int, CandidateEvaluation] = {}
     pending: List[Tuple[int, CandidateEvaluation]] = []
-    cache_hits = 0
     for index, evaluation in enumerate(survivors):
         cached = None
         if cache is not None:
-            key = evaluation_cache_key(evaluation, settings)
-            cached, outcome = cache.lookup(key)
-            if timed:
-                tel.count(f"cache.optimize.{outcome}")
-                tel.event(
-                    "cache",
-                    data={
-                        "scope": "optimize",
-                        "candidate": evaluation.candidate.key(),
-                        "key": key,
-                        "outcome": outcome,
-                    },
-                )
-        if cached is not None and cached.refined:
+            cached, _ = cache.get(
+                evaluation_cache_key(evaluation, settings),
+                CandidateEvaluation.from_dict,
+                fresh=lambda entry: entry.refined,
+            )
+        if cached is not None:
             # Only the Monte-Carlo refinement is reused; the annual cost
             # and analytic screen stay freshly computed, so edited cost
             # or drive catalogs can never leak stale numbers into the
             # frontier through the cache.
             refined[index] = replace(evaluation, simulated=cached.simulated)
-            cache_hits += 1
         else:
             pending.append((index, evaluation))
 
@@ -224,17 +159,7 @@ def refine_evaluations(
     for (index, _), (result, seconds) in zip(pending, outcomes):
         refined[index] = result
         if cache is not None:
-            cache.put(evaluation_cache_key(result, settings), result)
-            if timed:
-                tel.count("cache.optimize.store")
-                tel.event(
-                    "cache",
-                    data={
-                        "scope": "optimize",
-                        "candidate": result.candidate.key(),
-                        "outcome": "store",
-                    },
-                )
+            cache.put(evaluation_cache_key(result, settings), result.as_dict())
         if timed:
             tel.observe("optimize.refine_seconds", seconds)
             tel.absorb(obs.worker_span_snapshot("worker.refine", seconds))
@@ -248,7 +173,7 @@ def refine_evaluations(
             )
 
     ordered = [refined[index] for index in range(len(survivors))]
-    return ordered, len(pending), cache_hits
+    return ordered, len(pending), len(survivors) - len(pending)
 
 
 def optimize(
@@ -267,8 +192,8 @@ def optimize(
             :class:`EvaluationSettings`'s defaults).
         jobs: worker processes for Monte-Carlo refinement; 1 runs
             serially in-process.
-        cache_dir: directory for the content-hash result cache; ``None``
-            disables caching.
+        cache_dir: directory of the content-addressed store that keeps
+            refinements; ``None`` disables caching.
         slack: screening slack (see
             :func:`~repro.optimize.evaluate.survivors_for_refinement`).
         refine_survivors: skip Monte-Carlo entirely when ``False`` — the
@@ -276,7 +201,7 @@ def optimize(
     """
     settings = settings or EvaluationSettings()
     tel = obs.current()
-    cache = ResultCache(cache_dir) if cache_dir is not None else None
+    cache = Store(cache_dir, "optimize") if cache_dir is not None else None
 
     with tel.span("screen"):
         screened = sorted(
@@ -312,5 +237,5 @@ def optimize(
         frontier=frontier,
         new_evaluations=new_evaluations,
         cache_hits=cache_hits,
-        cache_errors=cache.errors if cache is not None else 0,
+        cache_errors=cache.counts["error"] if cache is not None else 0,
     )

@@ -26,8 +26,11 @@ of engine latency; engines still parallelise internally via ``jobs``.
 Every outcome is counted into the service's own
 :class:`~repro.obs.telemetry.Telemetry` registry (``serve.requests``,
 ``serve.engine_runs``, ``serve.singleflight.shared``,
-``cache.serve.{hit,miss,stale,error}``, ``serve.batch.*``), which is
-exactly what ``/metrics`` renders through the Prometheus exposition.
+``cache.serve.{hit,miss,stale,error,store,write_error}``,
+``serve.batch.*``), which is exactly what ``/metrics`` renders through
+the Prometheus exposition.  The store counts its own outcomes into that
+registry, never into :func:`repro.obs.current`, which on the event-loop
+thread may be an engine run's session.
 """
 
 from __future__ import annotations
@@ -166,6 +169,8 @@ class StudyService:
         self.batch_window = batch_window
         self.max_batch = max_batch
         self.telemetry = telemetry if telemetry is not None else obs.Telemetry()
+        if store is not None:
+            store.entries.telemetry = self.telemetry
         # One worker thread by design: obs.session installs a
         # process-global registry, so engine runs must not overlap.
         self._executor = ThreadPoolExecutor(
@@ -201,7 +206,6 @@ class StudyService:
 
         if self.store is not None:
             stored, outcome = self.store.lookup(scenario)
-            tel.count(f"cache.serve.{outcome}")
             if outcome == "hit":
                 assert stored is not None
                 return ServeAnswer(stored, "store", key)
@@ -233,14 +237,6 @@ class StudyService:
 
     # -- solo engine runs --------------------------------------------------
 
-    def _engine_cache_dir(self) -> Optional[str]:
-        # Frontier/fleet questions keep their internal content-hash
-        # caches next to the store entries — the three caches were
-        # designed to share one directory.
-        if self.store is None:
-            return None
-        return str(self.store.directory)
-
     def _spawn_single(
         self,
         loop: asyncio.AbstractEventLoop,
@@ -249,6 +245,9 @@ class StudyService:
         progress: Optional[ProgressCallback],
     ) -> None:
         sink = None if progress is None else _ProgressSink(loop, progress)
+        # Fleet and frontier questions keep their chunk tallies and
+        # refinements in the store's directory, in their own scopes.
+        cache_dir = None if self.store is None else str(self.store.directory)
 
         def work() -> Tuple[StudyResult, obs.TelemetrySnapshot]:
             run_tel = obs.Telemetry(trace=sink)
@@ -260,7 +259,7 @@ class StudyService:
                 result = study.run(
                     scenario,
                     jobs=self.jobs,
-                    cache_dir=self._engine_cache_dir(),
+                    cache_dir=cache_dir,
                     telemetry=run_tel,
                 )
             return result, run_tel.snapshot()
@@ -283,7 +282,8 @@ class StudyService:
             return
         self.telemetry.absorb(snapshot)
         result = _strip_telemetry(result)
-        self._store_put(scenario, result, batched=False)
+        if self.store is not None:
+            self.store.put(scenario, result, batched=False)
         if not fut.done():
             fut.set_result(result)
 
@@ -353,31 +353,10 @@ class StudyService:
             return
         self.telemetry.absorb(snapshot)
         for scenario, fut, result in zip(scenarios, futs, results):
-            self._store_put(scenario, result, batched=True)
+            if self.store is not None:
+                self.store.put(scenario, result, batched=True)
             if not fut.done():
                 fut.set_result(result)
-
-    # -- shared plumbing ---------------------------------------------------
-
-    def _store_put(
-        self, scenario: Scenario, result: StudyResult, batched: bool
-    ) -> None:
-        if self.store is None:
-            return
-        try:
-            self.store.put(scenario, result, batched=batched)
-        except OSError:
-            # A full disk must degrade the store to a pass-through, not
-            # take the answer (or the service) down with it.
-            self.telemetry.count("serve.store_write_errors")
-
-    def stats(self) -> Dict[str, object]:
-        """Operational counters: the registry's, plus the store's."""
-        snapshot = self.telemetry.snapshot()
-        payload: Dict[str, object] = {"counters": dict(snapshot.counters)}
-        if self.store is not None:
-            payload["store"] = self.store.stats()
-        return payload
 
     async def close(self) -> None:
         """Flush pending batches, settle in-flight work, stop the worker."""

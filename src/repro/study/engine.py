@@ -84,7 +84,7 @@ def run(
         jobs: worker processes for the engines that parallelise
             (frontier refinement, fleet chunks); single-system
             estimators run in-process regardless.
-        cache_dir: directory for the content-hash result caches of the
+        cache_dir: directory of the :mod:`repro.store` entries of the
             parallel engines; ``None`` disables caching.
         telemetry: a caller-owned :class:`repro.obs.Telemetry` registry
             to record the run into.  The registry's snapshot is attached

@@ -16,7 +16,6 @@ The facade's entry point is :func:`repro.study.run`.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -27,13 +26,15 @@ from repro.core.parameters import (
     json_boolean,
     json_integer,
     json_number,
+    json_string,
 )
 from repro.core.redundancy import RedundancyScheme
 from repro.core.sensitivity import PARAMETER_FIELDS
 from repro.fleet.runner import DEFAULT_CHUNK_SIZE
-from repro.fleet.timeline import FleetTimeline, _json_object
+from repro.fleet.timeline import FleetTimeline, _json_items, _json_object
 from repro.optimize.evaluate import DEFAULT_SCREEN_SLACK
 from repro.optimize.space import DesignSpace
+from repro.store import content_key
 
 #: The five question kinds the facade answers.
 QUESTIONS: Tuple[str, ...] = (
@@ -132,16 +133,19 @@ def _section(
 
 
 def _space_from_dict(payload: Dict[str, object]) -> DesignSpace:
+    def items(key: str, read, default=None) -> tuple:
+        return _json_items(payload, key, f"space.{key}", read, default)
+
     return DesignSpace(
-        dataset_tb=float(payload["dataset_tb"]),
-        media=tuple(str(m) for m in payload["media"]),
-        replica_counts=tuple(int(r) for r in payload["replica_counts"]),
-        audit_rates=tuple(float(a) for a in payload["audit_rates"]),
-        placements=tuple(str(p) for p in payload["placements"]),
-        site_cost_per_year=float(payload.get("site_cost_per_year", 0.0)),
-        erasure_schemes=tuple(
-            str(s) for s in payload.get("erasure_schemes", ())
+        dataset_tb=json_number(payload.get("dataset_tb"), "space.dataset_tb"),
+        media=items("media", json_string),
+        replica_counts=items("replica_counts", json_integer),
+        audit_rates=items("audit_rates", json_number),
+        placements=items("placements", json_string),
+        site_cost_per_year=json_number(
+            payload.get("site_cost_per_year", 0.0), "space.site_cost_per_year"
         ),
+        erasure_schemes=items("erasure_schemes", json_string, []),
     )
 
 
@@ -203,7 +207,7 @@ class SystemSpec:
             ),
             scheme=(
                 RedundancyScheme.from_dict(
-                    _json_object(scheme, "system.scheme")
+                    _json_object(scheme, "system.scheme"), "system.scheme"
                 )
                 if scheme is not None
                 else None
@@ -266,11 +270,12 @@ class SweepSpec:
     @staticmethod
     def from_dict(payload: Dict[str, object]) -> "SweepSpec":
         return SweepSpec(
-            parameter=str(payload["parameter"]),
-            values=tuple(float(v) for v in payload["values"]),
-            metric=str(payload.get("metric", "mttdl")),
-            correlation_factors=tuple(
-                float(a) for a in payload.get("correlation_factors", ())
+            parameter=json_string(payload.get("parameter"), "sweep.parameter"),
+            values=_json_items(payload, "values", "sweep.values", json_number),
+            metric=json_string(payload.get("metric", "mttdl"), "sweep.metric"),
+            correlation_factors=_json_items(
+                payload, "correlation_factors", "sweep.correlation_factors",
+                json_number, [],
             ),
         )
 
@@ -579,11 +584,6 @@ class Scenario:
         return Scenario.from_dict(json.loads(text))
 
     def content_hash(self) -> str:
-        """Hex digest identifying the full scenario.
-
-        The same recipe as the optimize refinement cache and the fleet
-        chunk cache (SHA-256 over the sorted canonical JSON), so study
-        results can be cached and merged next to them.
-        """
-        canonical = json.dumps(self.as_dict(), sort_keys=True)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:32]
+        """Hex digest identifying the full scenario, under the store's
+        one key recipe (:func:`repro.store.content_key`)."""
+        return content_key(self.as_dict())

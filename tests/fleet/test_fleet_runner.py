@@ -11,14 +11,15 @@ import pytest
 from repro import obs, study
 from repro.cli import build_parser
 from repro.core.parameters import FaultModel
+from repro.fleet.aggregate import FleetTally
 from repro.fleet.runner import (
     DEFAULT_CHUNK_SIZE,
-    FleetChunkCache,
     _chunk_sizes,
     chunk_cache_key,
     simulate_fleet,
 )
 from repro.fleet.timeline import FleetEpoch, FleetTimeline, stationary_timeline
+from repro.store import Store
 
 
 def fast_model():
@@ -166,8 +167,9 @@ class TestCache:
             cache_dir=tmp_path,
         )
         key = chunk_cache_key(timeline(), 200, 5, 0)
-        cache = FleetChunkCache(tmp_path)
-        cache._path(key).write_text("not json", encoding="utf-8")
+        (tmp_path / f"fleet-{key}.json").write_text(
+            "not json", encoding="utf-8"
+        )
         redo = simulate_fleet(
             timeline(), members=200, seed=5, chunk_size=200,
             cache_dir=tmp_path,
@@ -193,7 +195,7 @@ class TestCache:
         stale = simulate_fleet(
             timeline(), members=200, seed=6, chunk_size=200
         ).tally
-        FleetChunkCache(tmp_path).put(legacy_key, stale)
+        Store(tmp_path, "fleet").put(legacy_key, stale.as_dict())
         run = simulate_fleet(
             timeline(), members=200, seed=5, chunk_size=200,
             cache_dir=tmp_path,
@@ -313,15 +315,15 @@ class TestRunnerIdentity:
 
 class TestAtomicCache:
     def test_failed_publish_leaves_a_miss(self, tmp_path, monkeypatch):
-        cache = FleetChunkCache(tmp_path)
+        store = Store(tmp_path, "fleet")
         tally = simulate_fleet(timeline(), members=50, seed=1).tally
 
         def broken_replace(src, dst):
             raise OSError("disk full")
 
         monkeypatch.setattr(os, "replace", broken_replace)
-        with pytest.raises(OSError):
-            cache.put("k", tally)
+        assert store.put("k", tally.as_dict()) == "write_error"
         monkeypatch.undo()
-        assert cache.lookup("k") == (None, "miss")
+        assert store.get("k", FleetTally.from_dict) == (None, "miss")
         assert list(tmp_path.iterdir()) == []
+        assert store.counts == {"write_error": 1, "miss": 1}

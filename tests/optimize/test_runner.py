@@ -6,14 +6,14 @@ import os
 import pytest
 
 from repro import obs
-from repro.optimize.evaluate import EvaluationSettings
+from repro.optimize.evaluate import CandidateEvaluation, EvaluationSettings
 from repro.optimize.runner import (
-    ResultCache,
     evaluation_cache_key,
     optimize,
     refine_evaluations,
 )
 from repro.optimize.space import DesignSpace
+from repro.store import Store
 
 SMALL_SPACE = DesignSpace(
     dataset_tb=5.0,
@@ -118,16 +118,23 @@ class TestCache:
         assert evaluation_cache_key(a, settings) != evaluation_cache_key(a, other)
 
     def test_cache_round_trips_evaluations(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        store = Store(tmp_path, "optimize")
         result = optimize(SMALL_SPACE, FAST_SETTINGS)
         refined = result.refined[0]
         key = evaluation_cache_key(refined, FAST_SETTINGS)
-        cache.put(key, refined)
-        assert cache.get(key) == refined
-        assert len(cache) == 1
+        store.put(key, refined.as_dict())
+        assert store.get(key, CandidateEvaluation.from_dict) == (
+            refined,
+            "hit",
+        )
+        assert [p.name for p in tmp_path.iterdir()] == [f"{key}.json"]
 
     def test_cache_miss_returns_none(self, tmp_path):
-        assert ResultCache(tmp_path).get("deadbeef") is None
+        store = Store(tmp_path, "optimize")
+        assert store.get("deadbeef", CandidateEvaluation.from_dict) == (
+            None,
+            "miss",
+        )
 
     def test_cache_files_are_json(self, tmp_path):
         optimize(SMALL_SPACE, FAST_SETTINGS, cache_dir=tmp_path)
@@ -175,15 +182,15 @@ class TestRunnerIdentity:
 
 class TestAtomicCache:
     def test_failed_publish_leaves_a_miss(self, tmp_path, monkeypatch):
-        cache = ResultCache(tmp_path)
+        store = Store(tmp_path, "optimize")
         refined = optimize(SMALL_SPACE, FAST_SETTINGS).refined[0]
 
         def broken_replace(src, dst):
             raise OSError("disk full")
 
         monkeypatch.setattr(os, "replace", broken_replace)
-        with pytest.raises(OSError):
-            cache.put("k", refined)
+        assert store.put("k", refined.as_dict()) == "write_error"
         monkeypatch.undo()
-        assert cache.lookup("k") == (None, "miss")
+        assert store.get("k", CandidateEvaluation.from_dict) == (None, "miss")
         assert list(tmp_path.iterdir()) == []
+        assert store.counts == {"write_error": 1, "miss": 1}

@@ -12,6 +12,7 @@ import pytest
 
 from repro import study
 from repro.core.parameters import FaultModel
+from repro.optimize import DesignSpace
 from repro.parallel import map_timed
 from repro.serve import (
     ANSWER_SCHEMA_VERSION,
@@ -322,6 +323,28 @@ def test_malformed_timeline_field_is_a_400_naming_its_path(path, value):
     assert f"'timeline.{path}'" in error
 
 
+def scenario_with(path, value):
+    """A valid scenario holding the field at ``path`` (a frontier
+    question for ``space.*``, a sweep for ``sweep.*``, an erasure code
+    for ``system.scheme.*``), with that field set to ``value``."""
+    payload = scenario_dict()
+    if path.startswith("space."):
+        payload.update(question="frontier", space=DesignSpace().as_dict())
+    elif path.startswith("sweep."):
+        payload.update(
+            question="sweep",
+            sweep={"parameter": "MDL", "values": [5.0, 50.0]},
+        )
+    elif path.startswith("system.scheme."):
+        payload["system"]["scheme"] = {"n": 6, "k": 4}
+    *parents, key = path.replace("[", ".").replace("]", "").split(".")
+    section = payload
+    for name in parents:
+        section = section[int(name) if name.isdigit() else name]
+    section[int(key) if key.isdigit() else key] = value
+    return payload
+
+
 @pytest.mark.parametrize(
     "path,value",
     [
@@ -329,16 +352,19 @@ def test_malformed_timeline_field_is_a_400_naming_its_path(path, value):
         ("system.replicas", 2.7),
         ("system.model.MV", [1]),
         ("policy.trials", True),
+        # Each of these used to run silently as a different question,
+        # or fail naming no field.
+        ("sweep.values", "123"),
+        ("system.scheme.n", 6.5),
+        ("system.scheme.k", True),
+        ("space.replica_counts[0]", 2.5),
+        ("space.audit_rates[0]", float("nan")),
+        ("space.media", 5),
+        ("space.media[0]", 5),
     ],
 )
 def test_malformed_number_is_a_400_naming_its_path(path, value):
-    payload = scenario_dict()
-    *parents, key = path.split(".")
-    section = payload
-    for name in parents:
-        section = section[name]
-    section[key] = value
-    response = post_query(payload)
+    response = post_query(scenario_with(path, value))
     assert response.startswith(b"HTTP/1.1 400 ")
     error = json.loads(response.partition(b"\r\n\r\n")[2])["error"]
     assert f"'{path}'" in error

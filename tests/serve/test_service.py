@@ -1,10 +1,15 @@
 """StudyService: store layer, single-flight, batching, progress events."""
 
 import asyncio
+import errno
+import os
 
 import pytest
 
+from repro import obs
 from repro.core.parameters import FaultModel
+from repro.fleet import stationary_timeline
+from repro.optimize import DesignSpace
 from repro.serve import (
     ResultStore,
     StudyService,
@@ -262,8 +267,78 @@ def test_corrupt_store_entry_degrades_to_recompute(tmp_path):
     assert second.served_from == "engine"  # recomputed, not crashed
     assert third.served_from == "store"  # the recompute repaired the entry
     assert stats["cache.serve.error"] == 1
-    assert store.errors == 1
+    assert store.entries.counts["error"] == 1
     assert second.result.value == first.result.value
+
+
+def test_full_disk_costs_the_cache_not_the_answer(tmp_path, monkeypatch):
+    fast = FaultModel(500.0, 100.0, 1.0, 1.0, 5.0, 1.0)
+    questions = [
+        scenario(),
+        Scenario(
+            question="fleet_survival",
+            timeline=stationary_timeline(fast, 2.0),
+            members=400,
+            chunk_size=200,
+            policy=EstimatorPolicy(engine="fleet", seed=4),
+        ),
+        Scenario(
+            question="frontier",
+            space=DesignSpace(
+                media=("drive:cheetah",), replica_counts=(2, 3),
+                audit_rates=(0.0, 52.0),
+            ),
+            budget=500000.0,
+            policy=EstimatorPolicy(engine="auto", trials=300, seed=1),
+        ),
+    ]
+
+    def full_disk(src, dst):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", full_disk)
+
+    async def main():
+        service = StudyService(store=ResultStore(tmp_path))
+        try:
+            answers = [await service.submit(q) for q in questions]
+        finally:
+            await service.close()
+        return answers, counters(service)
+
+    answers, stats = asyncio.run(main())
+    assert [answer.served_from for answer in answers] == ["engine"] * 3
+    for question, answer in zip(questions, answers):
+        assert answer.result.value == run(question).value
+    fleet, frontier = (a.result.details["summary"] for a in answers[1:])
+    assert stats["cache.serve.write_error"] == 3
+    assert stats["cache.fleet.write_error"] == fleet["new_chunks"] == 2
+    assert stats["cache.optimize.write_error"] == frontier["new_evaluations"]
+    assert frontier["new_evaluations"] > 0
+    assert not any(name.endswith(".store") for name in stats)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_store_outcomes_land_in_the_service_registry(tmp_path):
+    ambient = obs.Telemetry()
+
+    async def main():
+        service = StudyService(store=ResultStore(tmp_path))
+        # The event-loop thread's current registry may be anyone's
+        # session; the store must not count into it.
+        with obs.session(ambient):
+            await service.submit(scenario())
+            await service.submit(scenario())
+        await service.close()
+        return counters(service)
+
+    stats = asyncio.run(main())
+    assert stats["cache.serve.miss"] == 1
+    assert stats["cache.serve.store"] == 1
+    assert stats["cache.serve.hit"] == 1
+    assert not any(
+        name.startswith("cache.") for name in ambient.snapshot().counters
+    )
 
 
 def test_progress_stream_and_telemetry_stripping():

@@ -99,13 +99,7 @@ def test_roundtrip_hit(tmp_path):
     stored, outcome = store.lookup(s)
     assert outcome == "hit"
     assert stored.as_dict() == result.as_dict()
-    assert store.stats() == {
-        "hits": 1,
-        "misses": 1,
-        "stales": 0,
-        "errors": 0,
-        "stores": 1,
-    }
+    assert dict(store.entries.counts) == {"hit": 1, "miss": 1, "store": 1}
 
 
 def test_precision_variants_share_one_entry(tmp_path):
@@ -121,7 +115,7 @@ def test_precision_variants_share_one_entry(tmp_path):
         assert outcome == "hit"
         # Provenance is the producing run's, not the asker's.
         assert stored.seed == s.policy.seed
-    assert len(store) == 1
+    assert [p.name for p in tmp_path.iterdir()] == [f"{question_key(s)}.json"]
 
 
 def test_exact_answers_hit_any_target(tmp_path):
@@ -142,7 +136,7 @@ def test_tighter_target_is_stale_then_refreshed(tmp_path):
     tight = scenario(target=achieved / 10, trials=200)
     stored, outcome = store.lookup(tight)
     assert (stored, outcome) == (None, "stale")
-    assert store.stales == 1
+    assert store.entries.counts["stale"] == 1
     # A satisfiable demand still hits.
     loose = scenario(target=achieved * 10)
     assert store.lookup(loose)[1] == "hit"
@@ -152,7 +146,9 @@ def test_tighter_target_is_stale_then_refreshed(tmp_path):
     stored, outcome = store.lookup(tight)
     assert outcome == "hit"
     assert achieved_relative_error(stored) <= achieved / 10
-    assert len(store) == 1
+    assert [p.name for p in tmp_path.iterdir()] == [
+        f"{question_key(coarse)}.json"
+    ]
 
 
 def test_memory_cache_revalidates_on_external_overwrite(tmp_path):
@@ -193,7 +189,7 @@ def test_corrupt_entry_degrades_to_error(tmp_path, garbage):
     (tmp_path / f"{key}.json").write_text(garbage, encoding="utf-8")
     stored, outcome = store.lookup(s)
     assert (stored, outcome) == (None, "error")
-    assert store.errors == 1
+    assert store.entries.counts["error"] == 1
     # put() repairs the entry; subsequent lookups hit again.
     store.put(s, run(s))
     assert store.lookup(s)[1] == "hit"
@@ -254,7 +250,9 @@ def test_two_processes_share_one_store_without_corruption(tmp_path):
     assert out.get() == 0
     # Both wrote the same question key; the surviving entry decodes.
     store = ResultStore(tmp_path)
-    assert len(store) == 1
+    assert [p.name for p in tmp_path.iterdir()] == [
+        f"{question_key(scenario(seed=1))}.json"
+    ]
     stored, outcome = store.lookup(scenario(seed=1))
     assert outcome == "hit"
     assert stored.question == "loss_probability"

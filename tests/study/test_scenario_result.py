@@ -192,15 +192,37 @@ class TestScenarioValidation:
             ("policy.bias", math.nan),
             ("policy.cross_check", "false"),
             ("policy.cross_check", 0),
+            ("space.dataset_tb", "10"),
+            ("space.media", 5),
+            ("space.media[0]", 5),
+            ("space.replica_counts[0]", 2.5),
+            ("space.replica_counts[0]", True),
+            ("space.audit_rates[0]", math.nan),
+            ("space.placements", "single"),
+            ("space.site_cost_per_year", math.inf),
+            ("space.erasure_schemes", "6,4"),
+            ("sweep.parameter", 5),
+            ("sweep.values", "123"),
+            ("sweep.values[0]", math.nan),
+            ("sweep.metric", None),
+            ("sweep.correlation_factors", 0.5),
+            ("system.scheme.n", 6.5),
+            ("system.scheme.k", True),
         ],
     )
     def test_malformed_numbers_name_their_path(self, path, value):
-        payload = _scenarios_of_every_kind()[1].as_dict()
-        *parents, key = path.split(".")
+        # The point scenario, or the sweep or frontier one for a path in
+        # their section; system.scheme paths get an erasure code.
+        kinds = _scenarios_of_every_kind()
+        index = {"sweep": 2, "space": 3}.get(path.split(".")[0], 1)
+        payload = kinds[index].as_dict()
+        if path.startswith("system.scheme."):
+            payload["system"]["scheme"] = {"n": 6, "k": 4}
+        *parents, key = path.replace("[", ".").replace("]", "").split(".")
         section = payload
         for name in parents:
-            section = section[name]
-        section[key] = value
+            section = section[int(name) if name.isdigit() else name]
+        section[int(key) if key.isdigit() else key] = value
         with pytest.raises(ValueError, match=f"'{re.escape(path)}'"):
             Scenario.from_dict(payload)
 
