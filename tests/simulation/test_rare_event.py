@@ -121,25 +121,36 @@ class TestEffectiveSampleSize:
 class TestImportanceWeights:
     """Satellite: weight validity and estimator agreement across seeds."""
 
-    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
-    def test_is_and_standard_agree_within_ci_overlap(self, seed):
+    def test_is_and_standard_agree_pooled_over_seeds(self):
         # Moderate operating point where both estimators converge: the
-        # paper's scrubbed Cheetah pair at ~2% mission loss.
+        # paper's scrubbed Cheetah pair at ~2% mission loss.  The IS
+        # interval is far narrower than the standard one, so a per-seed
+        # overlap check fails ~5% of the time without any bias.  Pooling
+        # the per-seed z-scores of the difference instead catches a
+        # shift of ~0.67 combined standard errors.
         model = paper_moderate_model()
-        standard = run_loss_probability(
-            model,
-            mission_time=MISSION,
-            trials=3000,
-            seed=seed,
-            backend="batch",
-            method="standard",
-        )
-        weighted = run_loss_probability(
-            model, mission_time=MISSION, trials=3000, seed=seed, method="is"
-        )
-        assert standard.losses > 0
-        assert weighted.method == "is"
-        assert intervals_overlap(standard, weighted)
+        seeds = range(1, 21)
+        scores = []
+        for seed in seeds:
+            standard = run_loss_probability(
+                model,
+                mission_time=MISSION,
+                trials=3000,
+                seed=seed,
+                backend="batch",
+                method="standard",
+            )
+            weighted = run_loss_probability(
+                model, mission_time=MISSION, trials=3000, seed=seed, method="is"
+            )
+            assert standard.losses > 0
+            assert weighted.method == "is"
+            scores.append(
+                (weighted.mean - standard.mean)
+                / math.hypot(weighted.std_error, standard.std_error)
+            )
+        assert abs(sum(scores)) / math.sqrt(len(seeds)) < 3.0
+        assert max(abs(score) for score in scores) < 4.0
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_weights_are_finite_and_positive(self, seed):
