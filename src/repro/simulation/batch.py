@@ -629,6 +629,9 @@ class PiecewiseBatchState:
     ) -> None:
         """Land external (shock) faults on selected trials at ``time``.
 
+        A ``time`` after the current time first advances the state to
+        it, so every organic event before the shock happens first.
+
         Args:
             time: absolute event time; must not precede the state's
                 current time.
@@ -640,6 +643,8 @@ class PiecewiseBatchState:
         """
         if time < self.now:
             raise ValueError("cannot inject faults in the past")
+        if time > self.now:
+            self.advance_to(time)
         members = np.asarray(members)
         alive = ~self.lost[members]
         members = members[alive]

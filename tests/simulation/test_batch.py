@@ -561,8 +561,14 @@ class TestPiecewiseStateMachine:
     def fast_model(self):
         return FaultModel(500.0, 100.0, 1.0, 1.0, 5.0, 1.0)
 
+    @staticmethod
+    def quiet_model(mrl=1.0):
+        # Organic faults are negligible, so only injected ones exist.
+        # MDL 5 h: audits every 10 h.
+        return FaultModel(1e12, 1e12, 1.0, mrl, 5.0, 1.0)
+
     def test_inject_faults_on_every_replica_loses_the_trial(self):
-        state = PiecewiseBatchState(self.fast_model(), trials=8, replicas=2)
+        state = PiecewiseBatchState(self.quiet_model(), trials=8, replicas=2)
         members = np.array([0, 3, 5])
         hits = np.ones((3, 2), dtype=bool)
         state.inject_faults(10.0, members, hits)
@@ -572,7 +578,7 @@ class TestPiecewiseStateMachine:
         assert state.shock_faults == 6
 
     def test_partial_hit_degrades_without_losing(self):
-        state = PiecewiseBatchState(self.fast_model(), trials=4, replicas=2)
+        state = PiecewiseBatchState(self.quiet_model(), trials=4, replicas=2)
         hits = np.zeros((1, 2), dtype=bool)
         hits[0, 0] = True
         state.inject_faults(5.0, np.array([1]), hits)
@@ -582,11 +588,34 @@ class TestPiecewiseStateMachine:
         assert state.recovery[1, 0] == pytest.approx(6.0)
 
     def test_injection_on_lost_members_is_a_no_op(self):
-        state = PiecewiseBatchState(self.fast_model(), trials=2, replicas=2)
+        state = PiecewiseBatchState(self.quiet_model(), trials=2, replicas=2)
         state.inject_faults(1.0, np.array([0]), np.ones((1, 2), dtype=bool))
         faults_before = state.shock_faults
         state.inject_faults(2.0, np.array([0]), np.ones((1, 2), dtype=bool))
         assert state.shock_faults == faults_before
+
+    def test_a_later_injection_lands_after_the_events_before_it(self):
+        # Injecting at a time after ``now`` first runs the organic
+        # events before it, so no loss is recorded before the fault
+        # that completed it: every lost trial ends at its latest fault.
+        state = PiecewiseBatchState(
+            self.fast_model(), trials=2000, replicas=2, seed=1
+        )
+        struck = np.zeros((2000, 2), dtype=bool)
+        struck[:, 0] = True
+        state.inject_faults(50.0, np.arange(2000), struck)
+        assert state.now == 50.0
+        state.advance_to(51.0)
+        lost = state.lost
+        latest_fault = np.where(
+            state.state != batch_module.OK, state.fault_time, -np.inf
+        ).max(axis=1)
+        assert np.count_nonzero(lost) > 100
+        assert np.array_equal(state.end_time[lost], latest_fault[lost])
+        # Both kinds of loss happen: organic ones before the shock, and
+        # ones the shock completes on trials it finds degraded.
+        assert (state.end_time[lost] < 50.0).any()
+        assert (state.end_time[lost] == 50.0).any()
 
     def test_cannot_advance_backwards_or_inject_in_the_past(self):
         state = PiecewiseBatchState(self.fast_model(), trials=2)
@@ -608,12 +637,8 @@ class TestPiecewiseStateMachine:
     def test_in_flight_latent_repair_survives_later_switches(self):
         # A latent detected before one switch keeps its completion time
         # through the next, even when that switch re-anchors (here:
-        # strands) the latents still undetected.  Organic faults are
-        # negligible, so only the injected ones exist.
-        def quiet(mrl):
-            # MDL 5 h: audits every 10 h.
-            return FaultModel(1e12, 1e12, 1.0, mrl, 5.0, 1.0)
-
+        # strands) the latents still undetected.
+        quiet = self.quiet_model
         latent = batch_module.LATENT
         state = PiecewiseBatchState(quiet(1000.0), trials=1, replicas=3)
         one = np.array([0])
