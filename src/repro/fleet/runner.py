@@ -15,9 +15,10 @@ trajectory.  Two properties make runs composable:
 * **content-hash caching** — a chunk's tally is kept in the ``fleet``
   scope of the content-addressed :class:`repro.store.Store`, keyed by
   the full timeline definition, the chunk geometry, the root seed and
-  the kernel version, so re-running a fleet costs nothing and growing
-  one only pays for the new members.  An unreadable entry is re-simulated
-  and a failed write only costs the entry (the store's fault contract).
+  the kernel's stream version, so re-running a fleet costs nothing and
+  growing one only pays for the new members.  An unreadable entry is
+  re-simulated and a failed write only costs the entry (the store's
+  fault contract).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from repro import obs, parallel
 from repro.fleet.aggregate import FleetTally
 from repro.fleet.population import simulate_fleet_chunk
 from repro.fleet.timeline import FleetTimeline
+from repro.simulation.batch import STREAM_VERSION
 from repro.simulation.estimators import MonteCarloEstimate
 from repro.simulation.rng import spawn_seed
 from repro.store import Store, content_key
@@ -50,14 +52,6 @@ from repro.store import Store, content_key
 DEFAULT_CHUNK_SIZE = 10_000
 
 
-#: Version of the chunk kernel's random stream, hashed into every chunk
-#: key.  Bump it whenever the kernel consumes its generator differently:
-#: tallies cached under the old stream then miss instead of merging with
-#: chunks of the same fleet simulated under the new one (which would make
-#: a warm run differ from a cold run at the same seed).
-_KERNEL_VERSION = 2
-
-
 def chunk_cache_key(
     timeline: FleetTimeline, members: int, seed: int, index: int
 ) -> str:
@@ -68,7 +62,7 @@ def chunk_cache_key(
             "members": members,
             "seed": seed,
             "chunk": index,
-            "kernel": _KERNEL_VERSION,
+            "kernel": STREAM_VERSION,
         }
     )
 

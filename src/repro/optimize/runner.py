@@ -10,10 +10,11 @@ The runner orchestrates the multi-fidelity pipeline end to end:
 4. extract the CI-aware Pareto frontier from the refined evaluations.
 
 Refinements are kept in the ``optimize`` scope of the content-addressed
-:class:`repro.store.Store`, keyed by the candidate configuration *and*
-the evaluation settings, so a re-run evaluates zero new candidates, an
-enlarged space only pays for the new points, and a changed seed or
-trial count never reads stale results.  An unreadable entry is refined
+:class:`repro.store.Store`, keyed by the candidate configuration, the
+evaluation settings and the kernel's stream version, so a re-run
+evaluates zero new candidates, an enlarged space only pays for the new
+points, and a changed seed, trial count or stream never reads stale
+results.  An unreadable entry is refined
 again and a failed write only costs the entry.  Per-candidate
 seeds are spawned deterministically from the root seed
 (:func:`repro.simulation.rng.spawn_seed`), making serial and parallel
@@ -37,6 +38,7 @@ from repro.optimize.evaluate import (
 )
 from repro.optimize.frontier import pareto_frontier
 from repro.optimize.space import DesignSpace
+from repro.simulation.batch import STREAM_VERSION
 from repro.store import Store, content_key
 
 
@@ -48,6 +50,7 @@ def evaluation_cache_key(
         {
             "candidate": evaluation.candidate.as_dict(),
             "settings": settings.as_dict(),
+            "kernel": STREAM_VERSION,
         }
     )
 

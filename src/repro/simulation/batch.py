@@ -2,13 +2,13 @@ r"""Vectorized batch Monte-Carlo backend.
 
 Instead of running N independent :class:`SimulationEngine` event loops,
 this backend simulates N replicated systems *simultaneously* with NumPy
-array state: per-replica next-fault times, fault flags, and repair
-completions, advancing every live trial to its own next event in
-lock-step sweeps of batched draws.  Total work is the same number of
-events as the event-driven backend, but the per-event cost is a few
-vectorized array operations instead of a Python callback dispatch, which
-is what makes thousand-scenario sweeps practical (see
-``benchmarks/test_bench_e14_batch_speedup.py``).
+array state: one clock per replica (its next fault while healthy, its
+repair completion while faulty) and its fault flag, advancing every live
+trial to its own next event in lock-step sweeps of batched draws.  Total
+work is the same number of events as the event-driven backend, but the
+per-event cost is a few vectorized array operations instead of a Python
+callback dispatch, which is what makes thousand-scenario sweeps
+practical (see ``benchmarks/test_bench_e14_batch_speedup.py``).
 
 The backend covers the configurations :func:`system_from_fault_model`
 builds from a :class:`~repro.core.parameters.FaultModel`:
@@ -27,9 +27,13 @@ fault's entire recovery is known the instant it occurs: a visible fault
 at ``t`` recovers at ``t + MRV``; a latent fault at ``t`` is detected at
 the first audit-grid point after ``t`` and recovers ``MRL`` later (or
 never, without scrubbing).  Each lock-step sweep therefore only has to
-race per-replica fault arrivals against known recovery times, resampling
-pending arrivals whenever a trial enters or leaves the degraded regime —
-exactly the behaviour of the event-driven
+race per-replica fault arrivals against known recovery times.  A healthy
+replica's visible and latent clocks race as one clock at their summed
+rate, and a fault takes its type when it lands, visible with the
+visible share of that rate (competing exponentials).  When a trial
+enters or leaves the degraded regime its healthy replicas' pending
+arrivals are stretched to the new rate rather than redrawn
+(memorylessness) — exactly the behaviour of the event-driven
 :class:`~repro.simulation.system.ReplicatedStorageSystem`, which the
 cross-validation tests in ``tests/simulation/test_batch.py`` check
 estimate-for-estimate.
@@ -176,6 +180,17 @@ class BatchRunResult:
         }
 
 
+#: Version of the kernel's random stream, i.e. of how a seed's generator
+#: is consumed (see the draw-order comment above the kernel).  The keys
+#: of stored fleet chunks and planner refinements carry it, so bump it
+#: whenever the kernel draws differently: entries stored under the old
+#: stream then miss instead of mixing with results of the new one, which
+#: would make a warm run differ from a cold run at the same seed.
+#: Version 3 keeps one clock per replica and stretches it on regime
+#: changes instead of redrawing.
+STREAM_VERSION = 3
+
+
 #: Ceiling on a single block's eager ``(trials, replicas)`` state and
 #: exponential pre-draws.  Larger runs subdivide internally, reusing the
 #: same generator block after block, so peak memory stays proportional
@@ -288,22 +303,31 @@ def _concatenate_blocks(
 #
 # Random numbers come from one generator shared by every trial of the
 # state, in a fixed order: the time-zero clocks, then per sweep one
-# ``exponential(1.0, n)`` pair for the replicas returning to service and
-# one ``(n, replicas)`` pair for the trials entering or leaving the
-# degraded regime (when that regime samples at a different rate — under
-# correlation, failure biasing or both).  Which draw a trial receives
-# therefore depends on how the sweeps batch it with the others, so
-# cutting a timeline (an epoch boundary, a shock time) changes a seed's
-# outcome but not its distribution.
+# ``exponential(1.0, n)`` for the replicas returning to service and one
+# ``random(n)`` for the types of the faults landing.  Which draw a trial
+# receives therefore depends on how the sweeps batch it with the others,
+# so cutting a timeline (an epoch boundary, a shock time) changes a
+# seed's outcome but not its distribution.  The stream's layout is
+# versioned as :data:`STREAM_VERSION`.
 #
-# Epoch boundaries themselves draw nothing:
+# Regime changes draw nothing.  A healthy replica's clock ``c`` was
+# drawn at some sampling mean; at time ``t`` its remaining delay
+# ``c - t`` is an exponential with that mean (memorylessness), so
+# stretching it to ``t + (c - t) * m_new / m_old`` yields exactly the
+# remaining delay at the new mean ``m_new`` (scale family).  A trial
+# entering the degraded regime (a fault or a shock takes it from zero
+# to one faulty replica) stretches its healthy replicas by ``alpha /
+# bias``, and leaving it (its last faulty replica recovers) by the
+# inverse.  The replica that recovered draws its clock at the rate of
+# the regime it returns to, after the stretch, so it is not stretched.
 #
-# * A fault clock drawn in one rate regime is *exposure-corrected* when
-#   the rates change mid-trial: the remaining delay ``next - t`` is an
-#   exponential with the old sampling mean, so rescaling it by the ratio
-#   of the new mean to the old one yields exactly the new regime's
-#   remaining-delay distribution (memorylessness + scale family).  A
-#   switch to the same rates changes no state.
+# Epoch boundaries are regime changes too:
+#
+# * A healthy replica's clock is *exposure-corrected* when the rates
+#   change mid-trial: it is stretched by the ratio of the new sampling
+#   mean to the old one, as above, and the next fault to land takes its
+#   type from the new epoch's visible share.  A switch to the same
+#   rates changes no state.
 # * A latent fault still *undetected* at a boundary (its detection time
 #   lies beyond it) is re-anchored to the new epoch's audit grid: the
 #   detection moves to the first new-grid point after the boundary (or
@@ -311,8 +335,8 @@ def _concatenate_blocks(
 #   at the new epoch's ``MRL``.  When the grid is unchanged this is the
 #   identity, because no old-grid point can lie between the fault and
 #   the boundary (the fault would already have been detected).  The
-#   detection time is not stored: it is the recovery time less the
-#   ``MRL`` the repair was scheduled with.
+#   detection time is not stored: it is the recovery time (the faulty
+#   replica's clock) less the ``MRL`` the repair was scheduled with.
 # * An *in-flight* repair (visible, or latent already detected) keeps
 #   its completion time: the repair started under the old regime and
 #   its duration was fixed the moment it began.
@@ -401,7 +425,6 @@ class PiecewiseBatchState:
 
         self.state = np.zeros((trials, replicas), dtype=np.int8)
         self.fault_time = np.full((trials, replicas), np.inf)
-        self.recovery = np.full((trials, replicas), np.inf)
 
         self.lost = np.zeros(trials, dtype=bool)
         self.end_time = np.full(trials, np.inf)
@@ -421,22 +444,15 @@ class PiecewiseBatchState:
         self._latent_mrl: Union[float, np.ndarray] = 0.0
 
         self._set_model(model, audits_per_year)
-        self.next_visible = self._rng.exponential(
-            self._mean_visible, (trials, replicas)
+        # One clock per replica: its next fault (of either type) while
+        # healthy, its recovery while faulty.  ``_faulty`` is what each
+        # sweep would otherwise recount from the 2-D state; every writer
+        # of ``state`` keeps ``_faulty == count_nonzero(state != OK,
+        # axis=1)``.
+        self.clock = self._rng.exponential(
+            self._mean_fault, (trials, replicas)
         )
-        self.next_latent = self._rng.exponential(
-            self._mean_latent, (trials, replicas)
-        )
-        # What each sweep would otherwise re-derive from the 2-D state.
-        # Invariants, kept by every writer of ``state``, ``recovery``
-        # and the fault clocks:
-        #   _next_event == where(state == OK,
-        #                        minimum(next_visible, next_latent),
-        #                        recovery)
-        #   _faulty == count_nonzero(state != OK, axis=1)
-        self._next_event = np.empty((trials, replicas))
         self._faulty = np.zeros(trials, dtype=np.int64)
-        self._refresh_next_event()
 
     # -- model / regime ----------------------------------------------------
 
@@ -445,23 +461,32 @@ class PiecewiseBatchState:
     ) -> None:
         self.model = model
         self._interval = audit_interval_for(model, audits_per_year)
-        self._mean_visible = model.mean_time_to_visible
-        self._mean_latent = model.mean_time_to_latent
         self._repair_visible = model.mean_repair_visible
         self._repair_latent = model.mean_repair_latent
         self._alpha = model.correlation_factor
+        self._total_rate = model.total_fault_rate
+        # A healthy replica's clock races both fault types at their
+        # summed rate; the fault that lands is visible with the visible
+        # share of it.
+        self._mean_fault = 1.0 / self._total_rate
+        self._visible_share = model.visible_rate / self._total_rate
         # Degraded trials sample at ``alpha / accel`` times the base
-        # mean, so leaving or entering that regime redraws the healthy
+        # mean, so entering or leaving that regime stretches the healthy
         # replicas' clocks whenever the two rates differ.
         self._degraded_scale = self._alpha / self._accel
-        self._reschedule = self._alpha < 1.0 or self._accel != 1.0
-        self._total_rate = 1.0 / self._mean_visible + 1.0 / self._mean_latent
-        self._inv_alpha = 1.0 / self._alpha if self._alpha < 1.0 else 1.0
+        self._inv_alpha = 1.0 / self._alpha
 
-    def _refresh_next_event(self) -> None:
-        """Recompute the whole next-event cache from the state."""
-        np.minimum(self.next_visible, self.next_latent, out=self._next_event)
-        np.copyto(self._next_event, self.recovery, where=self.state != OK)
+    def _stretch(
+        self, rows: np.ndarray, times: np.ndarray, factor: float
+    ) -> None:
+        """Stretch the pending fault clocks of the healthy replicas of
+        ``rows`` (unique) by ``factor`` from ``times``: memorylessness
+        makes a stretched residual exact."""
+        clocks = self.clock.take(rows, axis=0)
+        anchor = times[:, None]
+        stretched = anchor + (clocks - anchor) * factor
+        healthy = self.state.take(rows, axis=0) == OK
+        self.clock[rows] = np.where(healthy, stretched, clocks)
 
     def switch_model(
         self, model: FaultModel, audits_per_year: Optional[float] = None
@@ -477,26 +502,18 @@ class PiecewiseBatchState:
         """
         now = self.now
         degraded = self._faulty > 0
-        old_scale = np.where(degraded, self._alpha, 1.0)
-        new_scale = np.where(degraded, model.correlation_factor, 1.0)
-        factor_visible = (
-            model.mean_time_to_visible * new_scale
-        ) / (self._mean_visible * old_scale)
-        factor_latent = (
-            model.mean_time_to_latent * new_scale
-        ) / (self._mean_latent * old_scale)
-
-        healthy = (self.state == OK) & ~self.lost[:, None]
-        for factor, clocks in (
-            (factor_visible, self.next_visible),
-            (factor_latent, self.next_latent),
-        ):
-            changed = factor != 1.0
-            if changed.any():
-                # Skipping factor-1 trials keeps the no-change boundary
-                # bit-exact (now + (x - now) * 1.0 need not round to x).
-                stretch = now + (clocks - now) * factor[:, None]
-                np.copyto(clocks, stretch, where=healthy & changed[:, None])
+        old_mean = self._mean_fault * np.where(degraded, self._alpha, 1.0)
+        new_mean = (1.0 / model.total_fault_rate) * np.where(
+            degraded, model.correlation_factor, 1.0
+        )
+        factor = new_mean / old_mean
+        changed = factor != 1.0
+        if changed.any():
+            # Skipping factor-1 trials keeps the no-change boundary
+            # bit-exact (now + (x - now) * 1.0 need not round to x).
+            healthy = (self.state == OK) & ~self.lost[:, None]
+            stretch = now + (self.clock - now) * factor[:, None]
+            np.copyto(self.clock, stretch, where=healthy & changed[:, None])
 
         # A latent recovery is its detection plus the MRL it was
         # scheduled with: the outgoing epoch's for faults landed since
@@ -512,7 +529,7 @@ class PiecewiseBatchState:
 
         undetected = (
             (self.state == LATENT)
-            & (self.recovery > now + scheduled_mrl)
+            & (self.clock > now + scheduled_mrl)
             & ~self.lost[:, None]
         )
         if undetected.any() and (
@@ -520,16 +537,15 @@ class PiecewiseBatchState:
             or self._repair_latent != old_repair_latent
         ):
             if self._interval is None:
-                self.recovery[undetected] = np.inf
+                self.clock[undetected] = np.inf
             else:
                 anchored = (
                     math.floor(now / self._interval) + 1.0
                 ) * self._interval
-                self.recovery[undetected] = anchored + self._repair_latent
+                self.clock[undetected] = anchored + self._repair_latent
             scheduled_mrl[undetected] = self._repair_latent
         self._latent_mrl = scheduled_mrl
         self._switched_at = now
-        self._refresh_next_event()
 
     # -- fault landing (shared by organic faults and shocks) ---------------
 
@@ -552,8 +568,6 @@ class PiecewiseBatchState:
         """
         self.state.reshape(-1)[cells] = fault_code
         self.fault_time.reshape(-1)[cells] = times
-        self.next_visible.reshape(-1)[cells] = np.inf
-        self.next_latent.reshape(-1)[cells] = np.inf
 
         completed = np.empty(rows.size)
         visible_mask = fault_code == VISIBLE
@@ -565,8 +579,7 @@ class PiecewiseBatchState:
         else:
             grid = (np.floor(times[latent_mask] / interval) + 1.0) * interval
             completed[latent_mask] = grid + self._repair_latent
-        self.recovery.reshape(-1)[cells] = completed
-        self._next_event.reshape(-1)[cells] = completed
+        self.clock.reshape(-1)[cells] = completed
 
         # ``add.at`` because a multi-replica shock repeats its row.
         np.add.at(self._faulty, rows, 1)
@@ -585,40 +598,6 @@ class PiecewiseBatchState:
                 l_rows * self.replicas + oldest
             ]
         return faulty_now, loss_mask
-
-    def _fresh_clocks(
-        self, rows: np.ndarray, times: np.ndarray, scale: float
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Visible, then latent, clocks for every replica of ``rows``
-        from ``times`` at ``scale`` times the base means (memorylessness
-        makes resampling on a regime change exact)."""
-        shape = (rows.size, self.replicas)
-        anchor = times[:, None]
-        visible = anchor + self._rng.exponential(
-            self._mean_visible * scale, shape
-        )
-        latent = anchor + self._rng.exponential(
-            self._mean_latent * scale, shape
-        )
-        return visible, latent
-
-    def _enter_degraded(self, rows: np.ndarray, times: np.ndarray) -> None:
-        """Healthy replicas of ``rows`` (unique) now race at the
-        degraded regime's sampling rate: 1/alpha faster, and faster
-        again by the failure bias."""
-        visible, latent = self._fresh_clocks(rows, times, self._degraded_scale)
-        healthy = self.state.take(rows, axis=0) == OK
-        self.next_visible[rows] = np.where(
-            healthy, visible, self.next_visible.take(rows, axis=0)
-        )
-        self.next_latent[rows] = np.where(
-            healthy, latent, self.next_latent.take(rows, axis=0)
-        )
-        self._next_event[rows] = np.where(
-            healthy,
-            np.minimum(visible, latent),
-            self.recovery.take(rows, axis=0),
-        )
 
     def inject_faults(
         self,
@@ -666,14 +645,17 @@ class PiecewiseBatchState:
         _, loss_mask = self._land_faults(
             row_trials, row_trials * self.replicas + cols_2d, times, codes
         )
-        if self._reschedule:
+        if self._degraded_scale != 1.0:
             # Entering the degraded regime: a shock is not drawn from
             # the biased clocks, so it adds no jump term, but the
             # surviving replicas now race at the degraded rate.
             entered = (previously_faulty[rows_2d] == 0) & ~loss_mask
             if entered.any():
                 e_rows = np.unique(row_trials[entered])
-                self._enter_degraded(e_rows, np.full(e_rows.size, float(time)))
+                self._stretch(
+                    e_rows, np.full(e_rows.size, float(time)),
+                    self._degraded_scale,
+                )
 
     # -- time advance ------------------------------------------------------
 
@@ -688,21 +670,16 @@ class PiecewiseBatchState:
         # replica`` indices.
         rng = self._rng
         flat_state = self.state.reshape(-1)
-        flat_recovery = self.recovery.reshape(-1)
         flat_fault_time = self.fault_time.reshape(-1)
-        next_visible = self.next_visible
-        next_latent = self.next_latent
-        flat_visible = next_visible.reshape(-1)
-        flat_latent = next_latent.reshape(-1)
-        next_event = self._next_event
-        flat_event = next_event.reshape(-1)
+        clock = self.clock
+        flat_clock = clock.reshape(-1)
         faulty = self._faulty
         lost = self.lost
         replicas = self.replicas
-        mean_visible = self._mean_visible
-        mean_latent = self._mean_latent
+        mean_fault = self._mean_fault
+        visible_share = self._visible_share
         degraded_scale = self._degraded_scale
-        reschedule = self._reschedule
+        stretching = degraded_scale != 1.0
         log_weight = self.log_weight
         weighting = log_weight is not None
         if weighting:
@@ -721,9 +698,8 @@ class PiecewiseBatchState:
         while live.size:
             sweeps += 1
             # Next event per live trial: the earliest of its replicas'
-            # cached next events (the first replica on ties, as argmin
-            # would pick).
-            candidate = next_event.take(live, axis=0)
+            # clocks (the first replica on ties, as argmin would pick).
+            candidate = clock.take(live, axis=0)
             event_time = candidate[:, 0]
             which = np.zeros(live.size, dtype=np.intp)
             for col in range(1, replicas):
@@ -764,51 +740,41 @@ class PiecewiseBatchState:
                 cells = cell[is_recovery]
                 times = event_time[is_recovery]
                 flat_state[cells] = OK
-                flat_recovery[cells] = np.inf
                 flat_fault_time[cells] = np.inf
                 faulty[rows] -= 1
                 if repairs is not None:
                     repairs[rows] += 1
                     year = (times / HOURS_PER_YEAR).astype(np.int64)
                     np.add.at(year_counts, np.minimum(year, last_year), 1)
-                # New arrivals for the recovered replica draw at the
-                # current regime's *sampling* rate (divided by alpha
-                # while the trial stays degraded — the paper's
-                # non-compounding correlation — and additionally
-                # accelerated by the failure bias there).
-                visible_mean, latent_mean = mean_visible, mean_latent
-                if reschedule:
-                    still_faulty = faulty[rows]
-                    scale = np.where(still_faulty > 0, degraded_scale, 1.0)
-                    visible_mean = mean_visible * scale
-                    latent_mean = mean_latent * scale
-                visible = times + rng.exponential(1.0, rows.size) * visible_mean
-                latent = times + rng.exponential(1.0, rows.size) * latent_mean
-                flat_visible[cells] = visible
-                flat_latent[cells] = latent
-                flat_event[cells] = np.minimum(visible, latent)
-                if reschedule:
-                    # Leaving the degraded regime: every replica falls
-                    # back to base-rate arrivals.
-                    back = still_faulty == 0
+                # The recovered replica's next fault comes at the
+                # sampling rate of the regime the trial is in now
+                # (divided by alpha while it stays degraded — the
+                # paper's non-compounding correlation — and accelerated
+                # by the failure bias there).
+                delay = rng.exponential(1.0, rows.size) * mean_fault
+                if stretching:
+                    back = faulty[rows] == 0
+                    delay[~back] *= degraded_scale
                     if back.any():
-                        b_rows = rows[back]
-                        visible, latent = self._fresh_clocks(
-                            b_rows, times[back], 1.0
+                        # Leaving the degraded regime: the other healthy
+                        # replicas slow back to base-rate arrivals.  The
+                        # recovered replica's clock still reads its
+                        # recovery time, which a stretch from that time
+                        # leaves as it is.
+                        self._stretch(
+                            rows[back], times[back], 1.0 / degraded_scale
                         )
-                        next_visible[b_rows] = visible
-                        next_latent[b_rows] = latent
-                        next_event[b_rows] = np.minimum(visible, latent)
+                flat_clock[cells] = times + delay
 
             faulted = ~is_recovery
             if faulted.any():
                 rows = live[faulted]
                 cells = cell[faulted]
                 times = event_time[faulted]
+                # Competing exponentials: the landing fault is visible
+                # with the visible share of the summed rate in force.
                 fault_code = np.where(
-                    flat_visible.take(cells) <= flat_latent.take(cells),
-                    VISIBLE,
-                    LATENT,
+                    rng.random(rows.size) < visible_share, VISIBLE, LATENT
                 ).astype(np.int8)
                 faulty_now, loss_mask = self._land_faults(
                     rows, cells, times, fault_code
@@ -819,13 +785,15 @@ class PiecewiseBatchState:
                     # times its true rate; first faults fired at the
                     # true rate.
                     log_weight[rows[faulty_now >= 2]] -= log_accel
-                if reschedule:
+                if stretching:
                     # Entering the degraded regime (0 -> 1 faulty
                     # replicas): healthy replicas' pending arrivals
                     # accelerate by 1/alpha and by the failure bias.
                     entered = (faulty_now == 1) & ~loss_mask
                     if entered.any():
-                        self._enter_degraded(rows[entered], times[entered])
+                        self._stretch(
+                            rows[entered], times[entered], degraded_scale
+                        )
                 if loss_mask.any():
                     live = live[~lost[live]]
         self.sweeps += sweeps

@@ -315,8 +315,8 @@ class TestStreamPins:
 
     Cached fleet chunks are keyed by the kernel's stream version, so a
     change that makes one of these pins fail must also bump
-    ``_KERNEL_VERSION`` in ``repro/fleet/runner.py`` (and re-record the
-    pins); otherwise a warm run would merge chunks from two streams.
+    ``STREAM_VERSION`` in ``repro/simulation/batch.py`` (and re-record
+    the pins); otherwise a warm run would merge chunks from two streams.
     """
 
     @staticmethod
@@ -350,7 +350,7 @@ class TestStreamPins:
                 ),
                 2000,
                 21,
-                (1301, 79, 12562, 1358, 221, 12562, 9599401.620959634),
+                (1273, 86, 12815, 1353, 206, 12815, 9399810.556898579),
             ),
             # Latent then visible shocks on three replicas, ending in an
             # unscrubbed alpha < 1 epoch.
@@ -386,7 +386,7 @@ class TestStreamPins:
                 ),
                 1500,
                 22,
-                (716, 257, 57448, 5238, 0, 57448, 4580011.911222487),
+                (712, 270, 57848, 5243, 0, 57848, 4702807.551702211),
             ),
             # (6,4) with latent shocks under alpha < 1, a migration, and
             # an aged epoch with visible shocks.
@@ -421,7 +421,7 @@ class TestStreamPins:
                 ),
                 1000,
                 23,
-                (673, 172, 21867, 2234, 30, 21867, 4618506.568497314),
+                (691, 162, 21691, 2242, 30, 21691, 4781808.056994966),
             ),
         }
 

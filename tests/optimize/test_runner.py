@@ -13,7 +13,7 @@ from repro.optimize.runner import (
     refine_evaluations,
 )
 from repro.optimize.space import DesignSpace
-from repro.store import Store
+from repro.store import Store, content_key
 
 SMALL_SPACE = DesignSpace(
     dataset_tb=5.0,
@@ -108,6 +108,25 @@ class TestCache:
         second = optimize(SMALL_SPACE, FAST_SETTINGS, cache_dir=tmp_path)
         assert second.cache_hits == 0
         assert second.new_evaluations == len(first.survivors)
+
+    def test_entry_under_the_unversioned_recipe_is_a_miss(self, tmp_path):
+        # The recipe before the kernel's stream version joined the key:
+        # a refinement stored under it was drawn from an older stream,
+        # so a warm run would return what a cold run at the same seed
+        # no longer produces.
+        cold = optimize(SMALL_SPACE, FAST_SETTINGS)
+        store = Store(tmp_path, "optimize")
+        for evaluation in cold.refined:
+            legacy_key = content_key(
+                {
+                    "candidate": evaluation.candidate.as_dict(),
+                    "settings": FAST_SETTINGS.as_dict(),
+                }
+            )
+            store.put(legacy_key, evaluation.as_dict())
+        warm = optimize(SMALL_SPACE, FAST_SETTINGS, cache_dir=tmp_path)
+        assert warm.cache_hits == 0
+        assert warm.new_evaluations == len(warm.survivors)
 
     def test_cache_key_depends_on_candidate_and_settings(self):
         settings = FAST_SETTINGS

@@ -439,10 +439,10 @@ class TestPiecewiseTimeline:
         state.advance_to(45.0)
         live = ~state.lost
         assert ((state.state != 0).any(axis=1) & live).any()
-        assert ((state.state == 2) & (state.recovery > 45.0 + 1.0)).any()
+        assert ((state.state == 2) & (state.clock > 45.0 + 1.0)).any()
         names = (
-            "state", "fault_time", "recovery", "next_visible",
-            "next_latent", "lost", "end_time", "first_type", "final_type",
+            "state", "fault_time", "clock", "lost", "end_time",
+            "first_type", "final_type",
         ) + (("log_weight",) if bias else ())
         before = {name: getattr(state, name).copy() for name in names}
         stream = rng.bit_generator.state
@@ -450,6 +450,77 @@ class TestPiecewiseTimeline:
         for name in names:
             assert np.array_equal(getattr(state, name), before[name]), name
         assert rng.bit_generator.state == stream
+
+    def test_a_switch_changes_the_type_of_the_next_fault(self):
+        # One replica, so every fault is a loss of its own type.  A
+        # fault takes its type when it lands, from the rates in force:
+        # the visible share of the losses is 1/11 before the switch and
+        # 10/11 after it.
+        state = PiecewiseBatchState(
+            self.fast_model(
+                mean_time_to_visible=1000.0, mean_time_to_latent=100.0
+            ),
+            trials=200_000,
+            replicas=1,
+            seed=3,
+        )
+        state.advance_to(20.0)
+        before = state.final_type[state.lost]
+        state.switch_model(
+            self.fast_model(
+                mean_time_to_visible=100.0, mean_time_to_latent=1000.0
+            )
+        )
+        state.advance_to(1e5)
+        after = state.final_type[state.lost & (state.end_time >= 20.0)]
+        for types, share in ((before, 1.0 / 11.0), (after, 10.0 / 11.0)):
+            visible = np.count_nonzero(types == batch_module.VISIBLE)
+            se = np.sqrt(share * (1.0 - share) / types.size)
+            assert abs(visible / types.size - share) < 4 * se
+
+    def test_regime_changes_draw_nothing(self):
+        # A switch to different rates, and a shock that degrades trials
+        # under alpha < 1, stretch the pending clocks of healthy
+        # replicas by the ratio of the sampling means instead of
+        # drawing new ones.
+        rng = np.random.default_rng(4)
+        state = PiecewiseBatchState(
+            self.fast_model(correlation_factor=0.2), trials=500, rng=rng
+        )
+        now = 30.0
+        state.advance_to(now)
+        stream = rng.bit_generator.state
+        live = ~state.lost
+        degraded = state._faulty > 0
+        healthy = (state.state == batch_module.OK) & live[:, None]
+        assert (healthy & degraded[:, None]).any()
+        residual = state.clock - now
+        state.switch_model(
+            self.fast_model(mean_time_to_visible=800.0, correlation_factor=0.5)
+        )
+        assert rng.bit_generator.state == stream
+        mean_ratio = (1.0 / (1.0 / 800.0 + 1.0 / 100.0)) / (
+            1.0 / (1.0 / 500.0 + 1.0 / 100.0)
+        )
+        factor = np.where(degraded, mean_ratio * 0.5 / 0.2, mean_ratio)
+        expected = (residual * factor[:, None])[healthy]
+        np.testing.assert_allclose(
+            state.clock[healthy] - now, expected, rtol=1e-9
+        )
+
+        whole = np.flatnonzero(
+            (state.state == batch_module.OK).all(axis=1) & live
+        )
+        assert whole.size > 0
+        struck = np.zeros((whole.size, 2), dtype=bool)
+        struck[:, 0] = True
+        residual = state.clock[whole, 1] - now
+        state.inject_faults(now, whole, struck)
+        assert rng.bit_generator.state == stream
+        assert (state._faulty[whole] == 1).all()
+        np.testing.assert_allclose(
+            state.clock[whole, 1] - now, residual * 0.5, rtol=1e-9
+        )
 
     def test_single_segment_agrees_with_simulate_batch(self):
         self.assert_single_segment_matches_simulate_batch(bias=None)
@@ -585,7 +656,7 @@ class TestPiecewiseStateMachine:
         assert not state.lost.any()
         assert state.state[1, 0] != 0
         # The struck replica repairs (visible fault, MRV = 1h).
-        assert state.recovery[1, 0] == pytest.approx(6.0)
+        assert state.clock[1, 0] == pytest.approx(6.0)
 
     def test_injection_on_lost_members_is_a_no_op(self):
         state = PiecewiseBatchState(self.quiet_model(), trials=2, replicas=2)
@@ -648,8 +719,8 @@ class TestPiecewiseStateMachine:
         state.inject_faults(16.0, one, np.array([[0, 1, 0]]), latent)
         state.advance_to(17.0)  # undetected until 20
         state.switch_model(quiet(1.0), audits_per_year=0.0)
-        assert state.recovery[0, 0] == 1010.0
-        assert state.recovery[0, 1] == np.inf
+        assert state.clock[0, 0] == 1010.0
+        assert state.clock[0, 1] == np.inf
 
     def test_repair_year_histogram_tracks_completions(self):
         state = PiecewiseBatchState(
@@ -660,7 +731,7 @@ class TestPiecewiseStateMachine:
         assert state.repair_year_counts.sum() == state.repairs.sum()
 
 
-def cache_model(mrl=1.0, alpha=1.0, hazard=1.0):
+def invariant_model(mrl=1.0, alpha=1.0, hazard=1.0):
     """A compressed-time model whose trials see many events per day:
     audits every 10 h (MDL 5 h), MRV 1 h."""
     return FaultModel(2000.0 / hazard, 400.0 / hazard, 1.0, mrl, 5.0, alpha)
@@ -670,7 +741,7 @@ def cache_model(mrl=1.0, alpha=1.0, hazard=1.0):
 #: regime (MRL, audit rate with scrubbing off at 0, alpha, hazard);
 #: inject a shock on one member (member position as a fraction of the
 #: trials, replica bitmask, latent or visible).
-cache_steps = st.lists(
+invariant_steps = st.lists(
     st.one_of(
         st.tuples(
             st.just("advance"), st.floats(min_value=0.0, max_value=40.0)
@@ -694,32 +765,27 @@ cache_steps = st.lists(
 )
 
 
-class TestCacheInvariants:
-    """The kernel's private caches always equal what they cache.
+class TestStateInvariants:
+    """The kernel's state never holds what a sweep would misread.
 
-    ``advance_to`` selects each trial's next event from a per-replica
-    next-event cache and reads its faulty count from a per-trial cache
-    instead of re-deriving both from the 2-D state every sweep, so every
-    writer of ``state``, ``recovery`` or the fault clocks must keep them
-    current.  Random step sequences drive a state through every writer;
-    the caches are checked after every step and, mid-sweep, whenever
-    faults land.  (A stale entry lies before the advance's end, so the
-    same advance would consume it as a bogus event: only the mid-sweep
-    check sees it.)
+    ``advance_to`` takes each trial's next event from its replicas'
+    clocks and its faulty count from a per-trial cache instead of
+    recounting it from the 2-D state every sweep, so every writer of
+    ``state`` must keep the count current, and every writer of ``clock``
+    (landings, stretches, switches, re-anchored latents) must leave no
+    live clock in the past, where a sweep would consume it as an event
+    that already happened.  Random step sequences drive a state through
+    every writer; the invariants are checked after every step and,
+    mid-sweep, whenever faults land.
     """
 
     @staticmethod
-    def assert_caches_hold(state):
-        healthy = state.state == batch_module.OK
-        expected = np.where(
-            healthy,
-            np.minimum(state.next_visible, state.next_latent),
-            state.recovery,
-        )
-        assert np.array_equal(state._next_event, expected)
-        assert np.array_equal(
-            state._faulty, np.count_nonzero(~healthy, axis=1)
-        )
+    def assert_invariants_hold(state):
+        faulty = state.state != batch_module.OK
+        assert np.array_equal(state._faulty, np.count_nonzero(faulty, axis=1))
+        live = ~state.lost
+        assert (state.clock[live] >= state.now).all()
+        assert (state.clock[faulty] >= state.fault_time[faulty]).all()
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -728,9 +794,9 @@ class TestCacheInvariants:
         bias=st.sampled_from([None, 4.0]),
         track_years=st.sampled_from([None, 1]),
         seed=st.integers(min_value=0, max_value=2**16),
-        steps=cache_steps,
+        steps=invariant_steps,
     )
-    def test_caches_match_the_state_after_every_step(
+    def test_invariants_hold_after_every_step(
         self, layout, alpha, bias, track_years, seed, steps
     ):
         trials = 24
@@ -740,7 +806,7 @@ class TestCacheInvariants:
             else dict(replicas=layout)
         )
         state = PiecewiseBatchState(
-            cache_model(alpha=alpha),
+            invariant_model(alpha=alpha),
             trials=trials,
             seed=seed,
             bias=bias,
@@ -748,11 +814,11 @@ class TestCacheInvariants:
             **shape,
         )
         replicas = state.replicas
-        self.assert_caches_hold(state)
+        self.assert_invariants_hold(state)
         land = state._land_faults
 
         def checked_land(*args):
-            self.assert_caches_hold(state)
+            self.assert_invariants_hold(state)
             return land(*args)
 
         state._land_faults = checked_land
@@ -762,7 +828,7 @@ class TestCacheInvariants:
             elif step[0] == "switch":
                 _, mrl, audits, new_alpha, hazard = step
                 state.switch_model(
-                    cache_model(mrl, new_alpha, hazard), audits_per_year=audits
+                    invariant_model(mrl, new_alpha, hazard), audits_per_year=audits
                 )
             else:
                 _, position, mask, latent = step
@@ -777,7 +843,7 @@ class TestCacheInvariants:
                     hits,
                     batch_module.LATENT if latent else batch_module.VISIBLE,
                 )
-            self.assert_caches_hold(state)
+            self.assert_invariants_hold(state)
 
 
 class TestEagerDrawCeiling:
@@ -823,7 +889,8 @@ class TestStreamPins:
 
     Every stationary answer (estimators, planner, serve) rides on these
     draws, so a kernel change that reorders or adds a draw must show up
-    here rather than as a silent shift in seeded results.  Each row is
+    here rather than as a silent shift in seeded results, and must bump
+    ``STREAM_VERSION`` in ``repro/simulation/batch.py``.  Each row is
     (trials, losses, sweeps, exactly rounded end-time sum, exactly
     rounded log-weight sum or ``None``).
     """
@@ -839,7 +906,7 @@ class TestStreamPins:
         return {
             "plain": (
                 dict(model=fast(), trials=2000, horizon=300.0, seed=11),
-                (2000, 628, 28, 498126.0344949456, None),
+                (2000, 643, 29, 495569.8678686908, None),
             ),
             "alpha": (
                 dict(
@@ -848,7 +915,7 @@ class TestStreamPins:
                     horizon=100.0,
                     seed=5,
                 ),
-                (2000, 870, 14, 155079.43200405402, None),
+                (2000, 880, 13, 154563.15593379576, None),
             ),
             "is": (
                 dict(
@@ -858,7 +925,7 @@ class TestStreamPins:
                     seed=4,
                     bias=10.0,
                 ),
-                (2000, 353, 23, 794566609.9391822, -507.957177949598),
+                (2000, 347, 23, 800334026.2795863, -491.8358957523781),
             ),
             "erasure": (
                 dict(
@@ -868,7 +935,7 @@ class TestStreamPins:
                     seed=9,
                     scheme=RedundancyScheme(6, 4),
                 ),
-                (1000, 485, 64, 220197.58086617268, None),
+                (1000, 465, 61, 223896.43487062352, None),
             ),
             "unscrubbed": (
                 dict(
@@ -878,7 +945,7 @@ class TestStreamPins:
                     seed=17,
                     audits_per_year=0.0,
                 ),
-                (2000, 1880, 10, 248746.96453120734, None),
+                (2000, 1867, 10, 253663.72020594613, None),
             ),
         }
 
@@ -899,7 +966,7 @@ class TestStreamPins:
             bias=3.0,
         )
         assert self.pinned(result) == (
-            1200, 1015, 58, 166228.04947386627, -394.62019095647884
+            1200, 1045, 63, 160211.04224094906, -459.0073672999351
         )
 
     @staticmethod
