@@ -14,11 +14,10 @@ Refinements are kept in the ``optimize`` scope of the content-addressed
 evaluation settings and the kernel's stream version, so a re-run
 evaluates zero new candidates, an enlarged space only pays for the new
 points, and a changed seed, trial count or stream never reads stale
-results.  An unreadable entry is refined
-again and a failed write only costs the entry.  Per-candidate
-seeds are spawned deterministically from the root seed
-(:func:`repro.simulation.rng.spawn_seed`), making serial and parallel
-runs bit-identical.
+results.  An unreadable entry is refined again and a failed write only
+costs the entry.  Per-candidate seeds are spawned deterministically
+from the root seed (:func:`repro.simulation.rng.spawn_seed`), making
+serial and parallel runs bit-identical.
 """
 
 from __future__ import annotations

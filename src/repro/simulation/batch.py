@@ -32,8 +32,8 @@ replica's visible and latent clocks race as one clock at their summed
 rate, and a fault takes its type when it lands, visible with the
 visible share of that rate (competing exponentials).  When a trial
 enters or leaves the degraded regime its healthy replicas' pending
-arrivals are stretched to the new rate rather than redrawn
-(memorylessness) — exactly the behaviour of the event-driven
+arrivals are stretched to the new rate (memorylessness) — exactly the
+behaviour of the event-driven
 :class:`~repro.simulation.system.ReplicatedStorageSystem`, which the
 cross-validation tests in ``tests/simulation/test_batch.py`` check
 estimate-for-estimate.
@@ -186,8 +186,7 @@ class BatchRunResult:
 #: whenever the kernel draws differently: entries stored under the old
 #: stream then miss instead of mixing with results of the new one, which
 #: would make a warm run differ from a cold run at the same seed.
-#: Version 3 keeps one clock per replica and stretches it on regime
-#: changes instead of redrawing.
+#: Version 3: one clock per replica, stretched on regime changes.
 STREAM_VERSION = 3
 
 
