@@ -476,11 +476,15 @@ class PiecewiseBatchState:
         self._inv_alpha = 1.0 / self._alpha
 
     def _stretch(
-        self, rows: np.ndarray, times: np.ndarray, factor: float
+        self,
+        rows: np.ndarray,
+        times: np.ndarray,
+        factor: Union[float, np.ndarray],
     ) -> None:
         """Stretch the pending fault clocks of the healthy replicas of
-        ``rows`` (unique) by ``factor`` from ``times``: memorylessness
-        makes a stretched residual exact."""
+        ``rows`` (unique) by ``factor`` (one, or one per row as a
+        column) from ``times``: memorylessness makes a stretched
+        residual exact."""
         clocks = self.clock.take(rows, axis=0)
         anchor = times[:, None]
         stretched = anchor + (clocks - anchor) * factor
@@ -506,13 +510,11 @@ class PiecewiseBatchState:
             degraded, model.correlation_factor, 1.0
         )
         factor = new_mean / old_mean
-        changed = factor != 1.0
-        if changed.any():
-            # Skipping factor-1 trials keeps the no-change boundary
-            # bit-exact (now + (x - now) * 1.0 need not round to x).
-            healthy = (self.state == OK) & ~self.lost[:, None]
-            stretch = now + (self.clock - now) * factor[:, None]
-            np.copyto(self.clock, stretch, where=healthy & changed[:, None])
+        # Skipping factor-1 trials keeps the no-change boundary bit-exact
+        # (now + (x - now) * 1.0 need not round to x).
+        rows = np.flatnonzero((factor != 1.0) & ~self.lost)
+        if rows.size:
+            self._stretch(rows, np.full(rows.size, now), factor[rows, None])
 
         # A latent recovery is its detection plus the MRL it was
         # scheduled with: the outgoing epoch's for faults landed since
