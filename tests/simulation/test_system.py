@@ -378,3 +378,95 @@ class TestSnapshotUnderInFlightState:
         assert resumed.audits == 0
         assert resumed.repairs == 0
         assert sum(1 for r in fresh.replicas if r.is_faulty) == 1
+
+
+class TestStreamPins:
+    """The event engine's streams, pinned to recorded values.
+
+    The ``event`` backend is the batch kernel's cross-validation
+    reference and the tracer behind experiments E9/E10, and
+    multilevel splitting restarts it from snapshots, so a change to
+    how it draws faults, orders events or applies the correlation
+    factor must show up here rather than as a silent shift in seeded
+    answers.  Every value below was recorded from the engine; none is
+    an expected statistic.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _bind_fast_model(self, fast_model_factory):
+        self.fast_model = fast_model_factory
+
+    def test_loss_probability_losses_are_pinned(self):
+        from repro.core.redundancy import RedundancyScheme
+        from repro.simulation.estimators import run_loss_probability
+
+        fast = self.fast_model
+        cases = [
+            (dict(model=fast(correlation_factor=0.2), seed=3), 206),
+            (dict(model=fast(), seed=5, scheme=RedundancyScheme(3, 2)), 162),
+            (dict(model=fast(), seed=7, audits_per_year=0.0), 226),
+        ]
+        for kwargs, losses in cases:
+            estimate = run_loss_probability(
+                mission_time=200.0, trials=300, backend="event", **kwargs
+            )
+            assert (estimate.trials, estimate.losses) == (300, losses)
+
+    def test_mttdl_time_on_test_is_pinned(self):
+        # The mean is the exact total time on test over the losses, so
+        # it carries every correlated draw down to the last bit.
+        from repro.simulation.estimators import run_mttdl
+
+        estimate = run_mttdl(
+            self.fast_model(correlation_factor=0.2),
+            trials=100,
+            seed=2,
+            backend="event",
+        )
+        assert (estimate.losses, estimate.mean) == (100, 188.64534705430538)
+
+    def test_combination_counts_are_pinned(self):
+        from repro.simulation.monte_carlo import (
+            double_fault_combination_counts,
+        )
+
+        counts = double_fault_combination_counts(
+            self.fast_model(), trials=100, seed=4, backend="event"
+        )
+        visible, latent = FaultType.VISIBLE, FaultType.LATENT
+        assert counts == {
+            (visible, visible): 0,
+            (visible, latent): 2,
+            (latent, visible): 17,
+            (latent, latent): 81,
+        }
+
+    @pytest.mark.parametrize(
+        "replicas, alpha, conditional",
+        [(2, 1.0, [0.78, 0.14]), (3, 0.5, [0.93, 0.36, 0.08])],
+    )
+    def test_splitting_conditionals_are_pinned(
+        self, replicas, alpha, conditional
+    ):
+        from repro.simulation.rare_event import splitting_loss_probability
+
+        run = splitting_loss_probability(
+            model=self.fast_model(correlation_factor=alpha),
+            mission_time=60.0,
+            trials_per_level=100,
+            seed=6,
+            replicas=replicas,
+        )
+        assert run.conditional == conditional
+
+    def test_single_trace_is_pinned(self):
+        from repro.simulation.monte_carlo import run_single_trace
+
+        result = run_single_trace(
+            self.fast_model(correlation_factor=0.2), seed=8
+        )
+        assert result.lost
+        assert (len(result.trace.events), result.end_time) == (
+            20,
+            110.20015374007379,
+        )
