@@ -14,7 +14,10 @@ The package is organised as:
     A continuous-time Markov chain substrate used to cross-validate the
     closed-form model.
 ``repro.simulation``
-    A discrete-event Monte-Carlo simulator of replicated storage.
+    Monte-Carlo simulators of the paper's fault model (exponential
+    faults, audit-grid detection, deterministic repairs, the
+    correlation factor): an event-driven engine and a vectorized batch
+    kernel, with rare-event and variance-reduced estimators.
 ``repro.storage``
     Drive, media, RAID, site and cost models.
 ``repro.threats``

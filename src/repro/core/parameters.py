@@ -27,6 +27,14 @@ from repro.core.faults import FaultSpec, FaultType, latent_fault, visible_fault
 from repro.core.units import HOURS_PER_YEAR
 
 
+def json_required(payload: Dict[str, object], key: str, path: str) -> object:
+    """``payload[key]``; a ``ValueError`` naming the JSON ``path`` of the
+    field when it is missing."""
+    if key not in payload:
+        raise ValueError(f"'{path}' is required")
+    return payload[key]
+
+
 def json_number(value: object, path: str) -> float:
     """``value`` as a float when it is a finite JSON number (an int or a
     float, not a bool); otherwise a ``ValueError`` naming its JSON
@@ -257,12 +265,15 @@ class FaultModel:
     ) -> "FaultModel":
         """Rebuild a model from :meth:`as_dict`'s paper-notation keys.
 
-        A value that is not a finite number raises a ``ValueError``
-        naming its JSON path (``path`` is the model's own).
+        A missing field, or a value that is not a finite number, raises a
+        ``ValueError`` naming its JSON path (``path`` is the model's own).
         """
 
         def number(key: str) -> float:
-            return json_number(payload[key], f"{path}.{key}")
+            field_path = f"{path}.{key}"
+            return json_number(
+                json_required(payload, key, field_path), field_path
+            )
 
         return FaultModel(
             mean_time_to_visible=number("MV"),

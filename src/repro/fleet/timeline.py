@@ -44,6 +44,7 @@ from repro.core.parameters import (
     json_boolean,
     json_integer,
     json_number,
+    json_required,
 )
 from repro.core.redundancy import RedundancyScheme
 from repro.core.units import HOURS_PER_YEAR
@@ -254,7 +255,7 @@ def _migration_from_dict(payload: object, path: str) -> MigrationEvent:
     return MigrationEvent(
         year=json_number(payload.get("year"), f"{path}.year"),
         risk=FormatRisk(
-            name=str(risk["name"]),
+            name=str(json_required(risk, "name", f"{path}.risk.name")),
             mean_years_to_endangered=risk_years("mean_years_to_endangered"),
             mean_years_endangered_to_dead=risk_years(
                 "mean_years_endangered_to_dead"

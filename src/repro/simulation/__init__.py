@@ -1,26 +1,24 @@
 """Discrete-event Monte-Carlo simulation of replicated storage.
 
 The analytic model makes several simplifying assumptions (linearised
-window probabilities, exponential processes, multiplicative correlation).
-This subpackage provides an event-driven simulator of a replicated
-storage system in which each replica suffers visible and latent faults,
-latent faults wait for an audit (or access) to be detected, repairs take
-time, and correlation can be modelled either with the paper's
-multiplicative factor or with explicit shared-fate shock events.  It is
-used to validate the closed forms (experiment E11) and to regenerate the
-figures (E9, E10).
+window probabilities, exponential shortcuts).  This subpackage
+simulates the paper's model itself: each replica suffers exponential
+visible and latent faults, latent faults wait for the next point of a
+periodic audit grid to be detected, repairs take ``MRV`` / ``MRL``, and
+the healthy replicas' fault rates are divided by the correlation factor
+``α`` while any replica is faulty.  It is used to validate the closed
+forms (experiment E11) and to regenerate the figures (E9, E10).
 
-Two Monte-Carlo backends are available: the event-driven engine
-(``backend="event"``, general but one Python event loop per trial) and
-the vectorized batch simulator (``backend="batch"``,
-:mod:`repro.simulation.batch`), which advances thousands of
-FaultModel-derived systems in lock-step NumPy sweeps and also powers the
-adaptive-sampling mode (``target_relative_error=...``) of the
+Two Monte-Carlo backends simulate that one model: the event-driven
+engine (``backend="event"``, one Python event loop per trial, the
+cross-validation reference and the tracer) and the vectorized batch
+simulator (``backend="batch"``, :mod:`repro.simulation.batch`), which
+advances thousands of systems in lock-step NumPy sweeps and also powers
+the adaptive-sampling mode (``target_relative_error=...``) of the
 estimation loops in :mod:`repro.simulation.estimators`
-(:func:`run_mttdl`, :func:`run_loss_probability`).  Questions about a
-plain fault model are best posed through :func:`repro.study.run`; call
-the loops directly for custom
-:data:`~repro.simulation.estimators.SystemFactory` systems.
+(:func:`run_mttdl`, :func:`run_loss_probability`).  Questions are best
+posed through :func:`repro.study.run`; library callers may call the
+loops directly.
 
 For the paper's realistic high-reliability operating points — where
 plain Monte-Carlo censors nearly every trial — the estimators accept
@@ -42,33 +40,7 @@ from repro.simulation.events import (
     Trace,
 )
 from repro.simulation.rng import RandomStreams
-from repro.simulation.faults import (
-    FaultProcess,
-    ExponentialFaultProcess,
-    WeibullFaultProcess,
-    BathtubFaultProcess,
-)
-from repro.simulation.correlation import (
-    CorrelationModel,
-    IndependentFaults,
-    MultiplicativeCorrelation,
-    SharedFateShocks,
-)
 from repro.simulation.replica import Replica, ReplicaState
-from repro.simulation.scrubbing import (
-    ScrubPolicy,
-    NoScrubbing,
-    PeriodicScrubbing,
-    PoissonScrubbing,
-    OnAccessDetection,
-)
-from repro.simulation.repair import (
-    RepairPolicy,
-    ImmediateRepair,
-    HotSpareRepair,
-    OperatorRepair,
-    OfflineMediaRepair,
-)
 from repro.simulation.system import (
     ReplicatedStorageSystem,
     ReplicaSnapshot,
@@ -100,10 +72,7 @@ from repro.simulation.rare_event import (
     mttdl_from_loss_probability,
     splitting_loss_probability,
 )
-from repro.simulation.lifetime import (
-    loss_probability_curve,
-    mission_summary,
-)
+from repro.simulation.lifetime import loss_probability_curve
 from repro.simulation.variance_reduction import cv_loss_probability
 
 __all__ = [
@@ -113,26 +82,8 @@ __all__ = [
     "TraceEvent",
     "Trace",
     "RandomStreams",
-    "FaultProcess",
-    "ExponentialFaultProcess",
-    "WeibullFaultProcess",
-    "BathtubFaultProcess",
-    "CorrelationModel",
-    "IndependentFaults",
-    "MultiplicativeCorrelation",
-    "SharedFateShocks",
     "Replica",
     "ReplicaState",
-    "ScrubPolicy",
-    "NoScrubbing",
-    "PeriodicScrubbing",
-    "PoissonScrubbing",
-    "OnAccessDetection",
-    "RepairPolicy",
-    "ImmediateRepair",
-    "HotSpareRepair",
-    "OperatorRepair",
-    "OfflineMediaRepair",
     "ReplicatedStorageSystem",
     "ReplicaSnapshot",
     "SystemConfig",
@@ -157,6 +108,5 @@ __all__ = [
     "mttdl_from_loss_probability",
     "splitting_loss_probability",
     "loss_probability_curve",
-    "mission_summary",
     "cv_loss_probability",
 ]

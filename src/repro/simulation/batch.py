@@ -10,14 +10,15 @@ per-event cost is a few vectorized array operations instead of a Python
 callback dispatch, which is what makes thousand-scenario sweeps
 practical (see ``benchmarks/test_bench_e14_batch_speedup.py``).
 
-The backend covers the configurations :func:`system_from_fault_model`
-builds from a :class:`~repro.core.parameters.FaultModel`:
+The backend simulates the same :class:`~repro.core.parameters.FaultModel`
+system as the event engine (:func:`system_from_fault_model
+<repro.simulation.system.system_from_fault_model>`):
 
 * exponential visible and latent fault processes per replica;
 * deterministic repairs (``MRV`` / ``MRL``);
 * periodic scrubbing on the global audit grid ``I, 2I, 3I, ...`` with
-  interval ``I = 2 * MDL`` (or derived from ``audits_per_year``), or no
-  scrubbing at all;
+  interval ``I = 2 * MDL`` (or derived from ``audits_per_year``),
+  detection on arrival for ``MDL = 0``, or no scrubbing at all;
 * the paper's non-compounding multiplicative correlation (fault rates
   of healthy replicas are divided by ``alpha`` while any replica is
   faulty).
@@ -37,10 +38,6 @@ behaviour of the event-driven
 :class:`~repro.simulation.system.ReplicatedStorageSystem`, which the
 cross-validation tests in ``tests/simulation/test_batch.py`` check
 estimate-for-estimate.
-
-Custom :data:`~repro.simulation.estimators.SystemFactory` systems
-(shared-fate shocks, Weibull hazards, stochastic repair policies) are
-not expressible here; use ``backend="event"`` for those.
 
 Importance sampling
 -------------------
@@ -90,7 +87,10 @@ from repro.core.parameters import FaultModel
 from repro.core.redundancy import RedundancyScheme
 from repro.core.units import HOURS_PER_YEAR
 from repro.simulation.rng import batch_generator, piecewise_generator
-from repro.simulation.scrubbing import audit_interval_for
+from repro.simulation.scrubbing import (
+    audit_detection_time,
+    audit_interval_for,
+)
 
 # Integer replica states / fault types used in the array representation.
 OK = 0
@@ -537,13 +537,9 @@ class PiecewiseBatchState:
             self._interval != old_interval
             or self._repair_latent != old_repair_latent
         ):
-            if self._interval is None:
-                self.clock[undetected] = np.inf
-            else:
-                anchored = (
-                    math.floor(now / self._interval) + 1.0
-                ) * self._interval
-                self.clock[undetected] = anchored + self._repair_latent
+            self.clock[undetected] = (
+                audit_detection_time(now, self._interval) + self._repair_latent
+            )
             scheduled_mrl[undetected] = self._repair_latent
         self._latent_mrl = scheduled_mrl
         self._switched_at = now
@@ -574,12 +570,10 @@ class PiecewiseBatchState:
         visible_mask = fault_code == VISIBLE
         completed[visible_mask] = times[visible_mask] + self._repair_visible
         latent_mask = ~visible_mask
-        interval = self._interval
-        if interval is None:
-            completed[latent_mask] = np.inf
-        else:
-            grid = (np.floor(times[latent_mask] / interval) + 1.0) * interval
-            completed[latent_mask] = grid + self._repair_latent
+        completed[latent_mask] = (
+            audit_detection_time(times[latent_mask], self._interval)
+            + self._repair_latent
+        )
         self.clock.reshape(-1)[cells] = completed
 
         # ``add.at`` because a multi-replica shock repeats its row.

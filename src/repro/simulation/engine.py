@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 Callback = Callable[[], None]
 
@@ -183,12 +183,3 @@ class SimulationEngine:
         self._queue.clear()
         self._stopped = False
         self._events_processed = 0
-
-
-def drain_times(engine: SimulationEngine) -> Tuple[float, ...]:
-    """Times of all pending, non-cancelled events (for debugging/tests)."""
-    return tuple(
-        sorted(
-            entry.time for entry in engine._queue if not entry.handle.cancelled
-        )
-    )

@@ -1,9 +1,10 @@
 """The Monte-Carlo estimation loops behind every simulated answer.
 
 :func:`repro.study.run` dispatches its simulated point estimates straight
-to :func:`run_mttdl` and :func:`run_loss_probability`; library callers
-with custom :data:`SystemFactory` systems call them directly.  This
-module also owns the shared plumbing:
+to :func:`run_mttdl` and :func:`run_loss_probability`, which library
+callers may also call directly with a
+:class:`~repro.core.parameters.FaultModel`.  This module also owns the
+shared plumbing:
 
 * :func:`check_backend` / :func:`check_method` /
   :func:`check_variance_reduction` — validation of the ``backend`` /
@@ -18,10 +19,10 @@ Backends
 
 Both loops accept ``backend="event"`` (the default — one
 :class:`~repro.simulation.system.ReplicatedStorageSystem` event loop per
-trial, supporting arbitrary :data:`SystemFactory` configurations) or
+trial, the batch kernel's cross-validation reference) or
 ``backend="batch"`` (the vectorized lock-step simulator in
-:mod:`repro.simulation.batch`, which is 1-2 orders of magnitude faster
-for :class:`~repro.core.parameters.FaultModel`-derived systems).  The two
+:mod:`repro.simulation.batch`, which simulates the same model 1-2 orders
+of magnitude faster).  The two
 backends draw from disjoint streams of the same root seed, so their
 trajectories differ trial-for-trial but their estimates agree within
 Monte-Carlo noise (cross-validated in ``tests/simulation/test_batch.py``).
@@ -58,19 +59,17 @@ the standard estimators degenerate.  Both loops therefore accept a
 * ``"is"`` — failure-biased importance sampling on the batch machinery
   (:mod:`repro.simulation.rare_event`): degraded-regime fault clocks
   are accelerated and the trials reweighted by exact path-measure
-  likelihood ratios.  Requires a :class:`FaultModel`; the ``backend``
-  argument is ignored (IS always runs vectorized).
+  likelihood ratios.  The ``backend`` argument is ignored (IS always
+  runs vectorized).
 * ``"splitting"`` — fixed-effort multilevel splitting on the
   event-driven machinery, keyed on the number of simultaneously faulty
-  replicas; works with custom :data:`SystemFactory` systems.  Loss
-  probabilities only.
+  replicas.  Loss probabilities only.
 * ``"auto"`` — run one standard pilot chunk; when it censors too
   heavily to be informative (above the
   :data:`CENSORED_WARNING_FRACTION` threshold for MTTDL, fewer than
   :data:`AUTO_MIN_LOSSES` observed losses for loss probabilities),
-  discard it and switch to ``"is"`` (model-based runs) or
-  ``"splitting"`` (factory-based loss runs); otherwise keep extending
-  the standard run.
+  discard it and switch to ``"is"``; otherwise keep extending the
+  standard run.
 
 Weighted estimates report a Kish effective sample size
 (``MonteCarloEstimate.effective_sample_size``); an ESS far below the
@@ -82,7 +81,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro import obs
 from repro.core.parameters import FaultModel
@@ -90,12 +89,7 @@ from repro.core.redundancy import RedundancyScheme
 from repro.core.units import HOURS_PER_YEAR
 from repro.simulation.batch import simulate_batch
 from repro.simulation.rng import RandomStreams
-from repro.simulation.system import (
-    ReplicatedStorageSystem,
-    system_from_fault_model,
-)
-
-SystemFactory = Callable[[RandomStreams], ReplicatedStorageSystem]
+from repro.simulation.system import system_from_fault_model
 
 #: Fraction of censored trials above which a warning is emitted.
 CENSORED_WARNING_FRACTION = 0.2
@@ -206,43 +200,14 @@ class MonteCarloEstimate:
         return self.trials - self.censored
 
 
-def default_factory(
-    model: FaultModel,
-    replicas: int,
-    audits_per_year: Optional[float],
-    scheme: Optional[RedundancyScheme] = None,
-) -> SystemFactory:
-    """The event backend's factory for plain :class:`FaultModel` systems."""
-
-    def factory(streams: RandomStreams) -> ReplicatedStorageSystem:
-        return system_from_fault_model(
-            model,
-            replicas=replicas,
-            streams=streams,
-            audits_per_year=audits_per_year,
-            scheme=scheme,
-        )
-
-    return factory
-
-
-def check_backend(backend: str, factory: Optional[SystemFactory]) -> None:
-    """Validate a simulation backend / factory combination."""
+def check_backend(backend: str) -> None:
+    """Validate a simulation backend."""
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; expected 'event' or 'batch'")
-    if backend == "batch" and factory is not None:
-        raise ValueError(
-            "the batch backend simulates FaultModel-derived systems only; "
-            "use backend='event' with a custom factory"
-        )
 
 
-def check_method(
-    method: str,
-    factory: Optional[SystemFactory] = None,
-    allowed: Tuple[str, ...] = METHODS,
-) -> None:
-    """Validate an estimator method against a factory and an allowed set.
+def check_method(method: str, allowed: Tuple[str, ...] = METHODS) -> None:
+    """Validate an estimator method against an allowed set.
 
     ``allowed`` lets callers that support only a subset of the methods
     (e.g. the optimizer's refinement, which has no splitting path)
@@ -252,26 +217,20 @@ def check_method(
         raise ValueError(
             f"unknown method {method!r}; expected one of {allowed}"
         )
-    if method == "is" and factory is not None:
-        raise ValueError(
-            "importance sampling runs on the batch machinery and needs a "
-            "FaultModel; use method='splitting' for custom factories"
-        )
 
 
 def check_variance_reduction(
     variance_reduction: str,
     backend: str,
     method: str,
-    factory: Optional[SystemFactory],
     bias: Optional[float],
 ) -> None:
     """Validate a ``variance_reduction`` / estimator combination.
 
     The variance-reduced estimators replace the sampling scheme itself,
     so they only compose with the plain batch estimator: rare-event
-    methods, custom factories, the event backend and explicit failure
-    biasing are all rejected with a pointer to the working alternative.
+    methods, the event backend and explicit failure biasing are all
+    rejected with a pointer to the working alternative.
     """
     if variance_reduction not in VARIANCE_REDUCTIONS:
         raise ValueError(
@@ -280,11 +239,6 @@ def check_variance_reduction(
         )
     if variance_reduction == "none":
         return
-    if factory is not None:
-        raise ValueError(
-            "variance reduction runs on the batch machinery and needs a "
-            "FaultModel; use method='splitting' for custom factories"
-        )
     if backend != "batch":
         raise ValueError(
             "variance reduction requires backend='batch'"
@@ -439,13 +393,12 @@ def _is_loss_tally(
 
 
 def run_mttdl(
-    model: Optional[FaultModel] = None,
+    model: FaultModel,
     trials: int = 200,
     seed: int = 0,
     max_time: Optional[float] = None,
     replicas: int = 2,
     audits_per_year: Optional[float] = None,
-    factory: Optional[SystemFactory] = None,
     backend: str = "event",
     target_relative_error: Optional[float] = None,
     max_trials: Optional[int] = None,
@@ -461,9 +414,8 @@ def run_mttdl(
     generous for the compressed-time operating points used in tests and
     examples, but highly reliable configurations need an explicit
     ``max_time`` to keep censoring rare).  Surviving trials enter the
-    censoring-correct MLE (see the module docstring).  Either ``model``
-    or ``factory`` must be provided; the ``batch`` backend requires a
-    model.  With ``target_relative_error`` the run extends in chunks of
+    censoring-correct MLE (see the module docstring).  With
+    ``target_relative_error`` the run extends in chunks of
     ``trials`` until the standard error falls below that fraction of the
     mean or ``max_trials`` (default 64 chunks) is reached.
 
@@ -479,36 +431,24 @@ def run_mttdl(
     inverted the same way.
 
     Raises:
-        ValueError: if neither a model nor a factory is given, trials is
-            not positive, or the backend/factory/method combination is
-            invalid.
+        ValueError: if trials is not positive, or the
+            backend/method/variance-reduction combination is invalid.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
-    check_backend(backend, factory)
-    check_method(method, factory)
-    check_variance_reduction(variance_reduction, backend, method, factory, bias)
+    check_backend(backend)
+    check_method(method)
+    check_variance_reduction(variance_reduction, backend, method, bias)
     if method == "splitting":
         raise ValueError(
             "splitting estimates mission loss probabilities; use "
             "run_loss_probability or method='is' for the MTTDL"
         )
-    if method == "is" and model is None:
-        raise ValueError("method='is' needs a FaultModel")
-    custom_factory = factory
-    if factory is None:
-        if model is None:
-            raise ValueError("either model or factory must be provided")
-        if backend == "event":
-            factory = default_factory(model, replicas, audits_per_year, scheme)
     if max_time is None:
-        if model is not None:
-            # A horizon long enough that censoring is rare: many multiples
-            # of the mean time between any faults times a replication
-            # safety factor.
-            max_time = 1000.0 * model.mean_time_to_visible
-        else:
-            max_time = 1e9
+        # A horizon long enough that censoring is rare: many multiples
+        # of the mean time between any faults times a replication
+        # safety factor.
+        max_time = 1000.0 * model.mean_time_to_visible
 
     if variance_reduction != "none":
         from repro.simulation import rare_event
@@ -566,7 +506,13 @@ def run_mttdl(
             losses += result.losses
         else:
             for trial in range(done, done + chunk_trials):
-                outcome = factory(root.spawn(trial)).run(max_time=max_time)
+                outcome = system_from_fault_model(
+                    model,
+                    replicas=replicas,
+                    streams=root.spawn(trial),
+                    audits_per_year=audits_per_year,
+                    scheme=scheme,
+                ).run(max_time=max_time)
                 total_time += outcome.end_time
                 if outcome.lost:
                     losses += 1
@@ -590,8 +536,6 @@ def run_mttdl(
         if (
             method == "auto"
             and chunk == 1
-            and model is not None
-            and custom_factory is None
             and (done - losses) / done > CENSORED_WARNING_FRACTION
             and not (
                 target_relative_error is not None
@@ -602,9 +546,7 @@ def run_mttdl(
             # The *pilot* censored too heavily to be informative (and
             # did not converge anyway): discard it and restart with
             # importance sampling.  Later chunks never re-trigger the
-            # switch — adaptive extension is already doing its job — and
-            # a custom factory cannot switch (IS on the bare model would
-            # estimate a different system).
+            # switch — adaptive extension is already doing its job.
             use_is = True
             if tel.enabled:
                 tel.count("estimator.escalations")
@@ -644,8 +586,7 @@ def run_mttdl(
 
 
 def _splitting_estimate(
-    model: Optional[FaultModel],
-    factory: Optional[SystemFactory],
+    model: FaultModel,
     mission_time: float,
     trials: int,
     seed: int,
@@ -687,7 +628,6 @@ def _splitting_estimate(
             seed=seed,
             replicas=replicas,
             audits_per_year=audits_per_year,
-            factory=factory,
             chunk=chunk,
             scheme=scheme,
         )
@@ -709,13 +649,12 @@ def _splitting_estimate(
 
 
 def run_loss_probability(
-    model: Optional[FaultModel] = None,
+    model: FaultModel,
     mission_time: float = 50.0 * HOURS_PER_YEAR,
     trials: int = 500,
     seed: int = 0,
     replicas: int = 2,
     audits_per_year: Optional[float] = None,
-    factory: Optional[SystemFactory] = None,
     backend: str = "event",
     target_relative_error: Optional[float] = None,
     max_trials: Optional[int] = None,
@@ -735,9 +674,8 @@ def run_loss_probability(
     machinery (``bias`` overrides the automatic acceleration factor,
     ``trials`` sizes each weighted chunk), ``"splitting"`` runs
     fixed-effort multilevel splitting on the event machinery
-    (``trials`` systems per level, so factory-built systems work too),
-    and ``"auto"`` pilots a standard chunk first, switching to IS
-    (model runs) or splitting (factory runs) when fewer than
+    (``trials`` systems per level), and ``"auto"`` pilots a standard
+    chunk first, switching to IS when fewer than
     :data:`AUTO_MIN_LOSSES` losses were observed.  With
     ``variance_reduction="cv"`` the control-variate estimator
     (:mod:`repro.simulation.variance_reduction`) replaces the plain
@@ -747,17 +685,9 @@ def run_loss_probability(
         raise ValueError("trials must be positive")
     if mission_time <= 0:
         raise ValueError("mission_time must be positive")
-    check_backend(backend, factory)
-    check_method(method, factory)
-    check_variance_reduction(variance_reduction, backend, method, factory, bias)
-    if method == "is" and model is None:
-        raise ValueError("method='is' needs a FaultModel")
-    custom_factory = factory
-    if factory is None:
-        if model is None:
-            raise ValueError("either model or factory must be provided")
-        if backend == "event":
-            factory = default_factory(model, replicas, audits_per_year, scheme)
+    check_backend(backend)
+    check_method(method)
+    check_variance_reduction(variance_reduction, backend, method, bias)
 
     if variance_reduction != "none":
         from repro.simulation.variance_reduction import cv_loss_probability
@@ -783,8 +713,7 @@ def run_loss_probability(
         return _emit_estimate(
             "loss_probability",
             _splitting_estimate(
-                model if custom_factory is None else None,
-                custom_factory,
+                model,
                 mission_time,
                 trials,
                 seed,
@@ -800,8 +729,7 @@ def run_loss_probability(
     chunk = 0
     root = RandomStreams(seed=seed)
     use_is = method == "is"
-    use_splitting = False
-    while not use_is and not use_splitting and done < cap:
+    while not use_is and done < cap:
         if done and (
             target_relative_error is None
             or (
@@ -826,7 +754,13 @@ def run_loss_probability(
             losses += result.losses
         else:
             for trial in range(done, done + chunk_trials):
-                outcome = factory(root.spawn(trial)).run(max_time=mission_time)
+                outcome = system_from_fault_model(
+                    model,
+                    replicas=replicas,
+                    streams=root.spawn(trial),
+                    audits_per_year=audits_per_year,
+                    scheme=scheme,
+                ).run(max_time=mission_time)
                 if outcome.lost:
                     losses += 1
         done += chunk_trials
@@ -850,14 +784,8 @@ def run_loss_probability(
             )
         if method == "auto" and losses < AUTO_MIN_LOSSES:
             # Too few losses for a meaningful CI: discard the pilot and
-            # switch to a rare-event method — importance sampling when
-            # the pilot simulated a plain FaultModel, splitting when a
-            # custom factory did (IS on the bare model would silently
-            # estimate a different system than the factory builds).
-            if custom_factory is None:
-                use_is = True
-            else:
-                use_splitting = True
+            # switch to importance sampling.
+            use_is = True
             if tel.enabled:
                 tel.count("estimator.escalations")
                 tel.event(
@@ -865,7 +793,7 @@ def run_loss_probability(
                     data={
                         "estimator": "loss_probability",
                         "from": "standard",
-                        "to": "is" if use_is else "splitting",
+                        "to": "is",
                         "pilot_trials": done,
                         "pilot_losses": losses,
                     },
@@ -884,22 +812,6 @@ def run_loss_probability(
             scheme=scheme,
         )
         return _emit_estimate("loss_probability", tally.loss_estimate())
-    if use_splitting:
-        return _emit_estimate(
-            "loss_probability",
-            _splitting_estimate(
-                None,
-                custom_factory,
-                mission_time,
-                trials,
-                seed,
-                replicas,
-                audits_per_year,
-                target_relative_error,
-                cap,
-                scheme=scheme,
-            ),
-        )
     p = losses / done
     std_error = math.sqrt(max(p * (1.0 - p), 1e-12) / done)
     return _emit_estimate(

@@ -25,9 +25,7 @@ class TraceEventType(enum.Enum):
     REPAIR_STARTED = "repair_started"
     REPAIR_COMPLETED = "repair_completed"
     AUDIT_PERFORMED = "audit_performed"
-    DATA_ACCESS = "data_access"
     DATA_LOSS = "data_loss"
-    SHOCK_EVENT = "shock_event"
 
 
 @dataclass(frozen=True)
@@ -39,8 +37,7 @@ class TraceEvent:
         event_type: what happened.
         replica: index of the replica involved, if any.
         fault_type: visible or latent, for fault-related events.
-        detail: free-form extra information (e.g. which audit detected a
-            fault, which shock caused it).
+        detail: free-form extra information (e.g. why the data was lost).
     """
 
     time: float

@@ -11,15 +11,15 @@ go before a 5% loss risk?") can be answered.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.parameters import FaultModel
 from repro.core.probability import probability_of_loss
 from repro.core.units import HOURS_PER_YEAR
-from repro.simulation.estimators import SystemFactory, default_factory
 from repro.simulation.rng import RandomStreams
+from repro.simulation.system import system_from_fault_model
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,6 @@ def loss_probability_curve(
     replicas: int = 2,
     audits_per_year: Optional[float] = None,
     analytic_mttdl: Optional[float] = None,
-    factory: Optional[SystemFactory] = None,
 ) -> List[MissionSummary]:
     """Simulated loss probability at each mission length.
 
@@ -69,14 +68,17 @@ def loss_probability_curve(
         raise ValueError("mission_hours must not be empty")
     if any(h <= 0 for h in horizons):
         raise ValueError("mission lengths must be positive")
-    if factory is None:
-        factory = default_factory(model, replicas, audits_per_year)
     longest = horizons[-1]
 
     root = RandomStreams(seed=seed)
     loss_times: List[float] = []
     for trial in range(trials):
-        system = factory(root.spawn(trial))
+        system = system_from_fault_model(
+            model,
+            replicas=replicas,
+            streams=root.spawn(trial),
+            audits_per_year=audits_per_year,
+        )
         result = system.run(max_time=longest)
         loss_times.append(result.end_time if result.lost else float("inf"))
     loss_array = np.array(loss_times)
@@ -99,44 +101,3 @@ def loss_probability_curve(
             )
         )
     return summaries
-
-
-def mission_summary(
-    model: FaultModel,
-    mission_years: float = 50.0,
-    trials: int = 300,
-    seed: int = 0,
-    replicas: int = 2,
-    audits_per_year: Optional[float] = None,
-    analytic_mttdl: Optional[float] = None,
-) -> MissionSummary:
-    """Single-point convenience wrapper around
-    :func:`loss_probability_curve` for the paper's 50-year mission."""
-    if mission_years <= 0:
-        raise ValueError("mission_years must be positive")
-    curve = loss_probability_curve(
-        model,
-        mission_hours=[mission_years * HOURS_PER_YEAR],
-        trials=trials,
-        seed=seed,
-        replicas=replicas,
-        audits_per_year=audits_per_year,
-        analytic_mttdl=analytic_mttdl,
-    )
-    return curve[0]
-
-
-def empirical_survival_table(
-    loss_times: Sequence[float], horizons: Sequence[float]
-) -> Dict[float, float]:
-    """Survival probability at each horizon given observed loss times.
-
-    ``inf`` entries in ``loss_times`` represent censored (surviving)
-    trials.  Useful for post-processing saved simulation outputs.
-    """
-    if not loss_times:
-        raise ValueError("loss_times must not be empty")
-    array = np.array(list(loss_times), dtype=float)
-    return {
-        float(h): float(np.mean(array > h)) for h in horizons
-    }

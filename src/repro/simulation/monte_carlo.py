@@ -4,9 +4,8 @@
 caused each simulated loss (experiment E10, the paper's Figure 2), and
 :func:`run_single_trace` records one traced trajectory (experiment E9).
 MTTDL and mission loss-probability estimates come from
-:func:`repro.study.run`, or from the estimation loops in
-:mod:`repro.simulation.estimators` for custom
-:data:`~repro.simulation.estimators.SystemFactory` systems.
+:func:`repro.study.run` or the estimation loops in
+:mod:`repro.simulation.estimators`.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ def double_fault_combination_counts(
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
-    check_backend(backend, None)
+    check_backend(backend)
     if max_time is None:
         max_time = 1000.0 * model.mean_time_to_visible
     if backend == "batch":

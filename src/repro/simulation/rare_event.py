@@ -23,10 +23,7 @@ level, with the number of simultaneously faulty replicas as the level
 function.  Each stage restarts ``trials_per_level`` systems from the
 entry states of the previous level (captured as
 :class:`~repro.simulation.system.SystemSnapshot`) and measures the
-conditional probability of reaching the next level, so custom
-:data:`~repro.simulation.estimators.SystemFactory` systems — shocks,
-Weibull hazards, stochastic repairs — get rare-event acceleration the
-batch backend cannot express.
+conditional probability of reaching the next level.
 
 The estimation loops in :mod:`repro.simulation.estimators` drive both
 (``method="is" | "splitting" | "auto"``).
@@ -43,17 +40,9 @@ import numpy as np
 from repro.core.parameters import FaultModel
 from repro.core.redundancy import RedundancyScheme, resolve_scheme, scheme_loss_rate
 from repro.simulation.batch import BatchRunResult
-from repro.simulation.estimators import (
-    MonteCarloEstimate,
-    SystemFactory,
-    default_factory,
-)
-from repro.simulation.rng import (
-    RandomStreams,
-    splitting_pool_generator,
-    splitting_streams,
-)
-from repro.simulation.system import SystemSnapshot
+from repro.simulation.estimators import MonteCarloEstimate
+from repro.simulation.rng import splitting_pool_generator, splitting_streams
+from repro.simulation.system import SystemSnapshot, system_from_fault_model
 
 #: Target probability that a *biased* mirrored trial loses data; higher
 #: replication degrees target the (replicas - 1)-th power of this, since
@@ -311,13 +300,12 @@ class SplittingRun:
 
 
 def splitting_loss_probability(
-    model: Optional[FaultModel] = None,
+    model: FaultModel,
     mission_time: float = 0.0,
     trials_per_level: int = 200,
     seed: int = 0,
     replicas: int = 2,
     audits_per_year: Optional[float] = None,
-    factory: Optional[SystemFactory] = None,
     chunk: int = 0,
     scheme: Optional[RedundancyScheme] = None,
 ) -> SplittingRun:
@@ -333,12 +321,9 @@ def splitting_loss_probability(
     ``P(reach ℓ | reached ℓ - 1)``; the loss probability is the product
     across stages.  Entry states are captured
     as :class:`~repro.simulation.system.SystemSnapshot` and resampled
-    with replacement — a trial that loses outright mid-stage (e.g. a
-    shock hitting every replica) propagates as a certain hit so
-    multi-level jumps cannot bias later stages.
+    with replacement.  Faults arrive one at a time, so a stage run
+    before the last can reach its level but never lose the data.
 
-    Either ``model`` or ``factory`` must be given; factories may build
-    arbitrary systems (shocks, Weibull hazards, stochastic repairs).
     ``chunk`` selects an independent replication of the whole pass for
     adaptive sampling.
 
@@ -352,45 +337,29 @@ def splitting_loss_probability(
         raise ValueError("trials_per_level must be positive")
     if chunk < 0:
         raise ValueError("chunk must be non-negative")
-    if factory is None:
-        if model is None:
-            raise ValueError("either model or factory must be provided")
-        factory = default_factory(model, replicas, audits_per_year, scheme)
-        levels = (
-            scheme.loss_threshold if scheme is not None else replicas
-        )
-    else:
-        levels = factory(RandomStreams(seed=seed)).config.effective_loss_threshold
+    levels = scheme.loss_threshold if scheme is not None else replicas
 
     conditional: List[float] = []
     total_runs = 0
     losses = 0
-    # ``None`` entries mark trials that lost outright during an earlier
-    # stage: they are certain hits at every later level.
-    pool: List[Optional[SystemSnapshot]] = []
+    pool: List[SystemSnapshot] = []
     for level in range(1, levels + 1):
         stage_key = chunk * (levels + 1) + (level - 1)
         chooser = splitting_pool_generator(seed, stage_key)
         hits = 0
-        next_pool: List[Optional[SystemSnapshot]] = []
+        next_pool: List[SystemSnapshot] = []
         for trial in range(trials_per_level):
             entry: Optional[SystemSnapshot] = None
             if level > 1:
                 entry = pool[int(chooser.integers(0, len(pool)))]
-                if entry is None:
-                    # Resumed from an already-lost trajectory: a certain
-                    # hit that resolves without simulating, but still one
-                    # of the stage's fixed-effort runs (keeping the
-                    # trial/loss accounting consistent).
-                    total_runs += 1
-                    hits += 1
-                    if level < levels:
-                        next_pool.append(None)
-                    else:
-                        losses += 1
-                    continue
             total_runs += 1
-            system = factory(splitting_streams(seed, stage_key, trial))
+            system = system_from_fault_model(
+                model,
+                replicas=replicas,
+                streams=splitting_streams(seed, stage_key, trial),
+                audits_per_year=audits_per_year,
+                scheme=scheme,
+            )
             result = system.run(
                 max_time=mission_time,
                 stop_when_faulty=level,
@@ -399,8 +368,6 @@ def splitting_loss_probability(
             if result.lost:
                 hits += 1
                 losses += 1
-                if level < levels:
-                    next_pool.append(None)
             elif result.level_hit_time is not None:
                 hits += 1
                 if level < levels:

@@ -1,11 +1,10 @@
 """Reproducible random-number streams for the simulator.
 
-Each stochastic component of a simulated system (per-replica fault
-processes, scrubbing, repair durations, shock arrivals) draws from its
-own named stream, all derived from a single seed.  Separate streams keep
-results reproducible even when components are added or removed, and make
-variance-reduction comparisons (same fault stream, different audit
-policy) possible.
+Each stochastic component of a simulated system (each replica's
+visible and latent fault arrivals) draws from its own named stream, all
+derived from a single seed.  Separate streams keep results reproducible
+even when components are added or removed, and make variance-reduction
+comparisons (same fault stream, different audit policy) possible.
 
 Seeding scheme
 --------------
@@ -107,24 +106,6 @@ class RandomStreams:
         if mean <= 0:
             raise ValueError(f"mean must be positive, got {mean!r}")
         return float(self.stream(name).exponential(mean))
-
-    def uniform(self, name: str, low: float = 0.0, high: float = 1.0) -> float:
-        """Draw one uniform variate in [low, high)."""
-        if high < low:
-            raise ValueError("high must not be less than low")
-        return float(self.stream(name).uniform(low, high))
-
-    def weibull(self, name: str, shape: float, scale: float) -> float:
-        """Draw one Weibull variate with the given shape and scale."""
-        if shape <= 0 or scale <= 0:
-            raise ValueError("shape and scale must be positive")
-        return float(scale * self.stream(name).weibull(shape))
-
-    def choice(self, name: str, probability: float) -> bool:
-        """Bernoulli draw: True with the given probability."""
-        if not 0 <= probability <= 1:
-            raise ValueError("probability must be in [0, 1]")
-        return bool(self.stream(name).random() < probability)
 
     def spawn(self, offset: int) -> "RandomStreams":
         """Derive an independent family for one Monte-Carlo trial.

@@ -1,181 +1,16 @@
-"""Audit (scrubbing) policies for the simulator.
+"""The audit (scrubbing) grid shared by every simulator.
 
-A scrub policy decides *when* latent faults get detected.  The paper's
-Section 6.2 argues for proactive, frequent auditing; the simulator
-offers:
-
-* :class:`NoScrubbing` — latent faults are only found when the data is
-  accessed (and with no accesses, never).
-* :class:`PeriodicScrubbing` — a full audit every ``interval`` hours with
-  a configurable detection coverage.
-* :class:`PoissonScrubbing` — audits arrive as a Poisson process, which
-  models opportunistic scrubbing piggy-backed on other activity
-  (Schwarz et al.).
-* :class:`OnAccessDetection` — user accesses arrive as a Poisson process
-  and each access checks the data; this is the "detect on user access"
-  anti-pattern the paper warns about for rarely-accessed archives.
+Audits run on one global grid ``I, 2I, 3I, ...``: a latent fault stays
+undetected until the first grid point after it occurs, then repairs in
+``MRL``.  :func:`audit_interval_for` owns the interval convention and
+:func:`audit_detection_time` the grid arithmetic, so the event engine,
+the batch kernel and the control variate agree on the scrubbing
+physics.
 """
 
 from __future__ import annotations
 
-import abc
-from dataclasses import dataclass
-
 import numpy as np
-
-
-class ScrubPolicy(abc.ABC):
-    """Schedule of audit events over a replica's life."""
-
-    @abc.abstractmethod
-    def next_audit_delay(self, rng: np.random.Generator) -> float:
-        """Hours until the next audit, or ``inf`` if audits never happen."""
-
-    @abc.abstractmethod
-    def detection_coverage(self) -> float:
-        """Probability a given audit detects an outstanding latent fault."""
-
-    def expected_detection_delay(self) -> float:
-        """Mean occurrence-to-detection delay implied by this policy.
-
-        With perfect coverage and uniformly-arriving faults a periodic
-        audit every ``T`` hours gives ``T / 2`` (paper Section 6.2); an
-        imperfect coverage ``c`` multiplies the expected number of audits
-        needed by ``1 / c``, adding ``(1/c - 1) * T`` full periods.
-        """
-        raise NotImplementedError
-
-    def audits_per_year(self) -> float:
-        """Mean number of audits per year (for cost accounting)."""
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class NoScrubbing(ScrubPolicy):
-    """Latent faults are never proactively audited."""
-
-    def next_audit_delay(self, rng: np.random.Generator) -> float:
-        return float("inf")
-
-    def detection_coverage(self) -> float:
-        return 0.0
-
-    def expected_detection_delay(self) -> float:
-        return float("inf")
-
-    def audits_per_year(self) -> float:
-        return 0.0
-
-
-@dataclass(frozen=True)
-class PeriodicScrubbing(ScrubPolicy):
-    """A full audit every ``interval_hours`` hours.
-
-    Attributes:
-        interval_hours: time between audits.
-        coverage: probability an audit detects an outstanding latent
-            fault (1.0 = the paper's perfect-detection assumption).
-    """
-
-    interval_hours: float
-    coverage: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.interval_hours <= 0:
-            raise ValueError("interval_hours must be positive")
-        if not 0 < self.coverage <= 1:
-            raise ValueError("coverage must be in (0, 1]")
-
-    def next_audit_delay(self, rng: np.random.Generator) -> float:
-        return self.interval_hours
-
-    def detection_coverage(self) -> float:
-        return self.coverage
-
-    def expected_detection_delay(self) -> float:
-        # Half a period until the first audit after the fault, plus
-        # (1/coverage - 1) further full periods for audits that miss.
-        return self.interval_hours / 2.0 + (
-            1.0 / self.coverage - 1.0
-        ) * self.interval_hours
-
-    def audits_per_year(self) -> float:
-        from repro.core.units import HOURS_PER_YEAR
-
-        return HOURS_PER_YEAR / self.interval_hours
-
-
-@dataclass(frozen=True)
-class PoissonScrubbing(ScrubPolicy):
-    """Audits arrive as a Poisson process (opportunistic scrubbing).
-
-    Attributes:
-        mean_interval_hours: mean time between audits.
-        coverage: per-audit detection probability.
-    """
-
-    mean_interval_hours: float
-    coverage: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.mean_interval_hours <= 0:
-            raise ValueError("mean_interval_hours must be positive")
-        if not 0 < self.coverage <= 1:
-            raise ValueError("coverage must be in (0, 1]")
-
-    def next_audit_delay(self, rng: np.random.Generator) -> float:
-        return float(rng.exponential(self.mean_interval_hours))
-
-    def detection_coverage(self) -> float:
-        return self.coverage
-
-    def expected_detection_delay(self) -> float:
-        # Memoryless audits: the delay to the first audit after the fault
-        # is a full mean interval, and misses add further intervals.
-        return self.mean_interval_hours / self.coverage
-
-    def audits_per_year(self) -> float:
-        from repro.core.units import HOURS_PER_YEAR
-
-        return HOURS_PER_YEAR / self.mean_interval_hours
-
-
-@dataclass(frozen=True)
-class OnAccessDetection(ScrubPolicy):
-    """Detection only when a user access happens to read the data.
-
-    The paper's archival workloads access the average item very rarely,
-    which is exactly why this policy performs poorly: the expected delay
-    equals the mean inter-access time.
-
-    Attributes:
-        mean_access_interval_hours: mean hours between user accesses to
-            the data item.
-        coverage: probability an access notices the corruption.
-    """
-
-    mean_access_interval_hours: float
-    coverage: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.mean_access_interval_hours <= 0:
-            raise ValueError("mean_access_interval_hours must be positive")
-        if not 0 < self.coverage <= 1:
-            raise ValueError("coverage must be in (0, 1]")
-
-    def next_audit_delay(self, rng: np.random.Generator) -> float:
-        return float(rng.exponential(self.mean_access_interval_hours))
-
-    def detection_coverage(self) -> float:
-        return self.coverage
-
-    def expected_detection_delay(self) -> float:
-        return self.mean_access_interval_hours / self.coverage
-
-    def audits_per_year(self) -> float:
-        from repro.core.units import HOURS_PER_YEAR
-
-        return HOURS_PER_YEAR / self.mean_access_interval_hours
 
 
 def audit_interval_for(model, audits_per_year=None):
@@ -185,7 +20,8 @@ def audit_interval_for(model, audits_per_year=None):
     event-driven and batch backends: the interval is twice the model's
     ``MDL`` (the paper's "MDL is half the scrub period") unless
     ``audits_per_year`` overrides it; models whose ``MDL`` is no better
-    than the latent mean time get no scrubbing at all.
+    than the latent mean time get no scrubbing at all.  ``MDL = 0``
+    gives a zero interval: detection on arrival.
 
     Args:
         model: a :class:`~repro.core.parameters.FaultModel`.
@@ -208,20 +44,16 @@ def audit_interval_for(model, audits_per_year=None):
     return 2.0 * model.mean_detect_latent
 
 
-def policy_for_audits_per_year(
-    audits_per_year: float, coverage: float = 1.0, poisson: bool = False
-) -> ScrubPolicy:
-    """Convenience factory mapping an audit rate to a policy.
+def audit_detection_time(times, interval):
+    """When latent faults occurring at ``times`` are detected.
 
-    An audit rate of zero returns :class:`NoScrubbing`.
+    The first grid point after each time for a positive ``interval``;
+    the fault time itself for a zero interval (detection on arrival);
+    ``inf`` when ``interval`` is ``None`` (audits never happen).
+    ``times`` may be a scalar or an array.
     """
-    if audits_per_year < 0:
-        raise ValueError("audits_per_year must be non-negative")
-    if audits_per_year == 0:
-        return NoScrubbing()
-    from repro.core.units import HOURS_PER_YEAR
-
-    interval = HOURS_PER_YEAR / audits_per_year
-    if poisson:
-        return PoissonScrubbing(mean_interval_hours=interval, coverage=coverage)
-    return PeriodicScrubbing(interval_hours=interval, coverage=coverage)
+    if interval is None:
+        return np.full(np.shape(times), np.inf)
+    if interval == 0.0:
+        return times
+    return (np.floor(times / interval) + 1.0) * interval

@@ -1,41 +1,31 @@
 """Event-driven model of an r-way replicated storage system.
 
-Each replica suffers visible and latent faults drawn from configurable
-fault processes.  Latent faults wait for the audit policy to detect them;
-detected faults are repaired under the repair policy.  Correlation can be
-modelled with the paper's multiplicative factor (fault rates of the
-surviving replicas accelerate once any replica is faulty) or with
-explicit shared-fate shock events.  The data is lost when the number of
-simultaneously faulty replicas reaches the configured loss threshold —
-every replica for plain replication (for a mirrored pair this is exactly
-the paper's double-fault event), ``n - k + 1`` fragments for an (n, k)
-erasure scheme.
+Each replica suffers the paper's exponential visible and latent faults
+at its :class:`~repro.core.parameters.FaultModel`'s ``MV`` and ``ML``.
+A visible fault repairs in ``MRV``; a latent fault waits for the next
+point of the global audit grid (interval ``2 × MDL`` unless overridden,
+see :func:`~repro.simulation.scrubbing.audit_interval_for`) and then
+repairs in ``MRL``.  While any replica is faulty the healthy replicas'
+fault rates are divided by the correlation factor ``α``.  The data is
+lost when the number of simultaneously faulty replicas reaches the
+configured loss threshold — every replica for plain replication (for a
+mirrored pair this is exactly the paper's double-fault event),
+``n - k + 1`` fragments for an (n, k) erasure scheme.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.faults import FaultType
 from repro.core.parameters import FaultModel
 from repro.core.redundancy import RedundancyScheme
-from repro.simulation.correlation import (
-    CorrelationModel,
-    IndependentFaults,
-    MultiplicativeCorrelation,
-)
 from repro.simulation.engine import EventHandle, SimulationEngine
 from repro.simulation.events import Trace, TraceEventType
-from repro.simulation.faults import ExponentialFaultProcess, FaultProcess
-from repro.simulation.repair import ImmediateRepair, RepairPolicy
 from repro.simulation.replica import Replica, ReplicaState
 from repro.simulation.rng import RandomStreams
-from repro.simulation.scrubbing import (
-    NoScrubbing,
-    PeriodicScrubbing,
-    ScrubPolicy,
-)
+from repro.simulation.scrubbing import audit_interval_for
 
 
 @dataclass(frozen=True)
@@ -45,13 +35,12 @@ class SystemConfig:
     Attributes:
         replicas: replication degree (>= 1); for an (n, k) erasure
             scheme this is the fragment count ``n``.
-        visible_process: fault process generating visible faults per
-            replica.
-        latent_process: fault process generating latent faults per
-            replica.
-        scrub_policy: when audits happen and how well they detect.
-        repair_policy: how long repairs take and how risky they are.
-        correlation: how faults accelerate or co-occur across replicas.
+        model: the fault model: fault mean times, repair times and the
+            correlation factor (its ``MDL`` enters only through
+            ``audit_interval``).
+        audit_interval: hours between audits on the grid ``I, 2I, ...``;
+            ``None`` never audits, and 0 detects a latent fault on
+            arrival.
         trace: whether to record a full event trace.
         loss_threshold: number of simultaneously faulty replicas that
             loses the data (``n - k + 1`` for an (n, k) scheme); ``None``
@@ -59,17 +48,16 @@ class SystemConfig:
     """
 
     replicas: int
-    visible_process: FaultProcess
-    latent_process: FaultProcess
-    scrub_policy: ScrubPolicy
-    repair_policy: RepairPolicy
-    correlation: CorrelationModel = field(default_factory=IndependentFaults)
+    model: FaultModel
+    audit_interval: Optional[float]
     trace: bool = False
     loss_threshold: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.replicas < 1:
             raise ValueError("replicas must be at least 1")
+        if self.audit_interval is not None and not self.audit_interval >= 0:
+            raise ValueError("audit_interval must be non-negative")
         if self.loss_threshold is not None and not (
             1 <= self.loss_threshold <= self.replicas
         ):
@@ -99,15 +87,12 @@ class ReplicaSnapshot:
         repair_completion: absolute time the in-flight repair finishes,
             or ``None`` when no repair is scheduled (healthy, or latent
             and still undetected).
-        last_repair_time: when the replica last returned to service
-            (drives the age passed to non-memoryless fault processes).
     """
 
     state: ReplicaState
     fault_time: Optional[float]
     detection_time: Optional[float]
     repair_completion: Optional[float]
-    last_repair_time: float
 
 
 @dataclass(frozen=True)
@@ -117,13 +102,12 @@ class SystemSnapshot:
     A snapshot captures everything the dynamics depend on: per-replica
     health (with in-flight repair completions as absolute times) and the
     audit phase.  Pending fault arrivals are *not* captured — on restore
-    they are resampled conditionally on each replica's age, which is the
-    exact conditional distribution of the remaining delay (the same
-    resampling the correlation regime changes already rely on), so a
-    restored system is statistically indistinguishable from one that
-    kept running.  Used by the multilevel-splitting estimator in
-    :mod:`repro.simulation.rare_event` to restart trials from level
-    entry states.
+    they are resampled, which is exact because fault arrivals are
+    memoryless (the same resampling the correlation regime changes
+    rely on), so a restored system is statistically indistinguishable
+    from one that kept running.  Used by the multilevel-splitting
+    estimator in :mod:`repro.simulation.rare_event` to restart trials
+    from level entry states.
     """
 
     time: float
@@ -176,6 +160,10 @@ class ReplicatedStorageSystem:
     def __init__(self, config: SystemConfig, streams: RandomStreams) -> None:
         self._config = config
         self._streams = streams
+        # Degraded delays are divided by 1/α, not multiplied by α: the two
+        # differ in the last bit on about a third of the draws, and seeded
+        # event answers are pinned to the division.
+        self._acceleration = 1.0 / config.model.correlation_factor
         self._engine = SimulationEngine()
         self._trace = Trace(enabled=config.trace)
         self._replicas = [Replica(index=i) for i in range(config.replicas)]
@@ -187,7 +175,6 @@ class ReplicatedStorageSystem:
             None,
         )
         self._audits = 0
-        self._last_repair_time: Dict[int, float] = {i: 0.0 for i in range(config.replicas)}
         self._next_audit_time: Optional[float] = None
         self._stop_when_faulty: Optional[int] = None
         self._level_hit_time: Optional[float] = None
@@ -245,8 +232,8 @@ class ReplicatedStorageSystem:
             and self._faulty_count() >= stop_when_faulty
             and not self._lost
         ):
-            # Already at or above the target level (a snapshot taken
-            # after a shock can jump several levels at once).
+            # Resumed from a snapshot already at or above the target
+            # level: the level is hit at the snapshot time.
             self._level_hit_time = self._engine.now
         else:
             self._engine.run(until=max_time)
@@ -290,7 +277,6 @@ class ReplicatedStorageSystem:
                     fault_time=replica.fault_time,
                     detection_time=replica.detection_time,
                     repair_completion=repair_completion,
-                    last_repair_time=self._last_repair_time[replica.index],
                 )
             )
         return SystemSnapshot(
@@ -302,28 +288,21 @@ class ReplicatedStorageSystem:
     # -- setup -------------------------------------------------------------
 
     def _start(self) -> None:
-        for replica in self._replicas:
-            self._schedule_faults(replica.index)
+        self._reschedule_healthy_replicas()
         self._schedule_next_audit()
-        shock_rate = self._config.correlation.shock_rate()
-        if shock_rate > 0:
-            self._schedule_next_shock()
 
     def _restore(self, snapshot: SystemSnapshot) -> None:
         """Adopt a captured state and reschedule its implied events.
 
         Replica health, in-flight repair completions, and the audit
         phase come from the snapshot; pending fault arrivals are
-        resampled conditionally on each replica's age (exact for the
-        same reason the correlation regime changes may resample), and
-        memoryless shock arrivals restart fresh.
+        resampled, which memorylessness makes exact.
         """
         if len(snapshot.replicas) != len(self._replicas):
             raise ValueError("snapshot replica count does not match")
         self._engine.advance_to(snapshot.time)
         for replica, snap in zip(self._replicas, snapshot.replicas):
             replica.restore(snap.state, snap.fault_time, snap.detection_time)
-            self._last_repair_time[replica.index] = snap.last_repair_time
             if snap.repair_completion is not None:
                 fault_type = replica.current_fault_type
                 handle = self._engine.schedule_at(
@@ -334,39 +313,29 @@ class ReplicatedStorageSystem:
                 )
                 self._repair_handles[replica.index] = handle
         # Fault arrivals resample only after every replica's state is in
-        # place, so the correlation multiplier sees the restored regime.
-        for replica in self._replicas:
-            if not replica.is_faulty:
-                self._schedule_faults(replica.index)
+        # place, so the correlation acceleration sees the restored regime.
+        self._reschedule_healthy_replicas()
         if snapshot.next_audit_time is not None:
             self._next_audit_time = snapshot.next_audit_time
             self._engine.schedule_at(snapshot.next_audit_time, self._on_audit)
-        if self._config.correlation.shock_rate() > 0:
-            self._schedule_next_shock()
 
     # -- fault scheduling ----------------------------------------------------
 
     def _faulty_count(self) -> int:
         return sum(1 for replica in self._replicas if replica.is_faulty)
 
-    def _rate_multiplier(self) -> float:
-        return self._config.correlation.rate_multiplier(self._faulty_count())
-
     def _schedule_faults(self, index: int) -> None:
         """(Re)schedule the next visible and latent faults for a replica."""
         self._cancel_faults(index)
-        replica = self._replicas[index]
-        if replica.is_faulty:
-            return
-        multiplier = self._rate_multiplier()
-        age = self._engine.now - self._last_repair_time[index]
-        for fault_type, process, stream in (
-            (FaultType.VISIBLE, self._config.visible_process, f"visible-{index}"),
-            (FaultType.LATENT, self._config.latent_process, f"latent-{index}"),
+        degraded = self._faulty_count() > 0
+        model = self._config.model
+        for fault_type, mean, stream in (
+            (FaultType.VISIBLE, model.mean_time_to_visible, f"visible-{index}"),
+            (FaultType.LATENT, model.mean_time_to_latent, f"latent-{index}"),
         ):
-            delay = process.sample(self._streams.stream(stream), age=age)
-            if multiplier > 1.0:
-                delay = delay / multiplier
+            delay = self._streams.exponential(stream, mean)
+            if degraded:
+                delay = delay / self._acceleration
             handle = self._engine.schedule(
                 delay, lambda i=index, ft=fault_type: self._on_fault(i, ft)
             )
@@ -379,43 +348,39 @@ class ReplicatedStorageSystem:
                 handle.cancel()
 
     def _reschedule_healthy_replicas(self) -> None:
-        """Resample pending faults after the correlation regime changed."""
+        """(Re)draw the pending faults of every healthy replica."""
         for replica in self._replicas:
             if not replica.is_faulty:
                 self._schedule_faults(replica.index)
 
     # -- event handlers ------------------------------------------------------
 
-    def _on_fault(self, index: int, fault_type: FaultType, detail: str = "") -> None:
+    def _on_fault(self, index: int, fault_type: FaultType) -> None:
         if self._lost:
             return
         now = self._engine.now
-        replica = self._replicas[index]
         previously_faulty = self._faulty_count()
-        was_faulty = replica.is_faulty
-        replica.suffer_fault(fault_type, now)
-        self._trace.record(
-            now, TraceEventType.FAULT_OCCURRED, index, fault_type, detail
-        )
-        if not was_faulty:
-            self._cancel_faults(index)
-            if fault_type is FaultType.VISIBLE:
-                self._start_repair(index, fault_type)
-            # Latent faults wait for an audit (or access) to be detected.
-        if self._faulty_count() >= self._config.effective_loss_threshold:
+        self._replicas[index].suffer_fault(fault_type, now)
+        self._trace.record(now, TraceEventType.FAULT_OCCURRED, index, fault_type)
+        self._cancel_faults(index)
+        if fault_type is FaultType.VISIBLE:
+            self._start_repair(index, fault_type)
+        elif self._config.audit_interval == 0:
+            self._detect(index)
+        # Otherwise the latent fault waits for the next audit.
+        faulty = previously_faulty + 1
+        if faulty >= self._config.effective_loss_threshold:
             self._declare_loss(fault_type)
             return
         if (
             self._stop_when_faulty is not None
             and self._level_hit_time is None
-            and self._faulty_count() >= self._stop_when_faulty
+            and faulty >= self._stop_when_faulty
         ):
-            # The splitting level function crossed its target; stop once
-            # the current event (a shock may fault several replicas at
-            # this instant) finishes, so snapshots see the full state.
+            # The splitting level function crossed its target.
             self._level_hit_time = now
             self._engine.stop()
-        if previously_faulty == 0 and self._faulty_count() > 0:
+        if previously_faulty == 0:
             self._reschedule_healthy_replicas()
 
     def _declare_loss(self, final_fault_type: FaultType) -> None:
@@ -439,108 +404,59 @@ class ReplicatedStorageSystem:
         self._engine.stop()
 
     def _start_repair(self, index: int, fault_type: FaultType) -> None:
-        now = self._engine.now
-        self._trace.record(now, TraceEventType.REPAIR_STARTED, index, fault_type)
-        duration = self._config.repair_policy.repair_time(
-            self._streams.stream(f"repair-{index}"), fault_type
+        model = self._config.model
+        self._trace.record(
+            self._engine.now, TraceEventType.REPAIR_STARTED, index, fault_type
         )
-        induced = self._config.repair_policy.induced_fault_probability()
-        if induced > 0 and self._streams.choice(f"repair-risk-{index}", induced):
-            victim = self._pick_other_healthy_replica(index)
-            if victim is not None:
-                self._on_fault(victim, FaultType.VISIBLE, detail="repair-induced")
-                if self._lost:
-                    return
-        handle = self._engine.schedule(
+        duration = (
+            model.mean_repair_visible
+            if fault_type is FaultType.VISIBLE
+            else model.mean_repair_latent
+        )
+        self._repair_handles[index] = self._engine.schedule(
             duration, lambda i=index, ft=fault_type: self._on_repair_complete(i, ft)
         )
-        self._repair_handles[index] = handle
-
-    def _pick_other_healthy_replica(self, index: int) -> Optional[int]:
-        candidates = [
-            replica.index
-            for replica in self._replicas
-            if replica.index != index and not replica.is_faulty
-        ]
-        if not candidates:
-            return None
-        rng = self._streams.stream("victim-choice")
-        return int(candidates[rng.integers(0, len(candidates))])
 
     def _on_repair_complete(self, index: int, fault_type: FaultType) -> None:
         if self._lost:
             return
         now = self._engine.now
-        replica = self._replicas[index]
-        if not replica.is_faulty:
-            return
         previously_faulty = self._faulty_count()
-        replica.repair(now)
-        self._last_repair_time[index] = now
+        self._replicas[index].repair(now)
         self._repair_handles.pop(index, None)
         self._trace.record(now, TraceEventType.REPAIR_COMPLETED, index, fault_type)
         self._schedule_faults(index)
-        if previously_faulty == 1 and self._faulty_count() == 0:
+        if previously_faulty == 1:
             self._reschedule_healthy_replicas()
 
     # -- audits ---------------------------------------------------------------
 
     def _schedule_next_audit(self) -> None:
-        delay = self._config.scrub_policy.next_audit_delay(
-            self._streams.stream("audit")
-        )
-        if delay == float("inf"):
+        interval = self._config.audit_interval
+        if not interval:
+            # Never audits, or detects on arrival (a zero interval).
             self._next_audit_time = None
             return
-        self._next_audit_time = self._engine.now + delay
-        self._engine.schedule(delay, self._on_audit)
+        self._next_audit_time = self._engine.now + interval
+        self._engine.schedule(interval, self._on_audit)
 
     def _on_audit(self) -> None:
         if self._lost:
             return
-        now = self._engine.now
         self._audits += 1
-        self._trace.record(now, TraceEventType.AUDIT_PERFORMED)
-        coverage = self._config.scrub_policy.detection_coverage()
+        self._trace.record(self._engine.now, TraceEventType.AUDIT_PERFORMED)
         for replica in self._replicas:
-            if replica.state is ReplicaState.LATENT_UNDETECTED:
-                if coverage >= 1.0 or self._streams.choice("audit-coverage", coverage):
-                    if replica.detect(now):
-                        self._trace.record(
-                            now,
-                            TraceEventType.FAULT_DETECTED,
-                            replica.index,
-                            FaultType.LATENT,
-                        )
-                        self._start_repair(replica.index, FaultType.LATENT)
-                        if self._lost:
-                            return
+            self._detect(replica.index)
         self._schedule_next_audit()
 
-    # -- shocks ---------------------------------------------------------------
-
-    def _schedule_next_shock(self) -> None:
-        rate = self._config.correlation.shock_rate()
-        if rate <= 0:
-            return
-        delay = self._streams.exponential("shock", 1.0 / rate)
-        self._engine.schedule(delay, self._on_shock)
-
-    def _on_shock(self) -> None:
-        if self._lost:
-            return
+    def _detect(self, index: int) -> None:
+        """Detect an undetected latent fault now and start its repair."""
         now = self._engine.now
-        rng = self._streams.stream("shock-impact")
-        victims = self._config.correlation.shock_impact(rng, len(self._replicas))
-        self._trace.record(
-            now, TraceEventType.SHOCK_EVENT, detail=f"hit {len(victims)} replicas"
-        )
-        for victim in victims:
-            fault_type = self._config.correlation.shock_fault_type(rng)
-            self._on_fault(int(victim), fault_type, detail="shock")
-            if self._lost:
-                return
-        self._schedule_next_shock()
+        if self._replicas[index].detect(now):
+            self._trace.record(
+                now, TraceEventType.FAULT_DETECTED, index, FaultType.LATENT
+            )
+            self._start_repair(index, FaultType.LATENT)
 
 
 def system_from_fault_model(
@@ -549,55 +465,28 @@ def system_from_fault_model(
     streams: Optional[RandomStreams] = None,
     audits_per_year: Optional[float] = None,
     trace: bool = False,
-    use_multiplicative_correlation: bool = True,
-    scheme: Optional["RedundancyScheme"] = None,
+    scheme: Optional[RedundancyScheme] = None,
 ) -> ReplicatedStorageSystem:
-    """Build a simulator matching a :class:`FaultModel` parameter set.
+    """Build a simulator for a :class:`FaultModel` parameter set.
 
-    The scrub interval is derived from the model's ``MDL`` (interval =
+    The audit interval is derived from the model's ``MDL`` (interval =
     2 × MDL, the inverse of the paper's "MDL is half the scrub period")
-    unless ``audits_per_year`` overrides it.  Repair times are
-    deterministic at ``MRV`` / ``MRL``.  The paper's multiplicative
-    correlation is applied unless disabled.  Passing an (n, k)
-    ``scheme`` stores ``n`` fragments with loss at ``n - k + 1``
+    unless ``audits_per_year`` overrides it; the batch backend shares
+    the convention through
+    :func:`~repro.simulation.scrubbing.audit_interval_for`.  Passing an
+    (n, k) ``scheme`` stores ``n`` fragments with loss at ``n - k + 1``
     simultaneously faulty; ``replicas`` is ignored then.
     """
     loss_threshold = None
     if scheme is not None:
-        replicas = scheme.n
-        # For k = 1 the threshold equals the replica count, which is the
-        # config's default — keeping the built config identical to the
-        # historical one for plain replication.
-        if scheme.loss_threshold != scheme.n:
-            loss_threshold = scheme.loss_threshold
-    if streams is None:
-        streams = RandomStreams(seed=0)
-    from repro.simulation.scrubbing import audit_interval_for
-
-    # The interval convention is shared with the batch backend so the
-    # two simulators always agree on the scrubbing physics.
-    interval = audit_interval_for(model, audits_per_year)
-    scrub: ScrubPolicy
-    if interval is None:
-        scrub = NoScrubbing()
-    else:
-        scrub = PeriodicScrubbing(interval_hours=interval)
-    correlation: CorrelationModel
-    if use_multiplicative_correlation and model.correlation_factor < 1.0:
-        correlation = MultiplicativeCorrelation(alpha=model.correlation_factor)
-    else:
-        correlation = IndependentFaults()
+        replicas, loss_threshold = scheme.n, scheme.loss_threshold
     config = SystemConfig(
         replicas=replicas,
-        visible_process=ExponentialFaultProcess(model.mean_time_to_visible),
-        latent_process=ExponentialFaultProcess(model.mean_time_to_latent),
-        scrub_policy=scrub,
-        repair_policy=ImmediateRepair(
-            visible_hours=model.mean_repair_visible,
-            latent_hours=model.mean_repair_latent,
-        ),
-        correlation=correlation,
+        model=model,
+        audit_interval=audit_interval_for(model, audits_per_year),
         trace=trace,
         loss_threshold=loss_threshold,
     )
-    return ReplicatedStorageSystem(config, streams)
+    return ReplicatedStorageSystem(
+        config, streams if streams is not None else RandomStreams(seed=0)
+    )

@@ -67,7 +67,10 @@ from repro.core.redundancy import RedundancyScheme, resolve_scheme
 from repro.simulation.batch import simulate_batch  # noqa: F401
 from repro.simulation.estimators import MonteCarloEstimate, adaptive_cap
 from repro.simulation.rng import control_variate_generator
-from repro.simulation.scrubbing import audit_interval_for
+from repro.simulation.scrubbing import (
+    audit_detection_time,
+    audit_interval_for,
+)
 
 
 def require_threshold_two(
@@ -125,13 +128,10 @@ def _skeleton_log_survival(
         window_end = np.empty(active.size)
         window_end[visible] = fault_at[visible] + model.mean_repair_visible
         latent = ~visible
-        if interval is None:
-            window_end[latent] = np.inf
-        else:
-            detection = (
-                np.floor(fault_at[latent] / interval) + 1.0
-            ) * interval
-            window_end[latent] = detection + model.mean_repair_latent
+        window_end[latent] = (
+            audit_detection_time(fault_at[latent], interval)
+            + model.mean_repair_latent
+        )
         window_end = np.minimum(window_end, horizon)
         exposure[active] += degraded_intensity * (window_end - fault_at)
         clock[active] = window_end

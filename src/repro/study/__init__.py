@@ -22,11 +22,12 @@ Scenarios cover five question kinds (``mttdl``, ``loss_probability``,
 (``auto``, ``analytic``, ``markov``, ``event``, ``batch``, ``is``,
 ``splitting``, ``fleet``); both the scenario and the result JSON-
 roundtrip, tolerate unknown fields, and carry content hashes compatible
-with the optimize/fleet result caches.  Library callers that simulate
-custom :data:`~repro.simulation.estimators.SystemFactory` systems call
-the estimation loops (:func:`~repro.simulation.estimators.run_mttdl`,
-:func:`~repro.simulation.estimators.run_loss_probability`) directly;
-every other question comes through :func:`run`.
+with the optimize/fleet result caches.  Every question comes through
+:func:`run`, which dispatches simulated point estimates to the
+estimation loops (:func:`~repro.simulation.estimators.run_mttdl`,
+:func:`~repro.simulation.estimators.run_loss_probability`); the
+``event`` and ``splitting`` engines run the event-driven simulator of
+the same fault model the ``batch`` kernel runs.
 """
 
 from repro.study.engine import run

@@ -26,6 +26,7 @@ from repro.core.parameters import (
     json_boolean,
     json_integer,
     json_number,
+    json_required,
     json_string,
 )
 from repro.core.redundancy import RedundancyScheme
@@ -541,7 +542,7 @@ class Scenario:
 
         label = payload.get("label")
         return Scenario(
-            question=str(payload["question"]),
+            question=str(json_required(payload, "question", "question")),
             system=_parsed("system", SystemSpec.from_dict),
             mission_years=json_number(
                 payload.get("mission_years", 50.0), "mission_years"

@@ -6,6 +6,9 @@ different execution strategy.  Determinism, adaptive sampling, and the
 argument validation of the ``backend`` switch are covered here too.
 """
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,6 +109,8 @@ class TestSimulateBatch:
         ) == pytest.approx(HOURS_PER_YEAR / 12.0)
         # MDL no better than the latent mean time means no scrubbing.
         assert audit_interval_for(self.fast_model(mean_detect_latent=100.0)) is None
+        with pytest.raises(ValueError, match="audits_per_year"):
+            audit_interval_for(self.fast_model(), audits_per_year=-1.0)
 
     def test_combination_counts_sum_to_losses(self):
         result = simulate_batch(self.fast_model(), trials=300, horizon=1e6, seed=9)
@@ -175,6 +180,43 @@ class TestBackendCrossValidation:
         # a 50-year mission; both backends must sit in that regime.
         assert 0.001 < batch.mean < 0.05
 
+    def test_zero_mdl_detects_latent_faults_on_arrival(self):
+        # MDL = 0 is a zero audit interval: every latent fault is
+        # detected the instant it occurs.  The batch grid used to divide
+        # by zero there (answering ~0.004, CV NaN) and the event engine
+        # refused the interval; MDL = 1e-6 h is the same physics.
+        mission = dict(mission_time=500.0, seed=1)
+        reference = run_loss_probability(
+            self.fast_model(mean_detect_latent=1e-6),
+            trials=4000,
+            backend="batch",
+            **mission,
+        )
+        model = self.fast_model(mean_detect_latent=0.0)
+        assert audit_interval_for(model) == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            estimates = [
+                run_loss_probability(
+                    model, trials=4000, backend="batch", **mission
+                ),
+                run_loss_probability(model, trials=4000, method="is", **mission),
+                run_loss_probability(
+                    model,
+                    trials=4000,
+                    backend="batch",
+                    variance_reduction="cv",
+                    **mission,
+                ),
+                run_loss_probability(
+                    model, trials=1000, backend="event", **mission
+                ),
+            ]
+        for estimate in estimates:
+            assert abs(estimate.mean - reference.mean) <= 4 * math.hypot(
+                estimate.std_error, reference.std_error
+            )
+
     def test_scrubbing_improves_batch_mttdl(self):
         base = self.fast_model()
         scrubbed = run_mttdl(
@@ -216,12 +258,6 @@ class TestBackendCrossValidation:
         assert event[key] / event_total == pytest.approx(
             batch[key] / batch_total, abs=0.1
         )
-
-    def test_batch_rejects_factory(self):
-        with pytest.raises(ValueError):
-            run_mttdl(
-                factory=lambda streams: None, trials=10, backend="batch"
-            )
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simulation.engine import SimulationEngine, drain_times
+from repro.simulation.engine import SimulationEngine
 
 
 class TestScheduling:
@@ -63,13 +63,6 @@ class TestCancellation:
         handle.cancel()
         engine.run()
         assert fired == []
-
-    def test_drain_times_skips_cancelled(self):
-        engine = SimulationEngine()
-        engine.schedule(1.0, lambda: None)
-        handle = engine.schedule(2.0, lambda: None)
-        handle.cancel()
-        assert drain_times(engine) == (1.0,)
 
     def test_peek_next_time_skips_cancelled(self):
         engine = SimulationEngine()

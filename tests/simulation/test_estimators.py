@@ -28,34 +28,23 @@ from repro.simulation.rare_event import RULE_OF_THREE
 class TestCheckBackend:
     def test_valid_backends_pass(self):
         for backend in BACKENDS:
-            check_backend(backend, None)
+            check_backend(backend)
 
     @given(st.text(max_size=12).filter(lambda s: s not in BACKENDS))
     def test_everything_else_raises(self, backend):
         with pytest.raises(ValueError, match="unknown backend"):
-            check_backend(backend, None)
-
-    def test_batch_with_factory_rejected(self):
-        with pytest.raises(ValueError, match="batch backend"):
-            check_backend("batch", lambda streams: None)
-
-    def test_event_with_factory_allowed(self):
-        check_backend("event", lambda streams: None)
+            check_backend(backend)
 
 
 class TestCheckMethod:
     def test_valid_methods_pass(self):
         for method in METHODS:
-            check_method(method, None)
+            check_method(method)
 
     @given(st.text(max_size=12).filter(lambda s: s not in METHODS))
     def test_everything_else_raises(self, method):
         with pytest.raises(ValueError, match="unknown method"):
-            check_method(method, None)
-
-    def test_is_with_factory_rejected(self):
-        with pytest.raises(ValueError, match="importance sampling"):
-            check_method("is", lambda streams: None)
+            check_method(method)
 
     def test_allowed_subset_rejects_the_rest(self):
         # The optimizer's refinement path: no splitting.

@@ -1,15 +1,8 @@
-"""Tests for fault processes and the random-stream manager."""
+"""Tests for the random-stream manager."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.simulation.faults import (
-    BathtubFaultProcess,
-    ExponentialFaultProcess,
-    WeibullFaultProcess,
-    process_for_mean,
-)
 from repro.simulation.rng import BATCH_SPAWN_TAG, RandomStreams, batch_generator
 
 
@@ -89,143 +82,12 @@ class TestRandomStreams:
         with pytest.raises(ValueError):
             batch_generator(seed=0, chunk=-1)
 
-    def test_uniform_bounds(self):
-        streams = RandomStreams(seed=0)
-        values = [streams.uniform("u", 2.0, 5.0) for _ in range(100)]
-        assert all(2.0 <= value < 5.0 for value in values)
-
-    def test_choice_probability_extremes(self):
-        streams = RandomStreams(seed=0)
-        assert not streams.choice("never", 0.0)
-        assert streams.choice("always", 1.0)
-
     def test_validation(self):
         streams = RandomStreams(seed=0)
         with pytest.raises(ValueError):
             streams.exponential("x", 0.0)
         with pytest.raises(ValueError):
-            streams.uniform("x", 5.0, 2.0)
-        with pytest.raises(ValueError):
-            streams.choice("x", 1.5)
-        with pytest.raises(ValueError):
-            streams.weibull("x", 0.0, 1.0)
-        with pytest.raises(ValueError):
             RandomStreams(seed=-1)
         with pytest.raises(ValueError):
             streams.spawn(-1)
 
-
-class TestExponentialProcess:
-    def test_mean_matches_parameter(self):
-        assert ExponentialFaultProcess(500.0).mean() == 500.0
-
-    def test_rate_is_inverse_mean(self):
-        assert ExponentialFaultProcess(500.0).rate() == pytest.approx(1.0 / 500.0)
-
-    def test_sample_mean_converges(self):
-        process = ExponentialFaultProcess(100.0)
-        rng = np.random.default_rng(0)
-        samples = [process.sample(rng) for _ in range(5000)]
-        assert np.mean(samples) == pytest.approx(100.0, rel=0.1)
-
-    def test_rejects_non_positive_mean(self):
-        with pytest.raises(ValueError):
-            ExponentialFaultProcess(0.0)
-
-
-class TestWeibullProcess:
-    def test_shape_one_is_exponential_mean(self):
-        process = WeibullFaultProcess(shape=1.0, scale=200.0)
-        assert process.mean() == pytest.approx(200.0)
-
-    def test_sample_mean_converges(self):
-        process = WeibullFaultProcess(shape=2.0, scale=100.0)
-        rng = np.random.default_rng(1)
-        samples = [process.sample(rng) for _ in range(5000)]
-        assert np.mean(samples) == pytest.approx(process.mean(), rel=0.1)
-
-    def test_wearout_age_shortens_residual_life(self):
-        # Shape > 1: hazard increases with age, so an old component has a
-        # shorter expected residual life than a new one.
-        process = WeibullFaultProcess(shape=3.0, scale=100.0)
-        rng = np.random.default_rng(2)
-        young = np.mean([process.sample(rng, age=0.0) for _ in range(3000)])
-        old = np.mean([process.sample(rng, age=150.0) for _ in range(3000)])
-        assert old < young
-
-    def test_negative_age_rejected(self):
-        with pytest.raises(ValueError):
-            WeibullFaultProcess(2.0, 100.0).sample(np.random.default_rng(0), age=-1.0)
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            WeibullFaultProcess(0.0, 1.0)
-        with pytest.raises(ValueError):
-            WeibullFaultProcess(1.0, 0.0)
-
-
-class TestBathtubProcess:
-    def make(self):
-        return BathtubFaultProcess(
-            infant_rate=1.0 / 100.0,
-            useful_rate=1.0 / 1000.0,
-            wearout_rate=1.0 / 50.0,
-            infant_period=50.0,
-            wearout_age=500.0,
-        )
-
-    def test_hazard_segments(self):
-        process = self.make()
-        assert process._hazard(10.0) == pytest.approx(1.0 / 100.0)
-        assert process._hazard(100.0) == pytest.approx(1.0 / 1000.0)
-        assert process._hazard(1000.0) == pytest.approx(1.0 / 50.0)
-
-    def test_mean_between_best_and_worst_exponential(self):
-        process = self.make()
-        assert 50.0 < process.mean() < 1000.0
-
-    def test_sample_mean_close_to_analytic_mean(self):
-        process = self.make()
-        rng = np.random.default_rng(3)
-        samples = [process.sample(rng) for _ in range(4000)]
-        assert np.mean(samples) == pytest.approx(process.mean(), rel=0.1)
-
-    def test_old_component_fails_fast(self):
-        process = self.make()
-        rng = np.random.default_rng(4)
-        residuals = [process.sample(rng, age=600.0) for _ in range(2000)]
-        assert np.mean(residuals) == pytest.approx(50.0, rel=0.15)
-
-    def test_rejects_inconsistent_periods(self):
-        with pytest.raises(ValueError):
-            BathtubFaultProcess(0.1, 0.01, 0.1, infant_period=100.0, wearout_age=50.0)
-
-    def test_rejects_non_positive_rates(self):
-        with pytest.raises(ValueError):
-            BathtubFaultProcess(0.0, 0.01, 0.1, 10.0, 100.0)
-
-
-class TestProcessFactory:
-    def test_exponential_factory(self):
-        process = process_for_mean(250.0, "exponential")
-        assert isinstance(process, ExponentialFaultProcess)
-        assert process.mean() == 250.0
-
-    def test_weibull_factory_preserves_mean(self):
-        process = process_for_mean(250.0, "weibull", shape=2.0)
-        assert isinstance(process, WeibullFaultProcess)
-        assert process.mean() == pytest.approx(250.0)
-
-    def test_unknown_distribution_rejected(self):
-        with pytest.raises(ValueError):
-            process_for_mean(100.0, "lognormal")
-
-    def test_non_positive_mean_rejected(self):
-        with pytest.raises(ValueError):
-            process_for_mean(0.0)
-
-    @given(mean=st.floats(min_value=1.0, max_value=1e6), shape=st.floats(min_value=0.5, max_value=5.0))
-    @settings(max_examples=30)
-    def test_weibull_factory_mean_property(self, mean, shape):
-        process = process_for_mean(mean, "weibull", shape=shape)
-        assert process.mean() == pytest.approx(mean, rel=1e-9)

@@ -8,11 +8,7 @@ import pytest
 from repro.core.faults import FaultType
 from repro.core.mttdl import mirrored_mttdl
 from repro.core.parameters import FaultModel
-from repro.simulation.lifetime import (
-    empirical_survival_table,
-    loss_probability_curve,
-    mission_summary,
-)
+from repro.simulation.lifetime import loss_probability_curve
 from repro.simulation.estimators import (
     HighCensoringWarning,
     MonteCarloEstimate,
@@ -183,10 +179,6 @@ class TestEstimateMttdl:
             estimate.mean / math.sqrt(50)
         )
 
-    def test_requires_model_or_factory(self):
-        with pytest.raises(ValueError):
-            run_mttdl(None, trials=10)
-
     def test_rejects_non_positive_trials(self):
         with pytest.raises(ValueError):
             run_mttdl(fast_model(), trials=0)
@@ -257,6 +249,7 @@ class TestLifetimeCurves:
         )
         probabilities = [point.loss_probability for point in curve]
         assert probabilities == sorted(probabilities)
+        assert curve[0].mission_years == pytest.approx(1000.0 / 8760.0)
 
     def test_exponential_prediction_attached(self):
         curve = loss_probability_curve(
@@ -268,13 +261,6 @@ class TestLifetimeCurves:
         )
         assert all(point.exponential_prediction is not None for point in curve)
 
-    def test_mission_summary_single_point(self):
-        summary = mission_summary(
-            fast_model(), mission_years=1.0, trials=40, seed=12
-        )
-        assert 0.0 <= summary.loss_probability <= 1.0
-        assert summary.mission_years == pytest.approx(1.0)
-
     def test_rejects_empty_horizons(self):
         with pytest.raises(ValueError):
             loss_probability_curve(fast_model(), [], trials=10)
@@ -282,15 +268,3 @@ class TestLifetimeCurves:
     def test_rejects_non_positive_horizon(self):
         with pytest.raises(ValueError):
             loss_probability_curve(fast_model(), [0.0], trials=10)
-
-    def test_empirical_survival_table(self):
-        table = empirical_survival_table(
-            [10.0, 20.0, float("inf")], horizons=[5.0, 15.0, 25.0]
-        )
-        assert table[5.0] == pytest.approx(1.0)
-        assert table[15.0] == pytest.approx(2.0 / 3.0)
-        assert table[25.0] == pytest.approx(1.0 / 3.0)
-
-    def test_empirical_survival_table_rejects_empty(self):
-        with pytest.raises(ValueError):
-            empirical_survival_table([], [1.0])

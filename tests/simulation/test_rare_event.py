@@ -17,9 +17,7 @@ from repro.core.units import HOURS_PER_YEAR
 from repro.markov.builders import build_mirrored_chain, mirrored_mttdl_markov
 from repro.markov.transient import loss_probability_over_time
 from repro.simulation.batch import simulate_batch
-from repro.simulation.correlation import SharedFateShocks
 from repro.simulation.engine import SimulationEngine
-from repro.simulation.faults import ExponentialFaultProcess
 from repro.simulation.estimators import (
     MonteCarloEstimate,
     run_loss_probability,
@@ -33,13 +31,7 @@ from repro.simulation.rare_event import (
     mttdl_from_loss_probability,
     splitting_loss_probability,
 )
-from repro.simulation.repair import ImmediateRepair
-from repro.simulation.scrubbing import PeriodicScrubbing
-from repro.simulation.system import (
-    ReplicatedStorageSystem,
-    SystemConfig,
-    system_from_fault_model,
-)
+from repro.simulation.system import system_from_fault_model
 
 MISSION = 50.0 * HOURS_PER_YEAR
 
@@ -245,15 +237,6 @@ class TestImportanceSampledEstimates:
         assert estimate.trials > 500
         assert estimate.relative_error <= 0.05
 
-    def test_is_requires_a_model(self):
-        with pytest.raises(ValueError):
-            run_loss_probability(
-                factory=lambda streams: None,
-                mission_time=1e4,
-                trials=10,
-                method="is",
-            )
-
     def test_splitting_rejected_for_mttdl(self, fast_model):
         with pytest.raises(ValueError):
             run_mttdl(fast_model, trials=10, method="splitting")
@@ -345,46 +328,6 @@ class TestAutoMethod:
         )
         assert estimate.method == "standard"
 
-    def test_auto_uses_splitting_for_factories(self, fast_model):
-        # A custom factory cannot run on the batch backend, so the
-        # rare-event fallback must be splitting.  Tight repairs make the
-        # factory-built pair reliable enough to trigger the switch.
-        model = FaultModel(500.0, 100.0, 0.01, 0.01, 0.05, 1.0)
-
-        def factory(streams):
-            return system_from_fault_model(model, replicas=2, streams=streams)
-
-        estimate = run_loss_probability(
-            factory=factory,
-            mission_time=50.0,
-            trials=100,
-            seed=3,
-            method="auto",
-        )
-        assert estimate.method == "splitting"
-
-    def test_auto_with_custom_factory_switches_to_splitting_not_model_is(self):
-        # Regression: when both a model and a factory are given, the
-        # factory owns the system being estimated.  A censoring pilot
-        # must therefore fall back to splitting on the factory, never to
-        # importance-sampling the bare model (a silently different
-        # system).
-        reliable = FaultModel(500.0, 100.0, 0.01, 0.01, 0.05, 1.0)
-
-        def factory(streams):
-            return system_from_fault_model(reliable, replicas=2, streams=streams)
-
-        estimate = run_loss_probability(
-            model=paper_moderate_model(),  # would read ~2e-2 if estimated
-            factory=factory,
-            mission_time=50.0,
-            trials=100,
-            seed=3,
-            method="auto",
-        )
-        assert estimate.method == "splitting"
-        assert estimate.mean < 1e-2
-
     def test_auto_mttdl_keeps_a_converged_censoring_pilot(self):
         # Regression: ~30% censoring used to trigger the IS switch even
         # when the standard pilot had already met the adaptive target,
@@ -401,25 +344,6 @@ class TestAutoMethod:
         assert estimate.censored / estimate.trials > 0.2
         assert estimate.method == "standard"
         assert estimate.relative_error <= 0.05
-
-    def test_auto_mttdl_with_custom_factory_stays_standard(self):
-        # MTTDL has no splitting fallback, so a censoring factory pilot
-        # must finish standard (and warn) rather than IS a bare model.
-        reliable = FaultModel(500.0, 100.0, 0.01, 0.01, 0.05, 1.0)
-
-        def factory(streams):
-            return system_from_fault_model(reliable, replicas=2, streams=streams)
-
-        with pytest.warns(Warning):
-            estimate = run_mttdl(
-                model=paper_moderate_model(),
-                factory=factory,
-                trials=50,
-                seed=3,
-                max_time=200.0,
-                method="auto",
-            )
-        assert estimate.method == "standard"
 
     def test_auto_mttdl_switches_on_censoring(self):
         estimate = run_mttdl(
@@ -499,66 +423,6 @@ class TestSplitting:
         assert len(run.conditional) <= 3
         assert 0.0 <= run.mean <= 1.0
 
-    def test_custom_factory_with_shocks(self):
-        # Shared-fate shocks are exactly what the batch backend cannot
-        # express; splitting must agree with the plain event backend.
-        def factory(streams):
-            config = SystemConfig(
-                replicas=2,
-                visible_process=ExponentialFaultProcess(8000.0),
-                latent_process=ExponentialFaultProcess(4000.0),
-                scrub_policy=PeriodicScrubbing(interval_hours=50.0),
-                repair_policy=ImmediateRepair(visible_hours=2.0, latent_hours=2.0),
-                correlation=SharedFateShocks(
-                    shock_mean_time=5000.0, hit_probability=0.5
-                ),
-            )
-            return ReplicatedStorageSystem(config, streams)
-
-        standard = run_loss_probability(
-            factory=factory, mission_time=2000.0, trials=800, seed=8
-        )
-        split = run_loss_probability(
-            factory=factory,
-            mission_time=2000.0,
-            trials=250,
-            seed=8,
-            method="splitting",
-        )
-        assert standard.losses > 0
-        assert intervals_overlap(standard, split)
-
-    def test_outright_losses_keep_trial_accounting_consistent(self):
-        # Regression: stage-1 shocks that lose outright propagate as
-        # certain hits (None pool entries); resolving those hits must
-        # still count as stage runs so losses can never exceed trials.
-        def factory(streams):
-            config = SystemConfig(
-                replicas=2,
-                visible_process=ExponentialFaultProcess(1e6),
-                latent_process=ExponentialFaultProcess(1e6),
-                scrub_policy=PeriodicScrubbing(interval_hours=500.0),
-                repair_policy=ImmediateRepair(visible_hours=1.0, latent_hours=1.0),
-                correlation=SharedFateShocks(
-                    shock_mean_time=1000.0, hit_probability=0.95
-                ),
-            )
-            return ReplicatedStorageSystem(config, streams)
-
-        run = splitting_loss_probability(
-            factory=factory, mission_time=2000.0, trials_per_level=100, seed=5
-        )
-        assert run.losses <= run.trials
-        estimate = run_loss_probability(
-            factory=factory,
-            mission_time=2000.0,
-            trials=100,
-            seed=5,
-            method="splitting",
-        )
-        assert estimate.censored >= 0
-        assert 0.0 <= estimate.mean <= 1.0
-
     def test_validation(self, fast_model):
         with pytest.raises(ValueError):
             splitting_loss_probability(fast_model, mission_time=0.0)
@@ -566,8 +430,6 @@ class TestSplitting:
             splitting_loss_probability(
                 fast_model, mission_time=100.0, trials_per_level=0
             )
-        with pytest.raises(ValueError):
-            splitting_loss_probability(mission_time=100.0)
 
 
 class TestSnapshotResume:

@@ -1,17 +1,14 @@
 """Tests for the replicated-storage system simulator."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
 from repro.core.faults import FaultType
 from repro.core.parameters import FaultModel
-from repro.simulation.correlation import MultiplicativeCorrelation, SharedFateShocks
 from repro.simulation.events import TraceEventType
-from repro.simulation.faults import ExponentialFaultProcess
-from repro.simulation.repair import ImmediateRepair, OperatorRepair
 from repro.simulation.rng import RandomStreams
-from repro.simulation.scrubbing import NoScrubbing, PeriodicScrubbing
 from repro.simulation.system import (
     ReplicatedStorageSystem,
     SystemConfig,
@@ -19,16 +16,18 @@ from repro.simulation.system import (
     system_from_fault_model,
 )
 
+FAST = FaultModel(
+    mean_time_to_visible=500.0,
+    mean_time_to_latent=100.0,
+    mean_repair_visible=1.0,
+    mean_repair_latent=1.0,
+    mean_detect_latent=5.0,
+    correlation_factor=1.0,
+)
+
 
 def fast_config(**overrides):
-    base = dict(
-        replicas=2,
-        visible_process=ExponentialFaultProcess(500.0),
-        latent_process=ExponentialFaultProcess(100.0),
-        scrub_policy=PeriodicScrubbing(interval_hours=10.0),
-        repair_policy=ImmediateRepair(visible_hours=1.0, latent_hours=1.0),
-        trace=True,
-    )
+    base = dict(replicas=2, model=FAST, audit_interval=10.0, trace=True)
     base.update(overrides)
     return SystemConfig(**base)
 
@@ -81,6 +80,11 @@ class TestBasicRuns:
         with pytest.raises(ValueError):
             fast_config(replicas=0)
 
+    @pytest.mark.parametrize("interval", [-1.0, math.nan])
+    def test_rejects_a_bad_audit_interval(self, interval):
+        with pytest.raises(ValueError, match="audit_interval"):
+            fast_config(audit_interval=interval)
+
 
 class TestFaultHandling:
     def test_faults_and_repairs_recorded_in_trace(self):
@@ -92,7 +96,7 @@ class TestFaultHandling:
             assert counts.get(TraceEventType.REPAIR_COMPLETED, 0) >= 1
 
     def test_latent_faults_detected_only_by_audits(self):
-        config = fast_config(scrub_policy=NoScrubbing())
+        config = fast_config(audit_interval=None)
         system = ReplicatedStorageSystem(config, RandomStreams(seed=13))
         result = system.run(max_time=1e6)
         detections = result.trace.of_type(TraceEventType.FAULT_DETECTED)
@@ -107,7 +111,7 @@ class TestFaultHandling:
             assert len(result.trace.of_type(TraceEventType.FAULT_DETECTED)) > 0
 
     def test_detection_latency_tracks_audit_interval(self):
-        config = fast_config(scrub_policy=PeriodicScrubbing(interval_hours=10.0))
+        config = fast_config(audit_interval=10.0)
         system = ReplicatedStorageSystem(config, RandomStreams(seed=17))
         result = system.run(max_time=20000.0)
         latencies = result.trace.detection_latencies()
@@ -124,6 +128,19 @@ class TestFaultHandling:
         result = system.run(max_time=100.0)
         assert result.audits >= 9
 
+    def test_zero_interval_detects_latent_faults_on_arrival(self):
+        # MDL = 0: no audit ever runs, and every latent fault is
+        # detected, and its repair started, the instant it occurs.
+        config = fast_config(audit_interval=0.0)
+        result = ReplicatedStorageSystem(config, RandomStreams(seed=17)).run(
+            max_time=20000.0
+        )
+        assert result.audits == 0
+        assert result.latent_faults > 0
+        latencies = result.trace.detection_latencies()
+        assert len(latencies) == result.latent_faults
+        assert set(latencies) == {0.0}
+
 
 class TestScrubbingEffectOnReliability:
     def test_scrubbed_system_survives_longer_on_average(self):
@@ -131,11 +148,11 @@ class TestScrubbingEffectOnReliability:
         lost_times_unscrubbed = []
         for seed in range(15):
             scrubbed = ReplicatedStorageSystem(
-                fast_config(scrub_policy=PeriodicScrubbing(interval_hours=10.0)),
+                fast_config(audit_interval=10.0),
                 RandomStreams(seed=seed),
             ).run(max_time=1e7)
             unscrubbed = ReplicatedStorageSystem(
-                fast_config(scrub_policy=NoScrubbing()),
+                fast_config(audit_interval=None),
                 RandomStreams(seed=seed),
             ).run(max_time=1e7)
             lost_times_scrubbed.append(scrubbed.end_time)
@@ -152,40 +169,12 @@ class TestCorrelationEffects:
                 fast_config(), RandomStreams(seed=seed)
             ).run(max_time=1e7)
             correlated = ReplicatedStorageSystem(
-                fast_config(correlation=MultiplicativeCorrelation(alpha=0.05)),
+                fast_config(model=replace(FAST, correlation_factor=0.05)),
                 RandomStreams(seed=seed),
             ).run(max_time=1e7)
             independent_total += independent.end_time
             correlated_total += correlated.end_time
         assert correlated_total < independent_total
-
-    def test_shared_fate_shocks_cause_losses(self):
-        config = fast_config(
-            correlation=SharedFateShocks(shock_mean_time=200.0, hit_probability=1.0),
-        )
-        system = ReplicatedStorageSystem(config, RandomStreams(seed=23))
-        result = system.run(max_time=1e6)
-        assert result.lost
-        shock_events = result.trace.of_type(TraceEventType.SHOCK_EVENT)
-        assert shock_events
-
-
-class TestRepairInducedFaults:
-    def test_risky_operator_repairs_can_damage_other_replica(self):
-        config = fast_config(
-            replicas=3,
-            repair_policy=OperatorRepair(
-                mean_response_hours=0.1, mean_repair_hours=0.5, mistake_probability=1.0
-            ),
-        )
-        system = ReplicatedStorageSystem(config, RandomStreams(seed=29))
-        result = system.run(max_time=5000.0)
-        induced = [
-            event
-            for event in result.trace.of_type(TraceEventType.FAULT_OCCURRED)
-            if event.detail == "repair-induced"
-        ]
-        assert induced
 
 
 class TestFactoryFromFaultModel:
@@ -203,28 +192,24 @@ class TestFactoryFromFaultModel:
 
     def test_scrub_interval_from_mdl(self):
         system = system_from_fault_model(self.make_model(), streams=RandomStreams(0))
-        policy = system.config.scrub_policy
-        assert isinstance(policy, PeriodicScrubbing)
-        assert policy.interval_hours == pytest.approx(10.0)
+        assert system.config.audit_interval == pytest.approx(10.0)
 
     def test_no_scrub_when_mdl_matches_latent_mean(self):
         model = self.make_model(mean_detect_latent=100.0)
         system = system_from_fault_model(model, streams=RandomStreams(0))
-        assert isinstance(system.config.scrub_policy, NoScrubbing)
+        assert system.config.audit_interval is None
 
     def test_audits_per_year_override(self):
         system = system_from_fault_model(
             self.make_model(), streams=RandomStreams(0), audits_per_year=12.0
         )
-        assert isinstance(system.config.scrub_policy, PeriodicScrubbing)
-        assert system.config.scrub_policy.interval_hours == pytest.approx(730.0)
+        assert system.config.audit_interval == pytest.approx(730.0)
 
     def test_correlation_passed_through(self):
         system = system_from_fault_model(
             self.make_model(correlation_factor=0.2), streams=RandomStreams(0)
         )
-        assert isinstance(system.config.correlation, MultiplicativeCorrelation)
-        assert system.config.correlation.alpha == 0.2
+        assert system.config.model.correlation_factor == 0.2
 
 
 class TestSnapshotUnderInFlightState:
@@ -469,4 +454,19 @@ class TestStreamPins:
         assert (len(result.trace.events), result.end_time) == (
             20,
             110.20015374007379,
+        )
+
+    def test_correlated_loss_time_is_pinned(self):
+        # The loss lands one accelerated delay after an early first
+        # fault, so its last bit shows how the delay was accelerated:
+        # ``delay * alpha`` instead of ``delay / (1 / alpha)`` moves it.
+        from repro.simulation.monte_carlo import run_single_trace
+
+        result = run_single_trace(
+            self.fast_model(correlation_factor=0.2), seed=9
+        )
+        assert result.lost
+        assert (len(result.trace.events), result.end_time) == (
+            3,
+            9.926165527834291,
         )

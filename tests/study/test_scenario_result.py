@@ -226,6 +226,44 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match=f"'{re.escape(path)}'"):
             Scenario.from_dict(payload)
 
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "question",
+            "system.model.MV",
+            "system.model.ML",
+            "system.model.MRV",
+            "system.model.MRL",
+            "system.model.MDL",
+            "system.model.alpha",
+            "timeline.epochs[0].model.alpha",
+            "timeline.migrations[0].risk.name",
+        ],
+    )
+    def test_missing_field_names_its_path(self, path):
+        # These used to escape as a bare KeyError naming only the key.
+        kinds = _scenarios_of_every_kind()
+        payload = kinds[4 if path.startswith("timeline") else 1].as_dict()
+        if "migrations" in path:
+            payload["timeline"]["migrations"] = [{
+                "year": 1.0,
+                "risk": {
+                    "name": "format",
+                    "mean_years_to_endangered": 8.0,
+                    "mean_years_endangered_to_dead": 5.0,
+                    "migration_sweep_years": 1.0,
+                },
+            }]
+        *parents, key = path.replace("[", ".").replace("]", "").split(".")
+        section = payload
+        for name in parents:
+            section = section[int(name) if name.isdigit() else name]
+        del section[key]
+        with pytest.raises(
+            ValueError, match=f"^'{re.escape(path)}' is required$"
+        ):
+            Scenario.from_dict(payload)
+
     def test_integral_floats_still_load(self):
         payload = _scenarios_of_every_kind()[1].as_dict()
         payload["policy"]["trials"] = 2000.0
