@@ -91,3 +91,22 @@ class TestRandomStreams:
         with pytest.raises(ValueError):
             streams.spawn(-1)
 
+
+
+class TestExponentialDraws:
+    def test_sample_mean_converges(self):
+        streams = RandomStreams(seed=0)
+        samples = [streams.exponential("faults", 100.0) for _ in range(5000)]
+        assert np.mean(samples) == pytest.approx(100.0, rel=0.05)
+
+    def test_named_streams_do_not_advance_each_other(self):
+        # A replica's fault draws never depend on how often another
+        # stream was drawn from, so adding a replica leaves the others'
+        # draws unchanged.
+        busy = RandomStreams(seed=7)
+        for _ in range(10):
+            busy.exponential("visible-1", 500.0)
+        idle = RandomStreams(seed=7)
+        assert busy.exponential("visible-0", 500.0) == idle.exponential(
+            "visible-0", 500.0
+        )

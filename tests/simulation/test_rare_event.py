@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.parameters import FaultModel
+from repro.core.redundancy import RedundancyScheme
 from repro.core.units import HOURS_PER_YEAR
 from repro.markov.builders import build_mirrored_chain, mirrored_mttdl_markov
 from repro.markov.transient import loss_probability_over_time
@@ -378,6 +379,40 @@ class TestSplitting:
         assert split.method == "splitting"
         assert intervals_overlap(standard, split)
 
+    def test_agrees_with_batch_under_correlation(self, fast_model_factory):
+        model = fast_model_factory(correlation_factor=0.2)
+        standard = run_loss_probability(
+            model, mission_time=60.0, trials=20000, seed=6, backend="batch"
+        )
+        split = run_loss_probability(
+            model, mission_time=60.0, trials=400, seed=6, method="splitting"
+        )
+        assert split.method == "splitting"
+        assert intervals_overlap(standard, split)
+
+    @pytest.mark.parametrize(
+        "layout",
+        [dict(replicas=2), dict(replicas=3), dict(scheme=RedundancyScheme(3, 2))],
+        ids=["2-way", "3-way", "3-2-erasure"],
+    )
+    def test_losses_come_only_from_the_final_stage(self, fast_model, layout):
+        # Faults arrive one at a time, so a stage before the last can
+        # reach its level but never lose the data: every loss is a hit
+        # of the final stage, and losses never exceed the runs made.
+        run = splitting_loss_probability(
+            fast_model,
+            mission_time=300.0,
+            trials_per_level=100,
+            seed=5,
+            **layout,
+        )
+        scheme = layout.get("scheme")
+        levels = scheme.loss_threshold if scheme else layout["replicas"]
+        assert len(run.conditional) == levels
+        assert run.trials == run.trials_per_level * levels
+        assert run.losses == round(run.conditional[-1] * run.trials_per_level)
+        assert 0 < run.losses <= run.trials_per_level
+
     def test_deterministic_for_same_seed(self, fast_model):
         a = splitting_loss_probability(
             fast_model, mission_time=1500.0, trials_per_level=100, seed=4
@@ -484,6 +519,30 @@ class TestSnapshotResume:
             resume_from=snapshot,
         )
         assert result.level_hit_time == snapshot.time
+
+    def test_resume_rejects_a_horizon_before_the_snapshot(self):
+        system, _ = self._run_to_first_fault()
+        snapshot = system.capture_snapshot()
+        from repro.simulation.rng import RandomStreams
+
+        model = FaultModel(500.0, 100.0, 20.0, 20.0, 5.0, 1.0)
+        fresh = system_from_fault_model(
+            model, replicas=2, streams=RandomStreams(seed=99)
+        )
+        with pytest.raises(ValueError, match="precedes the snapshot"):
+            fresh.run(max_time=snapshot.time / 2.0, resume_from=snapshot)
+
+    def test_resume_rejects_a_snapshot_of_another_replica_count(self):
+        system, _ = self._run_to_first_fault()
+        snapshot = system.capture_snapshot()
+        from repro.simulation.rng import RandomStreams
+
+        model = FaultModel(500.0, 100.0, 20.0, 20.0, 5.0, 1.0)
+        fresh = system_from_fault_model(
+            model, replicas=3, streams=RandomStreams(seed=99)
+        )
+        with pytest.raises(ValueError, match="replica count"):
+            fresh.run(max_time=snapshot.time + 100.0, resume_from=snapshot)
 
     def test_cannot_snapshot_after_loss(self, fast_model):
         from repro.simulation.rng import RandomStreams

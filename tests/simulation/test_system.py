@@ -7,8 +7,10 @@ import pytest
 
 from repro.core.faults import FaultType
 from repro.core.parameters import FaultModel
+from repro.core.redundancy import RedundancyScheme
 from repro.simulation.events import TraceEventType
 from repro.simulation.rng import RandomStreams
+from repro.simulation.scrubbing import audit_detection_time
 from repro.simulation.system import (
     ReplicatedStorageSystem,
     SystemConfig,
@@ -84,6 +86,42 @@ class TestBasicRuns:
     def test_rejects_a_bad_audit_interval(self, interval):
         with pytest.raises(ValueError, match="audit_interval"):
             fast_config(audit_interval=interval)
+
+    @pytest.mark.parametrize("threshold", [0, 3])
+    def test_rejects_a_loss_threshold_outside_the_replica_count(
+        self, threshold
+    ):
+        with pytest.raises(ValueError, match="loss_threshold"):
+            fast_config(replicas=2, loss_threshold=threshold)
+
+    def test_counters_match_the_trace(self):
+        result = ReplicatedStorageSystem(
+            fast_config(replicas=3), RandomStreams(seed=61)
+        ).run(max_time=3000.0)
+        faults = result.trace.faults_by_type()
+        counts = result.trace.counts()
+        assert result.visible_faults == faults[FaultType.VISIBLE] > 0
+        assert result.latent_faults == faults[FaultType.LATENT] > 0
+        assert result.repairs == counts[TraceEventType.REPAIR_COMPLETED] > 0
+        assert result.audits == counts[TraceEventType.AUDIT_PERFORMED] > 0
+
+    def test_loss_types_name_the_opening_and_the_closing_fault(self):
+        result = ReplicatedStorageSystem(
+            fast_config(), RandomStreams(seed=67)
+        ).run(max_time=1e6)
+        assert result.lost
+        # Replay the trace to find the faults outstanding at the loss.
+        outstanding = {}
+        for event in result.trace:
+            if event.event_type is TraceEventType.FAULT_OCCURRED:
+                outstanding[event.replica] = event
+            elif event.event_type is TraceEventType.REPAIR_COMPLETED:
+                del outstanding[event.replica]
+        opening = min(outstanding.values(), key=lambda event: event.time)
+        closing = max(outstanding.values(), key=lambda event: event.time)
+        assert closing.time == result.end_time
+        assert result.first_fault_type is opening.fault_type
+        assert result.final_fault_type is closing.fault_type
 
 
 class TestFaultHandling:
@@ -175,6 +213,297 @@ class TestCorrelationEffects:
             independent_total += independent.end_time
             correlated_total += correlated.end_time
         assert correlated_total < independent_total
+
+
+class RecordingStreams(RandomStreams):
+    """Random streams that log every draw a system makes from them."""
+
+    def __init__(self, seed):
+        super().__init__(seed=seed)
+        self.draws = []
+
+    def exponential(self, name, mean):
+        self.draws.append((name, mean))
+        return super().exponential(name, mean)
+
+
+def never_repaired(**overrides):
+    """FAST with repairs too slow to finish inside any horizon used here."""
+    return replace(
+        FAST, mean_repair_visible=1e9, mean_repair_latent=1e9, **overrides
+    )
+
+
+def next_fault_delay(streams, index):
+    """The sooner of one replica's next visible and latent draws."""
+    return min(
+        streams.exponential(f"visible-{index}", FAST.mean_time_to_visible),
+        streams.exponential(f"latent-{index}", FAST.mean_time_to_latent),
+    )
+
+
+class TestFaultModelDraws:
+    """What a system draws from its streams, replayed draw for draw.
+
+    Each replica draws its next visible and latent fault from its own
+    ``visible-i`` and ``latent-i`` exponential streams at the model's
+    MV and ML; nothing else in the system is random.  While any replica
+    is faulty, the delays drawn for the healthy replicas are divided by
+    ``1 / α``.
+    """
+
+    @pytest.mark.parametrize("replicas", [1, 2, 3])
+    def test_first_fault_is_the_earliest_exponential_draw(self, replicas):
+        config = fast_config(
+            replicas=replicas, model=never_repaired(), audit_interval=None
+        )
+        result = ReplicatedStorageSystem(config, RandomStreams(seed=21)).run(
+            max_time=1e9, stop_when_faulty=1
+        )
+        replay = RandomStreams(seed=21)
+        candidates = []
+        for index in range(replicas):
+            for fault_type, mean in (
+                (FaultType.VISIBLE, FAST.mean_time_to_visible),
+                (FaultType.LATENT, FAST.mean_time_to_latent),
+            ):
+                stream = f"{fault_type.value}-{index}"
+                candidates.append(
+                    (replay.exponential(stream, mean), index, fault_type)
+                )
+        time, index, fault_type = min(candidates)
+        first = result.trace.of_type(TraceEventType.FAULT_OCCURRED)[0]
+        assert (first.time, first.replica, first.fault_type) == (
+            time,
+            index,
+            fault_type,
+        )
+        assert result.end_time == time
+
+    @pytest.mark.parametrize("audit_interval", [None, 0.0, 10.0])
+    def test_draws_only_the_per_replica_fault_streams(self, audit_interval):
+        # Repairs are deterministic and audits run on a fixed grid, so
+        # neither draws; every (re)schedule draws one visible and one
+        # latent delay for one replica.
+        streams = RecordingStreams(seed=5)
+        model = replace(FAST, mean_time_to_latent=1000.0, correlation_factor=0.5)
+        config = fast_config(
+            replicas=3, model=model, audit_interval=audit_interval
+        )
+        result = ReplicatedStorageSystem(config, streams).run(max_time=2000.0)
+        assert result.repairs > 0
+        expected = {}
+        for index in range(3):
+            expected[f"visible-{index}"] = model.mean_time_to_visible
+            expected[f"latent-{index}"] = model.mean_time_to_latent
+        assert set(streams.draws) <= set(expected.items())
+        names = [name for name, _ in streams.draws]
+        for index in range(3):
+            assert names.count(f"visible-{index}") == names.count(
+                f"latent-{index}"
+            ) > 0
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.2, 0.05])
+    def test_degraded_delay_is_divided_by_one_over_alpha(self, alpha):
+        config = fast_config(
+            model=never_repaired(correlation_factor=alpha), audit_interval=None
+        )
+        for seed in range(31, 41):
+            result = ReplicatedStorageSystem(
+                config, RandomStreams(seed=seed)
+            ).run(max_time=1e12)
+            replay = RandomStreams(seed=seed)
+            first = {index: next_fault_delay(replay, index) for index in (0, 1)}
+            struck = min(first, key=first.get)
+            # The first fault redraws the other replica's pending faults
+            # in the degraded regime; the sooner of them loses the pair.
+            redrawn = next_fault_delay(replay, 1 - struck)
+            assert result.lost
+            assert result.end_time == first[struck] + redrawn / (1.0 / alpha)
+
+    def test_acceleration_does_not_compound(self):
+        # With three replicas the third replica's delay, drawn when the
+        # first fault landed, is divided by 1 / α once: the second fault
+        # neither redraws it nor accelerates it again.
+        alpha = 0.1
+        config = fast_config(
+            replicas=3,
+            model=never_repaired(correlation_factor=alpha),
+            audit_interval=None,
+        )
+        result = ReplicatedStorageSystem(config, RandomStreams(seed=37)).run(
+            max_time=1e12
+        )
+        replay = RandomStreams(seed=37)
+        first = {index: next_fault_delay(replay, index) for index in range(3)}
+        struck = min(first, key=first.get)
+        landings = sorted(
+            first[struck] + next_fault_delay(replay, index) / (1.0 / alpha)
+            for index in range(3)
+            if index != struck
+        )
+        faults = result.trace.of_type(TraceEventType.FAULT_OCCURRED)
+        assert [event.time for event in faults] == [first[struck], *landings]
+        assert result.lost
+        assert result.end_time == landings[-1]
+
+    def test_repair_lifts_the_acceleration(self):
+        # Once the only faulty replica is repaired every pending fault
+        # is redrawn at the undegraded rates, so from then on the
+        # correlated pair runs exactly like an independent one.
+        def fault_times(alpha):
+            config = fast_config(
+                model=replace(FAST, correlation_factor=alpha),
+                audit_interval=0.0,
+            )
+            result = ReplicatedStorageSystem(
+                config, RandomStreams(seed=71)
+            ).run(max_time=1e6, stop_when_faulty=2)
+            repaired = result.trace.of_type(TraceEventType.REPAIR_COMPLETED)
+            faults = result.trace.of_type(TraceEventType.FAULT_OCCURRED)
+            # The first fault was repaired before a second one landed.
+            assert faults[0].time < repaired[0].time < faults[1].time
+            return [event.time for event in faults]
+
+        correlated, independent = fault_times(0.1), fault_times(1.0)
+        assert correlated[0] == independent[0]
+        assert correlated[1] == independent[1]
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.2])
+    def test_restore_redraws_pending_faults_in_the_restored_regime(
+        self, alpha
+    ):
+        model = never_repaired(correlation_factor=alpha)
+        system = system_from_fault_model(
+            model, streams=RandomStreams(seed=41), audits_per_year=0.0
+        )
+        system.run(max_time=1e12, stop_when_faulty=1)
+        snapshot = system.capture_snapshot()
+        healthy = next(
+            index
+            for index, snap in enumerate(snapshot.replicas)
+            if not snap.state.is_faulty
+        )
+        resumed = system_from_fault_model(
+            model, streams=RandomStreams(seed=43), audits_per_year=0.0
+        ).run(max_time=1e12, resume_from=snapshot)
+        # The snapshot holds no pending fault: the healthy replica draws
+        # afresh from the resuming streams, already degraded.
+        redrawn = next_fault_delay(RandomStreams(seed=43), healthy)
+        assert resumed.lost
+        assert resumed.end_time == snapshot.time + redrawn / (1.0 / alpha)
+
+
+class TestRepairs:
+    """Repairs take exactly MRV or MRL, from when the fault is known."""
+
+    @pytest.mark.parametrize(
+        "fault_type, hours", [(FaultType.VISIBLE, 1.5), (FaultType.LATENT, 2.5)]
+    )
+    def test_repair_takes_exactly_the_model_repair_time(
+        self, fault_type, hours
+    ):
+        model = replace(FAST, mean_repair_visible=1.5, mean_repair_latent=2.5)
+        result = ReplicatedStorageSystem(
+            fast_config(replicas=3, model=model), RandomStreams(seed=47)
+        ).run(max_time=3000.0)
+        started = {}
+        durations = []
+        for event in result.trace:
+            if event.fault_type is not fault_type:
+                continue
+            if event.event_type is TraceEventType.REPAIR_STARTED:
+                started[event.replica] = event.time
+            elif event.event_type is TraceEventType.REPAIR_COMPLETED:
+                durations.append(event.time - started.pop(event.replica))
+        assert len(durations) >= 5
+        assert durations == pytest.approx([hours] * len(durations))
+
+    @pytest.mark.parametrize(
+        "fault_type, known",
+        [
+            (FaultType.VISIBLE, TraceEventType.FAULT_OCCURRED),
+            (FaultType.LATENT, TraceEventType.FAULT_DETECTED),
+        ],
+    )
+    def test_repair_starts_when_the_fault_becomes_known(
+        self, fault_type, known
+    ):
+        # A visible fault is known the instant it occurs; a latent one
+        # only when an audit finds it.
+        result = ReplicatedStorageSystem(
+            fast_config(replicas=3), RandomStreams(seed=53)
+        ).run(max_time=3000.0)
+
+        def moments(event_type):
+            return [
+                (event.time, event.replica)
+                for event in result.trace.of_type(event_type)
+                if event.fault_type is fault_type
+            ]
+
+        started = moments(TraceEventType.REPAIR_STARTED)
+        assert started
+        assert started == moments(known)
+
+
+class TestAuditGrid:
+    """Audits run on the one global grid ``I, 2I, 3I, ...``."""
+
+    @pytest.mark.parametrize("interval", [2.0, 10.0, 2920.0])
+    def test_audits_run_on_a_fixed_grid(self, interval):
+        quiet = replace(FAST, mean_time_to_visible=1e12, mean_time_to_latent=1e12)
+        result = ReplicatedStorageSystem(
+            fast_config(model=quiet, audit_interval=interval),
+            RandomStreams(seed=0),
+        ).run(max_time=10.5 * interval)
+        times = [
+            event.time
+            for event in result.trace.of_type(TraceEventType.AUDIT_PERFORMED)
+        ]
+        assert result.audits == 10
+        assert times == pytest.approx([k * interval for k in range(1, 11)])
+
+    @pytest.mark.parametrize("interval", [1.0, 10.0, 50.0])
+    def test_latent_faults_are_detected_at_the_next_grid_point(
+        self, interval
+    ):
+        # The event engine and the batch kernel share the grid: every
+        # detection lands where audit_detection_time puts it.
+        result = ReplicatedStorageSystem(
+            fast_config(replicas=3, audit_interval=interval),
+            RandomStreams(seed=59),
+        ).run(max_time=5000.0)
+        pending = {}
+        detections = []
+        for event in result.trace:
+            if (
+                event.event_type is TraceEventType.FAULT_OCCURRED
+                and event.fault_type is FaultType.LATENT
+            ):
+                pending[event.replica] = event.time
+            elif event.event_type is TraceEventType.FAULT_DETECTED:
+                detections.append((pending.pop(event.replica), event.time))
+        assert detections
+        for fault_time, detected in detections:
+            assert detected == pytest.approx(
+                audit_detection_time(fault_time, interval)
+            )
+
+
+class TestLossThreshold:
+    @pytest.mark.parametrize("n, k", [(3, 2), (4, 2), (5, 3)])
+    def test_scheme_loses_at_n_minus_k_plus_one_faulty_fragments(self, n, k):
+        system = system_from_fault_model(
+            FAST,
+            streams=RandomStreams(seed=73),
+            scheme=RedundancyScheme(n, k),
+        )
+        result = system.run(max_time=1e6)
+        assert system.config.replicas == n
+        assert result.lost
+        faulty = sum(1 for replica in system.replicas if replica.is_faulty)
+        assert faulty == n - k + 1
 
 
 class TestFactoryFromFaultModel:
