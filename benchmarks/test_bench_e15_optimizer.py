@@ -14,6 +14,7 @@ Both runs must produce bit-identical refinements: per-candidate seeds
 are spawned from the root seed, not from evaluation order.
 """
 
+import statistics
 import time
 
 import pytest
@@ -42,24 +43,27 @@ JOBS = 4
 #: within this factor of the serial loop (process startup + pickling).
 SINGLE_CORE_OVERHEAD_LIMIT = 1.6
 
+#: Serial/parallel timing pairs.  Each pair runs both legs back to back
+#: (alternating which goes first), so a co-tenant's load falls on both,
+#: and the medians ignore a stall in either.
+TIMING_PAIRS = 5
+
 
 @pytest.mark.benchmark(group="e15 optimizer")
 def test_bench_e15_optimizer(benchmark, experiment_printer):
-    # Best-of-three on BOTH legs: one scheduling hiccup on a loaded
-    # shared runner must not fake a pool regression (or a pool win).
-    serial_runs = []
-    for _ in range(3):
-        start = time.perf_counter()
-        serial = optimize(SPACE, SETTINGS, jobs=1)
-        serial_runs.append(time.perf_counter() - start)
-    serial_seconds = min(serial_runs)
-
-    parallel_runs = []
-    for _ in range(3):
-        start = time.perf_counter()
-        parallel = optimize(SPACE, SETTINGS, jobs=JOBS)
-        parallel_runs.append(time.perf_counter() - start)
-    parallel_seconds = min(parallel_runs)
+    # Alternating pairs on BOTH legs: a scheduling hiccup or a busy
+    # co-tenant on a shared runner must not fake a pool regression (or
+    # a pool win).
+    runs = {1: [], JOBS: []}
+    results = {}
+    for pair in range(TIMING_PAIRS):
+        for jobs in (1, JOBS) if pair % 2 == 0 else (JOBS, 1):
+            start = time.perf_counter()
+            results[jobs] = optimize(SPACE, SETTINGS, jobs=jobs)
+            runs[jobs].append(time.perf_counter() - start)
+    serial, parallel = results[1], results[JOBS]
+    serial_seconds = statistics.median(runs[1])
+    parallel_seconds = statistics.median(runs[JOBS])
     cores = available_cores()
     speedup = serial_seconds / parallel_seconds
 

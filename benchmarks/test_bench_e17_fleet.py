@@ -16,13 +16,16 @@ anchor are artifacts, not commit-message claims.
 A companion run repeats the stationary fleet through the study facade
 with the ``repro.obs`` flight recorder on, writing ``TRACE_e17.jsonl``
 (schema-validated, uploaded next to the numbers in CI) and asserting
-the observability acceptance floor: the engine's setup/kernel/merge
-spans must account for >= 95% of the run's wall time, and a repeat run
-against the chunk cache must flip every lookup from miss to hit.
+the observability acceptance floor: on a separate cold run of
+``COVERAGE_MEMBERS`` members (hundreds of ms) the engine's
+setup/kernel/merge spans must account for >= 95% of the run's wall
+time, and a repeat run against the chunk cache must flip every lookup
+from miss to hit.
 """
 
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +69,11 @@ SPEEDUP_TARGET = 30.0
 ARTIFACT = Path("BENCH_e17.json")
 TRACE_ARTIFACT = Path("TRACE_e17.jsonl")
 SPAN_COVERAGE_TARGET = 0.95
+#: Members of the cold run the span-coverage floor is checked on.  The
+#: time outside spans is a fixed ~0.1 ms, so on the 3 ms 2,000-member
+#: run a scheduler stall of ~0.07 ms broke the floor; a run of hundreds
+#: of ms measures the facade, not the scheduler.
+COVERAGE_MEMBERS = 400_000
 
 
 def run_event_loop(members, seed):
@@ -206,8 +214,9 @@ def test_bench_e17_fleet_telemetry(experiment_printer, tmp_path):
     """The stationary fleet with the flight recorder on.
 
     Telemetry must observe, not perturb: the traced answer matches the
-    plain one bit-for-bit, the engine spans account for >= 95% of the
-    wall time, and the chunk cache goes all-miss -> all-hit on repeat.
+    plain one bit-for-bit, the engine spans account for >= 95% of a
+    large cold run's wall time, and the chunk cache goes all-miss ->
+    all-hit on repeat.
     """
     scenario = study.Scenario(
         question="fleet_survival",
@@ -231,14 +240,26 @@ def test_bench_e17_fleet_telemetry(experiment_printer, tmp_path):
     records = obs.validate_trace(TRACE_ARTIFACT)
     summary = obs.summarize_trace(TRACE_ARTIFACT)
 
-    coverage = []
-    for label, result, snapshot in runs:
+    def span_coverage(result, snapshot):
         covered = sum(
             snapshot.spans[name][1]
             for name in ("setup", "kernel", "merge")
             if name in snapshot.spans
         )
-        coverage.append((label, covered / result.wall_time_seconds))
+        return covered / result.wall_time_seconds
+
+    coverage = [
+        (label, span_coverage(result, snapshot))
+        for label, result, snapshot in runs
+    ]
+    large = replace(scenario, members=COVERAGE_MEMBERS)
+    tel = obs.Telemetry()
+    coverage.append(
+        (
+            f"cold {COVERAGE_MEMBERS:,}-member",
+            span_coverage(study.run(large, telemetry=tel), tel.snapshot()),
+        )
+    )
 
     experiment_printer(
         "E17 telemetry: flight-recorded fleet run "
@@ -260,11 +281,11 @@ def test_bench_e17_fleet_telemetry(experiment_printer, tmp_path):
         assert result.std_error == plain.std_error
         assert result.trials == plain.trials
     # The spans must explain where the time went.  The 95% floor binds
-    # on the cold run, where the kernel does real work; the warm run is
-    # a few milliseconds of cache reads, so the facade's fixed overhead
-    # (hashing, events, snapshotting) legitimately claims a bigger
-    # share — half is still spans.
-    assert coverage[0][1] >= SPAN_COVERAGE_TARGET, coverage[0]
+    # on the large cold run, where the kernel does real work; the warm
+    # run is a few milliseconds of cache reads, so the facade's fixed
+    # overhead (hashing, events, snapshotting) legitimately claims a
+    # bigger share — half is still spans.
+    assert coverage[2][1] >= SPAN_COVERAGE_TARGET, coverage[2]
     assert coverage[1][1] >= 0.5, coverage[1]
     # The chunk cache flips all-miss -> all-hit between the two runs.
     chunks = runs[0][2].counters["fleet.chunks"]

@@ -31,9 +31,9 @@ Sub-commands:
     Monte-Carlo estimate of the MTTDL or mission loss probability.
     ``--method``/``--backend`` map onto a study engine: ``auto`` (the
     default) pilots on the vectorized batch backend and escalates to
-    rare-event importance sampling or multilevel splitting when almost
-    every trial censors; ``standard`` forces the plain estimator on the
-    chosen backend; ``is``/``splitting`` force a rare-event method.
+    rare-event importance sampling when almost every trial censors;
+    ``standard`` forces the plain estimator on the chosen backend;
+    ``is`` forces importance sampling.
     ``--variance-reduction cv`` swaps in the control-variate batch
     estimator.
 ``optimize``
@@ -496,12 +496,11 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--metric", choices=["mttdl", "loss"], default="mttdl",
                           help="quantity to estimate (default: mttdl)")
     simulate.add_argument("--method",
-                          choices=["standard", "is", "splitting", "auto"],
+                          choices=["standard", "is", "auto"],
                           default="auto",
                           help="estimator: auto (default) switches to "
                           "rare-event acceleration when nearly every trial "
-                          "censors; is = failure-biased importance sampling; "
-                          "splitting = multilevel splitting (loss metric)")
+                          "censors; is = failure-biased importance sampling")
     simulate.add_argument("--bias", type=float, default=None,
                           help="failure-biasing factor for importance "
                           "sampling (default: chosen automatically)")

@@ -46,11 +46,6 @@ from repro.simulation.estimators import (
 from repro.simulation.rare_event import analytic_loss_rate
 from repro.simulation.rng import spawn_seed
 
-#: Methods the refinement stage supports (no splitting path: refinement
-#: always simulates plain ``FaultModel`` candidates on the batch
-#: machinery, where importance sampling dominates splitting).
-REFINEMENT_METHODS = ("standard", "is", "auto")
-
 #: Multiplicative slack applied to the simulated CI when judging screen
 #: agreement.  The screen is a first-order analytic approximation;
 #: before rare-event refinement its error hid inside wide Monte-Carlo
@@ -100,7 +95,7 @@ class EvaluationSettings:
             raise ValueError("trials must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        check_method(self.method, allowed=REFINEMENT_METHODS)
+        check_method(self.method)
 
     def as_dict(self) -> Dict[str, object]:
         return {

@@ -9,23 +9,22 @@ the healthy replicas' fault rates are divided by the correlation factor
 ``α`` while any replica is faulty.  It is used to validate the closed
 forms (experiment E11) and to regenerate the figures (E9, E10).
 
-Two Monte-Carlo backends simulate that one model: the event-driven
+Two Monte-Carlo backends simulate that one model: the vectorized batch
+simulator (``backend="batch"``, the default, :mod:`repro.simulation.batch`),
+which advances thousands of systems in lock-step NumPy sweeps and also
+powers the adaptive-sampling mode (``target_relative_error=...``) of
+the estimation loops in :mod:`repro.simulation.estimators`
+(:func:`run_mttdl`, :func:`run_loss_probability`), and the event-driven
 engine (``backend="event"``, one Python event loop per trial, the
-cross-validation reference and the tracer) and the vectorized batch
-simulator (``backend="batch"``, :mod:`repro.simulation.batch`), which
-advances thousands of systems in lock-step NumPy sweeps and also powers
-the adaptive-sampling mode (``target_relative_error=...``) of the
-estimation loops in :mod:`repro.simulation.estimators`
-(:func:`run_mttdl`, :func:`run_loss_probability`).  Questions are best
-posed through :func:`repro.study.run`; library callers may call the
-loops directly.
+cross-validation reference and the tracer), which runs an audit only
+while a latent fault waits for one.  Questions are best posed through
+:func:`repro.study.run`; library callers may call the loops directly.
 
 For the paper's realistic high-reliability operating points — where
 plain Monte-Carlo censors nearly every trial — the estimators accept
-rare-event methods (``method="is" | "splitting" | "auto"``) built on
+rare-event methods (``method="is" | "auto"``) built on
 :mod:`repro.simulation.rare_event`: failure-biased importance sampling
-with exact path-measure reweighting on the batch backend, and
-fixed-effort multilevel splitting on the event backend.
+with exact path-measure reweighting on the batch backend.
 
 Orthogonally to those, the batch backend offers a variance-reduced
 estimator (``variance_reduction="cv"``,
@@ -43,9 +42,7 @@ from repro.simulation.rng import RandomStreams
 from repro.simulation.replica import Replica, ReplicaState
 from repro.simulation.system import (
     ReplicatedStorageSystem,
-    ReplicaSnapshot,
     SystemConfig,
-    SystemSnapshot,
     RunResult,
     system_from_fault_model,
 )
@@ -57,7 +54,6 @@ from repro.simulation.batch import (
     simulate_batch_piecewise,
 )
 from repro.simulation.estimators import (
-    VARIANCE_REDUCTIONS,
     HighCensoringWarning,
     MonteCarloEstimate,
     run_loss_probability,
@@ -70,7 +66,6 @@ from repro.simulation.rare_event import (
     default_failure_bias,
     effective_sample_size,
     mttdl_from_loss_probability,
-    splitting_loss_probability,
 )
 from repro.simulation.lifetime import loss_probability_curve
 from repro.simulation.variance_reduction import cv_loss_probability
@@ -85,9 +80,7 @@ __all__ = [
     "Replica",
     "ReplicaState",
     "ReplicatedStorageSystem",
-    "ReplicaSnapshot",
     "SystemConfig",
-    "SystemSnapshot",
     "RunResult",
     "system_from_fault_model",
     "BatchRunResult",
@@ -95,7 +88,6 @@ __all__ = [
     "RateSegment",
     "simulate_batch",
     "simulate_batch_piecewise",
-    "VARIANCE_REDUCTIONS",
     "HighCensoringWarning",
     "MonteCarloEstimate",
     "run_loss_probability",
@@ -106,7 +98,6 @@ __all__ = [
     "default_failure_bias",
     "effective_sample_size",
     "mttdl_from_loss_probability",
-    "splitting_loss_probability",
     "loss_probability_curve",
     "cv_loss_probability",
 ]

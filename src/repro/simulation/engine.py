@@ -101,24 +101,6 @@ class SimulationEngine:
         """Stop the run loop after the current event finishes."""
         self._stopped = True
 
-    def advance_to(self, time: float) -> None:
-        """Jump the clock forward without firing any events.
-
-        Used when restoring a mid-flight snapshot: the clock moves to
-        the snapshot time before the restored events are scheduled.
-
-        Raises:
-            ValueError: if ``time`` is in the simulated past, or events
-                are already queued (they could silently become stale).
-        """
-        if time < self._now:
-            raise ValueError(
-                f"cannot advance backwards: {time!r} < now {self._now!r}"
-            )
-        if self._queue:
-            raise ValueError("cannot advance a clock with pending events")
-        self._now = time
-
     def peek_next_time(self) -> Optional[float]:
         """Time of the next non-cancelled event, or None if none remain."""
         while self._queue and self._queue[0].handle.cancelled:

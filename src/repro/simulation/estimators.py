@@ -17,15 +17,15 @@ shared plumbing:
 Backends
 --------
 
-Both loops accept ``backend="event"`` (the default — one
+Both loops accept ``backend="batch"`` (the default — the vectorized
+lock-step simulator in :mod:`repro.simulation.batch`) or
+``backend="event"`` (one
 :class:`~repro.simulation.system.ReplicatedStorageSystem` event loop per
-trial, the batch kernel's cross-validation reference) or
-``backend="batch"`` (the vectorized lock-step simulator in
-:mod:`repro.simulation.batch`, which simulates the same model 1-2 orders
-of magnitude faster).  The two
-backends draw from disjoint streams of the same root seed, so their
-trajectories differ trial-for-trial but their estimates agree within
-Monte-Carlo noise (cross-validated in ``tests/simulation/test_batch.py``).
+trial, the batch kernel's cross-validation reference, which simulates
+the same model 1-2 orders of magnitude slower).  The two backends draw
+from disjoint streams of the same root seed, so their trajectories
+differ trial-for-trial but their estimates agree within Monte-Carlo
+noise (cross-validated in ``tests/simulation/test_batch.py``).
 
 Adaptive sampling
 -----------------
@@ -61,9 +61,6 @@ the standard estimators degenerate.  Both loops therefore accept a
   are accelerated and the trials reweighted by exact path-measure
   likelihood ratios.  The ``backend`` argument is ignored (IS always
   runs vectorized).
-* ``"splitting"`` — fixed-effort multilevel splitting on the
-  event-driven machinery, keyed on the number of simultaneously faulty
-  replicas.  Loss probabilities only.
 * ``"auto"`` — run one standard pilot chunk; when it censors too
   heavily to be informative (above the
   :data:`CENSORED_WARNING_FRACTION` threshold for MTTDL, fewer than
@@ -103,7 +100,7 @@ DEFAULT_ADAPTIVE_CHUNK_LIMIT = 64
 AUTO_MIN_LOSSES = 20
 
 #: Recognised estimator methods, in the order help text lists them.
-METHODS: Tuple[str, ...] = ("standard", "is", "splitting", "auto")
+METHODS: Tuple[str, ...] = ("standard", "is", "auto")
 
 #: Recognised simulation backends.
 BACKENDS: Tuple[str, ...] = ("event", "batch")
@@ -138,9 +135,8 @@ class MonteCarloEstimate:
             :meth:`confidence_interval` (physical quantities like times
             and probabilities cannot be negative).
         clamp_hi: default upper clamp (1.0 for probabilities).
-        method: how the estimate was produced (``"standard"``, ``"is"``
-            or ``"splitting"`` — an ``"auto"`` run records what it
-            resolved to).
+        method: how the estimate was produced (``"standard"`` or
+            ``"is"`` — an ``"auto"`` run records what it resolved to).
         effective_sample_size: Kish effective sample size of the
             importance weights behind a weighted estimate; ``None`` for
             unweighted methods.
@@ -206,16 +202,11 @@ def check_backend(backend: str) -> None:
         raise ValueError(f"unknown backend {backend!r}; expected 'event' or 'batch'")
 
 
-def check_method(method: str, allowed: Tuple[str, ...] = METHODS) -> None:
-    """Validate an estimator method against an allowed set.
-
-    ``allowed`` lets callers that support only a subset of the methods
-    (e.g. the optimizer's refinement, which has no splitting path)
-    reject the rest with the same message shape.
-    """
-    if method not in allowed:
+def check_method(method: str) -> None:
+    """Validate an estimator method."""
+    if method not in METHODS:
         raise ValueError(
-            f"unknown method {method!r}; expected one of {allowed}"
+            f"unknown method {method!r}; expected one of {METHODS}"
         )
 
 
@@ -246,8 +237,8 @@ def check_variance_reduction(
     if method != "standard":
         raise ValueError(
             "variance reduction replaces the sampling scheme; combine it "
-            "with method='standard' only (importance sampling and "
-            "splitting are alternatives, not composable layers)"
+            "with method='standard' only (importance sampling is an "
+            "alternative, not a composable layer)"
         )
     if bias is not None:
         raise ValueError(
@@ -399,7 +390,7 @@ def run_mttdl(
     max_time: Optional[float] = None,
     replicas: int = 2,
     audits_per_year: Optional[float] = None,
-    backend: str = "event",
+    backend: str = "batch",
     target_relative_error: Optional[float] = None,
     max_trials: Optional[int] = None,
     method: str = "standard",
@@ -439,11 +430,6 @@ def run_mttdl(
     check_backend(backend)
     check_method(method)
     check_variance_reduction(variance_reduction, backend, method, bias)
-    if method == "splitting":
-        raise ValueError(
-            "splitting estimates mission loss probabilities; use "
-            "run_loss_probability or method='is' for the MTTDL"
-        )
     if max_time is None:
         # A horizon long enough that censoring is rare: many multiples
         # of the mean time between any faults times a replication
@@ -585,69 +571,6 @@ def run_mttdl(
     return _emit_estimate("mttdl", mttdl_mle(total_time, losses, done))
 
 
-def _splitting_estimate(
-    model: FaultModel,
-    mission_time: float,
-    trials: int,
-    seed: int,
-    replicas: int,
-    audits_per_year: Optional[float],
-    target_relative_error: Optional[float],
-    cap: int,
-    scheme: Optional[RedundancyScheme] = None,
-) -> MonteCarloEstimate:
-    """Adaptive chunks of fixed-effort multilevel-splitting passes.
-
-    Each chunk is one independent splitting replication (``trials``
-    systems per level); replications pool by averaging, so the combined
-    estimate stays unbiased and its standard error shrinks as
-    ``1 / sqrt(chunks)``.
-    """
-    from repro.simulation import rare_event
-
-    means = []
-    errors = []
-    done = 0
-    losses = 0
-    chunk = 0
-    while done < cap:
-        if chunk and (
-            target_relative_error is None
-            or (
-                sum(means)
-                and math.sqrt(sum(e * e for e in errors))
-                / max(sum(means), 1e-300)
-                <= target_relative_error
-            )
-        ):
-            break
-        run = rare_event.splitting_loss_probability(
-            model=model,
-            mission_time=mission_time,
-            trials_per_level=trials,
-            seed=seed,
-            replicas=replicas,
-            audits_per_year=audits_per_year,
-            chunk=chunk,
-            scheme=scheme,
-        )
-        means.append(run.mean)
-        errors.append(run.std_error)
-        done += run.trials
-        losses += run.losses
-        chunk += 1
-    mean = sum(means) / chunk
-    std_error = math.sqrt(sum(e * e for e in errors)) / chunk
-    return MonteCarloEstimate(
-        mean=mean,
-        std_error=std_error,
-        trials=done,
-        censored=done - losses,
-        clamp_hi=1.0,
-        method="splitting",
-    )
-
-
 def run_loss_probability(
     model: FaultModel,
     mission_time: float = 50.0 * HOURS_PER_YEAR,
@@ -655,7 +578,7 @@ def run_loss_probability(
     seed: int = 0,
     replicas: int = 2,
     audits_per_year: Optional[float] = None,
-    backend: str = "event",
+    backend: str = "batch",
     target_relative_error: Optional[float] = None,
     max_trials: Optional[int] = None,
     method: str = "standard",
@@ -672,10 +595,8 @@ def run_loss_probability(
 
     ``method="is"`` runs failure-biased importance sampling on the batch
     machinery (``bias`` overrides the automatic acceleration factor,
-    ``trials`` sizes each weighted chunk), ``"splitting"`` runs
-    fixed-effort multilevel splitting on the event machinery
-    (``trials`` systems per level), and ``"auto"`` pilots a standard
-    chunk first, switching to IS when fewer than
+    ``trials`` sizes each weighted chunk), and ``"auto"`` pilots a
+    standard chunk first, switching to IS when fewer than
     :data:`AUTO_MIN_LOSSES` losses were observed.  With
     ``variance_reduction="cv"`` the control-variate estimator
     (:mod:`repro.simulation.variance_reduction`) replaces the plain
@@ -709,21 +630,6 @@ def run_loss_probability(
 
     tel = obs.current()
     cap = adaptive_cap(trials, max_trials)
-    if method == "splitting":
-        return _emit_estimate(
-            "loss_probability",
-            _splitting_estimate(
-                model,
-                mission_time,
-                trials,
-                seed,
-                replicas,
-                audits_per_year,
-                target_relative_error,
-                cap,
-                scheme=scheme,
-            ),
-        )
     losses = 0
     done = 0
     chunk = 0

@@ -28,7 +28,7 @@ def double_fault_combination_counts(
     seed: int = 0,
     max_time: Optional[float] = None,
     replicas: int = 2,
-    backend: str = "event",
+    backend: str = "batch",
     audits_per_year: Optional[float] = None,
 ) -> Dict[Tuple[FaultType, FaultType], int]:
     """Count which (first fault, final fault) combination caused each loss.

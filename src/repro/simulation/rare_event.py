@@ -1,39 +1,29 @@
-"""Rare-event acceleration: importance sampling and multilevel splitting.
+"""Rare-event acceleration: failure-biased importance sampling.
 
 The paper's realistic operating points have MTTDLs of thousands to
 millions of years, which is exactly where brute-force Monte-Carlo
 degenerates: nearly every trial censors at the horizon, the estimators
 fall back to rule-of-three upper bounds, and the planner cannot rank
-high-reliability designs.  This module provides the two standard
-variance-reduction tools of the storage-reliability literature:
+high-reliability designs.
 
-**Failure-biased importance sampling** (for the vectorized batch
-backend): :func:`repro.simulation.batch.simulate_batch` accepts a
-``bias`` factor that accelerates the surviving replicas' fault clocks
-while a trial is degraded and returns exact per-trial path-measure
-log-likelihood ratios.  :class:`WeightedLossTally` turns those weighted
-trials into unbiased loss-probability estimates with IS-aware standard
-errors and effective-sample-size reporting;
-:func:`default_failure_bias` picks an acceleration factor that lands
-the *biased* loss probability in the comfortably-observable range.
+:func:`repro.simulation.batch.simulate_batch` accepts a ``bias`` factor
+that accelerates the surviving replicas' fault clocks while a trial is
+degraded and returns exact per-trial path-measure log-likelihood
+ratios.  :class:`WeightedLossTally` turns those weighted trials into
+unbiased loss-probability estimates with IS-aware standard errors and
+effective-sample-size reporting; :func:`default_failure_bias` picks an
+acceleration factor that lands the *biased* loss probability in the
+comfortably-observable range.
 
-**Fixed-effort multilevel splitting** (for the event-driven backend):
-:func:`splitting_loss_probability` estimates ``P(loss by T)`` level by
-level, with the number of simultaneously faulty replicas as the level
-function.  Each stage restarts ``trials_per_level`` systems from the
-entry states of the previous level (captured as
-:class:`~repro.simulation.system.SystemSnapshot`) and measures the
-conditional probability of reaching the next level.
-
-The estimation loops in :mod:`repro.simulation.estimators` drive both
-(``method="is" | "splitting" | "auto"``).
+The estimation loops in :mod:`repro.simulation.estimators` drive it
+(``method="is" | "auto"``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -41,8 +31,6 @@ from repro.core.parameters import FaultModel
 from repro.core.redundancy import RedundancyScheme, resolve_scheme, scheme_loss_rate
 from repro.simulation.batch import BatchRunResult
 from repro.simulation.estimators import MonteCarloEstimate
-from repro.simulation.rng import splitting_pool_generator, splitting_streams
-from repro.simulation.system import SystemSnapshot, system_from_fault_model
 
 #: Target probability that a *biased* mirrored trial loses data; higher
 #: replication degrees target the (replicas - 1)-th power of this, since
@@ -252,133 +240,4 @@ def mttdl_from_loss_probability(
         censored=estimate.censored,
         method=estimate.method,
         effective_sample_size=estimate.effective_sample_size,
-    )
-
-
-@dataclass(frozen=True)
-class SplittingRun:
-    """Raw outcome of one fixed-effort multilevel-splitting pass.
-
-    Attributes:
-        conditional: per-level conditional hit fractions ``p̂_ℓ``.
-        trials: total stage runs performed.
-        losses: raw loss events observed across all stages.
-        trials_per_level: the fixed effort per stage.
-    """
-
-    conditional: List[float]
-    trials: int
-    losses: int
-    trials_per_level: int
-
-    @property
-    def mean(self) -> float:
-        product = 1.0
-        for p in self.conditional:
-            product *= p
-        return product
-
-    @property
-    def std_error(self) -> float:
-        """Product-estimator standard error (independent-stage form).
-
-        The relative variance of a product of independent proportions is
-        approximately ``Σ (1 - p̂_ℓ) / (N p̂_ℓ)``.  A stage with zero
-        hits collapses the estimate to 0; the pseudo-error then encodes
-        the rule-of-three bound at the failed level so the confidence
-        interval stays informative instead of degenerating to a point.
-        """
-        n = self.trials_per_level
-        prefix = 1.0
-        relative_variance = 0.0
-        for p in self.conditional:
-            if p == 0.0:
-                return prefix * (RULE_OF_THREE / n) / 1.96
-            relative_variance += (1.0 - p) / (n * p)
-            prefix *= p
-        return self.mean * math.sqrt(relative_variance)
-
-
-def splitting_loss_probability(
-    model: FaultModel,
-    mission_time: float = 0.0,
-    trials_per_level: int = 200,
-    seed: int = 0,
-    replicas: int = 2,
-    audits_per_year: Optional[float] = None,
-    chunk: int = 0,
-    scheme: Optional[RedundancyScheme] = None,
-) -> SplittingRun:
-    """One fixed-effort multilevel-splitting pass on the event backend.
-
-    The level function is the number of simultaneously faulty replicas,
-    and the number of stages is the system's *loss threshold* (all
-    replicas for plain replication, ``n - k + 1`` faulty fragments for
-    an (n, k) scheme): stage ``ℓ`` starts ``trials_per_level`` systems
-    from the entry states of level ``ℓ - 1`` (pristine systems for
-    stage 1) and runs each until it reaches level ``ℓ`` or the mission
-    horizon, estimating the conditional probability
-    ``P(reach ℓ | reached ℓ - 1)``; the loss probability is the product
-    across stages.  Entry states are captured
-    as :class:`~repro.simulation.system.SystemSnapshot` and resampled
-    with replacement.  Faults arrive one at a time, so a stage run
-    before the last can reach its level but never lose the data.
-
-    ``chunk`` selects an independent replication of the whole pass for
-    adaptive sampling.
-
-    Returns the raw :class:`SplittingRun`;
-    :func:`repro.simulation.estimators.run_loss_probability` wraps it
-    into a :class:`~repro.simulation.estimators.MonteCarloEstimate`.
-    """
-    if mission_time <= 0:
-        raise ValueError("mission_time must be positive")
-    if trials_per_level <= 0:
-        raise ValueError("trials_per_level must be positive")
-    if chunk < 0:
-        raise ValueError("chunk must be non-negative")
-    levels = scheme.loss_threshold if scheme is not None else replicas
-
-    conditional: List[float] = []
-    total_runs = 0
-    losses = 0
-    pool: List[SystemSnapshot] = []
-    for level in range(1, levels + 1):
-        stage_key = chunk * (levels + 1) + (level - 1)
-        chooser = splitting_pool_generator(seed, stage_key)
-        hits = 0
-        next_pool: List[SystemSnapshot] = []
-        for trial in range(trials_per_level):
-            entry: Optional[SystemSnapshot] = None
-            if level > 1:
-                entry = pool[int(chooser.integers(0, len(pool)))]
-            total_runs += 1
-            system = system_from_fault_model(
-                model,
-                replicas=replicas,
-                streams=splitting_streams(seed, stage_key, trial),
-                audits_per_year=audits_per_year,
-                scheme=scheme,
-            )
-            result = system.run(
-                max_time=mission_time,
-                stop_when_faulty=level,
-                resume_from=entry,
-            )
-            if result.lost:
-                hits += 1
-                losses += 1
-            elif result.level_hit_time is not None:
-                hits += 1
-                if level < levels:
-                    next_pool.append(system.capture_snapshot())
-        conditional.append(hits / trials_per_level)
-        if hits == 0:
-            break
-        pool = next_pool
-    return SplittingRun(
-        conditional=conditional,
-        trials=total_runs,
-        losses=losses,
-        trials_per_level=trials_per_level,
     )

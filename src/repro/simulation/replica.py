@@ -147,25 +147,6 @@ class Replica:
             return 0.0
         return max(now - self.fault_time, 0.0)
 
-    def restore(
-        self,
-        state: ReplicaState,
-        fault_time: Optional[float],
-        detection_time: Optional[float],
-    ) -> None:
-        """Adopt a captured health state (simulation snapshot restore).
-
-        Lifetime counters are left at zero — a restored replica starts a
-        fresh statistical life; only the health state, the outstanding
-        fault's timing, and the faulty-time clock carry over.
-        """
-        if state.is_faulty and fault_time is None:
-            raise ValueError("a faulty state needs its fault time")
-        self.state = state
-        self.fault_time = fault_time
-        self.detection_time = detection_time
-        self._faulty_since = fault_time if state.is_faulty else None
-
     def reset(self) -> None:
         """Return to a pristine state, clearing counters."""
         self.state = ReplicaState.OK

@@ -41,11 +41,6 @@ import numpy as np
 #: with any named stream of the event-driven simulator.
 BATCH_SPAWN_TAG = 2**32 + 1
 
-#: Base spawn-key tag reserved for the multilevel-splitting estimator;
-#: stage families use ``SPLITTING_SPAWN_TAG + 1 + stage`` so they can
-#: never collide with the batch tag or plain Monte-Carlo trial offsets.
-SPLITTING_SPAWN_TAG = 2**32 + 2
-
 #: Spawn-key tag reserved for the piecewise (epoch-switched) batch
 #: kernel's fleet chunks.
 PIECEWISE_SPAWN_TAG = 2**32 + 3
@@ -145,35 +140,6 @@ def spawn_seed(seed: int, name: str) -> int:
     sequence = np.random.SeedSequence(entropy=(seed, digest))
     words = sequence.generate_state(4, np.uint32)
     return int.from_bytes(words.tobytes(), "little")
-
-
-def splitting_streams(seed: int, stage: int, trial: int) -> RandomStreams:
-    """Stream family for one trial of one multilevel-splitting stage.
-
-    Stage families hang off the reserved :data:`SPLITTING_SPAWN_TAG`, so
-    splitting trials can never collide with the event backend's plain
-    Monte-Carlo trials (spawn key ``(trial,)``) or the batch backend's
-    reserved tag, even under the same root seed.
-    """
-    if stage < 0:
-        raise ValueError("stage must be non-negative")
-    if trial < 0:
-        raise ValueError("trial must be non-negative")
-    return RandomStreams(seed=seed).spawn(
-        SPLITTING_SPAWN_TAG + 1 + stage
-    ).spawn(trial)
-
-
-def splitting_pool_generator(seed: int, stage: int) -> np.random.Generator:
-    """Generator that picks entry states for one splitting stage."""
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
-    if stage < 0:
-        raise ValueError("stage must be non-negative")
-    sequence = np.random.SeedSequence(
-        entropy=seed, spawn_key=(SPLITTING_SPAWN_TAG, stage)
-    )
-    return np.random.default_rng(sequence)
 
 
 def piecewise_generator(seed: int, chunk: int = 0) -> np.random.Generator:

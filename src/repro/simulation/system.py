@@ -5,8 +5,11 @@ at its :class:`~repro.core.parameters.FaultModel`'s ``MV`` and ``ML``.
 A visible fault repairs in ``MRV``; a latent fault waits for the next
 point of the global audit grid (interval ``2 × MDL`` unless overridden,
 see :func:`~repro.simulation.scrubbing.audit_interval_for`) and then
-repairs in ``MRL``.  While any replica is faulty the healthy replicas'
-fault rates are divided by the correlation factor ``α``.  The data is
+repairs in ``MRL``.  An audit runs as an event only while a latent
+fault waits for it; the grid points in between find nothing, so a run
+counts them by arithmetic and a traced run writes their records.
+While any replica is faulty the healthy replicas' fault rates are
+divided by the correlation factor ``α``.  The data is
 lost when the number of simultaneously faulty replicas reaches the
 configured loss threshold — every replica for plain replication (for a
 mirrored pair this is exactly the paper's double-fault event),
@@ -15,6 +18,7 @@ mirrored pair this is exactly the paper's double-fault event),
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -23,9 +27,12 @@ from repro.core.parameters import FaultModel
 from repro.core.redundancy import RedundancyScheme
 from repro.simulation.engine import EventHandle, SimulationEngine
 from repro.simulation.events import Trace, TraceEventType
-from repro.simulation.replica import Replica, ReplicaState
+from repro.simulation.replica import Replica
 from repro.simulation.rng import RandomStreams
-from repro.simulation.scrubbing import audit_interval_for
+from repro.simulation.scrubbing import (
+    audit_detection_time,
+    audit_interval_for,
+)
 
 
 @dataclass(frozen=True)
@@ -75,50 +82,6 @@ class SystemConfig:
         )
 
 
-@dataclass(frozen=True)
-class ReplicaSnapshot:
-    """Captured health state of one replica (see :class:`SystemSnapshot`).
-
-    Attributes:
-        state: the replica's health state.
-        fault_time: when the outstanding fault occurred, if any.
-        detection_time: when the outstanding latent fault was detected,
-            if it has been.
-        repair_completion: absolute time the in-flight repair finishes,
-            or ``None`` when no repair is scheduled (healthy, or latent
-            and still undetected).
-    """
-
-    state: ReplicaState
-    fault_time: Optional[float]
-    detection_time: Optional[float]
-    repair_completion: Optional[float]
-
-
-@dataclass(frozen=True)
-class SystemSnapshot:
-    """Mid-flight state of a :class:`ReplicatedStorageSystem`.
-
-    A snapshot captures everything the dynamics depend on: per-replica
-    health (with in-flight repair completions as absolute times) and the
-    audit phase.  Pending fault arrivals are *not* captured — on restore
-    they are resampled, which is exact because fault arrivals are
-    memoryless (the same resampling the correlation regime changes
-    rely on), so a restored system is statistically indistinguishable
-    from one that kept running.  Used by the multilevel-splitting
-    estimator in :mod:`repro.simulation.rare_event` to restart trials
-    from level entry states.
-    """
-
-    time: float
-    replicas: Tuple[ReplicaSnapshot, ...]
-    next_audit_time: Optional[float]
-
-    @property
-    def faulty_count(self) -> int:
-        return sum(1 for snap in self.replicas if snap.state.is_faulty)
-
-
 @dataclass
 class RunResult:
     """Outcome of one simulated run.
@@ -135,11 +98,10 @@ class RunResult:
         visible_faults: total visible faults injected across replicas.
         latent_faults: total latent faults injected across replicas.
         repairs: total completed repairs.
-        audits: number of audit passes performed.
+        audits: audit-grid points the run passed: those at or before
+            the horizon for a censored run, those before the loss for a
+            lost one.
         trace: the event trace, if tracing was enabled.
-        level_hit_time: when the run first reached ``stop_when_faulty``
-            simultaneously faulty replicas, if that stop was requested
-            and reached before loss or the horizon.
     """
 
     lost: bool
@@ -151,7 +113,6 @@ class RunResult:
     repairs: int = 0
     audits: int = 0
     trace: Optional[Trace] = None
-    level_hit_time: Optional[float] = None
 
 
 class ReplicatedStorageSystem:
@@ -174,10 +135,9 @@ class ReplicatedStorageSystem:
             None,
             None,
         )
-        self._audits = 0
-        self._next_audit_time: Optional[float] = None
-        self._stop_when_faulty: Optional[int] = None
-        self._level_hit_time: Optional[float] = None
+        self._audit_pending = False
+        # Grid points whose audit record is already in the trace.
+        self._audits_traced = 0
 
     # -- public API --------------------------------------------------------
 
@@ -193,56 +153,16 @@ class ReplicatedStorageSystem:
     def replicas(self) -> List[Replica]:
         return self._replicas
 
-    def run(
-        self,
-        max_time: float,
-        stop_when_faulty: Optional[int] = None,
-        resume_from: Optional[SystemSnapshot] = None,
-    ) -> RunResult:
-        """Run until data loss or ``max_time`` hours, whichever is first.
-
-        Args:
-            max_time: absolute censoring horizon in hours.
-            stop_when_faulty: optionally stop the run the first time this
-                many replicas are simultaneously faulty (the
-                multilevel-splitting level function); the hit time is
-                returned as ``level_hit_time``.  Data loss still stops
-                the run first when it happens.
-            resume_from: start from a captured :class:`SystemSnapshot`
-                instead of a pristine system; ``max_time`` stays an
-                absolute time, so it must not precede the snapshot.
-        """
+    def run(self, max_time: float) -> RunResult:
+        """Run until data loss or ``max_time`` hours, whichever is first."""
         if max_time <= 0:
             raise ValueError("max_time must be positive")
-        if stop_when_faulty is not None and not (
-            1 <= stop_when_faulty <= len(self._replicas)
-        ):
-            raise ValueError(
-                "stop_when_faulty must be between 1 and the replica count"
-            )
-        self._stop_when_faulty = stop_when_faulty
-        if resume_from is not None:
-            if resume_from.time > max_time:
-                raise ValueError("max_time precedes the snapshot time")
-            self._restore(resume_from)
-        else:
-            self._start()
-        if (
-            stop_when_faulty is not None
-            and self._faulty_count() >= stop_when_faulty
-            and not self._lost
-        ):
-            # Resumed from a snapshot already at or above the target
-            # level: the level is hit at the snapshot time.
-            self._level_hit_time = self._engine.now
-        else:
-            self._engine.run(until=max_time)
-        if self._lost:
-            end_time = self._engine.now
-        elif self._level_hit_time is not None:
-            end_time = self._level_hit_time
-        else:
-            end_time = max_time
+        self._reschedule_healthy_replicas()
+        self._engine.run(until=max_time)
+        end_time = self._engine.now if self._lost else max_time
+        audits = self._grid_points(end_time, inclusive=not self._lost)
+        if self._trace.enabled:
+            self._trace_audits(audits)
         return RunResult(
             lost=self._lost,
             end_time=end_time,
@@ -251,73 +171,9 @@ class ReplicatedStorageSystem:
             visible_faults=sum(r.visible_faults for r in self._replicas),
             latent_faults=sum(r.latent_faults for r in self._replicas),
             repairs=sum(r.repairs_completed for r in self._replicas),
-            audits=self._audits,
+            audits=audits,
             trace=self._trace if self._config.trace else None,
-            level_hit_time=self._level_hit_time,
         )
-
-    def capture_snapshot(self) -> SystemSnapshot:
-        """Capture the current state for a later :meth:`run` resume.
-
-        Raises:
-            ValueError: once the data is lost (the absorbing state has
-                no meaningful continuation).
-        """
-        if self._lost:
-            raise ValueError("cannot snapshot a lost system")
-        replicas = []
-        for replica in self._replicas:
-            handle = self._repair_handles.get(replica.index)
-            repair_completion = None
-            if handle is not None and not handle.cancelled:
-                repair_completion = handle.time
-            replicas.append(
-                ReplicaSnapshot(
-                    state=replica.state,
-                    fault_time=replica.fault_time,
-                    detection_time=replica.detection_time,
-                    repair_completion=repair_completion,
-                )
-            )
-        return SystemSnapshot(
-            time=self._engine.now,
-            replicas=tuple(replicas),
-            next_audit_time=self._next_audit_time,
-        )
-
-    # -- setup -------------------------------------------------------------
-
-    def _start(self) -> None:
-        self._reschedule_healthy_replicas()
-        self._schedule_next_audit()
-
-    def _restore(self, snapshot: SystemSnapshot) -> None:
-        """Adopt a captured state and reschedule its implied events.
-
-        Replica health, in-flight repair completions, and the audit
-        phase come from the snapshot; pending fault arrivals are
-        resampled, which memorylessness makes exact.
-        """
-        if len(snapshot.replicas) != len(self._replicas):
-            raise ValueError("snapshot replica count does not match")
-        self._engine.advance_to(snapshot.time)
-        for replica, snap in zip(self._replicas, snapshot.replicas):
-            replica.restore(snap.state, snap.fault_time, snap.detection_time)
-            if snap.repair_completion is not None:
-                fault_type = replica.current_fault_type
-                handle = self._engine.schedule_at(
-                    snap.repair_completion,
-                    lambda i=replica.index, ft=fault_type: (
-                        self._on_repair_complete(i, ft)
-                    ),
-                )
-                self._repair_handles[replica.index] = handle
-        # Fault arrivals resample only after every replica's state is in
-        # place, so the correlation acceleration sees the restored regime.
-        self._reschedule_healthy_replicas()
-        if snapshot.next_audit_time is not None:
-            self._next_audit_time = snapshot.next_audit_time
-            self._engine.schedule_at(snapshot.next_audit_time, self._on_audit)
 
     # -- fault scheduling ----------------------------------------------------
 
@@ -361,31 +217,28 @@ class ReplicatedStorageSystem:
         now = self._engine.now
         previously_faulty = self._faulty_count()
         self._replicas[index].suffer_fault(fault_type, now)
-        self._trace.record(now, TraceEventType.FAULT_OCCURRED, index, fault_type)
+        self._record(TraceEventType.FAULT_OCCURRED, index, fault_type)
         self._cancel_faults(index)
+        interval = self._config.audit_interval
         if fault_type is FaultType.VISIBLE:
             self._start_repair(index, fault_type)
-        elif self._config.audit_interval == 0:
+        elif interval == 0:
             self._detect(index)
-        # Otherwise the latent fault waits for the next audit.
-        faulty = previously_faulty + 1
-        if faulty >= self._config.effective_loss_threshold:
+        elif interval is not None and not self._audit_pending:
+            # The latent fault waits for the next grid point, where one
+            # audit detects every latent fault outstanding by then.
+            self._audit_pending = True
+            self._engine.schedule_at(
+                float(audit_detection_time(now, interval)), self._on_audit
+            )
+        if previously_faulty + 1 >= self._config.effective_loss_threshold:
             self._declare_loss(fault_type)
             return
-        if (
-            self._stop_when_faulty is not None
-            and self._level_hit_time is None
-            and faulty >= self._stop_when_faulty
-        ):
-            # The splitting level function crossed its target.
-            self._level_hit_time = now
-            self._engine.stop()
         if previously_faulty == 0:
             self._reschedule_healthy_replicas()
 
     def _declare_loss(self, final_fault_type: FaultType) -> None:
         self._lost = True
-        now = self._engine.now
         # The fault that opened the fatal window is the oldest outstanding one.
         oldest: Optional[Replica] = None
         for replica in self._replicas:
@@ -398,16 +251,12 @@ class ReplicatedStorageSystem:
                 oldest = replica
         first_type = oldest.current_fault_type if oldest is not None else None
         self._loss_types = (first_type, final_fault_type)
-        self._trace.record(
-            now, TraceEventType.DATA_LOSS, detail="loss threshold reached"
-        )
+        self._record(TraceEventType.DATA_LOSS, detail="loss threshold reached")
         self._engine.stop()
 
     def _start_repair(self, index: int, fault_type: FaultType) -> None:
         model = self._config.model
-        self._trace.record(
-            self._engine.now, TraceEventType.REPAIR_STARTED, index, fault_type
-        )
+        self._record(TraceEventType.REPAIR_STARTED, index, fault_type)
         duration = (
             model.mean_repair_visible
             if fault_type is FaultType.VISIBLE
@@ -424,39 +273,71 @@ class ReplicatedStorageSystem:
         previously_faulty = self._faulty_count()
         self._replicas[index].repair(now)
         self._repair_handles.pop(index, None)
-        self._trace.record(now, TraceEventType.REPAIR_COMPLETED, index, fault_type)
+        self._record(TraceEventType.REPAIR_COMPLETED, index, fault_type)
         self._schedule_faults(index)
         if previously_faulty == 1:
             self._reschedule_healthy_replicas()
 
     # -- audits ---------------------------------------------------------------
 
-    def _schedule_next_audit(self) -> None:
-        interval = self._config.audit_interval
-        if not interval:
-            # Never audits, or detects on arrival (a zero interval).
-            self._next_audit_time = None
-            return
-        self._next_audit_time = self._engine.now + interval
-        self._engine.schedule(interval, self._on_audit)
-
     def _on_audit(self) -> None:
         if self._lost:
             return
-        self._audits += 1
-        self._trace.record(self._engine.now, TraceEventType.AUDIT_PERFORMED)
+        self._audit_pending = False
+        if self._trace.enabled:
+            now = self._engine.now
+            self._trace_audits(self._grid_points(now, inclusive=True))
         for replica in self._replicas:
             self._detect(replica.index)
-        self._schedule_next_audit()
 
     def _detect(self, index: int) -> None:
         """Detect an undetected latent fault now and start its repair."""
         now = self._engine.now
         if self._replicas[index].detect(now):
-            self._trace.record(
-                now, TraceEventType.FAULT_DETECTED, index, FaultType.LATENT
-            )
+            self._record(TraceEventType.FAULT_DETECTED, index, FaultType.LATENT)
             self._start_repair(index, FaultType.LATENT)
+
+    def _grid_points(self, until: float, inclusive: bool) -> int:
+        """How many grid points ``k·I`` (k >= 1) lie before ``until``,
+        or at it when ``inclusive``."""
+        interval = self._config.audit_interval
+        if not interval:
+            return 0
+
+        def passed(k: int) -> bool:
+            time = k * interval
+            return time <= until if inclusive else time < until
+
+        count = math.floor(until / interval)
+        # Settle the division's rounding against the products themselves.
+        while count > 0 and not passed(count):
+            count -= 1
+        while passed(count + 1):
+            count += 1
+        return count
+
+    def _trace_audits(self, through: int) -> None:
+        """Trace the audit passes of grid points up to number ``through``."""
+        while self._audits_traced < through:
+            self._audits_traced += 1
+            self._trace.record(
+                self._audits_traced * self._config.audit_interval,
+                TraceEventType.AUDIT_PERFORMED,
+            )
+
+    def _record(
+        self,
+        event_type: TraceEventType,
+        index: Optional[int] = None,
+        fault_type: Optional[FaultType] = None,
+        detail: str = "",
+    ) -> None:
+        """Trace one event now, after the grid points passed before it."""
+        if not self._trace.enabled:
+            return
+        now = self._engine.now
+        self._trace_audits(self._grid_points(now, inclusive=False))
+        self._trace.record(now, event_type, index, fault_type, detail)
 
 
 def system_from_fault_model(

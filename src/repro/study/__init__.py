@@ -18,16 +18,16 @@ One declarative front door to every evaluation layer in the toolkit:
     result.to_json("answer.json")   # schema-versioned, provenance-carrying
 
 Scenarios cover five question kinds (``mttdl``, ``loss_probability``,
-``frontier``, ``fleet_survival``, ``sweep``) and eight engines
+``frontier``, ``fleet_survival``, ``sweep``) and seven engines
 (``auto``, ``analytic``, ``markov``, ``event``, ``batch``, ``is``,
-``splitting``, ``fleet``); both the scenario and the result JSON-
-roundtrip, tolerate unknown fields, and carry content hashes compatible
-with the optimize/fleet result caches.  Every question comes through
+``fleet``); both the scenario and the result JSON-roundtrip, tolerate
+unknown fields, and carry content hashes compatible with the
+optimize/fleet result caches.  Every question comes through
 :func:`run`, which dispatches simulated point estimates to the
 estimation loops (:func:`~repro.simulation.estimators.run_mttdl`,
 :func:`~repro.simulation.estimators.run_loss_probability`); the
-``event`` and ``splitting`` engines run the event-driven simulator of
-the same fault model the ``batch`` kernel runs.
+``event`` engine runs the event-driven simulator of the same fault
+model the ``batch`` kernel runs.
 """
 
 from repro.study.engine import run

@@ -47,8 +47,8 @@ class StudyResult:
         question: the scenario's question kind.
         engine: the engine the scenario requested.
         method: the estimator that actually ran (``auto`` resolves to
-            ``standard``/``is``/``splitting``; deterministic engines
-            record themselves).
+            ``standard`` or ``is``; deterministic engines record
+            themselves).
         value: the headline estimate — MTTDL hours, a loss probability,
             the recommended design's loss probability (frontier
             questions with a query), the fleet loss fraction; ``None``

@@ -35,6 +35,7 @@ from repro.fleet.runner import DEFAULT_CHUNK_SIZE
 from repro.fleet.timeline import FleetTimeline, _json_items, _json_object
 from repro.optimize.evaluate import DEFAULT_SCREEN_SLACK
 from repro.optimize.space import DesignSpace
+from repro.simulation.estimators import VARIANCE_REDUCTIONS
 from repro.store import content_key
 
 #: The five question kinds the facade answers.
@@ -47,11 +48,11 @@ QUESTIONS: Tuple[str, ...] = (
 )
 
 #: Recognised estimation engines.  ``auto`` pilots on the vectorized
-#: batch backend and escalates to rare-event methods (cross-checking the
-#: closed forms and the Markov chain when that is cheap); ``analytic``
-#: and ``markov`` are deterministic; ``event``/``batch`` force a plain
-#: Monte-Carlo backend; ``is``/``splitting`` force a rare-event method;
-#: ``fleet`` is the chunked fleet-population simulator.
+#: batch backend and escalates to importance sampling (cross-checking
+#: the closed forms and the Markov chain when that is cheap);
+#: ``analytic`` and ``markov`` are deterministic; ``event``/``batch``
+#: force a plain Monte-Carlo backend; ``is`` forces importance
+#: sampling; ``fleet`` is the chunked fleet-population simulator.
 ENGINES: Tuple[str, ...] = (
     "auto",
     "analytic",
@@ -59,7 +60,6 @@ ENGINES: Tuple[str, ...] = (
     "event",
     "batch",
     "is",
-    "splitting",
     "fleet",
 )
 
@@ -70,11 +70,10 @@ _ENGINE_BACKEND_METHOD: Dict[str, Tuple[str, str]] = {
     "batch": ("batch", "standard"),
     "event": ("event", "standard"),
     "is": ("batch", "is"),
-    "splitting": ("event", "splitting"),
 }
 
-#: Engines a sweep question accepts (markov/splitting/fleet make no
-#: sense per sweep point).
+#: Engines a sweep question accepts (markov and fleet make no sense per
+#: sweep point).
 SWEEP_ENGINES: Tuple[str, ...] = ("auto", "analytic", "batch", "event", "is")
 
 #: Engines a frontier question accepts (mapped onto
@@ -94,8 +93,6 @@ def engine_for(backend: str, method: str) -> Optional[str]:
     """
     if method == "is":
         return "is" if backend in ("event", "batch") else None
-    if method == "splitting":
-        return "splitting" if backend in ("event", "batch") else None
     if method == "standard" and backend in ("event", "batch"):
         return backend
     if method == "auto" and backend == "batch":
@@ -111,6 +108,15 @@ def engine_backend_method(engine: str) -> Tuple[str, str]:
         raise ValueError(
             f"engine {engine!r} has no Monte-Carlo backend/method mapping"
         ) from None
+
+
+def _json_choice(value: object, path: str, choices: Tuple[str, ...]) -> str:
+    """``value`` when it is a JSON string among ``choices``; otherwise a
+    ``ValueError`` naming its JSON ``path`` (and the choices)."""
+    text = json_string(value, path)
+    if text not in choices:
+        raise ValueError(f"'{path}' must be one of {choices}, not {text!r}")
+    return text
 
 
 def _optional(payload: Dict[str, object], key: str, path: str, read):
@@ -303,7 +309,7 @@ class EstimatorPolicy:
             ``"none"`` (default) or ``"cv"`` (conditional-Monte-Carlo
             control variate).  ``"cv"`` requires the plain batch engine
             (``engine="batch"``); it replaces the sampling scheme rather
-            than composing with ``is``/``splitting``.
+            than composing with ``is``.
     """
 
     engine: str = "auto"
@@ -334,8 +340,6 @@ class EstimatorPolicy:
         # Membership is validated here; the full compatibility rules
         # (batch backend, standard method, no bias) live with the shared
         # estimator loops, which also own the canonical error messages.
-        from repro.simulation.estimators import VARIANCE_REDUCTIONS
-
         if self.variance_reduction not in VARIANCE_REDUCTIONS:
             raise ValueError(
                 f"unknown variance_reduction {self.variance_reduction!r}; "
@@ -365,7 +369,9 @@ class EstimatorPolicy:
     @staticmethod
     def from_dict(payload: Dict[str, object]) -> "EstimatorPolicy":
         return EstimatorPolicy(
-            engine=str(payload.get("engine", "auto")),
+            engine=_json_choice(
+                payload.get("engine", "auto"), "policy.engine", ENGINES
+            ),
             trials=json_integer(payload.get("trials", 1000), "policy.trials"),
             max_trials=_optional(
                 payload, "max_trials", "policy.max_trials", json_integer
@@ -379,7 +385,11 @@ class EstimatorPolicy:
             cross_check=json_boolean(
                 payload.get("cross_check", True), "policy.cross_check"
             ),
-            variance_reduction=str(payload.get("variance_reduction", "none")),
+            variance_reduction=_json_choice(
+                payload.get("variance_reduction", "none"),
+                "policy.variance_reduction",
+                VARIANCE_REDUCTIONS,
+            ),
         )
 
 
@@ -442,11 +452,6 @@ class Scenario:
             if engine == "fleet":
                 raise ValueError(
                     "engine 'fleet' answers fleet_survival questions only"
-                )
-            if self.question == "mttdl" and engine == "splitting":
-                raise ValueError(
-                    "splitting estimates mission loss probabilities; use "
-                    "question='loss_probability' or engine='is' for the MTTDL"
                 )
             if engine == "markov" and not (
                 self.system.replicas == 2
@@ -542,7 +547,11 @@ class Scenario:
 
         label = payload.get("label")
         return Scenario(
-            question=str(json_required(payload, "question", "question")),
+            question=_json_choice(
+                json_required(payload, "question", "question"),
+                "question",
+                QUESTIONS,
+            ),
             system=_parsed("system", SystemSpec.from_dict),
             mission_years=json_number(
                 payload.get("mission_years", 50.0), "mission_years"

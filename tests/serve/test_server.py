@@ -361,6 +361,12 @@ def scenario_with(path, value):
         ("space.audit_rates[0]", float("nan")),
         ("space.media", 5),
         ("space.media[0]", 5),
+        # Read with str(), these ran as engine '7' or failed naming no
+        # field.
+        ("question", 7),
+        ("policy.engine", 7),
+        ("policy.engine", "warp"),
+        ("policy.variance_reduction", 5),
     ],
 )
 def test_malformed_number_is_a_400_naming_its_path(path, value):
@@ -388,6 +394,16 @@ def test_removed_variance_reduction_is_a_400():
     response = post_query(payload)
     assert response.startswith(b"HTTP/1.1 400 ")
     assert b"variance_reduction" in response
+
+
+def test_removed_splitting_engine_is_a_400():
+    payload = scenario_dict()
+    payload["policy"]["engine"] = "splitting"
+    response = post_query(payload)
+    assert response.startswith(b"HTTP/1.1 400 ")
+    error = json.loads(response.partition(b"\r\n\r\n")[2])["error"]
+    assert "'policy.engine'" in error
+    assert "'is'" in error
 
 
 @pytest.fixture

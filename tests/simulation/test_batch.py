@@ -126,7 +126,9 @@ class TestBackendCrossValidation:
 
     def test_mttdl_matches_event_backend(self):
         model = self.fast_model()
-        event = run_mttdl(model, trials=300, seed=2, max_time=1e6)
+        event = run_mttdl(
+            model, trials=300, seed=2, max_time=1e6, backend="event"
+        )
         batch = run_mttdl(
             model, trials=2000, seed=2, max_time=1e6, backend="batch"
         )
@@ -134,7 +136,9 @@ class TestBackendCrossValidation:
 
     def test_mttdl_matches_with_correlation(self):
         model = self.fast_model(correlation_factor=0.2)
-        event = run_mttdl(model, trials=300, seed=4, max_time=1e6)
+        event = run_mttdl(
+            model, trials=300, seed=4, max_time=1e6, backend="event"
+        )
         batch = run_mttdl(
             model, trials=2000, seed=4, max_time=1e6, backend="batch"
         )
@@ -147,7 +151,14 @@ class TestBackendCrossValidation:
 
     def test_mttdl_matches_with_three_replicas(self):
         model = self.fast_model()
-        event = run_mttdl(model, trials=150, seed=6, max_time=1e7, replicas=3)
+        event = run_mttdl(
+            model,
+            trials=150,
+            seed=6,
+            max_time=1e7,
+            replicas=3,
+            backend="event",
+        )
         batch = run_mttdl(
             model, trials=1500, seed=6, max_time=1e7, replicas=3, backend="batch"
         )
@@ -156,7 +167,7 @@ class TestBackendCrossValidation:
     def test_loss_probability_matches_event_backend(self):
         model = self.fast_model()
         event = run_loss_probability(
-            model, mission_time=1500.0, trials=400, seed=3
+            model, mission_time=1500.0, trials=400, seed=3, backend="event"
         )
         batch = run_loss_probability(
             model, mission_time=1500.0, trials=4000, seed=3, backend="batch"
@@ -170,7 +181,7 @@ class TestBackendCrossValidation:
         model = paper_model()
         mission = 50.0 * HOURS_PER_YEAR
         event = run_loss_probability(
-            model, mission_time=mission, trials=150, seed=1
+            model, mission_time=mission, trials=150, seed=1, backend="event"
         )
         batch = run_loss_probability(
             model, mission_time=mission, trials=3000, seed=1, backend="batch"
@@ -234,7 +245,7 @@ class TestBackendCrossValidation:
     def test_double_fault_combinations_match(self):
         model = self.fast_model(mean_detect_latent=100.0)
         event = double_fault_combination_counts(
-            model, trials=200, seed=8, max_time=1e6
+            model, trials=200, seed=8, max_time=1e6, backend="event"
         )
         batch = double_fault_combination_counts(
             model, trials=2000, seed=8, max_time=1e6, backend="batch"

@@ -46,12 +46,6 @@ class TestCheckMethod:
         with pytest.raises(ValueError, match="unknown method"):
             check_method(method)
 
-    def test_allowed_subset_rejects_the_rest(self):
-        # The optimizer's refinement path: no splitting.
-        check_method("auto", allowed=("standard", "is", "auto"))
-        with pytest.raises(ValueError, match="unknown method"):
-            check_method("splitting", allowed=("standard", "is", "auto"))
-
 
 class TestAdaptiveCap:
     @given(st.integers(min_value=1, max_value=10**6))
@@ -125,7 +119,7 @@ class TestEvaluateUsesTheSharedModule:
         with pytest.raises(ValueError, match="unknown method"):
             EvaluationSettings(method="psychic")
         with pytest.raises(ValueError, match="unknown method"):
-            # Valid globally, but not a refinement method.
+            # Multilevel splitting is no longer a method anywhere.
             EvaluationSettings(method="splitting")
 
     def test_zero_loss_refinement_uses_the_shared_bound(self):

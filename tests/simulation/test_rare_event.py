@@ -2,9 +2,8 @@
 
 Covers the failure-biased importance sampling mode of the batch backend
 (weight validity, estimator agreement with plain Monte-Carlo and the
-exact Markov chain), the fixed-effort multilevel-splitting estimator on
-the event backend (including snapshot/resume), the automatic method
-selection, and the bias-choice heuristic.
+exact Markov chain), the automatic method selection, and the
+bias-choice heuristic.
 """
 
 import math
@@ -13,12 +12,10 @@ import numpy as np
 import pytest
 
 from repro.core.parameters import FaultModel
-from repro.core.redundancy import RedundancyScheme
 from repro.core.units import HOURS_PER_YEAR
 from repro.markov.builders import build_mirrored_chain, mirrored_mttdl_markov
 from repro.markov.transient import loss_probability_over_time
 from repro.simulation.batch import simulate_batch
-from repro.simulation.engine import SimulationEngine
 from repro.simulation.estimators import (
     MonteCarloEstimate,
     run_loss_probability,
@@ -30,9 +27,7 @@ from repro.simulation.rare_event import (
     default_failure_bias,
     effective_sample_size,
     mttdl_from_loss_probability,
-    splitting_loss_probability,
 )
-from repro.simulation.system import system_from_fault_model
 
 MISSION = 50.0 * HOURS_PER_YEAR
 
@@ -238,10 +233,6 @@ class TestImportanceSampledEstimates:
         assert estimate.trials > 500
         assert estimate.relative_error <= 0.05
 
-    def test_splitting_rejected_for_mttdl(self, fast_model):
-        with pytest.raises(ValueError):
-            run_mttdl(fast_model, trials=10, method="splitting")
-
     def test_unknown_method_rejected(self, fast_model):
         with pytest.raises(ValueError):
             run_loss_probability(fast_model, trials=10, method="antithetic")
@@ -357,222 +348,6 @@ class TestAutoMethod:
         )
         assert estimate.method == "is"
         assert math.isfinite(estimate.mean)
-
-
-class TestSplitting:
-    def test_agrees_with_standard_at_moderate_point(self, fast_model):
-        standard = run_loss_probability(
-            fast_model,
-            mission_time=1500.0,
-            trials=20000,
-            seed=6,
-            backend="batch",
-            method="standard",
-        )
-        split = run_loss_probability(
-            fast_model,
-            mission_time=1500.0,
-            trials=400,
-            seed=6,
-            method="splitting",
-        )
-        assert split.method == "splitting"
-        assert intervals_overlap(standard, split)
-
-    def test_agrees_with_batch_under_correlation(self, fast_model_factory):
-        model = fast_model_factory(correlation_factor=0.2)
-        standard = run_loss_probability(
-            model, mission_time=60.0, trials=20000, seed=6, backend="batch"
-        )
-        split = run_loss_probability(
-            model, mission_time=60.0, trials=400, seed=6, method="splitting"
-        )
-        assert split.method == "splitting"
-        assert intervals_overlap(standard, split)
-
-    @pytest.mark.parametrize(
-        "layout",
-        [dict(replicas=2), dict(replicas=3), dict(scheme=RedundancyScheme(3, 2))],
-        ids=["2-way", "3-way", "3-2-erasure"],
-    )
-    def test_losses_come_only_from_the_final_stage(self, fast_model, layout):
-        # Faults arrive one at a time, so a stage before the last can
-        # reach its level but never lose the data: every loss is a hit
-        # of the final stage, and losses never exceed the runs made.
-        run = splitting_loss_probability(
-            fast_model,
-            mission_time=300.0,
-            trials_per_level=100,
-            seed=5,
-            **layout,
-        )
-        scheme = layout.get("scheme")
-        levels = scheme.loss_threshold if scheme else layout["replicas"]
-        assert len(run.conditional) == levels
-        assert run.trials == run.trials_per_level * levels
-        assert run.losses == round(run.conditional[-1] * run.trials_per_level)
-        assert 0 < run.losses <= run.trials_per_level
-
-    def test_deterministic_for_same_seed(self, fast_model):
-        a = splitting_loss_probability(
-            fast_model, mission_time=1500.0, trials_per_level=100, seed=4
-        )
-        b = splitting_loss_probability(
-            fast_model, mission_time=1500.0, trials_per_level=100, seed=4
-        )
-        assert a.conditional == b.conditional
-
-    def test_chunks_are_independent(self, fast_model):
-        a = splitting_loss_probability(
-            fast_model, mission_time=1500.0, trials_per_level=100, seed=4, chunk=0
-        )
-        b = splitting_loss_probability(
-            fast_model, mission_time=1500.0, trials_per_level=100, seed=4, chunk=1
-        )
-        assert a.conditional != b.conditional
-
-    def test_zero_hit_stage_reports_rule_of_three_error(self):
-        # Faults are frequent enough for stage 1 but second faults
-        # essentially never land inside the short windows: the final
-        # stage sees zero hits, the estimate collapses to zero but keeps
-        # an informative pseudo-error.
-        model = FaultModel(5e5, 1e5, 0.01, 0.01, 0.05, 1.0)
-        run = splitting_loss_probability(
-            model,
-            mission_time=2000.0,
-            trials_per_level=50,
-            seed=2,
-            audits_per_year=8766.0 / 100.0,
-        )
-        assert run.mean == 0.0
-        assert run.std_error > 0.0
-
-    def test_three_replica_levels(self, fast_model):
-        run = splitting_loss_probability(
-            fast_model,
-            mission_time=3000.0,
-            trials_per_level=150,
-            seed=7,
-            replicas=3,
-        )
-        assert len(run.conditional) <= 3
-        assert 0.0 <= run.mean <= 1.0
-
-    def test_validation(self, fast_model):
-        with pytest.raises(ValueError):
-            splitting_loss_probability(fast_model, mission_time=0.0)
-        with pytest.raises(ValueError):
-            splitting_loss_probability(
-                fast_model, mission_time=100.0, trials_per_level=0
-            )
-
-
-class TestSnapshotResume:
-    def _run_to_first_fault(self, seed=3):
-        model = FaultModel(500.0, 100.0, 20.0, 20.0, 5.0, 1.0)
-        from repro.simulation.rng import RandomStreams
-
-        system = system_from_fault_model(
-            model, replicas=2, streams=RandomStreams(seed=seed)
-        )
-        result = system.run(max_time=1e6, stop_when_faulty=1)
-        return system, result
-
-    def test_level_stop_reports_hit_time(self):
-        system, result = self._run_to_first_fault()
-        assert not result.lost
-        assert result.level_hit_time is not None
-        assert result.end_time == result.level_hit_time
-
-    def test_snapshot_captures_faulty_state(self):
-        system, result = self._run_to_first_fault()
-        snapshot = system.capture_snapshot()
-        assert snapshot.time == result.level_hit_time
-        assert snapshot.faulty_count == 1
-
-    def test_resume_continues_from_snapshot_time(self):
-        system, result = self._run_to_first_fault()
-        snapshot = system.capture_snapshot()
-        from repro.simulation.rng import RandomStreams
-
-        model = FaultModel(500.0, 100.0, 20.0, 20.0, 5.0, 1.0)
-        fresh = system_from_fault_model(
-            model, replicas=2, streams=RandomStreams(seed=99)
-        )
-        resumed = fresh.run(
-            max_time=snapshot.time + 5000.0, resume_from=snapshot
-        )
-        assert resumed.end_time > snapshot.time
-
-    def test_resume_already_at_level_hits_immediately(self):
-        system, _ = self._run_to_first_fault()
-        snapshot = system.capture_snapshot()
-        from repro.simulation.rng import RandomStreams
-
-        model = FaultModel(500.0, 100.0, 20.0, 20.0, 5.0, 1.0)
-        fresh = system_from_fault_model(
-            model, replicas=2, streams=RandomStreams(seed=100)
-        )
-        result = fresh.run(
-            max_time=snapshot.time + 100.0,
-            stop_when_faulty=1,
-            resume_from=snapshot,
-        )
-        assert result.level_hit_time == snapshot.time
-
-    def test_resume_rejects_a_horizon_before_the_snapshot(self):
-        system, _ = self._run_to_first_fault()
-        snapshot = system.capture_snapshot()
-        from repro.simulation.rng import RandomStreams
-
-        model = FaultModel(500.0, 100.0, 20.0, 20.0, 5.0, 1.0)
-        fresh = system_from_fault_model(
-            model, replicas=2, streams=RandomStreams(seed=99)
-        )
-        with pytest.raises(ValueError, match="precedes the snapshot"):
-            fresh.run(max_time=snapshot.time / 2.0, resume_from=snapshot)
-
-    def test_resume_rejects_a_snapshot_of_another_replica_count(self):
-        system, _ = self._run_to_first_fault()
-        snapshot = system.capture_snapshot()
-        from repro.simulation.rng import RandomStreams
-
-        model = FaultModel(500.0, 100.0, 20.0, 20.0, 5.0, 1.0)
-        fresh = system_from_fault_model(
-            model, replicas=3, streams=RandomStreams(seed=99)
-        )
-        with pytest.raises(ValueError, match="replica count"):
-            fresh.run(max_time=snapshot.time + 100.0, resume_from=snapshot)
-
-    def test_cannot_snapshot_after_loss(self, fast_model):
-        from repro.simulation.rng import RandomStreams
-
-        system = system_from_fault_model(
-            fast_model, replicas=2, streams=RandomStreams(seed=2)
-        )
-        result = system.run(max_time=1e6)
-        assert result.lost
-        with pytest.raises(ValueError):
-            system.capture_snapshot()
-
-    def test_stop_when_faulty_validated(self, fast_model):
-        from repro.simulation.rng import RandomStreams
-
-        system = system_from_fault_model(
-            fast_model, replicas=2, streams=RandomStreams(seed=2)
-        )
-        with pytest.raises(ValueError):
-            system.run(max_time=100.0, stop_when_faulty=3)
-
-    def test_engine_advance_guards(self):
-        engine = SimulationEngine()
-        engine.advance_to(10.0)
-        assert engine.now == 10.0
-        with pytest.raises(ValueError):
-            engine.advance_to(5.0)
-        engine.schedule(1.0, lambda: None)
-        with pytest.raises(ValueError):
-            engine.advance_to(20.0)
 
 
 class TestWeightedLossTallyMerge:

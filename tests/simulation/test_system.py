@@ -9,12 +9,12 @@ from repro.core.faults import FaultType
 from repro.core.parameters import FaultModel
 from repro.core.redundancy import RedundancyScheme
 from repro.simulation.events import TraceEventType
+from repro.simulation.replica import ReplicaState
 from repro.simulation.rng import RandomStreams
 from repro.simulation.scrubbing import audit_detection_time
 from repro.simulation.system import (
     ReplicatedStorageSystem,
     SystemConfig,
-    SystemSnapshot,
     system_from_fault_model,
 )
 
@@ -258,7 +258,7 @@ class TestFaultModelDraws:
             replicas=replicas, model=never_repaired(), audit_interval=None
         )
         result = ReplicatedStorageSystem(config, RandomStreams(seed=21)).run(
-            max_time=1e9, stop_when_faulty=1
+            max_time=1e9
         )
         replay = RandomStreams(seed=21)
         candidates = []
@@ -278,7 +278,6 @@ class TestFaultModelDraws:
             index,
             fault_type,
         )
-        assert result.end_time == time
 
     @pytest.mark.parametrize("audit_interval", [None, 0.0, 10.0])
     def test_draws_only_the_per_replica_fault_streams(self, audit_interval):
@@ -358,7 +357,7 @@ class TestFaultModelDraws:
             )
             result = ReplicatedStorageSystem(
                 config, RandomStreams(seed=71)
-            ).run(max_time=1e6, stop_when_faulty=2)
+            ).run(max_time=1e6)
             repaired = result.trace.of_type(TraceEventType.REPAIR_COMPLETED)
             faults = result.trace.of_type(TraceEventType.FAULT_OCCURRED)
             # The first fault was repaired before a second one landed.
@@ -368,30 +367,6 @@ class TestFaultModelDraws:
         correlated, independent = fault_times(0.1), fault_times(1.0)
         assert correlated[0] == independent[0]
         assert correlated[1] == independent[1]
-
-    @pytest.mark.parametrize("alpha", [1.0, 0.2])
-    def test_restore_redraws_pending_faults_in_the_restored_regime(
-        self, alpha
-    ):
-        model = never_repaired(correlation_factor=alpha)
-        system = system_from_fault_model(
-            model, streams=RandomStreams(seed=41), audits_per_year=0.0
-        )
-        system.run(max_time=1e12, stop_when_faulty=1)
-        snapshot = system.capture_snapshot()
-        healthy = next(
-            index
-            for index, snap in enumerate(snapshot.replicas)
-            if not snap.state.is_faulty
-        )
-        resumed = system_from_fault_model(
-            model, streams=RandomStreams(seed=43), audits_per_year=0.0
-        ).run(max_time=1e12, resume_from=snapshot)
-        # The snapshot holds no pending fault: the healthy replica draws
-        # afresh from the resuming streams, already degraded.
-        redrawn = next_fault_delay(RandomStreams(seed=43), healthy)
-        assert resumed.lost
-        assert resumed.end_time == snapshot.time + redrawn / (1.0 / alpha)
 
 
 class TestRepairs:
@@ -491,6 +466,32 @@ class TestAuditGrid:
             )
 
 
+class TestAuditCost:
+    """An audit runs as an event only while a latent fault waits."""
+
+    def test_idle_grid_points_cost_no_events(self):
+        # 500,000 grid points in 1,000 h: every engine event is a fault,
+        # the audit that detects a waiting latent fault, or a repair
+        # completion, so the cost no longer grows with the audit rate.
+        system = ReplicatedStorageSystem(
+            fast_config(audit_interval=0.002, trace=False),
+            RandomStreams(seed=3),
+        )
+        result = system.run(max_time=1000.0)
+        undetected = sum(
+            1
+            for replica in system.replicas
+            if replica.state is ReplicaState.LATENT_UNDETECTED
+        )
+        detections = result.latent_faults - undetected
+        faults = result.visible_faults + result.latent_faults
+        assert result.audits == 500_000
+        assert result.latent_faults > 0
+        assert system._engine.events_processed <= (
+            faults + detections + result.repairs
+        )
+
+
 class TestLossThreshold:
     @pytest.mark.parametrize("n, k", [(3, 2), (4, 2), (5, 3)])
     def test_scheme_loses_at_n_minus_k_plus_one_faulty_fragments(self, n, k):
@@ -541,165 +542,11 @@ class TestFactoryFromFaultModel:
         assert system.config.model.correlation_factor == 0.2
 
 
-class TestSnapshotUnderInFlightState:
-    """capture/resume with repairs in flight and scrubbing mid-phase.
-
-    The splitting estimator relies on snapshots being statistically
-    indistinguishable from a system that kept running; these tests pin
-    down the two stateful pieces that are *not* resampled on restore —
-    in-flight repair completions and the audit phase.
-    """
-
-    def _visible_only_model(self, mrv=50.0):
-        # Latent faults effectively never happen, so the first fault is
-        # visible and enters repair immediately.
-        return FaultModel(
-            mean_time_to_visible=500.0,
-            mean_time_to_latent=1e12,
-            mean_repair_visible=mrv,
-            mean_repair_latent=mrv,
-            mean_detect_latent=5.0,
-            correlation_factor=1.0,
-        )
-
-    def _latent_only_model(self, mdl=5.0, mrl=7.0):
-        # Visible faults effectively never happen; latent faults wait on
-        # the periodic audit grid (interval = 2 * MDL).
-        return FaultModel(
-            mean_time_to_visible=1e12,
-            mean_time_to_latent=500.0,
-            mean_repair_visible=1.0,
-            mean_repair_latent=mrl,
-            mean_detect_latent=mdl,
-            correlation_factor=1.0,
-        )
-
-    def _quiet_resume_system(self, model, seed=99):
-        # A fresh system for resuming whose *new* fault arrivals are
-        # pushed past any horizon used here, so assertions only see the
-        # snapshot's in-flight state play out.
-        quiet = FaultModel(
-            mean_time_to_visible=1e12,
-            mean_time_to_latent=1e12,
-            mean_repair_visible=model.mean_repair_visible,
-            mean_repair_latent=model.mean_repair_latent,
-            mean_detect_latent=model.mean_detect_latent,
-            correlation_factor=1.0,
-        )
-        return system_from_fault_model(
-            quiet, replicas=2, streams=RandomStreams(seed=seed)
-        )
-
-    def test_snapshot_carries_inflight_repair_completion(self):
-        model = self._visible_only_model(mrv=50.0)
-        system = system_from_fault_model(
-            model, replicas=2, streams=RandomStreams(seed=3)
-        )
-        result = system.run(max_time=1e6, stop_when_faulty=1)
-        assert not result.lost
-        snapshot = system.capture_snapshot()
-        faulty = [snap for snap in snapshot.replicas if snap.state.is_faulty]
-        assert len(faulty) == 1
-        # The visible fault entered repair at the fault instant, so its
-        # completion is pinned at fault_time + MRV.
-        assert faulty[0].repair_completion == pytest.approx(
-            faulty[0].fault_time + 50.0
-        )
-
-    def test_resume_completes_the_inflight_repair_on_schedule(self):
-        model = self._visible_only_model(mrv=50.0)
-        system = system_from_fault_model(
-            model, replicas=2, streams=RandomStreams(seed=3)
-        )
-        system.run(max_time=1e6, stop_when_faulty=1)
-        snapshot = system.capture_snapshot()
-        completion = next(
-            snap.repair_completion
-            for snap in snapshot.replicas
-            if snap.state.is_faulty
-        )
-        fresh = self._quiet_resume_system(model)
-        resumed = fresh.run(
-            max_time=completion + 100.0, resume_from=snapshot
-        )
-        assert not resumed.lost
-        assert resumed.repairs == 1
-        assert not any(replica.is_faulty for replica in fresh.replicas)
-
-    def test_resume_before_repair_completion_keeps_replica_faulty(self):
-        model = self._visible_only_model(mrv=50.0)
-        system = system_from_fault_model(
-            model, replicas=2, streams=RandomStreams(seed=3)
-        )
-        system.run(max_time=1e6, stop_when_faulty=1)
-        snapshot = system.capture_snapshot()
-        fresh = self._quiet_resume_system(model)
-        resumed = fresh.run(
-            max_time=snapshot.time + 1.0, resume_from=snapshot
-        )
-        assert resumed.repairs == 0
-        assert sum(1 for r in fresh.replicas if r.is_faulty) == 1
-
-    def test_snapshot_preserves_the_audit_phase(self):
-        model = self._latent_only_model(mdl=5.0)
-        system = system_from_fault_model(
-            model, replicas=2, streams=RandomStreams(seed=4)
-        )
-        system.run(max_time=1e6, stop_when_faulty=1)
-        snapshot = system.capture_snapshot()
-        # Periodic scrubbing at interval 10h: the next audit sits on the
-        # grid point right after the capture time.
-        assert snapshot.next_audit_time is not None
-        assert snapshot.next_audit_time > snapshot.time
-        assert snapshot.next_audit_time == pytest.approx(
-            (math.floor(snapshot.time / 10.0) + 1.0) * 10.0
-        )
-
-    def test_resumed_audit_detects_and_repairs_the_latent_fault(self):
-        model = self._latent_only_model(mdl=5.0, mrl=7.0)
-        system = system_from_fault_model(
-            model, replicas=2, streams=RandomStreams(seed=4)
-        )
-        system.run(max_time=1e6, stop_when_faulty=1)
-        snapshot = system.capture_snapshot()
-        fresh = self._quiet_resume_system(model)
-        resumed = fresh.run(
-            max_time=snapshot.next_audit_time + 7.0 + 1.0,
-            resume_from=snapshot,
-        )
-        # The undetected latent fault waits for the preserved audit
-        # grid, is detected at next_audit_time, and repairs MRL later.
-        assert resumed.audits >= 1
-        assert resumed.repairs == 1
-        assert not any(replica.is_faulty for replica in fresh.replicas)
-
-    def test_resume_without_audits_leaves_latent_fault_stranded(self):
-        model = self._latent_only_model(mdl=5.0)
-        system = system_from_fault_model(
-            model, replicas=2, streams=RandomStreams(seed=4)
-        )
-        system.run(max_time=1e6, stop_when_faulty=1)
-        snapshot = system.capture_snapshot()
-        stranded = SystemSnapshot(
-            time=snapshot.time,
-            replicas=snapshot.replicas,
-            next_audit_time=None,
-        )
-        fresh = self._quiet_resume_system(model)
-        resumed = fresh.run(
-            max_time=snapshot.time + 500.0, resume_from=stranded
-        )
-        assert resumed.audits == 0
-        assert resumed.repairs == 0
-        assert sum(1 for r in fresh.replicas if r.is_faulty) == 1
-
-
 class TestStreamPins:
     """The event engine's streams, pinned to recorded values.
 
     The ``event`` backend is the batch kernel's cross-validation
-    reference and the tracer behind experiments E9/E10, and
-    multilevel splitting restarts it from snapshots, so a change to
+    reference and the tracer behind experiments E9/E10, so a change to
     how it draws faults, orders events or applies the correlation
     factor must show up here rather than as a silent shift in seeded
     answers.  Every value below was recorded from the engine; none is
@@ -754,24 +601,6 @@ class TestStreamPins:
             (latent, visible): 17,
             (latent, latent): 81,
         }
-
-    @pytest.mark.parametrize(
-        "replicas, alpha, conditional",
-        [(2, 1.0, [0.78, 0.14]), (3, 0.5, [0.93, 0.36, 0.08])],
-    )
-    def test_splitting_conditionals_are_pinned(
-        self, replicas, alpha, conditional
-    ):
-        from repro.simulation.rare_event import splitting_loss_probability
-
-        run = splitting_loss_probability(
-            model=self.fast_model(correlation_factor=alpha),
-            mission_time=60.0,
-            trials_per_level=100,
-            seed=6,
-            replicas=replicas,
-        )
-        assert run.conditional == conditional
 
     def test_single_trace_is_pinned(self):
         from repro.simulation.monte_carlo import run_single_trace

@@ -116,21 +116,12 @@ class TestScenarioValidation:
             "sweep",
         }
         assert set(ENGINES) == {
-            "auto", "analytic", "markov", "event", "batch", "is",
-            "splitting", "fleet",
+            "auto", "analytic", "markov", "event", "batch", "is", "fleet",
         }
 
     def test_point_estimate_requires_a_system(self):
         with pytest.raises(ValueError, match="SystemSpec"):
             Scenario(question="mttdl")
-
-    def test_splitting_is_loss_only(self):
-        with pytest.raises(ValueError, match="splitting"):
-            Scenario(
-                question="mttdl",
-                system=SystemSpec(model=MODEL),
-                policy=EstimatorPolicy(engine="splitting"),
-            )
 
     def test_markov_engine_is_mirrored_only(self):
         with pytest.raises(ValueError, match="mirrored"):
@@ -208,6 +199,12 @@ class TestScenarioValidation:
             ("sweep.correlation_factors", 0.5),
             ("system.scheme.n", 6.5),
             ("system.scheme.k", True),
+            # Read with str(), these ran as engine '7' or failed naming
+            # no field.
+            ("question", 7),
+            ("policy.engine", 7),
+            ("policy.engine", "warp"),
+            ("policy.variance_reduction", ["cv"]),
         ],
     )
     def test_malformed_numbers_name_their_path(self, path, value):
@@ -224,6 +221,27 @@ class TestScenarioValidation:
             section = section[int(name) if name.isdigit() else name]
         section[int(key) if key.isdigit() else key] = value
         with pytest.raises(ValueError, match=f"'{re.escape(path)}'"):
+            Scenario.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "path,value,choices",
+        [
+            ("question", "destiny", QUESTIONS),
+            ("policy.engine", "splitting", ENGINES),
+            ("policy.variance_reduction", "qmc", ("none", "cv")),
+        ],
+    )
+    def test_unknown_enumerated_value_lists_the_choices(
+        self, path, value, choices
+    ):
+        payload = _scenarios_of_every_kind()[1].as_dict()
+        *parents, key = path.split(".")
+        section = payload
+        for name in parents:
+            section = section[name]
+        section[key] = value
+        message = f"'{path}' must be one of {choices}, not {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Scenario.from_dict(payload)
 
     @pytest.mark.parametrize(
@@ -289,7 +307,6 @@ class TestEngineMapping:
         assert engine_for("batch", "auto") == "auto"
         assert engine_for("batch", "is") == "is"
         assert engine_for("event", "is") == "is"
-        assert engine_for("event", "splitting") == "splitting"
 
     def test_event_auto_and_garbage_have_no_engine(self):
         assert engine_for("event", "auto") is None
@@ -297,7 +314,7 @@ class TestEngineMapping:
         assert engine_for("batch", "psychic") is None
 
     def test_engine_backend_method_inverts_engine_for(self):
-        for engine in ("auto", "batch", "event", "is", "splitting"):
+        for engine in ("auto", "batch", "event", "is"):
             backend, method = engine_backend_method(engine)
             assert engine_for(backend, method) == engine
 

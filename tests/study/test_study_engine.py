@@ -300,7 +300,6 @@ LOOP_CASES = [
     ("loss_probability", "event", "none"),
     ("loss_probability", "auto", "none"),
     ("loss_probability", "is", "none"),
-    ("loss_probability", "splitting", "none"),
     ("loss_probability", "batch", "cv"),
 ]
 

@@ -4,7 +4,7 @@ Two pillars:
 
 * **Replication is bit-for-bit preserved.**  A scheme ``(n, 1)`` is
   r-way replication, and every engine — analytic, markov, batch, event,
-  importance sampling, splitting, fleet — must return *exactly* the
+  importance sampling, fleet — must return *exactly* the
   numbers the pre-scheme code returned for ``replicas=n`` at the same
   seed: the scheme threads through as a loss threshold without touching
   random-stream consumption, and replication scenarios serialise (and
@@ -60,14 +60,6 @@ class TestReplicationBitForBit:
         assert scheme.std_error == plain.std_error
         assert scheme.ci_low == plain.ci_low
         assert scheme.ci_high == plain.ci_high
-
-    def test_splitting_engine_bit_for_bit(self):
-        plain = _loss(SystemSpec(model=MODEL, replicas=2), "splitting")
-        scheme = _loss(
-            SystemSpec(model=MODEL, scheme=Replication(2)), "splitting"
-        )
-        assert scheme.value == plain.value
-        assert scheme.std_error == plain.std_error
 
     def test_markov_engine_bit_for_bit(self):
         def mttdl(system):
