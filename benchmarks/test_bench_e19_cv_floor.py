@@ -24,7 +24,7 @@ from repro.core.parameters import FaultModel
 from repro.core.units import HOURS_PER_YEAR
 from repro.markov.builders import build_mirrored_chain
 from repro.markov.transient import loss_probability_over_time
-from repro.simulation.variance_reduction import cv_loss_probability
+from repro.simulation.estimators import run_loss_probability
 
 #: The e16 high-reliability point (daily scrubbing).
 RARE_MODEL = FaultModel(
@@ -46,13 +46,14 @@ ARTIFACT = Path("BENCH_e19.json")
 
 
 def _cv_estimate():
-    return cv_loss_probability(
+    return run_loss_probability(
         RARE_MODEL,
         mission_time=MISSION,
         trials=2000,
         seed=19,
         target_relative_error=TARGET_RELATIVE_ERROR,
         max_trials=128_000,
+        variance_reduction="cv",
     )
 
 

@@ -13,10 +13,6 @@ per-year histograms and counters that
   (:meth:`merge`) associatively and commutatively, so parallel workers
   can reduce in any order and a cached chunk re-enters a future run as
   cheaply as a fresh one.
-
-The same contract was retrofitted to the rare-event machinery:
-:meth:`repro.simulation.rare_event.WeightedLossTally.merge` merges
-importance-sampling tallies under the identical sum-of-moments rule.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ instrument kinds:
 
 Telemetry is **off by default**: the module-level registry returned by
 :func:`current` is the :data:`NULL` no-op instance, whose methods cost
-one attribute check, so instrumented hot paths (the estimator loops, the
+one attribute check, so instrumented hot paths (the estimator loop, the
 fleet/optimize runners, the batch kernel wrapper) pay nothing when
 nobody is watching.  :func:`session` installs a live registry for the
 duration of a ``with`` block; :func:`repro.study.run` does this when a

@@ -172,9 +172,17 @@ def resolve_medium(identifier: str) -> ResolvedMedium:
             return ResolvedMedium(
                 identifier=f"media:{identifier}", media=media[identifier]
             )
-    known = sorted(f"drive:{name}" for name in drives)
-    known += sorted(f"media:{name}" for name in media)
-    raise KeyError(f"unknown medium {identifier!r}; known media: {known}")
+    raise KeyError(
+        f"unknown medium {identifier!r}; known media: {list(known_media())}"
+    )
+
+
+@lru_cache(maxsize=None)
+def known_media() -> Tuple[str, ...]:
+    """Every explicit ``drive:<id>`` and ``media:<id>`` identifier."""
+    return tuple(sorted(f"drive:{name}" for name in drive_catalog())) + tuple(
+        sorted(f"media:{name}" for name in media_catalog())
+    )
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ is explicit in the stored answer.
 Eligibility (:func:`batchable`) is deliberately narrow: plain
 ``engine="batch"`` loss probabilities with no adaptive target, no
 importance-sampling bias and no variance reduction — exactly the
-configurations where the estimator loop makes one ``simulate_batch``
+configurations where the estimators' loop makes one ``simulate_batch``
 call whose per-trial outcomes this module can reuse.
 """
 

@@ -13,12 +13,13 @@ Two Monte-Carlo backends simulate that one model: the vectorized batch
 simulator (``backend="batch"``, the default, :mod:`repro.simulation.batch`),
 which advances thousands of systems in lock-step NumPy sweeps and also
 powers the adaptive-sampling mode (``target_relative_error=...``) of
-the estimation loops in :mod:`repro.simulation.estimators`
+the one estimation loop in :mod:`repro.simulation.estimators`
 (:func:`run_mttdl`, :func:`run_loss_probability`), and the event-driven
 engine (``backend="event"``, one Python event loop per trial, the
 cross-validation reference and the tracer), which runs an audit only
 while a latent fault waits for one.  Questions are best posed through
-:func:`repro.study.run`; library callers may call the loops directly.
+:func:`repro.study.run`; library callers may call the estimators
+directly.
 
 For the paper's realistic high-reliability operating points — where
 plain Monte-Carlo censors nearly every trial — the estimators accept
@@ -64,11 +65,9 @@ from repro.simulation.rare_event import (
     WeightedLossTally,
     analytic_loss_rate,
     default_failure_bias,
-    effective_sample_size,
     mttdl_from_loss_probability,
 )
 from repro.simulation.lifetime import loss_probability_curve
-from repro.simulation.variance_reduction import cv_loss_probability
 
 __all__ = [
     "SimulationEngine",
@@ -96,8 +95,6 @@ __all__ = [
     "WeightedLossTally",
     "analytic_loss_rate",
     "default_failure_bias",
-    "effective_sample_size",
     "mttdl_from_loss_probability",
     "loss_probability_curve",
-    "cv_loss_probability",
 ]

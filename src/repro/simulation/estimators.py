@@ -1,4 +1,4 @@
-"""The Monte-Carlo estimation loops behind every simulated answer.
+"""The Monte-Carlo estimation loop behind every simulated answer.
 
 :func:`repro.study.run` dispatches its simulated point estimates straight
 to :func:`run_mttdl` and :func:`run_loss_probability`, which library
@@ -17,7 +17,7 @@ shared plumbing:
 Backends
 --------
 
-Both loops accept ``backend="batch"`` (the default — the vectorized
+Both estimators accept ``backend="batch"`` (the default — the vectorized
 lock-step simulator in :mod:`repro.simulation.batch`) or
 ``backend="event"`` (one
 :class:`~repro.simulation.system.ReplicatedStorageSystem` event loop per
@@ -30,11 +30,23 @@ noise (cross-validated in ``tests/simulation/test_batch.py``).
 Adaptive sampling
 -----------------
 
-Passing ``target_relative_error=...`` keeps extending the run in chunks
-of ``trials`` until the estimate's standard error falls below the target
-fraction of the mean (or ``max_trials`` is reached).  Chunks use
-independent sub-streams of the root seed, so an adaptive run is exactly
-reproducible for a given seed regardless of where it stops.
+Every estimate is a stream of per-trial scores summed into a tally: a
+0/1 loss (with the trial's observed time, for the MTTDL), an
+importance-weighted 0/1 loss
+(:class:`~repro.simulation.rare_event.WeightedLossTally`) or a
+conditional loss probability
+(:class:`~repro.simulation.variance_reduction.ControlVariateTally`).
+One loop draws chunks of ``trials`` into the tally.  Without
+``target_relative_error`` it stops after the first chunk; with one, it
+keeps extending until the tally's relative error falls to the target or
+``max_trials`` (default 64 chunks) is reached, the last chunk clamped
+so that the cap is hard.  Each tally owns its relative-error rule:
+``1/sqrt(losses)`` for the MTTDL's MLE, ``sqrt((1 - p) / losses)`` for a
+plain loss proportion, and the sample standard error over the mean for
+weighted and conditional scores.  Chunks use independent sub-streams of
+the root seed, so an adaptive run is exactly reproducible for a given
+seed regardless of where it stops.  Every chunk is traced as one
+``pilot_round`` event.
 
 Censoring
 ---------
@@ -52,7 +64,7 @@ Rare-event methods
 ------------------
 
 At realistic archival operating points almost every trial censors and
-the standard estimators degenerate.  Both loops therefore accept a
+the standard estimators degenerate.  Both estimators therefore accept a
 ``method``:
 
 * ``"standard"`` — plain Monte-Carlo as described above (the default).
@@ -66,7 +78,7 @@ the standard estimators degenerate.  Both loops therefore accept a
   :data:`CENSORED_WARNING_FRACTION` threshold for MTTDL, fewer than
   :data:`AUTO_MIN_LOSSES` observed losses for loss probabilities),
   discard it and switch to ``"is"``; otherwise keep extending the
-  standard run.
+  standard run.  The check is asked once, after the first chunk.
 
 Weighted estimates report a Kish effective sample size
 (``MonteCarloEstimate.effective_sample_size``); an ESS far below the
@@ -78,15 +90,16 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro import obs
 from repro.core.parameters import FaultModel
 from repro.core.redundancy import RedundancyScheme
 from repro.core.units import HOURS_PER_YEAR
-from repro.simulation.batch import simulate_batch
+from repro.simulation.batch import BatchRunResult, simulate_batch
 from repro.simulation.rng import RandomStreams
-from repro.simulation.system import system_from_fault_model
+from repro.simulation.system import RunResult, system_from_fault_model
 
 #: Fraction of censored trials above which a warning is emitted.
 CENSORED_WARNING_FRACTION = 0.2
@@ -301,10 +314,10 @@ def _emit_estimate(
 ) -> MonteCarloEstimate:
     """Record the final estimate as a flight-recorder event.
 
-    Pass-through, so every ``return`` path of the estimation loops can
-    report the resolved method, the sampling diagnostics and the answer
-    itself in one line.  Non-finite means (a lossless MTTDL) are
-    sanitised by the trace writer.
+    Pass-through, so both estimators can report the resolved method,
+    the sampling diagnostics and the answer itself in one line.
+    Non-finite means (a lossless MTTDL) are sanitised by the trace
+    writer.
     """
     tel = obs.current()
     if tel.enabled:
@@ -324,63 +337,219 @@ def _emit_estimate(
     return estimate
 
 
-def _is_loss_tally(
-    model: FaultModel,
-    trials: int,
-    horizon: float,
-    seed: int,
-    replicas: int,
-    audits_per_year: Optional[float],
-    bias: Optional[float],
-    target_relative_error: Optional[float],
-    cap: int,
-    scheme: Optional[RedundancyScheme] = None,
-    estimator: str = "loss_probability",
-):
-    """Run adaptive importance-sampled batch chunks into a tally."""
-    from repro.simulation import rare_event
+@dataclass
+class _Counts:
+    """Unweighted 0/1 losses and time on test: the tally of plain sampling.
 
-    tel = obs.current()
-    if bias is None:
-        bias = rare_event.default_failure_bias(
-            model, replicas, horizon, scheme=scheme
+    Both estimators share it; ``estimator`` picks the relative-error
+    rule (the MTTDL's MLE or the binomial proportion) and the ``auto``
+    pilot check.
+    """
+
+    estimator: str
+    trials: int = 0
+    losses: int = 0
+    total_time: float = 0.0
+
+    def add(self, result: Union[BatchRunResult, List[RunResult]]) -> None:
+        """Tally a batch chunk, or a chunk of event-engine runs.
+
+        Event runs add their end times to the running total one at a
+        time, in trial order, wherever the chunk boundaries fall.
+        """
+        if isinstance(result, BatchRunResult):
+            self.trials += result.trials
+            self.losses += result.losses
+            self.total_time += result.total_observed_time
+            return
+        for run in result:
+            self.total_time += run.end_time
+            if run.lost:
+                self.losses += 1
+        self.trials += len(result)
+
+    @property
+    def relative_error(self) -> float:
+        """Standard error over the mean; ``inf`` before the first loss."""
+        if not self.losses:
+            return math.inf
+        if self.estimator == "mttdl":
+            # The MLE's relative error is exactly 1 / sqrt(losses).
+            return 1.0 / math.sqrt(self.losses)
+        # Binomial relative error given the observed count.
+        return math.sqrt((1.0 - self.losses / self.trials) / self.losses)
+
+    def pilot_round(self) -> Dict[str, object]:
+        return {
+            "losses": self.losses,
+            "relative_error": self.relative_error if self.losses else None,
+        }
+
+    def uninformative(self, target: Optional[float]) -> bool:
+        """Whether an ``auto`` pilot hands over to importance sampling.
+
+        An MTTDL pilot does when it censored past
+        :data:`CENSORED_WARNING_FRACTION` and has not met ``target``
+        anyway; a loss-probability pilot does when it saw fewer than
+        :data:`AUTO_MIN_LOSSES` losses, too few for a meaningful CI.
+        """
+        if self.estimator == "mttdl":
+            censored = (self.trials - self.losses) / self.trials
+            return censored > CENSORED_WARNING_FRACTION and not (
+                target is not None and self.relative_error <= target
+            )
+        return self.losses < AUTO_MIN_LOSSES
+
+    def estimate(self) -> MonteCarloEstimate:
+        """The tallied trials as a loss-probability estimate."""
+        p = self.losses / self.trials
+        return MonteCarloEstimate(
+            mean=p,
+            std_error=math.sqrt(max(p * (1.0 - p), 1e-12) / self.trials),
+            trials=self.trials,
+            # Surviving trials are censored-at-mission-end observations,
+            # so the ``losses`` property stays meaningful for this
+            # estimator.
+            censored=self.trials - self.losses,
+            clamp_hi=1.0,
         )
-    tally = rare_event.WeightedLossTally()
+
+
+def _extend(
+    tally,
+    draw: Callable[[int, int], object],
+    trials: int,
+    cap: int,
+    target: Optional[float],
+    estimator: str,
+    method: str,
+    pilot_fails: Optional[Callable[[object], bool]] = None,
+):
+    """The one adaptive loop: draw chunks into ``tally`` until it meets
+    ``target``.
+
+    ``draw(chunk, n)`` simulates ``n`` trials on chunk ``chunk``'s own
+    stream and returns what ``tally.add`` takes.  Without a target the
+    loop stops after one chunk; with one, it stops once
+    ``tally.relative_error`` reaches it or the tally holds ``cap``
+    trials.  ``pilot_fails(tally)`` is asked once, after the first
+    chunk: when it holds, the pilot is discarded, the escalation is
+    recorded and ``None`` is returned.
+    """
+    tel = obs.current()
     chunk = 0
     while tally.trials < cap:
         if tally.trials and (
-            target_relative_error is None
-            or tally.relative_error <= target_relative_error
+            target is None or tally.relative_error <= target
         ):
             break
-        chunk_trials = min(trials, cap - tally.trials) if tally.trials else trials
-        tally.add(
-            simulate_batch(
-                model,
-                trials=chunk_trials,
-                horizon=horizon,
-                seed=seed,
-                replicas=replicas,
-                audits_per_year=audits_per_year,
-                chunk=chunk,
-                bias=bias,
-                scheme=scheme,
-            )
-        )
+        # The final chunk is clamped so max_trials is a hard cap, not
+        # "the last multiple of trials past the cap".
+        tally.add(draw(chunk, min(trials, cap - tally.trials)))
         chunk += 1
         if tel.enabled:
             tel.event(
                 "pilot_round",
                 data={
                     "estimator": estimator,
-                    "method": "is",
+                    "method": method,
                     "round": chunk,
                     "trials": tally.trials,
-                    "relative_error": tally.relative_error,
-                    "effective_sample_size": tally.ess,
+                    **tally.pilot_round(),
                 },
             )
+        if chunk == 1 and pilot_fails is not None and pilot_fails(tally):
+            if tel.enabled:
+                tel.count("estimator.escalations")
+                tel.event(
+                    "escalation",
+                    data={
+                        "estimator": estimator,
+                        "from": method,
+                        "to": "is",
+                        "pilot_trials": tally.trials,
+                        "pilot_losses": tally.losses,
+                    },
+                )
+            return None
     return tally
+
+
+def _sample(estimator, model, horizon, trials, seed, replicas,
+            audits_per_year, scheme, backend, target, max_trials, method,
+            bias, variance_reduction):
+    """Pick the tally and chunk draw for the settings and run the loop.
+
+    An ``auto`` pilot that fails its check hands over to importance
+    sampling, which starts afresh on the same budget.
+    """
+    cap = adaptive_cap(trials, max_trials)
+    if variance_reduction != "none":
+        from repro.simulation.variance_reduction import (
+            ControlVariateTally,
+            control_variate_draw,
+        )
+
+        draw = control_variate_draw(
+            model, horizon, seed, replicas, audits_per_year, scheme
+        )
+        return _extend(
+            ControlVariateTally(), draw, trials, cap, target, estimator, "cv"
+        )
+    root = RandomStreams(seed=seed)
+
+    def batch(chunk: int, n: int, bias: Optional[float] = None):
+        return simulate_batch(
+            model,
+            trials=n,
+            horizon=horizon,
+            seed=seed,
+            replicas=replicas,
+            audits_per_year=audits_per_year,
+            chunk=chunk,
+            bias=bias,
+            scheme=scheme,
+        )
+
+    def event(chunk: int, n: int):
+        # Only the last chunk is ever clamped, so chunk c starts at
+        # trial c * trials; trial i runs on the root seed's spawn(i).
+        first = chunk * trials
+        return [
+            system_from_fault_model(
+                model,
+                replicas=replicas,
+                streams=root.spawn(trial),
+                audits_per_year=audits_per_year,
+                scheme=scheme,
+            ).run(max_time=horizon)
+            for trial in range(first, first + n)
+        ]
+
+    if method != "is":
+        draw = batch if backend == "batch" else event
+        pilot_fails = (
+            partial(_Counts.uninformative, target=target)
+            if method == "auto"
+            else None
+        )
+        tally = _extend(
+            _Counts(estimator), draw, trials, cap, target, estimator,
+            "standard", pilot_fails,
+        )
+        if tally is not None:
+            return tally
+    from repro.simulation.rare_event import (
+        WeightedLossTally,
+        default_failure_bias,
+    )
+
+    if bias is None:
+        bias = default_failure_bias(model, replicas, horizon, scheme=scheme)
+    return _extend(
+        WeightedLossTally(), partial(batch, bias=bias), trials, cap, target,
+        estimator, "is",
+    )
 
 
 def run_mttdl(
@@ -422,7 +591,7 @@ def run_mttdl(
     inverted the same way.
 
     Raises:
-        ValueError: if trials is not positive, or the
+        ValueError: if trials or max_time is not positive, or the
             backend/method/variance-reduction combination is invalid.
     """
     if trials <= 0:
@@ -435,140 +604,20 @@ def run_mttdl(
         # of the mean time between any faults times a replication
         # safety factor.
         max_time = 1000.0 * model.mean_time_to_visible
+    if max_time <= 0:
+        raise ValueError("max_time must be positive")
+    tally = _sample(
+        "mttdl", model, max_time, trials, seed, replicas, audits_per_year,
+        scheme, backend, target_relative_error, max_trials, method, bias,
+        variance_reduction,
+    )
+    if isinstance(tally, _Counts):
+        estimate = mttdl_mle(tally.total_time, tally.losses, tally.trials)
+    else:
+        from repro.simulation.rare_event import mttdl_from_loss_probability
 
-    if variance_reduction != "none":
-        from repro.simulation import rare_event
-        from repro.simulation.variance_reduction import cv_loss_probability
-
-        estimate = cv_loss_probability(
-            model,
-            max_time,
-            trials,
-            seed,
-            replicas=replicas,
-            audits_per_year=audits_per_year,
-            target_relative_error=target_relative_error,
-            max_trials=max_trials,
-            scheme=scheme,
-        )
-        return _emit_estimate(
-            "mttdl",
-            rare_event.mttdl_from_loss_probability(estimate, max_time),
-        )
-
-    tel = obs.current()
-    cap = adaptive_cap(trials, max_trials)
-    total_time = 0.0
-    losses = 0
-    done = 0
-    chunk = 0
-    root = RandomStreams(seed=seed)
-    use_is = method == "is"
-    while not use_is and done < cap:
-        if done and (
-            target_relative_error is None
-            # The MLE's relative error is exactly 1 / sqrt(losses).
-            or (
-                losses > 0
-                and 1.0 / math.sqrt(losses) <= target_relative_error
-            )
-        ):
-            break
-        # The final adaptive chunk is clamped so max_trials is a hard
-        # cap, not "the last multiple of trials past the cap".
-        chunk_trials = min(trials, cap - done) if done else trials
-        if backend == "batch":
-            result = simulate_batch(
-                model,
-                trials=chunk_trials,
-                horizon=max_time,
-                seed=seed,
-                replicas=replicas,
-                audits_per_year=audits_per_year,
-                chunk=chunk,
-                scheme=scheme,
-            )
-            total_time += result.total_observed_time
-            losses += result.losses
-        else:
-            for trial in range(done, done + chunk_trials):
-                outcome = system_from_fault_model(
-                    model,
-                    replicas=replicas,
-                    streams=root.spawn(trial),
-                    audits_per_year=audits_per_year,
-                    scheme=scheme,
-                ).run(max_time=max_time)
-                total_time += outcome.end_time
-                if outcome.lost:
-                    losses += 1
-        done += chunk_trials
-        chunk += 1
-        if tel.enabled:
-            tel.event(
-                "pilot_round",
-                data={
-                    "estimator": "mttdl",
-                    "method": "standard",
-                    "round": chunk,
-                    "trials": done,
-                    "losses": losses,
-                    # The MLE's relative error is exactly 1/sqrt(losses).
-                    "relative_error": (
-                        1.0 / math.sqrt(losses) if losses else None
-                    ),
-                },
-            )
-        if (
-            method == "auto"
-            and chunk == 1
-            and (done - losses) / done > CENSORED_WARNING_FRACTION
-            and not (
-                target_relative_error is not None
-                and losses > 0
-                and 1.0 / math.sqrt(losses) <= target_relative_error
-            )
-        ):
-            # The *pilot* censored too heavily to be informative (and
-            # did not converge anyway): discard it and restart with
-            # importance sampling.  Later chunks never re-trigger the
-            # switch — adaptive extension is already doing its job.
-            use_is = True
-            if tel.enabled:
-                tel.count("estimator.escalations")
-                tel.event(
-                    "escalation",
-                    data={
-                        "estimator": "mttdl",
-                        "from": "standard",
-                        "to": "is",
-                        "pilot_trials": done,
-                        "pilot_losses": losses,
-                    },
-                )
-    if use_is:
-        from repro.simulation import rare_event
-
-        tally = _is_loss_tally(
-            model,
-            trials=trials,
-            horizon=max_time,
-            seed=seed,
-            replicas=replicas,
-            audits_per_year=audits_per_year,
-            bias=bias,
-            target_relative_error=target_relative_error,
-            cap=cap,
-            scheme=scheme,
-            estimator="mttdl",
-        )
-        return _emit_estimate(
-            "mttdl",
-            rare_event.mttdl_from_loss_probability(
-                tally.loss_estimate(), max_time
-            ),
-        )
-    return _emit_estimate("mttdl", mttdl_mle(total_time, losses, done))
+        estimate = mttdl_from_loss_probability(tally.estimate(), max_time)
+    return _emit_estimate("mttdl", estimate)
 
 
 def run_loss_probability(
@@ -609,127 +658,9 @@ def run_loss_probability(
     check_backend(backend)
     check_method(method)
     check_variance_reduction(variance_reduction, backend, method, bias)
-
-    if variance_reduction != "none":
-        from repro.simulation.variance_reduction import cv_loss_probability
-
-        return _emit_estimate(
-            "loss_probability",
-            cv_loss_probability(
-                model,
-                mission_time,
-                trials,
-                seed,
-                replicas=replicas,
-                audits_per_year=audits_per_year,
-                target_relative_error=target_relative_error,
-                max_trials=max_trials,
-                scheme=scheme,
-            ),
-        )
-
-    tel = obs.current()
-    cap = adaptive_cap(trials, max_trials)
-    losses = 0
-    done = 0
-    chunk = 0
-    root = RandomStreams(seed=seed)
-    use_is = method == "is"
-    while not use_is and done < cap:
-        if done and (
-            target_relative_error is None
-            or (
-                losses > 0
-                and math.sqrt((1.0 - losses / done) / losses)
-                <= target_relative_error
-            )
-        ):
-            break
-        chunk_trials = min(trials, cap - done) if done else trials
-        if backend == "batch":
-            result = simulate_batch(
-                model,
-                trials=chunk_trials,
-                horizon=mission_time,
-                seed=seed,
-                replicas=replicas,
-                audits_per_year=audits_per_year,
-                chunk=chunk,
-                scheme=scheme,
-            )
-            losses += result.losses
-        else:
-            for trial in range(done, done + chunk_trials):
-                outcome = system_from_fault_model(
-                    model,
-                    replicas=replicas,
-                    streams=root.spawn(trial),
-                    audits_per_year=audits_per_year,
-                    scheme=scheme,
-                ).run(max_time=mission_time)
-                if outcome.lost:
-                    losses += 1
-        done += chunk_trials
-        chunk += 1
-        if tel.enabled:
-            tel.event(
-                "pilot_round",
-                data={
-                    "estimator": "loss_probability",
-                    "method": "standard",
-                    "round": chunk,
-                    "trials": done,
-                    "losses": losses,
-                    # Binomial relative error given the observed count.
-                    "relative_error": (
-                        math.sqrt((1.0 - losses / done) / losses)
-                        if losses
-                        else None
-                    ),
-                },
-            )
-        if method == "auto" and losses < AUTO_MIN_LOSSES:
-            # Too few losses for a meaningful CI: discard the pilot and
-            # switch to importance sampling.
-            use_is = True
-            if tel.enabled:
-                tel.count("estimator.escalations")
-                tel.event(
-                    "escalation",
-                    data={
-                        "estimator": "loss_probability",
-                        "from": "standard",
-                        "to": "is",
-                        "pilot_trials": done,
-                        "pilot_losses": losses,
-                    },
-                )
-    if use_is:
-        tally = _is_loss_tally(
-            model,
-            trials=trials,
-            horizon=mission_time,
-            seed=seed,
-            replicas=replicas,
-            audits_per_year=audits_per_year,
-            bias=bias,
-            target_relative_error=target_relative_error,
-            cap=cap,
-            scheme=scheme,
-        )
-        return _emit_estimate("loss_probability", tally.loss_estimate())
-    p = losses / done
-    std_error = math.sqrt(max(p * (1.0 - p), 1e-12) / done)
-    return _emit_estimate(
-        "loss_probability",
-        MonteCarloEstimate(
-            mean=p,
-            std_error=std_error,
-            trials=done,
-            # Surviving trials are censored-at-mission-end observations,
-            # so the ``losses`` property stays meaningful for this
-            # estimator.
-            censored=done - losses,
-            clamp_hi=1.0,
-        ),
+    tally = _sample(
+        "loss_probability", model, mission_time, trials, seed, replicas,
+        audits_per_year, scheme, backend, target_relative_error, max_trials,
+        method, bias, variance_reduction,
     )
+    return _emit_estimate("loss_probability", tally.estimate())

@@ -4,7 +4,7 @@
 caused each simulated loss (experiment E10, the paper's Figure 2), and
 :func:`run_single_trace` records one traced trajectory (experiment E9).
 MTTDL and mission loss-probability estimates come from
-:func:`repro.study.run` or the estimation loops in
+:func:`repro.study.run` or the estimators in
 :mod:`repro.simulation.estimators`.
 """
 

@@ -15,15 +15,16 @@ effective-sample-size reporting; :func:`default_failure_bias` picks an
 acceleration factor that lands the *biased* loss probability in the
 comfortably-observable range.
 
-The estimation loops in :mod:`repro.simulation.estimators` drive it
-(``method="is" | "auto"``).
+The one adaptive loop in :mod:`repro.simulation.estimators` fills the
+tally chunk by chunk (``method="is" | "auto"``), and
+:func:`mttdl_from_loss_probability` turns its answer into an MTTDL.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -116,21 +117,6 @@ def default_failure_bias(
     )
 
 
-def effective_sample_size(weights: np.ndarray) -> float:
-    """Kish effective sample size ``(Σw)² / Σw²`` of a weight vector.
-
-    Zero for an empty (or all-zero) vector.  For unit weights this is
-    the sample count; a value far below the number of contributing
-    trials signals weight degeneracy — the estimate is dominated by a
-    few heavy paths and its CI should not be trusted.
-    """
-    total = float(np.sum(weights))
-    square = float(np.sum(np.square(weights)))
-    if square <= 0.0:
-        return 0.0
-    return total * total / square
-
-
 @dataclass
 class WeightedLossTally:
     """Accumulates importance-weighted loss indicators across chunks.
@@ -138,8 +124,8 @@ class WeightedLossTally:
     Per trial the estimator's summand is ``x = w · 1{lost}``; the tally
     keeps the running moments needed for the unbiased mean, its
     standard error, and the effective sample size of the loss weights,
-    so adaptive sampling can extend a run chunk by chunk without
-    holding per-trial arrays.
+    so the estimators' adaptive loop can extend a run chunk by chunk
+    without holding per-trial arrays.
     """
 
     trials: int = 0
@@ -153,21 +139,6 @@ class WeightedLossTally:
         self.losses += result.losses
         self.sum_x += float(loss_weights.sum())
         self.sum_x_sq += float(np.square(loss_weights).sum())
-
-    def merge(self, other: "WeightedLossTally") -> "WeightedLossTally":
-        """Combine two tallies accumulated over disjoint trials.
-
-        Every field is a plain sum, so merging is associative and
-        commutative and the merged estimate equals the one a single
-        tally over all trials would produce — the property that lets
-        parallel workers tally their own chunks and reduce in any order.
-        """
-        return WeightedLossTally(
-            trials=self.trials + other.trials,
-            losses=self.losses + other.losses,
-            sum_x=self.sum_x + other.sum_x,
-            sum_x_sq=self.sum_x_sq + other.sum_x_sq,
-        )
 
     @property
     def mean(self) -> float:
@@ -193,12 +164,23 @@ class WeightedLossTally:
 
     @property
     def ess(self) -> float:
-        """Effective sample size of the loss-contributing weights."""
+        """Kish effective sample size ``(Σx)² / Σx²`` of the loss weights.
+
+        Zero before the first loss.  A value far below the loss count
+        signals weight degeneracy: a few heavy paths dominate the
+        estimate, and its CI should not be trusted.
+        """
         if self.sum_x_sq <= 0.0:
             return 0.0
         return self.sum_x * self.sum_x / self.sum_x_sq
 
-    def loss_estimate(self) -> MonteCarloEstimate:
+    def pilot_round(self) -> Dict[str, object]:
+        return {
+            "relative_error": self.relative_error,
+            "effective_sample_size": self.ess,
+        }
+
+    def estimate(self) -> MonteCarloEstimate:
         """The tallied trials as a loss-probability estimate."""
         return MonteCarloEstimate(
             mean=self.mean,

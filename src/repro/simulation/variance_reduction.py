@@ -8,6 +8,13 @@ quantity as ``method="standard"`` — the mission loss probability under
 the batch kernel's physics — but reaches a given confidence interval in
 orders of magnitude fewer trials.
 
+This module supplies the estimator's tally
+(:class:`ControlVariateTally`) and chunk draw
+(:func:`control_variate_draw`).  The one adaptive loop of
+:mod:`repro.simulation.estimators` runs them, so a ``"cv"`` run stops,
+caps its budget and traces one ``pilot_round`` per chunk like every
+other estimate.
+
 Control variates / conditional Monte-Carlo (``"cv"``)
 -----------------------------------------------------
 
@@ -54,7 +61,8 @@ thresholds at extreme reliability levels.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -65,7 +73,7 @@ from repro.core.redundancy import RedundancyScheme, resolve_scheme
 # stays importable from here because ``perfbench/tracing.py`` wraps the
 # ``simulate_batch`` attribute of every estimator module.
 from repro.simulation.batch import simulate_batch  # noqa: F401
-from repro.simulation.estimators import MonteCarloEstimate, adaptive_cap
+from repro.simulation.estimators import MonteCarloEstimate
 from repro.simulation.rng import control_variate_generator
 from repro.simulation.scrubbing import (
     audit_detection_time,
@@ -139,73 +147,81 @@ def _skeleton_log_survival(
     return -exposure
 
 
-def cv_loss_probability(
+@dataclass
+class ControlVariateTally:
+    """Per-trial conditional loss probabilities ``C_i``, chunk by chunk.
+
+    The estimate is their sample mean, with the sample standard error.
+    "Censored" trials are those that never opened a window of
+    vulnerability: their score is exactly zero, so the estimate's
+    ``losses`` property counts the informative trials.
+    """
+
+    trials: int = 0
+    windowed: int = 0
+    total: float = 0.0
+    total_sq: float = 0.0
+
+    def add(self, scores: np.ndarray) -> None:
+        self.trials += scores.size
+        self.windowed += int(np.count_nonzero(scores > 0.0))
+        self.total += float(scores.sum())
+        self.total_sq += float(np.square(scores).sum())
+
+    @property
+    def std_error(self) -> float:
+        if self.trials < 2:
+            return math.inf
+        mean = self.total / self.trials
+        variance = max(self.total_sq / self.trials - mean * mean, 0.0) * (
+            self.trials / (self.trials - 1.0)
+        )
+        return math.sqrt(variance / self.trials)
+
+    @property
+    def relative_error(self) -> float:
+        """Standard error over the mean; ``inf`` while every score is 0."""
+        mean = self.total / self.trials
+        return self.std_error / mean if mean > 0.0 else math.inf
+
+    def pilot_round(self) -> Dict[str, object]:
+        return {"relative_error": self.relative_error}
+
+    def estimate(self) -> MonteCarloEstimate:
+        return MonteCarloEstimate(
+            mean=self.total / self.trials,
+            std_error=self.std_error,
+            trials=self.trials,
+            censored=self.trials - self.windowed,
+            clamp_hi=1.0,
+            method="cv",
+        )
+
+
+def control_variate_draw(
     model: FaultModel,
-    mission_time: float,
-    trials: int,
+    horizon: float,
     seed: int,
-    replicas: int = 2,
-    audits_per_year: Optional[float] = None,
-    target_relative_error: Optional[float] = None,
-    max_trials: Optional[int] = None,
-    scheme: Optional[RedundancyScheme] = None,
-) -> MonteCarloEstimate:
-    """Conditional Monte-Carlo loss-probability estimate (``"cv"``)."""
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    if mission_time <= 0:
-        raise ValueError("mission_time must be positive")
+    replicas: int,
+    audits_per_year: Optional[float],
+    scheme: Optional[RedundancyScheme],
+) -> Callable[[int, int], np.ndarray]:
+    """Chunks of conditional scores ``C_i = 1 - exp(-Λ_i)``.
+
+    Chunk ``c`` runs the skeleton on ``control_variate_generator(seed,
+    c)``, a stream no batch chunk of the same seed shares.
+
+    Raises:
+        ValueError: unless the scheme's loss threshold is 2.
+    """
     resolved = require_threshold_two(scheme, replicas)
 
-    cap = adaptive_cap(trials, max_trials)
-    done = 0
-    windowed = 0
-    total = 0.0
-    total_sq = 0.0
-    chunk = 0
-    while done < cap:
-        if done:
-            mean_so_far = total / done
-            if mean_so_far > 0.0 and done > 1:
-                variance = max(
-                    total_sq / done - mean_so_far * mean_so_far, 0.0
-                ) * (done / (done - 1.0))
-                relative = math.sqrt(variance / done) / mean_so_far
-                if (
-                    target_relative_error is None
-                    or relative <= target_relative_error
-                ):
-                    break
-            elif target_relative_error is None:
-                break
-        chunk_trials = min(trials, cap - done) if done else trials
+    def draw(chunk: int, trials: int) -> np.ndarray:
         rng = control_variate_generator(seed, chunk)
-        log_survival = _skeleton_log_survival(
-            model, chunk_trials, mission_time, rng, resolved, audits_per_year
+        return -np.expm1(
+            _skeleton_log_survival(
+                model, trials, horizon, rng, resolved, audits_per_year
+            )
         )
-        scores = -np.expm1(log_survival)
-        windowed += int(np.count_nonzero(scores > 0.0))
-        total += float(scores.sum())
-        total_sq += float(np.square(scores).sum())
-        done += chunk_trials
-        chunk += 1
 
-    mean = total / done
-    if done > 1:
-        variance = max(total_sq / done - mean * mean, 0.0) * (
-            done / (done - 1.0)
-        )
-        std_error = math.sqrt(variance / done)
-    else:
-        std_error = math.inf
-    return MonteCarloEstimate(
-        mean=mean,
-        std_error=std_error,
-        trials=done,
-        # "Censored" here means the trial never even opened a window of
-        # vulnerability — its conditional score is exactly zero, so the
-        # ``losses`` property counts the informative trials.
-        censored=done - windowed,
-        clamp_hi=1.0,
-        method="cv",
-    )
+    return draw

@@ -23,8 +23,8 @@ Scenarios cover five question kinds (``mttdl``, ``loss_probability``,
 ``fleet``); both the scenario and the result JSON-roundtrip, tolerate
 unknown fields, and carry content hashes compatible with the
 optimize/fleet result caches.  Every question comes through
-:func:`run`, which dispatches simulated point estimates to the
-estimation loops (:func:`~repro.simulation.estimators.run_mttdl`,
+:func:`run`, which dispatches simulated point estimates and sweep
+points to the estimators (:func:`~repro.simulation.estimators.run_mttdl`,
 :func:`~repro.simulation.estimators.run_loss_probability`); the
 ``event`` engine runs the event-driven simulator of the same fault
 model the ``batch`` kernel runs.

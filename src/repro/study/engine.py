@@ -4,12 +4,13 @@ One entry point answers every question kind by routing a declarative
 :class:`~repro.study.scenario.Scenario` to the right machinery:
 
 * point estimates (``mttdl`` / ``loss_probability``) — the closed
-  forms, the exact Markov chain, or the shared Monte-Carlo loops in
-  :mod:`repro.simulation.estimators` (which own the
-  pilot → censoring-check → rare-event escalation that used to be
-  duplicated across front ends);
+  forms, the exact Markov chain, or the one Monte-Carlo loop in
+  :mod:`repro.simulation.estimators` (which owns the
+  pilot → censoring-check → rare-event escalation);
 * ``sweep`` — the analytic sweeps of :mod:`repro.analysis.sweep` or
-  their simulation-backed counterparts;
+  their simulation-backed counterparts.  A simulated point or sweep
+  point reaches the estimators through one call site that passes the
+  whole policy;
 * ``frontier`` — the budget planner
   (:func:`repro.optimize.runner.optimize` + ``recommend``);
 * ``fleet_survival`` — the chunked fleet simulator
@@ -51,6 +52,7 @@ from repro.analysis.sweep import (
     sweep_parameter,
 )
 from repro.core.mttdl import mirrored_mttdl
+from repro.core.parameters import FaultModel
 from repro.core.replication import replicated_mttdl
 from repro.core.probability import probability_of_loss
 from repro.core.sensitivity import PARAMETER_FIELDS
@@ -209,7 +211,6 @@ def _run_point_estimate(scenario: Scenario) -> StudyResult:
     spec = scenario.system
     policy = scenario.policy
     question = scenario.question
-    mission_hours = years_to_hours(scenario.mission_years)
 
     if policy.engine == "analytic":
         mttdl_hours, convention = _analytic_mttdl_hours(scenario)
@@ -243,40 +244,11 @@ def _run_point_estimate(scenario: Scenario) -> StudyResult:
             },
         )
     with tel.span("kernel"):
-        if question == "mttdl":
-            estimate = run_mttdl(
-                model=spec.model,
-                trials=policy.trials,
-                seed=policy.seed,
-                max_time=scenario.max_time_hours,
-                replicas=spec.replicas,
-                audits_per_year=spec.audits_per_year,
-                scheme=spec.scheme,
-                backend=backend,
-                target_relative_error=policy.target_relative_error,
-                max_trials=policy.max_trials,
-                method=method,
-                bias=policy.bias,
-                variance_reduction=policy.variance_reduction,
-            )
-            units = "hours"
-        else:
-            estimate = run_loss_probability(
-                model=spec.model,
-                mission_time=mission_hours,
-                trials=policy.trials,
-                seed=policy.seed,
-                replicas=spec.replicas,
-                audits_per_year=spec.audits_per_year,
-                scheme=spec.scheme,
-                backend=backend,
-                target_relative_error=policy.target_relative_error,
-                max_trials=policy.max_trials,
-                method=method,
-                bias=policy.bias,
-                variance_reduction=policy.variance_reduction,
-            )
-            units = "probability"
+        estimate = _simulate(
+            scenario, question, spec.model, backend, method,
+            spec.audits_per_year,
+        )
+        units = "hours" if question == "mttdl" else "probability"
     with tel.span("merge"):
         details: Dict[str, object] = {}
         if (
@@ -289,6 +261,39 @@ def _run_point_estimate(scenario: Scenario) -> StudyResult:
         return StudyResult.from_estimate(
             question, policy.engine, estimate, units, details
         )
+
+
+def _simulate(
+    scenario: Scenario,
+    question: str,
+    model: FaultModel,
+    backend: str,
+    method: str,
+    audits_per_year: Optional[float],
+) -> MonteCarloEstimate:
+    """One simulated answer of ``question`` about ``model`` under the
+    scenario's whole policy: the engine's only estimator call."""
+    system = scenario.system
+    policy = scenario.policy
+    settings = dict(
+        model=model,
+        trials=policy.trials,
+        seed=policy.seed,
+        replicas=system.replicas,
+        audits_per_year=audits_per_year,
+        scheme=system.scheme,
+        backend=backend,
+        target_relative_error=policy.target_relative_error,
+        max_trials=policy.max_trials,
+        method=method,
+        bias=policy.bias,
+        variance_reduction=policy.variance_reduction,
+    )
+    if question == "mttdl":
+        return run_mttdl(max_time=scenario.max_time_hours, **settings)
+    return run_loss_probability(
+        mission_time=years_to_hours(scenario.mission_years), **settings
+    )
 
 
 def _deterministic_result(
@@ -435,6 +440,8 @@ def _run_sweep(scenario: Scenario) -> StudyResult:
         "values": result.values,
         "metrics": result.metrics,
     }
+    if policy.variance_reduction != "none":
+        method = policy.variance_reduction
     return _sweep_result(
         scenario, method, details, trials=trials, censored=censored
     )
@@ -443,7 +450,7 @@ def _run_sweep(scenario: Scenario) -> StudyResult:
 def _simulated_sweep(
     scenario: Scenario, backend: str, method: str
 ) -> tuple:
-    """The simulation-backed sweep loops.
+    """The simulation-backed sweep: one estimate per point.
 
     Every point reuses the policy's root seed, so points reuse the same
     underlying trial streams (common random numbers).  That reduces the
@@ -456,101 +463,53 @@ def _simulated_sweep(
     """
     spec = scenario.sweep
     system = scenario.system
-    policy = scenario.policy
-    simulated: List[float] = []
-    errors: List[float] = []
-    analytic: List[float] = []
-    total_trials = 0
-    total_censored = 0
-
     if spec.parameter == "audits_per_year":
         if spec.metric != "mttdl":
             raise ValueError(
                 "audit-rate sweeps report the MTTDL metric; sweep a model "
                 "parameter for loss probabilities"
             )
-        rates = [float(rate) for rate in spec.values]
-        analytic_sweep = sweep_audit_rate(system.model, rates)
-        for rate in rates:
-            estimate = run_mttdl(
-                model=system.model,
-                trials=policy.trials,
-                seed=policy.seed,
-                max_time=scenario.max_time_hours,
-                replicas=system.replicas,
-                audits_per_year=rate,
-                scheme=system.scheme,
-                backend=backend,
-                target_relative_error=policy.target_relative_error,
-                max_trials=policy.max_trials,
-                method=method,
-                bias=policy.bias,
-            )
-            simulated.append(estimate.mean)
-            errors.append(estimate.std_error)
-            total_trials += estimate.trials
-            total_censored += estimate.censored
-        result = SweepResult(
-            parameter="audits_per_year",
-            values=rates,
-            metrics={
-                "sim_mttdl_hours": simulated,
-                "sim_std_error": errors,
-                "mttdl_hours": analytic_sweep.metric("mttdl_hours"),
-            },
-        )
-        return result, total_trials, total_censored
-
-    field_name = PARAMETER_FIELDS[spec.parameter]
-    for value in spec.values:
-        modified = replace(system.model, **{field_name: value})
-        if spec.metric == "mttdl":
-            estimate = run_mttdl(
-                model=modified,
-                trials=policy.trials,
-                seed=policy.seed,
-                max_time=scenario.max_time_hours,
-                replicas=system.replicas,
-                audits_per_year=system.audits_per_year,
-                scheme=system.scheme,
-                backend=backend,
-                target_relative_error=policy.target_relative_error,
-                max_trials=policy.max_trials,
-                method=method,
-                bias=policy.bias,
-            )
-            if system.replicas == 2 and system.effective_scheme().is_replication:
-                analytic.append(
-                    mirrored_mttdl(
-                        audit_adjusted_model(modified, system.audits_per_year)
-                    )
-                )
-        else:
-            estimate = run_loss_probability(
-                model=modified,
-                mission_time=scenario.mission_years * HOURS_PER_YEAR,
-                trials=policy.trials,
-                seed=policy.seed,
-                replicas=system.replicas,
-                audits_per_year=system.audits_per_year,
-                scheme=system.scheme,
-                backend=backend,
-                target_relative_error=policy.target_relative_error,
-                max_trials=policy.max_trials,
-                method=method,
-                bias=policy.bias,
-            )
-        simulated.append(estimate.mean)
-        errors.append(estimate.std_error)
-        total_trials += estimate.trials
-        total_censored += estimate.censored
-    metrics = {f"sim_{spec.metric}": simulated, "sim_std_error": errors}
+        values = [float(rate) for rate in spec.values]
+        points = [(system.model, rate) for rate in values]
+        name = "sim_mttdl_hours"
+        analytic = sweep_audit_rate(system.model, values).metric("mttdl_hours")
+    else:
+        field_name = PARAMETER_FIELDS[spec.parameter]
+        values = list(spec.values)
+        points = [
+            (replace(system.model, **{field_name: value}),
+             system.audits_per_year)
+            for value in values
+        ]
+        name = f"sim_{spec.metric}"
+        analytic = []
+        if (
+            spec.metric == "mttdl"
+            and system.replicas == 2
+            and system.effective_scheme().is_replication
+        ):
+            analytic = [
+                mirrored_mttdl(audit_adjusted_model(model, rate))
+                for model, rate in points
+            ]
+    estimates = [
+        _simulate(scenario, spec.metric, model, backend, method, rate)
+        for model, rate in points
+    ]
+    metrics = {
+        name: [estimate.mean for estimate in estimates],
+        "sim_std_error": [estimate.std_error for estimate in estimates],
+    }
     if analytic:
         metrics["mttdl_hours"] = analytic
     result = SweepResult(
-        parameter=spec.parameter, values=list(spec.values), metrics=metrics
+        parameter=spec.parameter, values=values, metrics=metrics
     )
-    return result, total_trials, total_censored
+    return (
+        result,
+        sum(estimate.trials for estimate in estimates),
+        sum(estimate.censored for estimate in estimates),
+    )
 
 
 def _sweep_result(

@@ -29,12 +29,17 @@ from repro.core.parameters import (
     json_required,
     json_string,
 )
-from repro.core.redundancy import RedundancyScheme
+from repro.core.redundancy import RedundancyScheme, parse_scheme
 from repro.core.sensitivity import PARAMETER_FIELDS
 from repro.fleet.runner import DEFAULT_CHUNK_SIZE
 from repro.fleet.timeline import FleetTimeline, _json_items, _json_object
 from repro.optimize.evaluate import DEFAULT_SCREEN_SLACK
-from repro.optimize.space import DesignSpace
+from repro.optimize.space import (
+    PLACEMENTS,
+    DesignSpace,
+    known_media,
+    resolve_medium,
+)
 from repro.simulation.estimators import VARIANCE_REDUCTIONS
 from repro.store import content_key
 
@@ -64,7 +69,7 @@ ENGINES: Tuple[str, ...] = (
 )
 
 #: Engines that resolve to a (backend, method) pair of the shared
-#: Monte-Carlo loops in :mod:`repro.simulation.estimators`.
+#: Monte-Carlo estimators in :mod:`repro.simulation.estimators`.
 _ENGINE_BACKEND_METHOD: Dict[str, Tuple[str, str]] = {
     "auto": ("batch", "auto"),
     "batch": ("batch", "standard"),
@@ -80,16 +85,23 @@ SWEEP_ENGINES: Tuple[str, ...] = ("auto", "analytic", "batch", "event", "is")
 #: :class:`~repro.optimize.evaluate.EvaluationSettings`).
 FRONTIER_ENGINES: Tuple[str, ...] = ("auto", "analytic", "batch", "event", "is")
 
-#: Sweepable parameters beyond the FaultModel fields.
-_EXTRA_SWEEP_PARAMETERS: Tuple[str, ...] = ("audits_per_year", "replicas")
+#: Sweepable parameters: the FaultModel fields, ``audits_per_year`` and
+#: ``replicas``.
+SWEEP_PARAMETERS: Tuple[str, ...] = tuple(sorted(PARAMETER_FIELDS)) + (
+    "audits_per_year",
+    "replicas",
+)
+
+#: Metrics a sweep reports.
+SWEEP_METRICS: Tuple[str, ...] = ("mttdl", "loss_probability")
 
 
 def engine_for(backend: str, method: str) -> Optional[str]:
     """Map a ``(backend, method)`` pair (the CLI's flags) onto an engine.
 
     Returns ``None`` for combinations the single-axis engine vocabulary
-    does not encode (including invalid values — the shared estimator
-    loops own the canonical error for those).
+    does not encode (including invalid values — the shared estimators
+    own the canonical error for those).
     """
     if method == "is":
         return "is" if backend in ("event", "batch") else None
@@ -139,20 +151,48 @@ def _section(
     return None if value is None else _json_object(value, path or key) or None
 
 
+def _medium(value: object, path: str) -> str:
+    """A catalog medium identifier (see
+    :func:`~repro.optimize.space.resolve_medium`), or a ``ValueError``
+    naming ``path`` and the known media."""
+    text = json_string(value, path)
+    try:
+        resolve_medium(text)
+    except KeyError:
+        raise ValueError(
+            f"'{path}' must be one of {known_media()}, not {text!r}"
+        ) from None
+    return text
+
+
+def _scheme_text(value: object, path: str) -> str:
+    """An ``"n,k"`` (or ``"r"``) scheme string, or a ``ValueError``
+    naming ``path``."""
+    text = json_string(value, path)
+    try:
+        parse_scheme(text)
+    except ValueError as exc:
+        raise ValueError(f"'{path}': {exc}") from None
+    return text
+
+
 def _space_from_dict(payload: Dict[str, object]) -> DesignSpace:
     def items(key: str, read, default=None) -> tuple:
         return _json_items(payload, key, f"space.{key}", read, default)
 
     return DesignSpace(
         dataset_tb=json_number(payload.get("dataset_tb"), "space.dataset_tb"),
-        media=items("media", json_string),
+        media=items("media", _medium),
         replica_counts=items("replica_counts", json_integer),
         audit_rates=items("audit_rates", json_number),
-        placements=items("placements", json_string),
+        placements=items(
+            "placements",
+            lambda value, path: _json_choice(value, path, PLACEMENTS),
+        ),
         site_cost_per_year=json_number(
             payload.get("site_cost_per_year", 0.0), "space.site_cost_per_year"
         ),
-        erasure_schemes=items("erasure_schemes", json_string, []),
+        erasure_schemes=items("erasure_schemes", _scheme_text, []),
     )
 
 
@@ -248,21 +288,10 @@ class SweepSpec:
     correlation_factors: Tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if (
-            self.parameter not in PARAMETER_FIELDS
-            and self.parameter not in _EXTRA_SWEEP_PARAMETERS
-        ):
-            raise ValueError(
-                f"unknown sweep parameter {self.parameter!r}; expected one "
-                f"of {sorted(PARAMETER_FIELDS) + list(_EXTRA_SWEEP_PARAMETERS)}"
-            )
+        _json_choice(self.parameter, "sweep.parameter", SWEEP_PARAMETERS)
         if not self.values:
             raise ValueError("sweep values must not be empty")
-        if self.metric not in ("mttdl", "loss_probability"):
-            raise ValueError(
-                f"unknown metric {self.metric!r}; expected 'mttdl' or "
-                "'loss_probability'"
-            )
+        _json_choice(self.metric, "sweep.metric", SWEEP_METRICS)
         if self.parameter == "replicas" and not self.correlation_factors:
             object.__setattr__(self, "correlation_factors", (1.0,))
 
@@ -339,7 +368,7 @@ class EstimatorPolicy:
             raise ValueError("target_relative_error must be positive")
         # Membership is validated here; the full compatibility rules
         # (batch backend, standard method, no bias) live with the shared
-        # estimator loops, which also own the canonical error messages.
+        # estimators, which also own the canonical error messages.
         if self.variance_reduction not in VARIANCE_REDUCTIONS:
             raise ValueError(
                 f"unknown variance_reduction {self.variance_reduction!r}; "
@@ -483,6 +512,12 @@ class Scenario:
                 raise ValueError(
                     f"engine {engine!r} cannot search frontiers; expected "
                     f"one of {FRONTIER_ENGINES}"
+                )
+            if self.policy.variance_reduction != "none":
+                raise ValueError(
+                    "'policy.variance_reduction' must be 'none' for "
+                    "frontier questions: the planner's refinements do not "
+                    "take one"
                 )
         elif self.question == "fleet_survival":
             if self.timeline is None:

@@ -325,11 +325,13 @@ def test_malformed_timeline_field_is_a_400_naming_its_path(path, value):
 
 def scenario_with(path, value):
     """A valid scenario holding the field at ``path`` (a frontier
-    question for ``space.*``, a sweep for ``sweep.*``, an erasure code
-    for ``system.scheme.*``), with that field set to ``value``."""
+    question with one erasure scheme for ``space.*``, a sweep for
+    ``sweep.*``, an erasure code for ``system.scheme.*``), with that
+    field set to ``value``."""
     payload = scenario_dict()
     if path.startswith("space."):
-        payload.update(question="frontier", space=DesignSpace().as_dict())
+        space = DesignSpace(erasure_schemes=("6,4",))
+        payload.update(question="frontier", space=space.as_dict())
     elif path.startswith("sweep."):
         payload.update(
             question="sweep",
@@ -367,6 +369,12 @@ def scenario_with(path, value):
         ("policy.engine", 7),
         ("policy.engine", "warp"),
         ("policy.variance_reduction", 5),
+        # Unknown enumerated values used to fail naming no field.
+        ("sweep.metric", "foo"),
+        ("sweep.parameter", "XX"),
+        ("space.media[0]", "drive:nope"),
+        ("space.placements[0]", "nowhere"),
+        ("space.erasure_schemes[0]", "6;4"),
     ],
 )
 def test_malformed_number_is_a_400_naming_its_path(path, value):
@@ -394,6 +402,16 @@ def test_removed_variance_reduction_is_a_400():
     response = post_query(payload)
     assert response.startswith(b"HTTP/1.1 400 ")
     assert b"variance_reduction" in response
+
+
+def test_frontier_variance_reduction_is_a_400():
+    payload = scenario_dict()
+    payload.update(question="frontier", space=DesignSpace().as_dict())
+    payload["policy"]["variance_reduction"] = "cv"
+    response = post_query(payload)
+    assert response.startswith(b"HTTP/1.1 400 ")
+    error = json.loads(response.partition(b"\r\n\r\n")[2])["error"]
+    assert "'policy.variance_reduction'" in error
 
 
 def test_removed_splitting_engine_is_a_400():

@@ -25,7 +25,6 @@ from repro.simulation.rare_event import (
     WeightedLossTally,
     analytic_loss_rate,
     default_failure_bias,
-    effective_sample_size,
     mttdl_from_loss_probability,
 )
 
@@ -92,18 +91,6 @@ class TestDefaultFailureBias:
     def test_triple_replication_bias_is_within_bounds(self):
         bias = default_failure_bias(paper_rare_model(), 3, MISSION)
         assert 1.0 < bias <= 1e4
-
-
-class TestEffectiveSampleSize:
-    def test_unit_weights(self):
-        assert effective_sample_size(np.ones(50)) == pytest.approx(50.0)
-
-    def test_degenerate_weights(self):
-        weights = np.array([1e9] + [1.0] * 99)
-        assert effective_sample_size(weights) == pytest.approx(1.0, rel=1e-6)
-
-    def test_empty(self):
-        assert effective_sample_size(np.array([])) == 0.0
 
 
 class TestImportanceWeights:
@@ -275,6 +262,15 @@ class TestWeightedLossTally:
     def test_empty_tally_is_unconverged(self):
         tally = WeightedLossTally()
         assert tally.relative_error == math.inf
+        assert tally.ess == 0.0
+
+    def test_one_heavy_path_collapses_the_ess(self):
+        # 100 losses, one weighing 1e9 and 99 weighing 1: Kish's ESS is
+        # ~1, far below the loss count.
+        tally = WeightedLossTally(
+            trials=1000, losses=100, sum_x=1e9 + 99.0, sum_x_sq=1e18 + 99.0
+        )
+        assert tally.ess == pytest.approx(1.0, rel=1e-6)
 
 
 class TestMttdlInversion:
@@ -348,80 +344,3 @@ class TestAutoMethod:
         )
         assert estimate.method == "is"
         assert math.isfinite(estimate.mean)
-
-
-class TestWeightedLossTallyMerge:
-    """merge() must behave exactly like tallying all chunks in one pass."""
-
-    def chunks(self, count=3):
-        return [
-            simulate_batch(
-                paper_moderate_model(),
-                trials=400,
-                horizon=MISSION,
-                seed=4,
-                chunk=index,
-                bias=8.0,
-            )
-            for index in range(count)
-        ]
-
-    def test_merge_equals_streaming_add(self):
-        chunks = self.chunks()
-        streamed = WeightedLossTally()
-        for chunk in chunks:
-            streamed.add(chunk)
-        parts = []
-        for chunk in chunks:
-            tally = WeightedLossTally()
-            tally.add(chunk)
-            parts.append(tally)
-        merged = parts[0].merge(parts[1]).merge(parts[2])
-        assert merged.trials == streamed.trials
-        assert merged.losses == streamed.losses
-        assert merged.sum_x == pytest.approx(streamed.sum_x)
-        assert merged.sum_x_sq == pytest.approx(streamed.sum_x_sq)
-        assert merged.mean == pytest.approx(streamed.mean)
-        assert merged.std_error == pytest.approx(streamed.std_error)
-
-    def test_merge_is_commutative(self):
-        chunks = self.chunks(2)
-        a, b = WeightedLossTally(), WeightedLossTally()
-        a.add(chunks[0])
-        b.add(chunks[1])
-        ab, ba = a.merge(b), b.merge(a)
-        assert ab.trials == ba.trials
-        assert ab.losses == ba.losses
-        assert ab.sum_x == pytest.approx(ba.sum_x)
-        assert ab.sum_x_sq == pytest.approx(ba.sum_x_sq)
-
-    def test_merge_is_associative(self):
-        parts = []
-        for chunk in self.chunks():
-            tally = WeightedLossTally()
-            tally.add(chunk)
-            parts.append(tally)
-        a, b, c = parts
-        left = a.merge(b).merge(c)
-        right = a.merge(b.merge(c))
-        assert left.trials == right.trials
-        assert left.losses == right.losses
-        assert left.sum_x == pytest.approx(right.sum_x)
-        assert left.sum_x_sq == pytest.approx(right.sum_x_sq)
-
-    def test_merge_does_not_mutate_operands(self):
-        chunks = self.chunks(2)
-        a, b = WeightedLossTally(), WeightedLossTally()
-        a.add(chunks[0])
-        b.add(chunks[1])
-        before = (a.trials, a.losses, a.sum_x, a.sum_x_sq)
-        a.merge(b)
-        assert (a.trials, a.losses, a.sum_x, a.sum_x_sq) == before
-
-    def test_merge_with_empty_is_identity(self):
-        tally = WeightedLossTally()
-        tally.add(self.chunks(1)[0])
-        merged = tally.merge(WeightedLossTally())
-        assert merged.trials == tally.trials
-        assert merged.mean == pytest.approx(tally.mean)
-        assert merged.ess == pytest.approx(tally.ess)

@@ -9,11 +9,14 @@ the Monte-Carlo noise).  It is validated over multiple seeds, plus the
 estimator-axis plumbing and validation rules.
 """
 
+import io
+import json
 import math
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.parameters import FaultModel
 from repro.core.redundancy import ErasureCode
 from repro.core.units import HOURS_PER_YEAR
@@ -24,10 +27,7 @@ from repro.simulation.estimators import (
     run_loss_probability,
     run_mttdl,
 )
-from repro.simulation.variance_reduction import (
-    cv_loss_probability,
-    require_threshold_two,
-)
+from repro.simulation.variance_reduction import require_threshold_two
 
 #: Daily-scrubbed Cheetah mirrored pair: the high-reliability regime
 #: where variance reduction matters and the kernel agrees with the
@@ -52,8 +52,9 @@ def exact_loss():
 class TestControlVariate:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_covers_exact_markov_value(self, exact_loss, seed):
-        estimate = cv_loss_probability(
-            RARE_MODEL, mission_time=MISSION, trials=10_000, seed=seed
+        estimate = run_loss_probability(
+            RARE_MODEL, mission_time=MISSION, trials=10_000, seed=seed,
+            variance_reduction="cv",
         )
         assert estimate.method == "cv"
         assert estimate.std_error > 0
@@ -63,26 +64,31 @@ class TestControlVariate:
         # At this operating point the binomial estimator needs ~600k
         # trials for a 10% relative error; the control variate is
         # already an order of magnitude tighter at 2,000.
-        estimate = cv_loss_probability(
-            RARE_MODEL, mission_time=MISSION, trials=2000, seed=7
+        estimate = run_loss_probability(
+            RARE_MODEL, mission_time=MISSION, trials=2000, seed=7,
+            variance_reduction="cv",
         )
         assert estimate.relative_error < 0.05
 
     def test_adaptive_target_reached(self):
-        estimate = cv_loss_probability(
+        estimate = run_loss_probability(
             RARE_MODEL,
             mission_time=MISSION,
             trials=500,
             seed=3,
             target_relative_error=0.02,
             max_trials=64_000,
+            variance_reduction="cv",
         )
         assert estimate.std_error <= 0.02 * estimate.mean
         assert estimate.trials <= 64_000
 
     def test_deterministic_in_seed(self):
-        a = cv_loss_probability(RARE_MODEL, mission_time=MISSION, trials=2000, seed=5)
-        b = cv_loss_probability(RARE_MODEL, mission_time=MISSION, trials=2000, seed=5)
+        settings = dict(
+            mission_time=MISSION, trials=2000, seed=5, variance_reduction="cv"
+        )
+        a = run_loss_probability(RARE_MODEL, **settings)
+        b = run_loss_probability(RARE_MODEL, **settings)
         assert a.mean == b.mean
         assert a.std_error == b.std_error
 
@@ -93,6 +99,51 @@ class TestControlVariate:
         require_threshold_two(ErasureCode(4, 3), replicas=4)
         with pytest.raises(ValueError, match="threshold"):
             require_threshold_two(ErasureCode(6, 4), replicas=6)
+
+
+class TestTracedRounds:
+    def rounds(self, **settings):
+        sink = io.StringIO()
+        with obs.session(obs.Telemetry(trace=obs.TraceWriter(sink))):
+            estimate = run_loss_probability(
+                RARE_MODEL, variance_reduction="cv", **settings
+            )
+        records = [json.loads(line) for line in sink.getvalue().splitlines()]
+        return estimate, [
+            record["data"]
+            for record in records
+            if record["event"] == "pilot_round"
+        ]
+
+    def test_one_pilot_round_per_chunk(self):
+        estimate, rounds = self.rounds(
+            mission_time=MISSION,
+            trials=300,
+            seed=3,
+            target_relative_error=0.001,
+            max_trials=1000,
+        )
+        assert [
+            (r["estimator"], r["method"], r["round"], r["trials"])
+            for r in rounds
+        ] == [
+            ("loss_probability", "cv", 1, 300),
+            ("loss_probability", "cv", 2, 600),
+            ("loss_probability", "cv", 3, 900),
+            ("loss_probability", "cv", 4, 1000),
+        ]
+        assert rounds[-1]["relative_error"] == estimate.relative_error
+
+    def test_an_all_zero_round_has_no_relative_error(self):
+        # Seed 1's first three trials open no window of vulnerability.
+        estimate, rounds = self.rounds(
+            mission_time=60000.0,
+            trials=3,
+            seed=1,
+            target_relative_error=0.5,
+        )
+        assert rounds[0]["relative_error"] is None
+        assert len(rounds) == estimate.trials // 3 > 1
 
 
 class TestEstimatorAxis:

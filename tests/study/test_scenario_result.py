@@ -9,6 +9,7 @@ import pytest
 from repro.core.parameters import FaultModel
 from repro.fleet import stationary_timeline
 from repro.optimize import DesignSpace
+from repro.optimize.space import PLACEMENTS, known_media
 from repro.study import (
     ENGINES,
     QUESTIONS,
@@ -21,6 +22,7 @@ from repro.study import (
     engine_backend_method,
     engine_for,
 )
+from repro.study.scenario import SWEEP_METRICS, SWEEP_PARAMETERS
 
 MODEL = FaultModel(500.0, 100.0, 1.0, 1.0, 5.0, 1.0)
 
@@ -57,6 +59,26 @@ def _scenarios_of_every_kind():
             policy=EstimatorPolicy(engine="fleet", seed=4),
         ),
     ]
+
+
+def _payload_with(path, value):
+    """A representative payload with the field at ``path`` set to
+    ``value``: the point scenario, or the sweep or frontier one for a
+    path in their section; system.scheme paths get an erasure code and
+    space.erasure_schemes paths one scheme."""
+    kinds = _scenarios_of_every_kind()
+    index = {"sweep": 2, "space": 3}.get(path.split(".")[0], 1)
+    payload = kinds[index].as_dict()
+    if path.startswith("system.scheme."):
+        payload["system"]["scheme"] = {"n": 6, "k": 4}
+    if path.startswith("space.erasure_schemes["):
+        payload["space"]["erasure_schemes"] = ["6,4"]
+    *parents, key = path.replace("[", ".").replace("]", "").split(".")
+    section = payload
+    for name in parents:
+        section = section[int(name) if name.isdigit() else name]
+    section[int(key) if key.isdigit() else key] = value
+    return payload
 
 
 class TestScenarioRoundtrip:
@@ -205,23 +227,13 @@ class TestScenarioValidation:
             ("policy.engine", 7),
             ("policy.engine", "warp"),
             ("policy.variance_reduction", ["cv"]),
+            # An unparseable scheme failed naming no field.
+            ("space.erasure_schemes[0]", "6;4"),
         ],
     )
     def test_malformed_numbers_name_their_path(self, path, value):
-        # The point scenario, or the sweep or frontier one for a path in
-        # their section; system.scheme paths get an erasure code.
-        kinds = _scenarios_of_every_kind()
-        index = {"sweep": 2, "space": 3}.get(path.split(".")[0], 1)
-        payload = kinds[index].as_dict()
-        if path.startswith("system.scheme."):
-            payload["system"]["scheme"] = {"n": 6, "k": 4}
-        *parents, key = path.replace("[", ".").replace("]", "").split(".")
-        section = payload
-        for name in parents:
-            section = section[int(name) if name.isdigit() else name]
-        section[int(key) if key.isdigit() else key] = value
         with pytest.raises(ValueError, match=f"'{re.escape(path)}'"):
-            Scenario.from_dict(payload)
+            Scenario.from_dict(_payload_with(path, value))
 
     @pytest.mark.parametrize(
         "path,value,choices",
@@ -229,19 +241,26 @@ class TestScenarioValidation:
             ("question", "destiny", QUESTIONS),
             ("policy.engine", "splitting", ENGINES),
             ("policy.variance_reduction", "qmc", ("none", "cv")),
+            # These failed naming no field (the medium with a KeyError).
+            ("sweep.metric", "foo", SWEEP_METRICS),
+            ("sweep.parameter", "XX", SWEEP_PARAMETERS),
+            ("space.media[0]", "drive:nope", known_media()),
+            ("space.placements[0]", "nowhere", PLACEMENTS),
         ],
     )
     def test_unknown_enumerated_value_lists_the_choices(
         self, path, value, choices
     ):
-        payload = _scenarios_of_every_kind()[1].as_dict()
-        *parents, key = path.split(".")
-        section = payload
-        for name in parents:
-            section = section[name]
-        section[key] = value
         message = f"'{path}' must be one of {choices}, not {value!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Scenario.from_dict(_payload_with(path, value))
+
+    def test_frontier_rejects_a_variance_reduction(self):
+        # The planner's refinements take none, so a frontier asked with
+        # "cv" used to return the frontier it returns without it.
+        payload = _scenarios_of_every_kind()[3].as_dict()
+        payload["policy"].update(engine="batch", variance_reduction="cv")
+        with pytest.raises(ValueError, match=r"'policy\.variance_reduction'"):
             Scenario.from_dict(payload)
 
     @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -443,6 +444,44 @@ class TestVarianceReducedRuns:
         assert result.units == "hours"
         assert result.method == "cv"
         assert result.value > 0
+
+
+    def test_sweeps_honour_the_variance_reduction(self):
+        # The sweep used to drop "cv" and answer the plain batch series.
+        def sweep(reduction):
+            return run(
+                Scenario(
+                    question="sweep",
+                    system=SystemSpec(model=MODEL),
+                    mission_years=1.0,
+                    sweep=SweepSpec(
+                        parameter="MDL",
+                        values=(5.0, 50.0),
+                        metric="loss_probability",
+                    ),
+                    policy=EstimatorPolicy(
+                        engine="batch",
+                        trials=500,
+                        seed=1,
+                        variance_reduction=reduction,
+                    ),
+                )
+            )
+
+        plain, reduced = sweep("none"), sweep("cv")
+        assert (plain.method, reduced.method) == ("standard", "cv")
+        series = reduced.details["metrics"]["sim_loss_probability"]
+        assert series == [
+            run_loss_probability(
+                replace(MODEL, mean_detect_latent=mdl),
+                mission_time=years_to_hours(1.0),
+                trials=500,
+                seed=1,
+                variance_reduction="cv",
+            ).mean
+            for mdl in (5.0, 50.0)
+        ]
+        assert series != plain.details["metrics"]["sim_loss_probability"]
 
 
 def test_import_does_not_load_scipy_stats():
