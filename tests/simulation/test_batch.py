@@ -994,10 +994,73 @@ class TestStreamPins:
                 ),
                 (2000, 1867, 10, 253663.72020594613, None),
             ),
+            "single": (
+                dict(
+                    model=fast(), trials=2000, horizon=100.0, seed=3,
+                    replicas=1,
+                ),
+                (2000, 1420, 1, 115742.96034636971, None),
+            ),
+            "triple_alpha": (
+                dict(
+                    model=fast(correlation_factor=0.3),
+                    trials=2000,
+                    horizon=300.0,
+                    seed=7,
+                    replicas=3,
+                ),
+                (2000, 637, 57, 495056.938144529, None),
+            ),
+            "is_four": (
+                dict(
+                    model=paper_model(),
+                    trials=2000,
+                    horizon=50 * HOURS_PER_YEAR,
+                    seed=6,
+                    replicas=4,
+                    bias=30.0,
+                ),
+                (2000, 86, 53, 858558853.0844939, -15050.63711853607),
+            ),
+            "erasure_is_alpha": (
+                dict(
+                    model=paper_model().with_correlation(0.5),
+                    trials=1000,
+                    horizon=50 * HOURS_PER_YEAR,
+                    seed=8,
+                    scheme=RedundancyScheme(9, 6),
+                    bias=5.0,
+                ),
+                (1000, 158, 83, 403304013.9274, -4913.059622580721),
+            ),
+            "detect_on_arrival": (
+                dict(
+                    model=fast(mean_detect_latent=0.0),
+                    trials=2000,
+                    horizon=300.0,
+                    seed=19,
+                ),
+                (2000, 151, 37, 577410.2540664156, None),
+            ),
+            "audits": (
+                dict(
+                    model=fast(),
+                    trials=2000,
+                    horizon=300.0,
+                    seed=23,
+                    audits_per_year=365.0,
+                ),
+                (2000, 1038, 24, 422184.9772129444, None),
+            ),
         }
 
     @pytest.mark.parametrize(
-        "name", ["plain", "alpha", "is", "erasure", "unscrubbed"]
+        "name",
+        [
+            "plain", "alpha", "is", "erasure", "unscrubbed", "single",
+            "triple_alpha", "is_four", "erasure_is_alpha",
+            "detect_on_arrival", "audits",
+        ],
     )
     def test_stream_is_pinned(self, name):
         kwargs, expected = self.cases()[name]
