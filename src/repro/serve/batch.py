@@ -30,7 +30,6 @@ call whose per-trial outcomes this module can reuse.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import replace
 from typing import Dict, List, Sequence
@@ -40,7 +39,7 @@ import numpy as np
 from repro import obs
 from repro.core.units import years_to_hours
 from repro.simulation.batch import simulate_batch
-from repro.simulation.estimators import MonteCarloEstimate
+from repro.simulation.estimators import binomial_loss_estimate
 from repro.study.result import StudyResult
 from repro.study.scenario import Scenario
 
@@ -139,16 +138,7 @@ def run_group(scenarios: Sequence[Scenario]) -> List[StudyResult]:
         losses = int(
             np.count_nonzero(outcome.lost & (outcome.end_time <= mission_hours))
         )
-        done = outcome.trials
-        p = losses / done
-        std_error = math.sqrt(max(p * (1.0 - p), 1e-12) / done)
-        estimate = MonteCarloEstimate(
-            mean=p,
-            std_error=std_error,
-            trials=done,
-            censored=done - losses,
-            clamp_hi=1.0,
-        )
+        estimate = binomial_loss_estimate(losses, outcome.trials)
         details: Dict[str, object] = {
             "batched": {
                 "members": len(scenarios),

@@ -309,6 +309,16 @@ def _concatenate_blocks(
 # seed's outcome but not its distribution.  The stream's layout is
 # versioned as :data:`STREAM_VERSION`.
 #
+# A sweep takes each live trial's next event (its earliest clock, the
+# first replica on ties), lets the trials whose event lies at or past
+# the target time wait, and splits the rest once, by index arrays, into
+# recoveries (the event's replica is faulty) and landings (it is
+# healthy).  Recoveries are applied first; trials are independent, so
+# the order only fixes which draws each batch receives.  A sweep holds
+# each trial once, so its landings add to the faulty counts directly,
+# while a shock, which can fault several replicas of one trial at once,
+# accumulates them with ``np.add.at``.
+#
 # Regime changes draw nothing.  A healthy replica's clock ``c`` was
 # drawn at some sampling mean; at time ``t`` its remaining delay
 # ``c - t`` is an exponential with that mean (memorylessness), so
@@ -480,16 +490,20 @@ class PiecewiseBatchState:
         rows: np.ndarray,
         times: np.ndarray,
         factor: Union[float, np.ndarray],
+        all_healthy: bool = False,
     ) -> None:
         """Stretch the pending fault clocks of the healthy replicas of
         ``rows`` (unique) by ``factor`` (one, or one per row as a
         column) from ``times``: memorylessness makes a stretched
-        residual exact."""
+        residual exact.  ``all_healthy`` skips the health mask when
+        every replica of ``rows`` is healthy."""
         clocks = self.clock.take(rows, axis=0)
         anchor = times[:, None]
         stretched = anchor + (clocks - anchor) * factor
-        healthy = self.state.take(rows, axis=0) == OK
-        self.clock[rows] = np.where(healthy, stretched, clocks)
+        if not all_healthy:
+            healthy = self.state.take(rows, axis=0) == OK
+            stretched = np.where(healthy, stretched, clocks)
+        self.clock[rows] = stretched
 
     def switch_model(
         self, model: FaultModel, audits_per_year: Optional[float] = None
@@ -552,47 +566,49 @@ class PiecewiseBatchState:
         cells: np.ndarray,
         times: np.ndarray,
         fault_code: np.ndarray,
+        repeated_rows: bool = False,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Fault healthy replicas and mark the trials this loses.
 
-        ``cells`` are flat ``row * replicas + replica`` indices.  The
-        whole recovery is determined at fault time: visible faults
-        repair after MRV; latent faults wait for the next audit-grid
-        point, then repair after MRL (never, without scrubbing).  A row
-        may repeat with different replicas for a simultaneous
-        multi-replica event (shock); cells must be unique.  Returns each
-        row's faulty count after the landing and the loss mask.
+        ``cells`` are flat ``row * replicas + replica`` indices and must
+        be unique.  The whole recovery is determined at fault time:
+        visible faults repair after MRV; latent faults wait for the next
+        audit-grid point, then repair after MRL (never, without
+        scrubbing).  A row may repeat with different replicas, for a
+        simultaneous multi-replica event (shock), only with
+        ``repeated_rows``.  Returns each row's faulty count after the
+        landing and the positions (into ``rows``) of the landings that
+        lose their trial.
         """
         self.state.reshape(-1)[cells] = fault_code
         self.fault_time.reshape(-1)[cells] = times
-
-        completed = np.empty(rows.size)
-        visible_mask = fault_code == VISIBLE
-        completed[visible_mask] = times[visible_mask] + self._repair_visible
-        latent_mask = ~visible_mask
-        completed[latent_mask] = (
-            audit_detection_time(times[latent_mask], self._interval)
-            + self._repair_latent
+        self.clock.reshape(-1)[cells] = np.where(
+            fault_code == VISIBLE,
+            times + self._repair_visible,
+            audit_detection_time(times, self._interval) + self._repair_latent,
         )
-        self.clock.reshape(-1)[cells] = completed
 
-        # ``add.at`` because a multi-replica shock repeats its row.
-        np.add.at(self._faulty, rows, 1)
-        faulty_now = self._faulty[rows]
+        if repeated_rows:
+            # ``add.at`` because a multi-replica shock repeats its row.
+            np.add.at(self._faulty, rows, 1)
+            faulty_now = self._faulty[rows]
+        else:
+            faulty_now = self._faulty.take(rows) + 1
+            self._faulty[rows] = faulty_now
         # An (n, k) scheme loses as soon as the faulty count reaches
         # n - k + 1; ``>=`` because a multi-replica shock can jump past
         # the threshold in one landing.
-        loss_mask = faulty_now >= self.loss_threshold
-        if loss_mask.any():
-            l_rows = rows[loss_mask]
+        losses = (faulty_now >= self.loss_threshold).nonzero()[0]
+        if losses.size:
+            l_rows = rows.take(losses)
             self.lost[l_rows] = True
-            self.end_time[l_rows] = times[loss_mask]
-            self.final_type[l_rows] = fault_code[loss_mask]
+            self.end_time[l_rows] = times.take(losses)
+            self.final_type[l_rows] = fault_code.take(losses)
             oldest = np.argmin(self.fault_time.take(l_rows, axis=0), axis=1)
-            self.first_type[l_rows] = self.state.reshape(-1)[
+            self.first_type[l_rows] = self.state.reshape(-1).take(
                 l_rows * self.replicas + oldest
-            ]
-        return faulty_now, loss_mask
+            )
+        return faulty_now, losses
 
     def inject_faults(
         self,
@@ -637,14 +653,19 @@ class PiecewiseBatchState:
         self.shock_faults += row_trials.size
         times = np.full(row_trials.size, float(time))
         codes = np.full(row_trials.size, fault_code, dtype=np.int8)
-        _, loss_mask = self._land_faults(
-            row_trials, row_trials * self.replicas + cols_2d, times, codes
+        _, losses = self._land_faults(
+            row_trials,
+            row_trials * self.replicas + cols_2d,
+            times,
+            codes,
+            repeated_rows=True,
         )
         if self._degraded_scale != 1.0:
             # Entering the degraded regime: a shock is not drawn from
             # the biased clocks, so it adds no jump term, but the
             # surviving replicas now race at the degraded rate.
-            entered = (previously_faulty[rows_2d] == 0) & ~loss_mask
+            entered = previously_faulty[rows_2d] == 0
+            entered[losses] = False
             if entered.any():
                 e_rows = np.unique(row_trials[entered])
                 self._stretch(
@@ -660,9 +681,10 @@ class PiecewiseBatchState:
         next epoch).  Surviving trials keep their pending clocks."""
         if until < self.now:
             raise ValueError("cannot advance backwards")
-        # The sweep loop reads its arrays and constants from locals, and
-        # (trial, replica) cells through flat ``trial * replicas +
-        # replica`` indices.
+        # The sweep loop reads its arrays and constants from locals,
+        # addresses (trial, replica) cells through flat ``trial *
+        # replicas + replica`` indices, and splits its trials with index
+        # arrays (``nonzero`` + ``take``) rather than boolean masks.
         rng = self._rng
         flat_state = self.state.reshape(-1)
         flat_fault_time = self.fault_time.reshape(-1)
@@ -671,18 +693,32 @@ class PiecewiseBatchState:
         faulty = self._faulty
         lost = self.lost
         replicas = self.replicas
+        pairs = replicas == 2
+        if pairs:
+            first_clock, second_clock = clock[:, 0], clock[:, 1]
         mean_fault = self._mean_fault
         visible_share = self._visible_share
+        visible_code, latent_code = np.int8(VISIBLE), np.int8(LATENT)
         degraded_scale = self._degraded_scale
-        stretching = degraded_scale != 1.0
+        # Regime changes stretch clocks where the two regimes' sampling
+        # rates differ, on trials that can be degraded without having
+        # lost (a loss threshold of one loses at every fault).
+        stretching = degraded_scale != 1.0 and self.loss_threshold > 1
         log_weight = self.log_weight
         weighting = log_weight is not None
         if weighting:
-            accel = self._accel
             last_event = self._last_event
-            log_accel = math.log(accel)
-            total_rate = self._total_rate
-            inv_alpha = self._inv_alpha
+            log_accel = math.log(self._accel)
+            # Exposure term of the likelihood ratio per hour, by faulty
+            # count: sampling only differs from the truth during
+            # degraded sojourns, where the true intensity is healthy
+            # replicas x per-replica rate divided by alpha.
+            healthy = replicas - np.arange(replicas + 1)
+            exposure_rate = (self._accel - 1.0) * np.where(
+                healthy < replicas,
+                healthy * self._total_rate * self._inv_alpha,
+                0.0,
+            )
         repairs = self.repairs
         year_counts = self.repair_year_counts
         if repairs is not None:
@@ -693,50 +729,51 @@ class PiecewiseBatchState:
         while live.size:
             sweeps += 1
             # Next event per live trial: the earliest of its replicas'
-            # clocks (the first replica on ties, as argmin would pick).
-            candidate = clock.take(live, axis=0)
-            event_time = candidate[:, 0]
-            which = np.zeros(live.size, dtype=np.intp)
-            for col in range(1, replicas):
-                column = candidate[:, col]
-                earlier = column < event_time
-                which[earlier] = col
-                event_time = np.minimum(event_time, column)
+            # clocks, the first replica on ties.  A pair compares its
+            # two columns; wider rows take one ``argmin``, which costs
+            # less than a pass per column from three replicas up.
+            if pairs:
+                first = first_clock.take(live)
+                second = second_clock.take(live)
+                cell = live * 2 + (second < first)
+                event_time = np.minimum(first, second)
+            else:
+                earliest = clock.take(live, axis=0).argmin(axis=1)
+                cell = live * replicas + earliest
+                event_time = flat_clock.take(cell)
 
             if weighting:
-                # Exposure term of the likelihood ratio: between a
-                # trial's consecutive events its regime is constant, and
-                # sampling only differs from the truth during degraded
-                # sojourns, where the true intensity is healthy replicas
-                # x per-replica rate divided by alpha.
-                healthy_now = replicas - faulty[live]
-                intensity = np.where(
-                    healthy_now < replicas,
-                    healthy_now * total_rate * inv_alpha,
-                    0.0,
-                )
+                # Between a trial's consecutive events its regime is
+                # constant, so its exposure runs to its next event (or
+                # to ``until``) at the rate of its faulty count.
                 segment_end = np.minimum(event_time, until)
-                log_weight[live] += (accel - 1.0) * intensity * (
-                    segment_end - last_event[live]
+                log_weight[live] += exposure_rate.take(faulty.take(live)) * (
+                    segment_end - last_event.take(live)
                 )
                 last_event[live] = segment_end
 
             # Trials whose next event falls at or past ``until`` wait.
-            running = event_time < until
-            live = live[running]
-            if live.size == 0:
-                break
-            cell = live * replicas + which[running]
-            event_time = event_time[running]
-            is_recovery = flat_state.take(cell) != OK
+            running = (event_time < until).nonzero()[0]
+            if running.size < live.size:
+                if running.size == 0:
+                    break
+                live = live.take(running)
+                cell = cell.take(running)
+                event_time = event_time.take(running)
+            # Each event is a recovery (its replica is faulty) or a
+            # landing fault (its replica is healthy).
+            event_state = flat_state.take(cell)
+            recovering = event_state.nonzero()[0]
+            landing = (event_state == OK).nonzero()[0]
 
-            if is_recovery.any():
-                rows = live[is_recovery]
-                cells = cell[is_recovery]
-                times = event_time[is_recovery]
+            if recovering.size:
+                rows = live.take(recovering)
+                cells = cell.take(recovering)
+                times = event_time.take(recovering)
                 flat_state[cells] = OK
                 flat_fault_time[cells] = np.inf
-                faulty[rows] -= 1
+                remaining = faulty.take(rows) - 1
+                faulty[rows] = remaining
                 if repairs is not None:
                     repairs[rows] += 1
                     year = (times / HOURS_PER_YEAR).astype(np.int64)
@@ -748,30 +785,51 @@ class PiecewiseBatchState:
                 # by the failure bias there).
                 delay = rng.exponential(1.0, rows.size) * mean_fault
                 if stretching:
-                    back = faulty[rows] == 0
-                    delay[~back] *= degraded_scale
-                    if back.any():
+                    back = remaining == 0
+                    delay *= np.where(back, 1.0, degraded_scale)
+                    leaving = back.nonzero()[0]
+                    if leaving.size:
                         # Leaving the degraded regime: the other healthy
                         # replicas slow back to base-rate arrivals.  The
                         # recovered replica's clock still reads its
                         # recovery time, which a stretch from that time
                         # leaves as it is.
                         self._stretch(
-                            rows[back], times[back], 1.0 / degraded_scale
+                            rows.take(leaving),
+                            times.take(leaving),
+                            1.0 / degraded_scale,
+                            all_healthy=True,
                         )
                 flat_clock[cells] = times + delay
 
-            faulted = ~is_recovery
-            if faulted.any():
-                rows = live[faulted]
-                cells = cell[faulted]
-                times = event_time[faulted]
+            if landing.size:
+                rows = live.take(landing)
+                cells = cell.take(landing)
+                times = event_time.take(landing)
                 # Competing exponentials: the landing fault is visible
                 # with the visible share of the summed rate in force.
                 fault_code = np.where(
-                    rng.random(rows.size) < visible_share, VISIBLE, LATENT
-                ).astype(np.int8)
-                faulty_now, loss_mask = self._land_faults(
+                    rng.random(rows.size) < visible_share,
+                    visible_code,
+                    latent_code,
+                )
+                if stretching:
+                    # Entering the degraded regime (0 -> 1 faulty
+                    # replicas): healthy replicas' pending arrivals
+                    # accelerate by 1/alpha and by the failure bias.
+                    # The stretch runs before the landing, while every
+                    # replica is healthy: the landing one's clock reads
+                    # the fault time, which the stretch leaves as it is
+                    # and the landing then overwrites.
+                    entering = (faulty.take(rows) == 0).nonzero()[0]
+                    if entering.size:
+                        self._stretch(
+                            rows.take(entering),
+                            times.take(entering),
+                            degraded_scale,
+                            all_healthy=True,
+                        )
+                faulty_now, losses = self._land_faults(
                     rows, cells, times, fault_code
                 )
                 if weighting:
@@ -780,17 +838,8 @@ class PiecewiseBatchState:
                     # times its true rate; first faults fired at the
                     # true rate.
                     log_weight[rows[faulty_now >= 2]] -= log_accel
-                if stretching:
-                    # Entering the degraded regime (0 -> 1 faulty
-                    # replicas): healthy replicas' pending arrivals
-                    # accelerate by 1/alpha and by the failure bias.
-                    entered = (faulty_now == 1) & ~loss_mask
-                    if entered.any():
-                        self._stretch(
-                            rows[entered], times[entered], degraded_scale
-                        )
-                if loss_mask.any():
-                    live = live[~lost[live]]
+                if losses.size:
+                    live = live[~lost.take(live)]
         self.sweeps += sweeps
         self.now = float(until)
 

@@ -78,7 +78,13 @@ the standard estimators degenerate.  Both estimators therefore accept a
   :data:`CENSORED_WARNING_FRACTION` threshold for MTTDL, fewer than
   :data:`AUTO_MIN_LOSSES` observed losses for loss probabilities),
   discard it and switch to ``"is"``; otherwise keep extending the
-  standard run.  The check is asked once, after the first chunk.
+  standard run.  The check is asked once, after the first chunk.  A
+  loss-probability pilot that the analytic screen expects to see at
+  most :data:`AUTO_SKIP_PILOT_LOSSES` losses is not drawn: the run
+  switches before it.  The answer is unchanged, because importance
+  sampling starts on chunk 0's stream whether or not a pilot ran
+  first.  MTTDL pilots always run, since one may stay standard with a
+  few losses when its target is loose.
 
 Weighted estimates report a Kish effective sample size
 (``MonteCarloEstimate.effective_sample_size``); an ESS far below the
@@ -99,6 +105,7 @@ from repro.core.redundancy import RedundancyScheme
 from repro.core.units import HOURS_PER_YEAR
 from repro.simulation.batch import BatchRunResult, simulate_batch
 from repro.simulation.rng import RandomStreams
+from repro.simulation.scrubbing import audit_interval_for
 from repro.simulation.system import RunResult, system_from_fault_model
 
 #: Fraction of censored trials above which a warning is emitted.
@@ -111,6 +118,13 @@ DEFAULT_ADAPTIVE_CHUNK_LIMIT = 64
 #: losses than this switches to a rare-event method (at 20 losses the
 #: standard binomial relative error is still ~22%).
 AUTO_MIN_LOSSES = 20
+
+#: ``method="auto"``: a loss-probability run whose standard pilot the
+#: analytic screen expects to see at most this many losses skips the
+#: pilot and starts importance sampling at once.  Even a screen that
+#: under-predicts by 100x leaves such a pilot a chance below 1e-18 of
+#: the :data:`AUTO_MIN_LOSSES` losses that would have kept it.
+AUTO_SKIP_PILOT_LOSSES = 0.01
 
 #: Recognised estimator methods, in the order help text lists them.
 METHODS: Tuple[str, ...] = ("standard", "is", "auto")
@@ -309,6 +323,22 @@ def mttdl_mle(
     )
 
 
+def binomial_loss_estimate(losses: int, trials: int) -> MonteCarloEstimate:
+    """Plain loss proportion over unweighted trials, with its binomial
+    standard error (floored so a 0 or 1 proportion keeps a positive
+    one)."""
+    p = losses / trials
+    return MonteCarloEstimate(
+        mean=p,
+        std_error=math.sqrt(max(p * (1.0 - p), 1e-12) / trials),
+        trials=trials,
+        # Surviving trials are censored-at-mission-end observations, so
+        # the ``losses`` property stays meaningful for this estimator.
+        censored=trials - losses,
+        clamp_hi=1.0,
+    )
+
+
 def _emit_estimate(
     estimator: str, estimate: MonteCarloEstimate
 ) -> MonteCarloEstimate:
@@ -402,17 +432,7 @@ class _Counts:
 
     def estimate(self) -> MonteCarloEstimate:
         """The tallied trials as a loss-probability estimate."""
-        p = self.losses / self.trials
-        return MonteCarloEstimate(
-            mean=p,
-            std_error=math.sqrt(max(p * (1.0 - p), 1e-12) / self.trials),
-            trials=self.trials,
-            # Surviving trials are censored-at-mission-end observations,
-            # so the ``losses`` property stays meaningful for this
-            # estimator.
-            censored=self.trials - self.losses,
-            clamp_hi=1.0,
-        )
+        return binomial_loss_estimate(self.losses, self.trials)
 
 
 def _extend(
@@ -434,7 +454,9 @@ def _extend(
     ``tally.relative_error`` reaches it or the tally holds ``cap``
     trials.  ``pilot_fails(tally)`` is asked once, after the first
     chunk: when it holds, the pilot is discarded, the escalation is
-    recorded and ``None`` is returned.
+    recorded and ``None`` is returned.  Every call starts on chunk 0,
+    so the importance-sampling loop that follows a discarded pilot
+    draws what it draws when the pilot is skipped.
     """
     tel = obs.current()
     chunk = 0
@@ -459,20 +481,57 @@ def _extend(
                 },
             )
         if chunk == 1 and pilot_fails is not None and pilot_fails(tally):
-            if tel.enabled:
-                tel.count("estimator.escalations")
-                tel.event(
-                    "escalation",
-                    data={
-                        "estimator": estimator,
-                        "from": method,
-                        "to": "is",
-                        "pilot_trials": tally.trials,
-                        "pilot_losses": tally.losses,
-                    },
-                )
+            _record_escalation(estimator, tally.trials, tally.losses)
             return None
     return tally
+
+
+def _record_escalation(
+    estimator: str, pilot_trials: int, pilot_losses: int, **extra: object
+) -> None:
+    """Count and trace an ``auto`` run's switch to importance sampling."""
+    tel = obs.current()
+    if tel.enabled:
+        tel.count("estimator.escalations")
+        tel.event(
+            "escalation",
+            data={
+                "estimator": estimator,
+                "from": "standard",
+                "to": "is",
+                "pilot_trials": pilot_trials,
+                "pilot_losses": pilot_losses,
+                **extra,
+            },
+        )
+
+
+def _predicted_pilot_losses(
+    model: FaultModel,
+    horizon: float,
+    pilot_trials: int,
+    replicas: int,
+    audits_per_year: Optional[float],
+    scheme: Optional[RedundancyScheme],
+) -> float:
+    """Losses the analytic screen expects in a standard pilot.
+
+    ``pilot_trials`` times the chained-window loss probability by
+    ``horizon`` (:func:`repro.simulation.rare_event.analytic_loss_rate`,
+    the screen :func:`~repro.simulation.rare_event.default_failure_bias`
+    also reads).  The screen takes the audit interval from ``MDL``, so
+    an ``audits_per_year`` override enters as the ``MDL`` it implies:
+    half the interval, or the latent mean time when audits never happen.
+    """
+    from repro.simulation.rare_event import analytic_loss_rate
+
+    if audits_per_year is not None:
+        interval = audit_interval_for(model, audits_per_year)
+        model = model.with_detection_time(
+            model.mean_time_to_latent if interval is None else interval / 2.0
+        )
+    rate = analytic_loss_rate(model, replicas, scheme)
+    return -math.expm1(-rate * horizon) * pilot_trials
 
 
 def _sample(estimator, model, horizon, trials, seed, replicas,
@@ -481,7 +540,9 @@ def _sample(estimator, model, horizon, trials, seed, replicas,
     """Pick the tally and chunk draw for the settings and run the loop.
 
     An ``auto`` pilot that fails its check hands over to importance
-    sampling, which starts afresh on the same budget.
+    sampling, which starts afresh on the same budget.  A loss-probability
+    pilot the analytic screen condemns (at most
+    :data:`AUTO_SKIP_PILOT_LOSSES` expected losses) is not drawn at all.
     """
     cap = adaptive_cap(trials, max_trials)
     if variance_reduction != "none":
@@ -526,6 +587,17 @@ def _sample(estimator, model, horizon, trials, seed, replicas,
             for trial in range(first, first + n)
         ]
 
+    if method == "auto" and estimator == "loss_probability":
+        # A pilot the screen condemns would be discarded unseen; skipping
+        # it leaves the answer as it was, because IS chunk 0 draws from
+        # the same stream either way.
+        predicted = _predicted_pilot_losses(
+            model, horizon, min(trials, cap), replicas, audits_per_year,
+            scheme,
+        )
+        if predicted <= AUTO_SKIP_PILOT_LOSSES:
+            _record_escalation(estimator, 0, 0, predicted_losses=predicted)
+            method = "is"
     if method != "is":
         draw = batch if backend == "batch" else event
         pilot_fails = (

@@ -176,23 +176,36 @@ def _scheme_text(value: object, path: str) -> str:
     return text
 
 
-def _space_from_dict(payload: Dict[str, object]) -> DesignSpace:
-    def items(key: str, read, default=None) -> tuple:
-        return _json_items(payload, key, f"space.{key}", read, default)
+def _space_from_dict(value: object, path: str) -> DesignSpace:
+    """The :class:`DesignSpace` of a JSON object; every field that is
+    omitted (or null) takes the dataclass default, and a present field
+    of the wrong type fails with its JSON path."""
+    payload = _json_object(value, path)
+    defaults = DesignSpace()
+
+    def items(key: str, read) -> tuple:
+        return _json_items(
+            payload, key, f"{path}.{key}", read, list(getattr(defaults, key))
+        )
+
+    def number(key: str) -> float:
+        given = payload.get(key)
+        return json_number(
+            getattr(defaults, key) if given is None else given,
+            f"{path}.{key}",
+        )
 
     return DesignSpace(
-        dataset_tb=json_number(payload.get("dataset_tb"), "space.dataset_tb"),
+        dataset_tb=number("dataset_tb"),
         media=items("media", _medium),
         replica_counts=items("replica_counts", json_integer),
         audit_rates=items("audit_rates", json_number),
         placements=items(
             "placements",
-            lambda value, path: _json_choice(value, path, PLACEMENTS),
+            lambda item, item_path: _json_choice(item, item_path, PLACEMENTS),
         ),
-        site_cost_per_year=json_number(
-            payload.get("site_cost_per_year", 0.0), "space.site_cost_per_year"
-        ),
-        erasure_schemes=items("erasure_schemes", _scheme_text, []),
+        site_cost_per_year=number("site_cost_per_year"),
+        erasure_schemes=items("erasure_schemes", _scheme_text),
     )
 
 
@@ -329,7 +342,8 @@ class EstimatorPolicy:
             extending until the standard error falls below this fraction
             of the mean.
         seed: root random seed; all child seeds spawn deterministically.
-        bias: failure-biasing override for importance sampling.
+        bias: failure-biasing override for importance sampling (point
+            estimates and sweeps; frontier questions reject one).
         cross_check: under ``engine="auto"``, attach the closed-form and
             Markov-chain answers to the result's details whenever they
             are cheap to compute (mirrored pairs).
@@ -519,6 +533,11 @@ class Scenario:
                     "frontier questions: the planner's refinements do not "
                     "take one"
                 )
+            if self.policy.bias is not None:
+                raise ValueError(
+                    "'policy.bias' must be unset for frontier questions: "
+                    "the planner's refinements do not take one"
+                )
         elif self.question == "fleet_survival":
             if self.timeline is None:
                 raise ValueError(
@@ -593,7 +612,7 @@ class Scenario:
             ),
             max_time_hours=_number("max_time_hours"),
             sweep=_parsed("sweep", SweepSpec.from_dict),
-            space=_parsed("space", _space_from_dict),
+            space=_optional(payload, "space", "space", _space_from_dict),
             budget=_number("budget"),
             target_loss=_number("target_loss"),
             slack=json_number(

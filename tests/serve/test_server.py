@@ -414,6 +414,16 @@ def test_frontier_variance_reduction_is_a_400():
     assert "'policy.variance_reduction'" in error
 
 
+def test_frontier_bias_is_a_400():
+    payload = scenario_dict()
+    payload.update(question="frontier", space=DesignSpace().as_dict())
+    payload["policy"].update(engine="is", bias=50.0)
+    response = post_query(payload)
+    assert response.startswith(b"HTTP/1.1 400 ")
+    error = json.loads(response.partition(b"\r\n\r\n")[2])["error"]
+    assert "'policy.bias'" in error
+
+
 def test_removed_splitting_engine_is_a_400():
     payload = scenario_dict()
     payload["policy"]["engine"] = "splitting"

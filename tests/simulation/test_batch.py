@@ -864,9 +864,9 @@ class TestStateInvariants:
         self.assert_invariants_hold(state)
         land = state._land_faults
 
-        def checked_land(*args):
+        def checked_land(*args, **kwargs):
             self.assert_invariants_hold(state)
-            return land(*args)
+            return land(*args, **kwargs)
 
         state._land_faults = checked_land
         for step in steps:

@@ -6,18 +6,24 @@ exact Markov chain), the automatic method selection, and the
 bias-choice heuristic.
 """
 
+import io
+import json
 import math
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.parameters import FaultModel
 from repro.core.units import HOURS_PER_YEAR
 from repro.markov.builders import build_mirrored_chain, mirrored_mttdl_markov
 from repro.markov.transient import loss_probability_over_time
 from repro.simulation.batch import simulate_batch
 from repro.simulation.estimators import (
+    AUTO_MIN_LOSSES,
+    AUTO_SKIP_PILOT_LOSSES,
     MonteCarloEstimate,
+    _predicted_pilot_losses,
     run_loss_probability,
     run_mttdl,
 )
@@ -332,6 +338,92 @@ class TestAutoMethod:
         assert estimate.censored / estimate.trials > 0.2
         assert estimate.method == "standard"
         assert estimate.relative_error <= 0.05
+
+    @staticmethod
+    def traced(**kwargs):
+        """A loss estimate run in a recording session: the estimate, the
+        data of its ``pilot_round`` and ``escalation`` records, and its
+        escalation count."""
+        sink = io.StringIO()
+        telemetry = obs.Telemetry(trace=obs.TraceWriter(sink))
+        with obs.session(telemetry):
+            estimate = run_loss_probability(**kwargs)
+        records = [json.loads(line) for line in sink.getvalue().splitlines()]
+        rounds = [r["data"] for r in records if r["event"] == "pilot_round"]
+        escalations = [
+            r["data"] for r in records if r["event"] == "escalation"
+        ]
+        counted = telemetry.counters.get("estimator.escalations", 0)
+        return estimate, rounds, escalations, counted
+
+    def test_auto_skips_a_pilot_the_screen_condemns(self):
+        # Three daily-scrubbed replicas: the screen expects ~7e-6 losses
+        # in a 500-trial pilot, so ``auto`` answers as ``is`` does.
+        kwargs = dict(
+            model=paper_rare_model(),
+            mission_time=MISSION,
+            trials=500,
+            seed=3,
+            replicas=3,
+            target_relative_error=0.2,
+        )
+        estimate, rounds, escalations, counted = self.traced(
+            method="auto", **kwargs
+        )
+        assert estimate == run_loss_probability(method="is", **kwargs)
+        assert rounds and all(r["method"] == "is" for r in rounds)
+        [escalation] = escalations
+        assert escalation["pilot_trials"] == 0
+        assert escalation["pilot_losses"] == 0
+        assert 0 < escalation["predicted_losses"] <= AUTO_SKIP_PILOT_LOSSES
+        assert counted == 1
+
+    def test_auto_runs_a_pilot_above_the_cut_off(self):
+        # The daily-scrubbed pair at 500 trials: ~0.085 expected losses.
+        predicted = _predicted_pilot_losses(
+            paper_rare_model(), MISSION, 500, 2, None, None
+        )
+        assert AUTO_SKIP_PILOT_LOSSES < predicted < 0.1
+        estimate, rounds, escalations, counted = self.traced(
+            model=paper_rare_model(),
+            mission_time=MISSION,
+            trials=500,
+            seed=3,
+            method="auto",
+        )
+        assert estimate.method == "is"
+        assert rounds[0]["method"] == "standard"
+        assert rounds[0]["trials"] == 500
+        [escalation] = escalations
+        assert escalation["pilot_trials"] == 500
+        assert "predicted_losses" not in escalation
+        assert counted == 1
+
+    def test_auto_pilot_prediction_reads_the_audit_override(self):
+        # Three replicas that are never audited lose often, whatever MDL
+        # the model names: the pilot runs, and it keeps standard sampling.
+        model = paper_rare_model()
+        assert _predicted_pilot_losses(
+            model, MISSION, 500, 3, None, None
+        ) <= AUTO_SKIP_PILOT_LOSSES
+        assert _predicted_pilot_losses(
+            model, MISSION, 500, 3, 0.0, None
+        ) > AUTO_MIN_LOSSES
+        assert _predicted_pilot_losses(
+            model, MISSION, 500, 3, HOURS_PER_YEAR / 24.0, None
+        ) == _predicted_pilot_losses(model, MISSION, 500, 3, None, None)
+        estimate, rounds, escalations, _ = self.traced(
+            model=model,
+            mission_time=MISSION,
+            trials=500,
+            seed=3,
+            replicas=3,
+            audits_per_year=0.0,
+            method="auto",
+        )
+        assert estimate.method == "standard"
+        assert rounds[0]["method"] == "standard"
+        assert escalations == []
 
     def test_auto_mttdl_switches_on_censoring(self):
         estimate = run_mttdl(

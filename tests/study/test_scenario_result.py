@@ -263,6 +263,15 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match=r"'policy\.variance_reduction'"):
             Scenario.from_dict(payload)
 
+    @pytest.mark.parametrize("engine", ["is", "auto"])
+    def test_frontier_rejects_a_bias(self, engine):
+        # The planner's refinements take none, so a frontier asked with
+        # a bias used to return the frontier it returns without it.
+        payload = _scenarios_of_every_kind()[3].as_dict()
+        payload["policy"].update(engine=engine, bias=50.0)
+        with pytest.raises(ValueError, match=r"'policy\.bias'"):
+            Scenario.from_dict(payload)
+
     @pytest.mark.parametrize(
         "path",
         [
@@ -300,6 +309,23 @@ class TestScenarioValidation:
             ValueError, match=f"^'{re.escape(path)}' is required$"
         ):
             Scenario.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "space,expected",
+        [
+            # These failed with "'space.media' must be a JSON array" and
+            # "question 'frontier' needs a DesignSpace".
+            ({"dataset_tb": 10.0}, DesignSpace()),
+            ({}, DesignSpace()),
+            (
+                {"dataset_tb": 5.0, "audit_rates": [12], "placements": None},
+                DesignSpace(dataset_tb=5.0, audit_rates=(12.0,)),
+            ),
+        ],
+    )
+    def test_omitted_space_fields_take_their_defaults(self, space, expected):
+        scenario = Scenario.from_dict({"question": "frontier", "space": space})
+        assert scenario.space == expected
 
     def test_integral_floats_still_load(self):
         payload = _scenarios_of_every_kind()[1].as_dict()
