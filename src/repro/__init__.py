@@ -23,9 +23,11 @@ The package is organised as:
 ``repro.threats``
     The paper's threat taxonomy as structured event generators.
 ``repro.audit``
-    Scrubbing / audit policies and their detection-latency consequences.
+    Audit schedules, the detection latency they buy, and on-line vs
+    off-line audit costs.
 ``repro.baselines``
-    Prior reliability models the paper builds on or compares against.
+    Chen et al.'s correlated RAID model, which the paper's ``α``
+    replaces.
 ``repro.analysis``
     Sweeps, analytic-vs-simulation comparison, tables and reports.
 ``repro.optimize``
@@ -71,7 +73,6 @@ from repro.core.mttdl import (
 from repro.core.replication import replicated_mttdl
 from repro.core.probability import (
     probability_of_loss,
-    probability_of_survival,
     mttdl_for_loss_probability,
 )
 from repro.core.scenarios import (
@@ -88,7 +89,6 @@ __all__ = [
     "double_fault_rate",
     "replicated_mttdl",
     "probability_of_loss",
-    "probability_of_survival",
     "mttdl_for_loss_probability",
     "cheetah_no_scrub_scenario",
     "cheetah_scrubbed_scenario",

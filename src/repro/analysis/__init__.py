@@ -13,13 +13,10 @@ from repro.analysis.sweep import (
     sweep_audit_rate,
     sweep_replication,
     sweep_correlation,
-    grid_sweep,
 )
 from repro.analysis.compare import (
     ModelComparison,
     compare_models,
-    compare_scenarios,
-    approximation_error,
 )
 from repro.analysis.tables import (
     format_table,
@@ -43,11 +40,8 @@ __all__ = [
     "sweep_audit_rate",
     "sweep_replication",
     "sweep_correlation",
-    "grid_sweep",
     "ModelComparison",
     "compare_models",
-    "compare_scenarios",
-    "approximation_error",
     "format_table",
     "format_scenario_table",
     "format_dict",

@@ -14,7 +14,6 @@ from typing import Dict, Optional
 from repro.core.approximations import best_approximation
 from repro.core.mttdl import mirrored_mttdl, mirrored_mttdl_exact
 from repro.core.parameters import FaultModel
-from repro.core.scenarios import Scenario
 from repro.core.units import HOURS_PER_YEAR
 from repro.markov.builders import mirrored_mttdl_markov
 from repro.simulation.estimators import MonteCarloEstimate, run_mttdl
@@ -62,20 +61,6 @@ class ModelComparison:
             key: value / HOURS_PER_YEAR for key, value in self.as_dict().items()
         }
 
-    def max_discrepancy_factor(self) -> float:
-        """Largest ratio between any two of the deterministic answers."""
-        values = [
-            self.analytic_capped,
-            self.analytic_exact_windows,
-            self.closed_form_approximation,
-            self.markov,
-            self.markov_paper_convention,
-        ]
-        positive = [value for value in values if value > 0 and value != float("inf")]
-        if not positive:
-            return float("inf")
-        return max(positive) / min(positive)
-
 
 def compare_models(
     model: FaultModel,
@@ -100,47 +85,3 @@ def compare_models(
         ),
         monte_carlo=monte_carlo,
     )
-
-
-def compare_scenarios(
-    scenarios: Dict[str, Scenario], include_monte_carlo: bool = False
-) -> Dict[str, ModelComparison]:
-    """Run :func:`compare_models` over a set of named scenarios."""
-    return {
-        name: compare_models(scenario.model, include_monte_carlo=include_monte_carlo)
-        for name, scenario in scenarios.items()
-    }
-
-
-def approximation_error(model: FaultModel) -> float:
-    """Relative error of the regime-matched closed form vs the full Eq. 7.
-
-    Positive values mean the approximation is optimistic (reports a
-    longer MTTDL than the full evaluation), which is the direction the
-    paper's scrubbed worked example errs in.
-    """
-    full = mirrored_mttdl(model)
-    approx = best_approximation(model)
-    if full == 0:
-        return float("inf")
-    return (approx - full) / full
-
-
-def paper_agreement(scenario: Scenario, tolerance: float = 0.02) -> Dict[str, object]:
-    """Check a scenario against the value the paper reports.
-
-    Returns the relative error of the paper-method evaluation against the
-    quoted number and whether it falls within ``tolerance``.
-    """
-    if scenario.paper_mttdl_years is None:
-        raise ValueError(f"scenario {scenario.name!r} has no paper value to check")
-    ours = scenario.paper_method_mttdl_years()
-    paper = scenario.paper_mttdl_years
-    relative_error = abs(ours - paper) / paper
-    return {
-        "scenario": scenario.name,
-        "paper_mttdl_years": paper,
-        "reproduced_mttdl_years": ours,
-        "relative_error": relative_error,
-        "within_tolerance": relative_error <= tolerance,
-    }

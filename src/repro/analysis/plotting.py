@@ -9,7 +9,7 @@ benchmark output without a plotting stack.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 
 def _scale(value: float, low: float, high: float, cells: int) -> int:
@@ -130,10 +130,3 @@ def ascii_histogram(
         right = low + span * (index + 1) / bins
         labels.append(f"[{left:.3g}, {right:.3g})")
     return ascii_bar_chart(labels, [float(count) for count in counts], width, title)
-
-
-def series_to_dict(xs: Sequence[float], ys: Sequence[float]) -> Dict[float, float]:
-    """Zip two aligned series into a dictionary (convenience for tests)."""
-    if len(xs) != len(ys):
-        raise ValueError("xs and ys must have the same length")
-    return {float(x): float(y) for x, y in zip(xs, ys)}

@@ -56,16 +56,6 @@ class ExperimentReport:
     def add(self, record: ExperimentRecord) -> None:
         self.records.append(record)
 
-    def by_experiment(self) -> Dict[str, List[ExperimentRecord]]:
-        grouped: Dict[str, List[ExperimentRecord]] = {}
-        for record in self.records:
-            grouped.setdefault(record.experiment_id, []).append(record)
-        return grouped
-
-    def all_shapes_hold(self) -> bool:
-        """True when every record preserves the paper's qualitative shape."""
-        return all(record.shape_holds for record in self.records)
-
     def render(self, precision: int = 3) -> str:
         """Render the report as a fixed-width table."""
         headers = [

@@ -17,9 +17,8 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.mttdl import mirrored_mttdl
-from repro.core.parameters import FaultModel
+from repro.core.parameters import PARAMETER_FIELDS, FaultModel
 from repro.core.replication import replicated_mttdl
-from repro.core.sensitivity import PARAMETER_FIELDS
 from repro.core.units import HOURS_PER_YEAR
 
 
@@ -95,32 +94,21 @@ def sweep_parameter(
 
 
 def sweep_audit_rate(
-    model: FaultModel,
-    audits_per_year: Sequence[float],
-    no_audit_mdl: Optional[float] = None,
+    model: FaultModel, audits_per_year: Sequence[float]
 ) -> SweepResult:
     """MTTDL (hours and years) as a function of the audit rate.
 
-    ``MDL`` is half the audit interval; a rate of zero uses
-    ``no_audit_mdl`` (default: the latent mean time).
+    Each rate sets ``MDL`` by :meth:`FaultModel.with_audit_rate`.
     """
     mttdl_hours: List[float] = []
     mttdl_years: List[float] = []
     mdl_values: List[float] = []
     for rate in audits_per_year:
-        if rate < 0:
-            raise ValueError("audit rates must be non-negative")
-        if rate == 0:
-            mdl = (
-                no_audit_mdl if no_audit_mdl is not None else model.mean_time_to_latent
-            )
-        else:
-            mdl = HOURS_PER_YEAR / rate / 2.0
-        adjusted = model.with_detection_time(mdl)
+        adjusted = model.with_audit_rate(rate)
         hours = mirrored_mttdl(adjusted)
         mttdl_hours.append(hours)
         mttdl_years.append(hours / HOURS_PER_YEAR)
-        mdl_values.append(mdl)
+        mdl_values.append(adjusted.mean_detect_latent)
     return SweepResult(
         parameter="audits_per_year",
         values=list(audits_per_year),
@@ -185,38 +173,11 @@ def audit_adjusted_model(
     """Fold an audit-rate override into the model for analytic evaluation.
 
     The simulators take ``audits_per_year`` as a separate knob; the
-    closed forms only see ``MDL``.  Matching :func:`sweep_audit_rate`'s
-    convention, the override sets ``MDL`` to half the audit interval
-    (or to the latent mean time when auditing is disabled), so the
+    closed forms only see ``MDL``.  Like :func:`sweep_audit_rate`, the
+    override sets ``MDL`` by :meth:`FaultModel.with_audit_rate`, so the
     attached analytic series describes the same scrubbing regime as the
     simulated one.
     """
     if audits_per_year is None:
         return model
-    if audits_per_year < 0:
-        raise ValueError("audits_per_year must be non-negative")
-    if audits_per_year == 0:
-        return model.with_detection_time(model.mean_time_to_latent)
-    return model.with_detection_time(HOURS_PER_YEAR / audits_per_year / 2.0)
-
-
-def grid_sweep(
-    model: FaultModel,
-    parameter_a: str,
-    values_a: Sequence[float],
-    parameter_b: str,
-    values_b: Sequence[float],
-    metric: Callable[[FaultModel], float] = mirrored_mttdl,
-) -> Dict[float, SweepResult]:
-    """Two-parameter sweep: one :class:`SweepResult` per value of the
-    first parameter, sweeping the second within it."""
-    field_a = PARAMETER_FIELDS.get(parameter_a)
-    if field_a is None:
-        raise ValueError(f"unknown parameter {parameter_a!r}")
-    results: Dict[float, SweepResult] = {}
-    for value_a in values_a:
-        base = replace(model, **{field_a: value_a})
-        results[value_a] = sweep_parameter(
-            base, parameter_b, values_b, metric=metric
-        )
-    return results
+    return model.with_audit_rate(audits_per_year)

@@ -1,20 +1,16 @@
 """Audit / scrubbing strategy analysis (paper Sections 6.2-6.3).
 
-Where :mod:`repro.simulation.scrubbing` provides audit policies for the
-event-driven simulator, this subpackage answers the policy-level
-questions analytically: what detection latency does a given audit
-schedule achieve, what does auditing cost for on-line vs off-line media,
-how much bandwidth does auditing consume, and where should the audit
-budget go.
+Where :mod:`repro.simulation.scrubbing` provides the audit grid for the
+simulators, this subpackage answers the policy-level questions
+analytically: what detection latency does a given audit schedule
+achieve, what does auditing cost for on-line vs off-line media, and how
+much bandwidth does auditing consume.
 """
 
 from repro.audit.policies import (
     AuditSchedule,
     periodic_schedule,
-    poisson_schedule,
-    on_access_schedule,
     detection_latency,
-    audits_needed_for_mdl,
 )
 from repro.audit.online_offline import (
     AuditCostComparison,
@@ -22,24 +18,13 @@ from repro.audit.online_offline import (
     audit_bandwidth_fraction,
     audit_induced_fault_rate,
 )
-from repro.audit.scheduler import (
-    AuditPlan,
-    plan_audits,
-    internal_vs_cross_replica_audit,
-)
 
 __all__ = [
     "AuditSchedule",
     "periodic_schedule",
-    "poisson_schedule",
-    "on_access_schedule",
     "detection_latency",
-    "audits_needed_for_mdl",
     "AuditCostComparison",
     "compare_online_offline",
     "audit_bandwidth_fraction",
     "audit_induced_fault_rate",
-    "AuditPlan",
-    "plan_audits",
-    "internal_vs_cross_replica_audit",
 ]

@@ -130,14 +130,3 @@ def compare_online_offline(
             offline, offline_audits_per_year, correlation_factor
         ),
     }
-
-
-def max_affordable_audit_rate(
-    media: MediaSpec, annual_budget: float
-) -> float:
-    """Highest audit rate whose annual cost fits a budget."""
-    if annual_budget < 0:
-        raise ValueError("annual_budget must be non-negative")
-    if media.audit_cost == 0:
-        return float("inf")
-    return annual_budget / media.audit_cost

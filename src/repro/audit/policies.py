@@ -62,10 +62,6 @@ class AuditSchedule:
             return float("inf")
         return HOURS_PER_YEAR / self.audits_per_year
 
-    def mean_detection_latency(self) -> float:
-        """Expected occurrence-to-detection delay (``MDL``) in hours."""
-        return detection_latency(self)
-
 
 def periodic_schedule(audits_per_year: float, coverage: float = 1.0) -> AuditSchedule:
     """A strictly periodic audit schedule."""
@@ -73,24 +69,6 @@ def periodic_schedule(audits_per_year: float, coverage: float = 1.0) -> AuditSch
         return AuditSchedule(kind=AuditKind.NONE, audits_per_year=0.0)
     return AuditSchedule(
         kind=AuditKind.PERIODIC, audits_per_year=audits_per_year, coverage=coverage
-    )
-
-
-def poisson_schedule(audits_per_year: float, coverage: float = 1.0) -> AuditSchedule:
-    """Opportunistic audits arriving at random (Poisson) times."""
-    if audits_per_year <= 0:
-        return AuditSchedule(kind=AuditKind.NONE, audits_per_year=0.0)
-    return AuditSchedule(
-        kind=AuditKind.POISSON, audits_per_year=audits_per_year, coverage=coverage
-    )
-
-
-def on_access_schedule(accesses_per_year: float, coverage: float = 1.0) -> AuditSchedule:
-    """Detection piggy-backed on user accesses only."""
-    if accesses_per_year <= 0:
-        return AuditSchedule(kind=AuditKind.NONE, audits_per_year=0.0)
-    return AuditSchedule(
-        kind=AuditKind.ON_ACCESS, audits_per_year=accesses_per_year, coverage=coverage
     )
 
 
@@ -107,29 +85,6 @@ def detection_latency(schedule: AuditSchedule) -> float:
     if schedule.kind is AuditKind.PERIODIC:
         return interval / 2.0 + (1.0 / schedule.coverage - 1.0) * interval
     return interval / schedule.coverage
-
-
-def audits_needed_for_mdl(
-    target_mdl_hours: float, kind: AuditKind = AuditKind.PERIODIC, coverage: float = 1.0
-) -> float:
-    """Audit passes per year needed to achieve a target ``MDL``.
-
-    Inverts :func:`detection_latency` for the chosen schedule kind.
-
-    Raises:
-        ValueError: for a non-positive target or the NONE kind.
-    """
-    if target_mdl_hours <= 0:
-        raise ValueError("target_mdl_hours must be positive")
-    if not 0 < coverage <= 1:
-        raise ValueError("coverage must be in (0, 1]")
-    if kind is AuditKind.NONE:
-        raise ValueError("cannot achieve a finite MDL without auditing")
-    if kind is AuditKind.PERIODIC:
-        interval = target_mdl_hours / (0.5 + (1.0 / coverage - 1.0))
-    else:
-        interval = target_mdl_hours * coverage
-    return HOURS_PER_YEAR / interval
 
 
 def audits_needed_for_target_mttdl(

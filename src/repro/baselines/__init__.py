@@ -1,47 +1,16 @@
-"""Prior reliability models the paper builds on or compares against.
+"""A prior reliability model the paper compares against.
 
-* Patterson et al. (1988): the original RAID MTTDL analysis — the
-  starting point the paper extends.
-* Chen et al. (1994): RAID reliability with system crashes and
-  uncorrectable bit errors, using a distinct correlated MTTF instead of
-  the paper's multiplicative ``α``.
-* Schwarz et al. (2004): disk scrubbing in large archival systems — the
-  source of the "latent faults are five times as frequent" ratio and the
-  opportunistic-scrubbing idea.
-* Weatherspoon & Kubiatowicz (2002): erasure coding vs replication — the
-  redundancy-efficiency comparison referenced in the related work.
+Chen et al. (1994): RAID reliability with system crashes and
+uncorrectable bit errors, using a distinct correlated MTTF instead of
+the paper's multiplicative ``α``.
 """
 
-from repro.baselines.raid_patterson import (
-    patterson_mirrored_mttdl,
-    patterson_raid5_mttdl,
-    patterson_reliability_over_mission,
-)
 from repro.baselines.chen import (
     chen_correlated_mttdl,
     chen_vs_alpha_model,
 )
-from repro.baselines.schwarz import (
-    schwarz_latent_to_visible_ratio,
-    schwarz_scrub_benefit,
-    opportunistic_scrub_mdl,
-)
-from repro.baselines.weatherspoon import (
-    erasure_coding_durability,
-    replication_durability,
-    storage_overhead_comparison,
-)
 
 __all__ = [
-    "patterson_mirrored_mttdl",
-    "patterson_raid5_mttdl",
-    "patterson_reliability_over_mission",
     "chen_correlated_mttdl",
     "chen_vs_alpha_model",
-    "schwarz_latent_to_visible_ratio",
-    "schwarz_scrub_benefit",
-    "opportunistic_scrub_mdl",
-    "erasure_coding_durability",
-    "replication_durability",
-    "storage_overhead_comparison",
 ]

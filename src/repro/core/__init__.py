@@ -6,27 +6,15 @@ accounts for visible faults, latent faults (with a detection delay), and
 correlated faults via a multiplicative correlation factor.
 """
 
-from repro.core.units import (
-    HOURS_PER_YEAR,
-    hours_to_years,
-    years_to_hours,
-    minutes_to_hours,
-    hours_to_minutes,
-    per_hour_to_per_year,
-    per_year_to_per_hour,
-)
+from repro.core.units import HOURS_PER_YEAR, years_to_hours
 from repro.core.faults import FaultType, FaultClass, FaultSpec
 from repro.core.parameters import FaultModel
 from repro.core.probability import (
     exponential_cdf,
-    exponential_survival,
     probability_of_loss,
-    probability_of_survival,
     mttdl_for_loss_probability,
-    annualised_loss_rate,
 )
 from repro.core.wov import (
-    WindowOfVulnerability,
     prob_second_fault_after_visible,
     prob_second_fault_after_latent,
     second_fault_probabilities,
@@ -46,12 +34,7 @@ from repro.core.approximations import (
     classify_regime,
     best_approximation,
 )
-from repro.core.replication import (
-    replicated_mttdl,
-    replication_gain,
-    replicas_needed_for_target,
-    fragments_needed_for_target,
-)
+from repro.core.replication import replicated_mttdl
 from repro.core.redundancy import (
     RedundancyScheme,
     Replication,
@@ -59,7 +42,6 @@ from repro.core.redundancy import (
     parse_scheme,
     resolve_scheme,
     scheme_loss_rate,
-    scheme_mttdl_hours,
     scheme_mttdl_eq12,
 )
 from repro.core.scenarios import (
@@ -78,22 +60,11 @@ from repro.core.strategies import (
     alpha_lower_bound,
     alpha_range_orders_of_magnitude,
 )
-from repro.core.sensitivity import (
-    parameter_sensitivities,
-    elasticity,
-    most_sensitive_parameter,
-)
-from repro.core.tradeoffs import (
-    AuditTradeoff,
-    audit_rate_tradeoff,
-    optimal_audit_rate,
-)
 from repro.core.migration import (
     FormatRisk,
     CAMERA_RAW,
     OPEN_DOCUMENT_FORMAT,
     LEGACY_DATABASE_DUMP,
-    obsolescence_fault_model,
     probability_uninterpretable,
     review_rate_for_target,
 )
@@ -101,12 +72,7 @@ from repro.core.migration import (
 __all__ = [
     # units
     "HOURS_PER_YEAR",
-    "hours_to_years",
     "years_to_hours",
-    "minutes_to_hours",
-    "hours_to_minutes",
-    "per_hour_to_per_year",
-    "per_year_to_per_hour",
     # faults
     "FaultType",
     "FaultClass",
@@ -115,13 +81,9 @@ __all__ = [
     "FaultModel",
     # probability
     "exponential_cdf",
-    "exponential_survival",
     "probability_of_loss",
-    "probability_of_survival",
     "mttdl_for_loss_probability",
-    "annualised_loss_rate",
     # WOV
-    "WindowOfVulnerability",
     "prob_second_fault_after_visible",
     "prob_second_fault_after_latent",
     "second_fault_probabilities",
@@ -140,9 +102,6 @@ __all__ = [
     "best_approximation",
     # replication
     "replicated_mttdl",
-    "replication_gain",
-    "replicas_needed_for_target",
-    "fragments_needed_for_target",
     # redundancy schemes
     "RedundancyScheme",
     "Replication",
@@ -150,7 +109,6 @@ __all__ = [
     "parse_scheme",
     "resolve_scheme",
     "scheme_loss_rate",
-    "scheme_mttdl_hours",
     "scheme_mttdl_eq12",
     # scenarios
     "Scenario",
@@ -166,20 +124,11 @@ __all__ = [
     "evaluate_all_strategies",
     "alpha_lower_bound",
     "alpha_range_orders_of_magnitude",
-    # sensitivity
-    "parameter_sensitivities",
-    "elasticity",
-    "most_sensitive_parameter",
-    # tradeoffs
-    "AuditTradeoff",
-    "audit_rate_tradeoff",
-    "optimal_audit_rate",
     # migration
     "FormatRisk",
     "CAMERA_RAW",
     "OPEN_DOCUMENT_FORMAT",
     "LEGACY_DATABASE_DUMP",
-    "obsolescence_fault_model",
     "probability_uninterpretable",
     "review_rate_for_target",
 ]

@@ -32,10 +32,6 @@ class FaultType(enum.Enum):
     def is_latent(self) -> bool:
         return self is FaultType.LATENT
 
-    @property
-    def is_visible(self) -> bool:
-        return self is FaultType.VISIBLE
-
 
 class FaultClass(enum.Enum):
     """Threat classes from Section 3 of the paper."""
@@ -117,16 +113,6 @@ class FaultSpec:
     def rate(self) -> float:
         """Occurrence rate of the fault process (per hour)."""
         return 1.0 / self.mean_time_to_fault
-
-    @property
-    def window_of_vulnerability(self) -> float:
-        """Mean unrepaired period following one of these faults (hours).
-
-        For visible faults this is just the repair time; for latent
-        faults it additionally includes the detection delay
-        (paper Section 5.3).
-        """
-        return self.mean_detection_time + self.mean_repair_time
 
     def with_detection_time(self, mean_detection_time: float) -> "FaultSpec":
         """Return a copy with a different mean detection time."""

@@ -17,10 +17,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.mttdl import mirrored_mttdl
-from repro.core.parameters import FaultModel
-from repro.core.units import HOURS_PER_YEAR
-
 
 @dataclass(frozen=True)
 class FormatRisk:
@@ -82,37 +78,6 @@ LEGACY_DATABASE_DUMP = FormatRisk(
 )
 
 
-def obsolescence_fault_model(
-    risk: FormatRisk, format_checks_per_year: float
-) -> FaultModel:
-    """Map a format risk onto the paper's fault model.
-
-    The "fault" is the format becoming endangered (latent — nothing
-    breaks immediately); "detection" is the format-review cycle noticing
-    it; "repair" is the migration sweep.  A second fault within the
-    window corresponds to losing the remaining interpretability before
-    migration completes, modelled by the endangered-to-dead clock acting
-    as the visible-fault process.
-    """
-    if format_checks_per_year < 0:
-        raise ValueError("format_checks_per_year must be non-negative")
-    endangered_hours = risk.mean_years_to_endangered * HOURS_PER_YEAR
-    death_hours = risk.mean_years_endangered_to_dead * HOURS_PER_YEAR
-    sweep_hours = risk.migration_sweep_years * HOURS_PER_YEAR
-    if format_checks_per_year == 0:
-        detection_hours = endangered_hours
-    else:
-        detection_hours = HOURS_PER_YEAR / format_checks_per_year / 2.0
-    return FaultModel(
-        mean_time_to_visible=death_hours,
-        mean_time_to_latent=endangered_hours,
-        mean_repair_visible=sweep_hours,
-        mean_repair_latent=sweep_hours,
-        mean_detect_latent=detection_hours,
-        correlation_factor=1.0,
-    )
-
-
 def probability_uninterpretable(
     risk: FormatRisk,
     format_checks_per_year: float,
@@ -170,17 +135,6 @@ def review_rate_for_target(
         else:
             low = mid
     return high
-
-
-def mttdf_hours(risk: FormatRisk, format_checks_per_year: float) -> float:
-    """Mean time to "data death by format" via the mirrored-pair analogy.
-
-    Evaluates :func:`obsolescence_fault_model` with the core MTTDL
-    machinery; useful for putting format risk on the same axis as media
-    risk in reports.
-    """
-    model = obsolescence_fault_model(risk, format_checks_per_year)
-    return mirrored_mttdl(model)
 
 
 def proprietary_penalty(

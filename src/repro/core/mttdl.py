@@ -56,16 +56,6 @@ class DoubleFaultBreakdown:
             + self.latent_then_latent
         )
 
-    @property
-    def after_visible(self) -> float:
-        """Loss rate attributable to windows opened by visible faults."""
-        return self.visible_then_visible + self.visible_then_latent
-
-    @property
-    def after_latent(self) -> float:
-        """Loss rate attributable to windows opened by latent faults."""
-        return self.latent_then_visible + self.latent_then_latent
-
     def as_dict(self) -> Dict[Tuple[FaultType, FaultType], float]:
         return {
             (FaultType.VISIBLE, FaultType.VISIBLE): self.visible_then_visible,
@@ -180,26 +170,3 @@ def mirrored_mttdl(
 def mirrored_mttdl_exact(model: FaultModel) -> float:
     """Mean time to data loss using exponential window probabilities."""
     return mirrored_mttdl(model, exact=True)
-
-
-def mirrored_mttdl_closed_form(model: FaultModel) -> float:
-    """The paper's Eq. 8 evaluated literally (no capping).
-
-    .. math::
-
-        \\mathrm{MTTDL} = \\frac{\\alpha\\,ML^2\\,MV^2}
-            {(MV + ML)\\,(MRV\\cdot ML + (MRL + MDL)\\cdot MV)}
-
-    This form is only meaningful when both windows of vulnerability are
-    much shorter than both fault mean times; outside that regime prefer
-    :func:`mirrored_mttdl`.
-    """
-    mv = model.mean_time_to_visible
-    ml = model.mean_time_to_latent
-    mrv = model.mean_repair_visible
-    wov_latent = model.latent_window
-    numerator = model.correlation_factor * ml * ml * mv * mv
-    denominator = (mv + ml) * (mrv * ml + wov_latent * mv)
-    if denominator == 0:
-        return float("inf")
-    return numerator / denominator

@@ -76,6 +76,35 @@ def json_string(value: object, path: str) -> str:
     raise ValueError(f"'{path}' must be a string")
 
 
+def mdl_from_audit_rate(
+    audits_per_year: float, mean_time_to_latent: float
+) -> float:
+    """``MDL`` (hours) of latent faults audited ``audits_per_year`` times.
+
+    Half the audit interval: detection is perfect and latent faults
+    arrive uniformly (paper Section 6.2).  A rate of zero gives
+    ``mean_time_to_latent``, the ``MDL`` from which the simulators stop
+    scrubbing altogether
+    (:func:`repro.simulation.scrubbing.audit_interval_for`).
+    """
+    if audits_per_year < 0:
+        raise ValueError("audits_per_year must be non-negative")
+    if audits_per_year == 0:
+        return mean_time_to_latent
+    return HOURS_PER_YEAR / audits_per_year / 2.0
+
+
+#: The paper's parameter names, mapped to :class:`FaultModel` fields.
+PARAMETER_FIELDS: Dict[str, str] = {
+    "MV": "mean_time_to_visible",
+    "ML": "mean_time_to_latent",
+    "MRV": "mean_repair_visible",
+    "MRL": "mean_repair_latent",
+    "MDL": "mean_detect_latent",
+    "alpha": "correlation_factor",
+}
+
+
 @dataclass(frozen=True)
 class FaultModel:
     """Parameters of the paper's reliability model for one replica.
@@ -178,15 +207,6 @@ class FaultModel:
         """
         return self.mean_detect_latent + self.mean_repair_latent
 
-    @property
-    def latent_to_visible_ratio(self) -> float:
-        """How much more frequent latent faults are than visible ones.
-
-        Schwarz et al. (cited in Section 5.4) suggest this ratio is
-        about five for silent block faults vs whole-disk faults.
-        """
-        return self.mean_time_to_visible / self.mean_time_to_latent
-
     # -- fault specs -------------------------------------------------------
 
     def visible_spec(self) -> FaultSpec:
@@ -222,17 +242,16 @@ class FaultModel:
         """Return a copy with a different mean latent detection time."""
         return replace(self, mean_detect_latent=mdl)
 
-    def with_latent_mean_time(self, ml: float) -> "FaultModel":
-        """Return a copy with a different mean time to latent faults."""
-        return replace(self, mean_time_to_latent=ml)
+    def with_audit_rate(self, audits_per_year: float) -> "FaultModel":
+        """Return a copy whose ``MDL`` a periodic audit rate implies
+        (:func:`mdl_from_audit_rate`)."""
+        return self.with_detection_time(
+            mdl_from_audit_rate(audits_per_year, self.mean_time_to_latent)
+        )
 
     def with_visible_mean_time(self, mv: float) -> "FaultModel":
         """Return a copy with a different mean time to visible faults."""
         return replace(self, mean_time_to_visible=mv)
-
-    def with_repair_times(self, mrv: float, mrl: float) -> "FaultModel":
-        """Return a copy with different repair times."""
-        return replace(self, mean_repair_visible=mrv, mean_repair_latent=mrl)
 
     def scaled(self, factor: float) -> "FaultModel":
         """Return a copy with both fault mean times scaled by ``factor``.
@@ -297,25 +316,3 @@ class FaultModel:
             f"alpha = {self.correlation_factor:.6g}",
         ]
         return "\n".join(lines)
-
-
-def model_from_specs(
-    visible: FaultSpec, latent: FaultSpec, correlation_factor: float = 1.0
-) -> FaultModel:
-    """Build a :class:`FaultModel` from separate visible/latent specs.
-
-    Raises:
-        ValueError: if the spec types do not match their roles.
-    """
-    if visible.fault_type is not FaultType.VISIBLE:
-        raise ValueError("the 'visible' spec must have FaultType.VISIBLE")
-    if latent.fault_type is not FaultType.LATENT:
-        raise ValueError("the 'latent' spec must have FaultType.LATENT")
-    return FaultModel(
-        mean_time_to_visible=visible.mean_time_to_fault,
-        mean_time_to_latent=latent.mean_time_to_fault,
-        mean_repair_visible=visible.mean_repair_time,
-        mean_repair_latent=latent.mean_repair_time,
-        mean_detect_latent=latent.mean_detection_time,
-        correlation_factor=correlation_factor,
-    )

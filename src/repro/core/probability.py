@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 
-from repro.core.units import HOURS_PER_YEAR
-
 
 def exponential_cdf(t: float, mean_time: float) -> float:
     """``P(T <= t)`` for an exponential variable with the given mean.
@@ -30,15 +28,6 @@ def exponential_cdf(t: float, mean_time: float) -> float:
     return -math.expm1(-t / mean_time)
 
 
-def exponential_survival(t: float, mean_time: float) -> float:
-    """``P(T > t)`` for an exponential variable with the given mean."""
-    if mean_time <= 0:
-        raise ValueError(f"mean_time must be positive, got {mean_time!r}")
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t!r}")
-    return math.exp(-t / mean_time)
-
-
 def probability_of_loss(mttdl: float, mission_time: float) -> float:
     """Probability of at least one data-loss event within ``mission_time``.
 
@@ -51,16 +40,6 @@ def probability_of_loss(mttdl: float, mission_time: float) -> float:
         mission_time: how long the data must survive, in hours.
     """
     return exponential_cdf(mission_time, mttdl)
-
-
-def probability_of_survival(mttdl: float, mission_time: float) -> float:
-    """Probability of surviving ``mission_time`` without data loss."""
-    return exponential_survival(mission_time, mttdl)
-
-
-def probability_of_loss_years(mttdl_years: float, mission_years: float) -> float:
-    """Same as :func:`probability_of_loss` with both arguments in years."""
-    return exponential_cdf(mission_years, mttdl_years)
 
 
 def mttdl_for_loss_probability(loss_probability: float, mission_time: float) -> float:
@@ -81,35 +60,3 @@ def mttdl_for_loss_probability(loss_probability: float, mission_time: float) -> 
     if mission_time <= 0:
         raise ValueError(f"mission_time must be positive, got {mission_time!r}")
     return -mission_time / math.log(1.0 - loss_probability)
-
-
-def annualised_loss_rate(mttdl_hours: float) -> float:
-    """Expected number of data-loss events per year.
-
-    This is simply ``8760 / MTTDL`` for an MTTDL expressed in hours; it is
-    the natural rate to compare against annualised failure rates (AFR)
-    quoted for drives.
-    """
-    if mttdl_hours <= 0:
-        raise ValueError(f"mttdl_hours must be positive, got {mttdl_hours!r}")
-    return HOURS_PER_YEAR / mttdl_hours
-
-
-def halflife_from_mttdl(mttdl: float) -> float:
-    """Time by which the data has a 50% chance of having been lost."""
-    if mttdl <= 0:
-        raise ValueError(f"mttdl must be positive, got {mttdl!r}")
-    return mttdl * math.log(2.0)
-
-
-def expected_losses(mttdl: float, mission_time: float) -> float:
-    """Expected number of loss events in ``mission_time`` (same units).
-
-    For a memoryless loss process with repairs that fully restore the
-    system, the expected count over a mission is ``mission_time / MTTDL``.
-    """
-    if mttdl <= 0:
-        raise ValueError(f"mttdl must be positive, got {mttdl!r}")
-    if mission_time < 0:
-        raise ValueError(f"mission_time must be non-negative, got {mission_time!r}")
-    return mission_time / mttdl

@@ -1,12 +1,11 @@
 """First-class redundancy schemes: r-way replication and (n, k) codes.
 
 The paper's reliability model (Eq. 12 and the Markov MTTDL analysis)
-assumes r-way mirroring, but its own comparison points — the
-Weatherspoon/Kubiatowicz erasure-coding analysis in
-:mod:`repro.baselines.weatherspoon` and RAID in
-:mod:`repro.baselines.raid_patterson` — frame the production answer for
-long-term archives as "any ``k`` of ``n`` fragments reconstruct".  This
-module is the single place that knows what a redundancy scheme *is*:
+assumes r-way mirroring, but the related work it cites — Weatherspoon
+and Kubiatowicz's erasure-coding comparison and Patterson et al.'s RAID
+— frames the production answer for long-term archives as "any ``k`` of
+``n`` fragments reconstruct".  This module is the single place that
+knows what a redundancy scheme *is*:
 
 * :class:`RedundancyScheme` — ``n`` stored fragments of which any ``k``
   reconstruct the object.  Data is lost when more than ``n - k``
@@ -189,14 +188,6 @@ def scheme_loss_rate(model: FaultModel, scheme: RedundancyScheme) -> float:
             product *= min(1.0, (scheme.n - j) * residual * lam_any / alpha)
         rate += scheme.n * lam_first * product
     return rate
-
-
-def scheme_mttdl_hours(model: FaultModel, scheme: RedundancyScheme) -> float:
-    """MTTDL (hours) implied by :func:`scheme_loss_rate`."""
-    rate = scheme_loss_rate(model, scheme)
-    if rate <= 0.0:
-        return float("inf")
-    return 1.0 / rate
 
 
 def scheme_mttdl_eq12(

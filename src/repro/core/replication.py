@@ -21,9 +21,6 @@ little.
 
 from __future__ import annotations
 
-import math
-from typing import List
-
 from repro.core.parameters import FaultModel
 from repro.core.redundancy import RedundancyScheme, scheme_mttdl_eq12
 
@@ -78,136 +75,3 @@ def replicated_mttdl_from_model(model: FaultModel, replicas: int) -> float:
         replicas=replicas,
         correlation_factor=model.correlation_factor,
     )
-
-
-def replication_gain(
-    mean_time_to_fault: float,
-    mean_repair_time: float,
-    replicas: int,
-    correlation_factor: float = 1.0,
-) -> float:
-    """How much adding one more replica multiplies the MTTDL.
-
-    Under Eq. 12 the gain per added replica is ``α MV / MRV`` regardless
-    of the starting degree, which is the quantity that correlation
-    erodes.
-    """
-    with_extra = replicated_mttdl(
-        mean_time_to_fault, mean_repair_time, replicas + 1, correlation_factor
-    )
-    base = replicated_mttdl(
-        mean_time_to_fault, mean_repair_time, replicas, correlation_factor
-    )
-    if base == 0:
-        return float("inf")
-    return with_extra / base
-
-
-def replicas_needed_for_target(
-    mean_time_to_fault: float,
-    mean_repair_time: float,
-    target_mttdl: float,
-    correlation_factor: float = 1.0,
-    max_replicas: int = 64,
-) -> int:
-    """Smallest replication degree whose Eq. 12 MTTDL meets a target.
-
-    Raises:
-        ValueError: if the target cannot be met within ``max_replicas``
-            (which happens when correlation is so strong that each added
-            replica contributes no reliability).
-    """
-    if target_mttdl <= 0:
-        raise ValueError("target_mttdl must be positive")
-    for replicas in range(1, max_replicas + 1):
-        mttdl = replicated_mttdl(
-            mean_time_to_fault, mean_repair_time, replicas, correlation_factor
-        )
-        if mttdl >= target_mttdl:
-            return replicas
-    raise ValueError(
-        f"target MTTDL {target_mttdl:g} h not reachable with up to "
-        f"{max_replicas} replicas at correlation {correlation_factor:g}"
-    )
-
-
-def fragments_needed_for_target(
-    n_max: int,
-    k: int,
-    mean_time_to_fault: float,
-    mean_repair_time: float,
-    target_mttdl: float,
-    correlation_factor: float = 1.0,
-) -> int:
-    """Smallest fragment count ``n`` whose (n, k) MTTDL meets a target.
-
-    The erasure-coded analogue of :func:`replicas_needed_for_target`:
-    holding the reconstruction threshold ``k`` fixed, find the smallest
-    ``n`` (searching ``k .. n_max``) whose generalised Eq. 12 MTTDL
-    (:func:`repro.core.redundancy.scheme_mttdl_eq12`) reaches
-    ``target_mttdl``.  For ``k = 1`` the answer coincides with
-    :func:`replicas_needed_for_target` because the generalised formula
-    reduces to Eq. 12 exactly.
-
-    Raises:
-        ValueError: for an unreachable target within ``n_max`` fragments,
-            or ``n_max < k``.
-    """
-    if target_mttdl <= 0:
-        raise ValueError("target_mttdl must be positive")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if n_max < k:
-        raise ValueError("n_max must be at least k")
-    for n in range(k, n_max + 1):
-        mttdl = scheme_mttdl_eq12(
-            mean_time_to_fault,
-            mean_repair_time,
-            RedundancyScheme(n=n, k=k),
-            correlation_factor,
-        )
-        if mttdl >= target_mttdl:
-            return n
-    raise ValueError(
-        f"target MTTDL {target_mttdl:g} h not reachable with up to "
-        f"{n_max} fragments at k={k}, correlation {correlation_factor:g}"
-    )
-
-
-def replication_sweep(
-    mean_time_to_fault: float,
-    mean_repair_time: float,
-    max_replicas: int,
-    correlation_factor: float = 1.0,
-) -> List[float]:
-    """MTTDL for every replication degree from 1 to ``max_replicas``."""
-    if max_replicas < 1:
-        raise ValueError("max_replicas must be at least 1")
-    return [
-        replicated_mttdl(
-            mean_time_to_fault, mean_repair_time, r, correlation_factor
-        )
-        for r in range(1, max_replicas + 1)
-    ]
-
-
-def effective_replicas(
-    replicas: int, correlation_factor: float, mean_time_to_fault: float,
-    mean_repair_time: float,
-) -> float:
-    """Replication degree of an *independent* system with the same MTTDL.
-
-    Answers the paper's Section 5.5 question quantitatively: with
-    correlation ``α``, how many truly independent replicas is an r-way
-    correlated system actually worth?  Computed by equating Eq. 12 with
-    ``α = 1`` to the correlated MTTDL and solving for ``r``.
-    """
-    correlated = replicated_mttdl(
-        mean_time_to_fault, mean_repair_time, replicas, correlation_factor
-    )
-    if mean_repair_time == 0:
-        return float(replicas)
-    ratio = mean_time_to_fault / mean_repair_time
-    if ratio <= 1:
-        return 1.0
-    return 1.0 + math.log(correlated / mean_time_to_fault) / math.log(ratio)

@@ -11,78 +11,8 @@ we use that constant rather than the Julian-year 8766.
 from __future__ import annotations
 
 HOURS_PER_YEAR = 8760.0
-HOURS_PER_DAY = 24.0
-MINUTES_PER_HOUR = 60.0
-SECONDS_PER_HOUR = 3600.0
-
-
-def hours_to_years(hours: float) -> float:
-    """Convert a duration in hours to years."""
-    return hours / HOURS_PER_YEAR
 
 
 def years_to_hours(years: float) -> float:
     """Convert a duration in years to hours."""
     return years * HOURS_PER_YEAR
-
-
-def minutes_to_hours(minutes: float) -> float:
-    """Convert a duration in minutes to hours."""
-    return minutes / MINUTES_PER_HOUR
-
-
-def hours_to_minutes(hours: float) -> float:
-    """Convert a duration in hours to minutes."""
-    return hours * MINUTES_PER_HOUR
-
-
-def seconds_to_hours(seconds: float) -> float:
-    """Convert a duration in seconds to hours."""
-    return seconds / SECONDS_PER_HOUR
-
-
-def hours_to_seconds(hours: float) -> float:
-    """Convert a duration in hours to seconds."""
-    return hours * SECONDS_PER_HOUR
-
-
-def days_to_hours(days: float) -> float:
-    """Convert a duration in days to hours."""
-    return days * HOURS_PER_DAY
-
-
-def hours_to_days(hours: float) -> float:
-    """Convert a duration in hours to days."""
-    return hours / HOURS_PER_DAY
-
-
-def per_hour_to_per_year(rate_per_hour: float) -> float:
-    """Convert an event rate expressed per hour to per year."""
-    return rate_per_hour * HOURS_PER_YEAR
-
-
-def per_year_to_per_hour(rate_per_year: float) -> float:
-    """Convert an event rate expressed per year to per hour."""
-    return rate_per_year / HOURS_PER_YEAR
-
-
-def rate_from_mean_time(mean_time: float) -> float:
-    """Return the exponential rate ``1 / mean_time``.
-
-    Raises:
-        ValueError: if ``mean_time`` is not strictly positive.
-    """
-    if mean_time <= 0:
-        raise ValueError(f"mean time must be positive, got {mean_time!r}")
-    return 1.0 / mean_time
-
-
-def mean_time_from_rate(rate: float) -> float:
-    """Return the mean time ``1 / rate`` of an exponential process.
-
-    Raises:
-        ValueError: if ``rate`` is not strictly positive.
-    """
-    if rate <= 0:
-        raise ValueError(f"rate must be positive, got {rate!r}")
-    return 1.0 / rate

@@ -12,34 +12,9 @@ fault by the factor ``α``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.core.faults import FaultType
 from repro.core.parameters import FaultModel
-
-
-@dataclass(frozen=True)
-class WindowOfVulnerability:
-    """The unprotected period following a first fault.
-
-    Attributes:
-        first_fault: the type of the fault that opened the window.
-        duration: mean length of the window in hours.
-    """
-
-    first_fault: FaultType
-    duration: float
-
-    def __post_init__(self) -> None:
-        if self.duration < 0:
-            raise ValueError("window duration must be non-negative")
-
-
-def window_after(model: FaultModel, first_fault: FaultType) -> WindowOfVulnerability:
-    """Return the window of vulnerability opened by ``first_fault``."""
-    if first_fault is FaultType.VISIBLE:
-        return WindowOfVulnerability(FaultType.VISIBLE, model.visible_window)
-    return WindowOfVulnerability(FaultType.LATENT, model.latent_window)
 
 
 def _second_fault_probability(

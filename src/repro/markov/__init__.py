@@ -12,7 +12,6 @@ closed forms.
 from repro.markov.chain import MarkovChain, TransitionError
 from repro.markov.absorbing import (
     mean_time_to_absorption,
-    absorption_probabilities,
     expected_visits,
 )
 from repro.markov.transient import (
@@ -34,7 +33,6 @@ __all__ = [
     "MarkovChain",
     "TransitionError",
     "mean_time_to_absorption",
-    "absorption_probabilities",
     "expected_visits",
     "transient_distribution",
     "loss_probability_over_time",

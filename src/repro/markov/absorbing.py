@@ -14,7 +14,7 @@ the transient states:
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -74,54 +74,3 @@ def mean_time_to_absorption(
     """
     visits = expected_visits(chain, start)
     return float(sum(visits.values()))
-
-
-def absorption_probabilities(
-    chain: MarkovChain, start: Optional[State] = None
-) -> Dict[State, float]:
-    """Probability of being absorbed into each absorbing state."""
-    chain.validate()
-    t_block, a_block, transient, absorbing = chain.partitioned_generator()
-    if not absorbing:
-        raise TransitionError("chain has no absorbing states")
-    p0 = _start_vector(chain, start)
-    times = np.linalg.solve(t_block.T, -p0)
-    probabilities = times @ a_block
-    total = probabilities.sum()
-    if total > 0:
-        probabilities = probabilities / total
-    return dict(zip(absorbing, probabilities))
-
-
-def mean_time_to_state(
-    chain: MarkovChain, target: State, start: Optional[State] = None
-) -> float:
-    """Mean hitting time of one particular state.
-
-    Implemented by treating ``target`` as the only absorbing state and
-    removing the other absorbing states' absorption (transitions into
-    them are redirected nowhere, i.e. the time conditional on eventually
-    hitting ``target`` is not what this computes — it is the mean time
-    assuming all other absorbing states are made non-absorbing sinks that
-    cannot be left, which only makes sense when ``target`` is reachable
-    with probability 1).  For the storage chains in
-    :mod:`repro.markov.builders` there is a single absorbing state, so
-    this reduces to :func:`mean_time_to_absorption`.
-    """
-    if chain.is_absorbing(target) and len(chain.absorbing_states) == 1:
-        return mean_time_to_absorption(chain, start)
-    raise TransitionError(
-        "mean_time_to_state currently supports chains whose only "
-        "absorbing state is the target"
-    )
-
-
-def occupancy_fractions(
-    chain: MarkovChain, start: Optional[State] = None
-) -> Dict[State, float]:
-    """Fraction of the pre-absorption lifetime spent in each state."""
-    visits = expected_visits(chain, start)
-    total = sum(visits.values())
-    if total == 0:
-        return {state: 0.0 for state in visits}
-    return {state: time / total for state, time in visits.items()}

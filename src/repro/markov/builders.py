@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from repro.core.parameters import FaultModel
 from repro.core.redundancy import RedundancyScheme
-from repro.core.units import HOURS_PER_YEAR
 from repro.markov.absorbing import mean_time_to_absorption
 from repro.markov.chain import MarkovChain
 
@@ -251,15 +250,6 @@ def replicated_mttdl_markov(
 
 
 def build_scrubbed_chain(model: FaultModel, audits_per_year: float) -> MarkovChain:
-    """Mirrored chain whose detection delay comes from a scrub rate.
-
-    ``MDL`` is set to half the audit interval (perfect detection,
-    uniformly arriving latent faults), matching Section 6.2.
-    """
-    if audits_per_year < 0:
-        raise ValueError("audits_per_year must be non-negative")
-    if audits_per_year == 0:
-        mdl = model.mean_time_to_latent
-    else:
-        mdl = HOURS_PER_YEAR / audits_per_year / 2.0
-    return build_mirrored_chain(model.with_detection_time(mdl))
+    """Mirrored chain whose detection delay comes from a scrub rate
+    (:meth:`~repro.core.parameters.FaultModel.with_audit_rate`)."""
+    return build_mirrored_chain(model.with_audit_rate(audits_per_year))

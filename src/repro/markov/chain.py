@@ -8,7 +8,7 @@ rates (per hour).  The chain exposes its infinitesimal generator matrix
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -48,13 +48,6 @@ class MarkovChain:
         self._index[state] = len(self._states)
         self._states.append(state)
         if absorbing:
-            self._absorbing.add(state)
-
-    def ensure_state(self, state: State, absorbing: bool = False) -> None:
-        """Register a state if it is not already present."""
-        if state not in self._index:
-            self.add_state(state, absorbing=absorbing)
-        elif absorbing:
             self._absorbing.add(state)
 
     def add_transition(self, source: State, target: State, rate: float) -> None:
@@ -113,12 +106,6 @@ class MarkovChain:
         return sum(
             rate for (source, _), rate in self._transitions.items() if source == state
         )
-
-    def state_index(self, state: State) -> int:
-        """Position of ``state`` in the generator matrix ordering."""
-        if state not in self._index:
-            raise TransitionError(f"unknown state {state!r}")
-        return self._index[state]
 
     def __len__(self) -> int:
         return len(self._states)
@@ -209,36 +196,3 @@ class MarkovChain:
         ):
             lines.append(f"  {source!r} -> {target!r} @ {rate:.6g}/h")
         return "\n".join(lines)
-
-
-def chain_from_matrix(
-    states: Iterable[State],
-    rates: np.ndarray,
-    absorbing: Iterable[State] = (),
-) -> MarkovChain:
-    """Build a chain from a dense rate matrix.
-
-    Args:
-        states: state labels in matrix order.
-        rates: square matrix of transition rates; the diagonal is ignored.
-        absorbing: which of the states are absorbing.
-    """
-    state_list = list(states)
-    rates = np.asarray(rates, dtype=float)
-    if rates.shape != (len(state_list), len(state_list)):
-        raise TransitionError(
-            f"rate matrix shape {rates.shape} does not match "
-            f"{len(state_list)} states"
-        )
-    chain = MarkovChain()
-    absorbing_set = set(absorbing)
-    for state in state_list:
-        chain.add_state(state, absorbing=state in absorbing_set)
-    for i, source in enumerate(state_list):
-        for j, target in enumerate(state_list):
-            if i == j:
-                continue
-            rate = rates[i, j]
-            if rate > 0:
-                chain.add_transition(source, target, rate)
-    return chain

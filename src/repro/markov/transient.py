@@ -15,7 +15,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 from scipy.linalg import expm
 
-from repro.markov.chain import MarkovChain, State, TransitionError
+from repro.markov.chain import MarkovChain, State
 
 
 def transient_distribution(
@@ -71,52 +71,3 @@ def survival_curve(
     return {
         t: 1.0 - loss_probability_over_time(chain, t, start) for t in times
     }
-
-
-def instantaneous_loss_rate(
-    chain: MarkovChain, time: float, start: Optional[State] = None
-) -> float:
-    """Hazard rate of data loss at ``time`` (per hour).
-
-    The flow into absorbing states divided by the probability of not yet
-    being absorbed.  For a chain whose loss process is approximately
-    exponential this is flat and equals ``1 / MTTDL``; deviation from
-    flatness quantifies how non-exponential the true loss process is.
-    """
-    distribution = transient_distribution(chain, time, start)
-    survivor_mass = sum(
-        probability
-        for state, probability in distribution.items()
-        if not chain.is_absorbing(state)
-    )
-    if survivor_mass <= 0:
-        return float("inf")
-    flow = 0.0
-    for state, probability in distribution.items():
-        if chain.is_absorbing(state):
-            continue
-        for target in chain.absorbing_states:
-            flow += probability * chain.rate(state, target)
-    return flow / survivor_mass
-
-
-def exponentiality_error(
-    chain: MarkovChain,
-    mttdl: float,
-    times: Sequence[float],
-    start: Optional[State] = None,
-) -> float:
-    """Largest absolute difference between the exact loss probability and
-    the exponential approximation ``1 - exp(-t / MTTDL)`` over ``times``.
-
-    Used by experiment E11 to check how much accuracy the paper's
-    exponential shortcut loses.
-    """
-    if mttdl <= 0:
-        raise ValueError("mttdl must be positive")
-    worst = 0.0
-    for t in times:
-        exact = loss_probability_over_time(chain, t, start)
-        approximate = 1.0 - np.exp(-t / mttdl)
-        worst = max(worst, abs(exact - approximate))
-    return float(worst)

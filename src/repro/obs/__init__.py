@@ -1,9 +1,9 @@
 """``repro.obs`` — telemetry, tracing, and run provenance.
 
 The observability spine across every engine: a zero-dependency
-:class:`Telemetry` registry (counters, gauges, histograms, nestable
-spans) with mergeable :class:`TelemetrySnapshot` rows that fold worker
-time into the parent, a schema-versioned JSONL flight recorder
+:class:`Telemetry` registry (counters, histograms, nestable spans) with
+mergeable :class:`TelemetrySnapshot` rows that fold worker time into
+the parent, a schema-versioned JSONL flight recorder
 (:class:`TraceWriter` / :func:`read_trace` / :func:`validate_trace`),
 Prometheus text exposition (:func:`to_prometheus`), and trace
 summarisation for the CLI (:func:`summarize_trace`).

@@ -5,8 +5,8 @@ service scrapes its :class:`~repro.obs.telemetry.Telemetry` registry by
 rendering a snapshot through :func:`to_prometheus`.  The output follows
 the Prometheus text exposition format (version 0.0.4): ``# TYPE`` lines,
 one sample per line, histograms as ``_count``/``_sum``/``_min``/``_max``
-gauge-style series (the registry keeps summaries, not buckets), and
-spans as ``_count``/``_seconds_total`` pairs.
+series (the registry keeps summaries, not buckets), and spans as
+``_count``/``_seconds_total`` pairs.
 
 Instrument names like ``cache.fleet.hits`` become metric names like
 ``repro_cache_fleet_hits`` — dots to underscores under a common prefix,
@@ -52,10 +52,6 @@ def to_prometheus(snapshot: TelemetrySnapshot, prefix: str = "repro") -> str:
         metric = metric_name(name, prefix) + "_total"
         lines.append(f"# TYPE {metric} counter")
         lines.append(f"{metric} {_format_value(snapshot.counters[name])}")
-    for name in sorted(snapshot.gauges):
-        metric = metric_name(name, prefix)
-        lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric} {_format_value(snapshot.gauges[name])}")
     for name in sorted(snapshot.histograms):
         count, total, low, high = snapshot.histograms[name]
         metric = metric_name(name, prefix)

@@ -1,12 +1,10 @@
 """The zero-dependency telemetry registry behind ``repro.obs``.
 
-A :class:`Telemetry` instance is a process-local registry of four
+A :class:`Telemetry` instance is a process-local registry of three
 instrument kinds:
 
 * **counters** — monotonically increasing totals (``count``): cache
   hits, trials simulated, events emitted;
-* **gauges** — last-known values where merging takes the maximum
-  (``gauge``): peak chunk size, resolved worker count;
 * **histograms** — ``(count, total, min, max)`` summaries of repeated
   observations (``observe``): per-chunk worker wall times, batch-kernel
   call durations;
@@ -26,8 +24,8 @@ caller passes ``telemetry=``.
 The worker-pool story mirrors the rest of the codebase's mergeable-tally
 discipline: a registry freezes into a :class:`TelemetrySnapshot`, and
 snapshots :meth:`~TelemetrySnapshot.merge` associatively and
-commutatively (counters sum, gauges max, histogram and span summaries
-fold field-wise) — the same contract as
+commutatively (counters sum, histogram and span summaries fold
+field-wise) — the same contract as
 :meth:`repro.fleet.aggregate.FleetTally.merge`, property-tested the same
 way.  Pool workers return each result with its wall time
 (:func:`repro.parallel.map_timed`); the parent turns every time into a
@@ -66,13 +64,11 @@ class TelemetrySnapshot:
 
     Attributes:
         counters: name → running total.
-        gauges: name → last observed value (max under merge).
         histograms: name → ``(count, total, min, max)``.
         spans: dotted path → ``(count, total_seconds)``.
     """
 
     counters: Dict[str, float] = field(default_factory=dict)
-    gauges: Dict[str, float] = field(default_factory=dict)
     histograms: Dict[str, Tuple[float, float, float, float]] = field(
         default_factory=dict
     )
@@ -81,8 +77,8 @@ class TelemetrySnapshot:
     def merge(self, other: "TelemetrySnapshot") -> "TelemetrySnapshot":
         """Combine two snapshots over disjoint (or repeated) work.
 
-        Counters and span/histogram totals are plain sums and gauges
-        take the maximum, so ``a.merge(b).merge(c)`` equals
+        Counters and span/histogram totals are plain sums and extremes
+        fold by min/max, so ``a.merge(b).merge(c)`` equals
         ``a.merge(b.merge(c))`` under any permutation — the property the
         runners' any-order parallel reduction relies on, mirroring
         :meth:`repro.fleet.aggregate.FleetTally.merge`.
@@ -90,9 +86,6 @@ class TelemetrySnapshot:
         counters = dict(self.counters)
         for name, value in other.counters.items():
             counters[name] = counters.get(name, 0.0) + value
-        gauges = dict(self.gauges)
-        for name, value in other.gauges.items():
-            gauges[name] = max(gauges.get(name, value), value)
         histograms = dict(self.histograms)
         for name, summary in other.histograms.items():
             if name in histograms:
@@ -108,23 +101,19 @@ class TelemetrySnapshot:
                 spans[path] = (have[0] + count, have[1] + seconds)
         return TelemetrySnapshot(
             counters=counters,
-            gauges=gauges,
             histograms=histograms,
             spans=spans,
         )
 
     @property
     def empty(self) -> bool:
-        return not (
-            self.counters or self.gauges or self.histograms or self.spans
-        )
+        return not (self.counters or self.histograms or self.spans)
 
     # -- serialisation -----------------------------------------------------
 
     def as_dict(self) -> Dict[str, object]:
         return {
             "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
             "histograms": {
                 name: {
                     "count": summary[0],
@@ -146,10 +135,6 @@ class TelemetrySnapshot:
             counters={
                 str(k): float(v)
                 for k, v in dict(payload.get("counters", {})).items()
-            },
-            gauges={
-                str(k): float(v)
-                for k, v in dict(payload.get("gauges", {})).items()
             },
             histograms={
                 str(k): (
@@ -178,8 +163,8 @@ def worker_span_snapshot(path: str, seconds: float) -> TelemetrySnapshot:
 
 
 class Telemetry:
-    """A live, process-local registry of counters, gauges, histograms
-    and nestable spans, optionally streaming events to a trace sink.
+    """A live, process-local registry of counters, histograms and
+    nestable spans, optionally streaming events to a trace sink.
 
     Args:
         trace: an optional :class:`repro.obs.trace.TraceWriter`;
@@ -194,7 +179,6 @@ class Telemetry:
     def __init__(self, trace: Optional[object] = None) -> None:
         self.trace = trace
         self.counters: Dict[str, float] = {}
-        self.gauges: Dict[str, float] = {}
         self.histograms: Dict[str, List[float]] = {}
         self.spans: Dict[str, List[float]] = {}
         self._span_stack: List[str] = []
@@ -204,10 +188,6 @@ class Telemetry:
     def count(self, name: str, n: float = 1) -> None:
         """Increment the counter ``name`` by ``n``."""
         self.counters[name] = self.counters.get(name, 0.0) + n
-
-    def gauge(self, name: str, value: float) -> None:
-        """Set the gauge ``name`` (merging keeps the maximum)."""
-        self.gauges[name] = float(value)
 
     def observe(self, name: str, value: float) -> None:
         """Fold one observation into the histogram ``name``."""
@@ -261,7 +241,6 @@ class Telemetry:
         """Freeze the registry's current state."""
         return TelemetrySnapshot(
             counters=dict(self.counters),
-            gauges=dict(self.gauges),
             histograms={
                 name: tuple(summary)
                 for name, summary in self.histograms.items()
@@ -276,8 +255,6 @@ class Telemetry:
         """Fold a (worker) snapshot into the live registry."""
         for name, value in snapshot.counters.items():
             self.count(name, value)
-        for name, value in snapshot.gauges.items():
-            self.gauges[name] = max(self.gauges.get(name, value), value)
         for name, summary in snapshot.histograms.items():
             have = self.histograms.get(name)
             if have is None:
@@ -310,9 +287,6 @@ class NullTelemetry(Telemetry):
     enabled = False
 
     def count(self, name: str, n: float = 1) -> None:  # noqa: D102
-        pass
-
-    def gauge(self, name: str, value: float) -> None:  # noqa: D102
         pass
 
     def observe(self, name: str, value: float) -> None:  # noqa: D102

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterator, Optional, Tuple
 
-from repro.core.parameters import FaultModel
+from repro.core.parameters import FaultModel, mdl_from_audit_rate
 from repro.core.redundancy import RedundancyScheme, parse_scheme
 from repro.core.units import HOURS_PER_YEAR
 from repro.storage.costs import (
@@ -91,11 +91,6 @@ class ResolvedMedium:
     def kind(self) -> str:
         return "drive" if self.drive is not None else "media"
 
-    @property
-    def display_name(self) -> str:
-        spec = self.drive if self.drive is not None else self.media
-        return spec.name
-
     def fault_model(
         self, audits_per_year: float, correlation_factor: float
     ) -> FaultModel:
@@ -107,20 +102,16 @@ class ResolvedMedium:
         rebuild as the repair time.  In both cases ``MDL`` is half the
         audit interval — the same convention the simulation backends
         derive their scrub grid from — and an audit rate of zero means
-        latent faults are effectively never detected.
+        latent faults are effectively never detected
+        (:func:`~repro.core.parameters.mdl_from_audit_rate`).
         """
-        if audits_per_year < 0:
-            raise ValueError("audits_per_year must be non-negative")
         if self.media is not None:
             return fault_model_for_media(
                 self.media, audits_per_year, correlation_factor
             )
         drive = self.drive
         latent_mean = drive.mttf_hours / LATENT_TO_VISIBLE_RATIO
-        if audits_per_year == 0:
-            mdl = latent_mean
-        else:
-            mdl = HOURS_PER_YEAR / audits_per_year / 2.0
+        mdl = mdl_from_audit_rate(audits_per_year, latent_mean)
         rebuild = drive.full_read_hours()
         return FaultModel(
             mean_time_to_visible=drive.mttf_hours,

@@ -50,9 +50,7 @@ from repro.simulation.system import (
 from repro.simulation.batch import (
     BatchRunResult,
     PiecewiseBatchState,
-    RateSegment,
     simulate_batch,
-    simulate_batch_piecewise,
 )
 from repro.simulation.estimators import (
     HighCensoringWarning,
@@ -84,9 +82,7 @@ __all__ = [
     "system_from_fault_model",
     "BatchRunResult",
     "PiecewiseBatchState",
-    "RateSegment",
     "simulate_batch",
-    "simulate_batch_piecewise",
     "HighCensoringWarning",
     "MonteCarloEstimate",
     "run_loss_probability",

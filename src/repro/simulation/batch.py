@@ -351,26 +351,6 @@ def _concatenate_blocks(
 #   its duration was fixed the moment it began.
 
 
-@dataclass(frozen=True)
-class RateSegment:
-    """One epoch of a piecewise-constant timeline.
-
-    Attributes:
-        model: the fault-model operating point during the epoch.
-        end_time: absolute end of the epoch in hours (exclusive).
-        audits_per_year: overrides the model-derived audit interval for
-            the epoch.
-    """
-
-    model: FaultModel
-    end_time: float
-    audits_per_year: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.end_time <= 0:
-            raise ValueError("end_time must be positive")
-
-
 class PiecewiseBatchState:
     """Resumable vectorized batch state with epoch-switched rates.
 
@@ -862,51 +842,3 @@ class PiecewiseBatchState:
                 None if self.log_weight is None else self.log_weight.copy()
             ),
         )
-
-
-def simulate_batch_piecewise(
-    segments: Sequence[RateSegment],
-    trials: int,
-    seed: int = 0,
-    replicas: int = 2,
-    chunk: int = 0,
-    rng: Optional[np.random.Generator] = None,
-    scheme: Optional[RedundancyScheme] = None,
-) -> BatchRunResult:
-    """Simulate ``trials`` systems through a piecewise-constant timeline.
-
-    Each :class:`RateSegment` holds until its ``end_time``; at every
-    boundary the state applies the explicit epoch semantics documented
-    above (exposure-corrected fault clocks, re-anchored latent
-    detection, in-flight repairs kept).  A single segment of at most
-    :data:`MAX_EAGER_TRIALS` trials on ``rng=batch_generator(seed,
-    chunk)`` is :func:`simulate_batch` bit for bit; a timeline split
-    into identical-rate segments is the same process on other draws.
-
-    Raises:
-        ValueError: for an empty timeline or non-increasing segment end
-            times.
-    """
-    if not segments:
-        raise ValueError("at least one segment is required")
-    previous_end = 0.0
-    for segment in segments:
-        if segment.end_time <= previous_end:
-            raise ValueError("segment end times must be strictly increasing")
-        previous_end = segment.end_time
-    first = segments[0]
-    state = PiecewiseBatchState(
-        first.model,
-        trials,
-        replicas=replicas,
-        audits_per_year=first.audits_per_year,
-        rng=rng,
-        seed=seed,
-        chunk=chunk,
-        scheme=scheme,
-    )
-    state.advance_to(first.end_time)
-    for segment in segments[1:]:
-        state.switch_model(segment.model, segment.audits_per_year)
-        state.advance_to(segment.end_time)
-    return state.result()

@@ -158,10 +158,3 @@ class SimulationEngine:
             if remaining is None or remaining > until:
                 self._now = until
         return self._now
-
-    def reset(self) -> None:
-        """Clear the queue and return the clock to zero."""
-        self._now = 0.0
-        self._queue.clear()
-        self._stopped = False
-        self._events_processed = 0

@@ -105,7 +105,6 @@ from repro.core.redundancy import RedundancyScheme
 from repro.core.units import HOURS_PER_YEAR
 from repro.simulation.batch import BatchRunResult, simulate_batch
 from repro.simulation.rng import RandomStreams
-from repro.simulation.scrubbing import audit_interval_for
 from repro.simulation.system import RunResult, system_from_fault_model
 
 #: Fraction of censored trials above which a warning is emitted.
@@ -511,7 +510,6 @@ def _predicted_pilot_losses(
     horizon: float,
     pilot_trials: int,
     replicas: int,
-    audits_per_year: Optional[float],
     scheme: Optional[RedundancyScheme],
 ) -> float:
     """Losses the analytic screen expects in a standard pilot.
@@ -519,17 +517,12 @@ def _predicted_pilot_losses(
     ``pilot_trials`` times the chained-window loss probability by
     ``horizon`` (:func:`repro.simulation.rare_event.analytic_loss_rate`,
     the screen :func:`~repro.simulation.rare_event.default_failure_bias`
-    also reads).  The screen takes the audit interval from ``MDL``, so
-    an ``audits_per_year`` override enters as the ``MDL`` it implies:
-    half the interval, or the latent mean time when audits never happen.
+    also reads).  ``model`` must already carry any ``audits_per_year``
+    override as its ``MDL``, because the screen reads the audit interval
+    from ``MDL``.
     """
     from repro.simulation.rare_event import analytic_loss_rate
 
-    if audits_per_year is not None:
-        interval = audit_interval_for(model, audits_per_year)
-        model = model.with_detection_time(
-            model.mean_time_to_latent if interval is None else interval / 2.0
-        )
     rate = analytic_loss_rate(model, replicas, scheme)
     return -math.expm1(-rate * horizon) * pilot_trials
 
@@ -587,13 +580,19 @@ def _sample(estimator, model, horizon, trials, seed, replicas,
             for trial in range(first, first + n)
         ]
 
+    # The analytic screen behind the pilot prediction and the IS bias
+    # reads the audit interval from MDL, so it sees the override folded
+    # in; the kernel reads the override itself.
+    screened = (
+        model if audits_per_year is None
+        else model.with_audit_rate(audits_per_year)
+    )
     if method == "auto" and estimator == "loss_probability":
         # A pilot the screen condemns would be discarded unseen; skipping
         # it leaves the answer as it was, because IS chunk 0 draws from
         # the same stream either way.
         predicted = _predicted_pilot_losses(
-            model, horizon, min(trials, cap), replicas, audits_per_year,
-            scheme,
+            screened, horizon, min(trials, cap), replicas, scheme
         )
         if predicted <= AUTO_SKIP_PILOT_LOSSES:
             _record_escalation(estimator, 0, 0, predicted_losses=predicted)
@@ -617,7 +616,7 @@ def _sample(estimator, model, horizon, trials, seed, replicas,
     )
 
     if bias is None:
-        bias = default_failure_bias(model, replicas, horizon, scheme=scheme)
+        bias = default_failure_bias(screened, replicas, horizon, scheme=scheme)
     return _extend(
         WeightedLossTally(), partial(batch, bias=bias), trials, cap, target,
         estimator, "is",

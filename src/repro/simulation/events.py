@@ -140,10 +140,3 @@ class Trace:
                 if queue:
                     durations.append(event.time - queue.pop(0))
         return durations
-
-    def time_of_data_loss(self) -> Optional[float]:
-        """Time of the first data-loss event, or None if data survived."""
-        for event in self.events:
-            if event.event_type is TraceEventType.DATA_LOSS:
-                return event.time
-        return None

@@ -140,20 +140,3 @@ class Replica:
         self.detection_time = None
         self._faulty_since = None
         self.repairs_completed += 1
-
-    def outstanding_window(self, now: float) -> float:
-        """How long the current fault has been outstanding (hours)."""
-        if not self.is_faulty or self.fault_time is None:
-            return 0.0
-        return max(now - self.fault_time, 0.0)
-
-    def reset(self) -> None:
-        """Return to a pristine state, clearing counters."""
-        self.state = ReplicaState.OK
-        self.fault_time = None
-        self.detection_time = None
-        self.visible_faults = 0
-        self.latent_faults = 0
-        self.repairs_completed = 0
-        self.faulty_hours = 0.0
-        self._faulty_since = None

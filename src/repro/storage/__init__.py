@@ -44,7 +44,6 @@ from repro.storage.costs import (
     StorageCostBreakdown,
     replication_cost,
     scheme_storage_cost,
-    cost_per_terabyte_year,
     compare_drive_costs,
 )
 from repro.storage.site import (
@@ -58,8 +57,6 @@ from repro.storage.archive import (
     ArchiveCollection,
     CollectionReliability,
     collection_reliability,
-    audit_pass_hours,
-    achievable_detection_latency,
     required_audit_bandwidth,
     access_based_detection_is_sufficient,
     audit_rate_for_loss_budget,
@@ -92,7 +89,6 @@ __all__ = [
     "StorageCostBreakdown",
     "replication_cost",
     "scheme_storage_cost",
-    "cost_per_terabyte_year",
     "compare_drive_costs",
     "Site",
     "ReplicaPlacement",
@@ -102,8 +98,6 @@ __all__ = [
     "ArchiveCollection",
     "CollectionReliability",
     "collection_reliability",
-    "audit_pass_hours",
-    "achievable_detection_latency",
     "required_audit_bandwidth",
     "access_based_detection_is_sufficient",
     "audit_rate_for_loss_budget",

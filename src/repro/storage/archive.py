@@ -9,8 +9,7 @@ questions the per-unit MTTDL does not directly address:
 
 * the expected number of objects lost over a mission,
 * the probability that the collection survives intact,
-* how long a full audit pass takes at a given audit bandwidth, and the
-  detection latency that audit throughput implies,
+* the audit bandwidth a target detection latency needs,
 * whether relying on user accesses would audit the average object often
   enough (it does not).
 """
@@ -116,28 +115,6 @@ def collection_reliability(
     )
 
 
-def audit_pass_hours(
-    collection: ArchiveCollection, audit_bandwidth_mb_s: float
-) -> float:
-    """Wall-clock hours to audit one full replica of the collection."""
-    if audit_bandwidth_mb_s <= 0:
-        raise ValueError("audit_bandwidth_mb_s must be positive")
-    total_mb = collection.object_count * collection.mean_object_size_mb
-    return total_mb / audit_bandwidth_mb_s / 3600.0
-
-
-def achievable_detection_latency(
-    collection: ArchiveCollection, audit_bandwidth_mb_s: float
-) -> float:
-    """Best mean detection latency the audit bandwidth supports.
-
-    Auditing continuously at the given bandwidth cycles through the
-    collection once per :func:`audit_pass_hours`, so the mean delay from
-    corruption to detection is half a pass.
-    """
-    return audit_pass_hours(collection, audit_bandwidth_mb_s) / 2.0
-
-
 def on_access_detection_latency(collection: ArchiveCollection) -> float:
     """Mean detection latency if only user accesses check the data."""
     return collection.mean_access_interval_hours
@@ -201,11 +178,7 @@ def audit_rate_for_loss_budget(
         raise ValueError("acceptable_loss_fraction must be in (0, 1)")
 
     def loss_fraction(audits_per_year: float) -> float:
-        if audits_per_year <= 0:
-            mdl = object_model.mean_time_to_latent
-        else:
-            mdl = HOURS_PER_YEAR / audits_per_year / 2.0
-        adjusted = object_model.with_detection_time(mdl)
+        adjusted = object_model.with_audit_rate(audits_per_year)
         reliability = collection_reliability(collection, adjusted, mission_years)
         return reliability.expected_objects_lost / collection.object_count
 

@@ -10,11 +10,10 @@ reported next to the MTTDL figures (experiments E7, E8, E12).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.core.redundancy import RedundancyScheme
-from repro.core.units import HOURS_PER_YEAR
 from repro.storage.drives import DriveSpec
 from repro.storage.media import MediaSpec
 
@@ -230,13 +229,6 @@ def cost_model_for_media(media: MediaSpec, **overrides: float) -> CostModel:
     return CostModel(**parameters)
 
 
-def cost_per_terabyte_year(breakdown: StorageCostBreakdown, dataset_tb: float) -> float:
-    """Total annual cost divided by the collection size."""
-    if dataset_tb <= 0:
-        raise ValueError("dataset_tb must be positive")
-    return breakdown.total_per_year / dataset_tb
-
-
 def compare_drive_costs(
     consumer: DriveSpec,
     enterprise: DriveSpec,
@@ -298,10 +290,3 @@ def kryder_declined_cost(
     if not 0 <= annual_decline < 1:
         raise ValueError("annual_decline must be in [0, 1)")
     return base_cost_per_tb * (1.0 - annual_decline) ** years_elapsed
-
-
-def expected_repairs_per_year(mean_time_to_fault_hours: float) -> float:
-    """Expected repair events per replica per year for a fault rate."""
-    if mean_time_to_fault_hours <= 0:
-        raise ValueError("mean_time_to_fault_hours must be positive")
-    return HOURS_PER_YEAR / mean_time_to_fault_hours

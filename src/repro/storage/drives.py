@@ -16,11 +16,8 @@ specs for parameter sweeps.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, Optional
-
-from repro.core.units import HOURS_PER_YEAR
+from typing import Dict
 
 #: Bytes per gigabyte (drive vendors use decimal gigabytes).
 BYTES_PER_GB = 1e9
@@ -82,15 +79,6 @@ class DriveSpec:
     def capacity_bits(self) -> float:
         return self.capacity_bytes * BITS_PER_BYTE
 
-    @property
-    def price(self) -> float:
-        """Purchase price of the whole drive in dollars."""
-        return self.price_per_gb * self.capacity_gb
-
-    @property
-    def service_life_hours(self) -> float:
-        return self.service_life_years * HOURS_PER_YEAR
-
     def full_read_hours(self) -> float:
         """Hours needed to read (or rewrite) the entire drive once.
 
@@ -100,22 +88,6 @@ class DriveSpec:
         """
         bytes_per_hour = self.sustained_bandwidth_mb_s * 1e6 * 3600.0
         return self.capacity_bytes / bytes_per_hour
-
-    def implied_mttf_from_fault_probability(self) -> float:
-        """MTTF implied by the in-service fault probability.
-
-        Inverts the exponential relation
-        ``p = 1 - exp(-life / MTTF)``; useful when the datasheet quotes a
-        fault probability instead of an MTTF.
-        """
-        p = self.in_service_fault_probability
-        if p <= 0:
-            return float("inf")
-        return -self.service_life_hours / math.log(1.0 - p)
-
-    def annualised_failure_rate(self) -> float:
-        """Visible faults per drive-year implied by the MTTF."""
-        return HOURS_PER_YEAR / self.mttf_hours
 
     def cost_ratio_to(self, other: "DriveSpec") -> float:
         """Price-per-gigabyte ratio of this drive to another."""
@@ -188,46 +160,3 @@ def drive_catalog() -> Dict[str, DriveSpec]:
         "generic_consumer": GENERIC_CONSUMER_DRIVE,
         "generic_enterprise": GENERIC_ENTERPRISE_DRIVE,
     }
-
-
-def lookup_drive(identifier: str) -> DriveSpec:
-    """Fetch a drive spec by catalog identifier.
-
-    Raises:
-        KeyError: with the list of known identifiers when not found.
-    """
-    catalog = drive_catalog()
-    if identifier not in catalog:
-        raise KeyError(
-            f"unknown drive {identifier!r}; known drives: {sorted(catalog)}"
-        )
-    return catalog[identifier]
-
-
-def scale_drive(
-    spec: DriveSpec,
-    capacity_factor: float = 1.0,
-    reliability_factor: float = 1.0,
-    price_factor: float = 1.0,
-    name: Optional[str] = None,
-) -> DriveSpec:
-    """Derive a hypothetical drive by scaling an existing spec.
-
-    Used by sensitivity sweeps (e.g. "what if enterprise drives were only
-    twice as expensive?").
-    """
-    if capacity_factor <= 0 or reliability_factor <= 0 or price_factor <= 0:
-        raise ValueError("scale factors must be positive")
-    return DriveSpec(
-        name=name or f"{spec.name} (scaled)",
-        capacity_gb=spec.capacity_gb * capacity_factor,
-        sustained_bandwidth_mb_s=spec.sustained_bandwidth_mb_s,
-        bit_error_rate=spec.bit_error_rate / reliability_factor,
-        mttf_hours=spec.mttf_hours * reliability_factor,
-        service_life_years=spec.service_life_years,
-        in_service_fault_probability=min(
-            spec.in_service_fault_probability / reliability_factor, 1.0
-        ),
-        price_per_gb=spec.price_per_gb * price_factor,
-        enterprise=spec.enterprise,
-    )

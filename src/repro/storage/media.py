@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.core.parameters import FaultModel
+from repro.core.parameters import FaultModel, mdl_from_audit_rate
 from repro.core.units import HOURS_PER_YEAR
 
 
@@ -172,16 +172,11 @@ def fault_model_for_media(
 ) -> FaultModel:
     """Translate a media spec and audit rate into model parameters.
 
-    ``MDL`` is half the audit interval (or the latent mean time when the
-    medium is never audited); the repair times include the medium's
-    access latency, which is what makes off-line media score poorly.
+    ``MDL`` follows from the audit rate (:func:`mdl_from_audit_rate`);
+    the repair times include the medium's access latency, which is what
+    makes off-line media score poorly.
     """
-    if audits_per_year < 0:
-        raise ValueError("audits_per_year must be non-negative")
-    if audits_per_year == 0:
-        mdl = media.mean_time_to_latent
-    else:
-        mdl = HOURS_PER_YEAR / audits_per_year / 2.0
+    mdl = mdl_from_audit_rate(audits_per_year, media.mean_time_to_latent)
     return FaultModel(
         mean_time_to_visible=media.mean_time_to_visible,
         mean_time_to_latent=media.mean_time_to_latent,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 
 class RaidLevel(enum.Enum):
@@ -88,42 +87,6 @@ def raid_mttdl(
     if level is RaidLevel.RAID6:
         return raid6_mttdl(disk_mttf, disk_mttr, disks)
     raise ValueError(f"unknown RAID level {level!r}")
-
-
-@dataclass(frozen=True)
-class RaidConfiguration:
-    """A RAID group plus the overheads needed for cost comparison.
-
-    Attributes:
-        level: the array organisation.
-        disks: number of drives in the group.
-        disk_mttf: per-drive mean time to (visible) failure, hours.
-        disk_mttr: rebuild time per failed drive, hours.
-    """
-
-    level: RaidLevel
-    disks: int
-    disk_mttf: float
-    disk_mttr: float
-
-    def mttdl(self) -> float:
-        return raid_mttdl(self.level, self.disk_mttf, self.disk_mttr, self.disks)
-
-    def usable_fraction(self) -> float:
-        """Fraction of the raw capacity available for data."""
-        if self.level is RaidLevel.RAID0:
-            return 1.0
-        if self.level is RaidLevel.RAID1:
-            return 1.0 / self.disks
-        if self.level is RaidLevel.RAID5:
-            return (self.disks - 1) / self.disks
-        if self.level is RaidLevel.RAID6:
-            return (self.disks - 2) / self.disks
-        raise ValueError(f"unknown RAID level {self.level!r}")
-
-    def raw_capacity_factor(self) -> float:
-        """Raw bytes purchased per byte of usable data."""
-        return 1.0 / self.usable_fraction()
 
 
 def raid_with_latent_faults_mttdl(

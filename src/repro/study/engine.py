@@ -52,10 +52,9 @@ from repro.analysis.sweep import (
     sweep_parameter,
 )
 from repro.core.mttdl import mirrored_mttdl
-from repro.core.parameters import FaultModel
+from repro.core.parameters import PARAMETER_FIELDS, FaultModel
 from repro.core.replication import replicated_mttdl
 from repro.core.probability import probability_of_loss
-from repro.core.sensitivity import PARAMETER_FIELDS
 from repro.core.units import HOURS_PER_YEAR, years_to_hours
 from repro.fleet.runner import simulate_fleet
 from repro.markov.builders import mirrored_mttdl_markov

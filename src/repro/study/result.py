@@ -204,13 +204,3 @@ class StudyResult:
         """
         payload = self.details.get("telemetry")
         return payload if isinstance(payload, dict) else None
-
-    @property
-    def cache_key(self) -> str:
-        """The mergeable content-hash key this answer caches under.
-
-        The scenario's content hash — the same SHA-256-over-canonical-
-        JSON recipe as the optimizer's refinement cache and the fleet
-        chunk cache, so one directory can hold all three side by side.
-        """
-        return self.scenario_hash

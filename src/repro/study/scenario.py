@@ -17,11 +17,12 @@ The facade's entry point is :func:`repro.study.run`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
 from repro.core.parameters import (
+    PARAMETER_FIELDS,
     FaultModel,
     json_boolean,
     json_integer,
@@ -30,7 +31,6 @@ from repro.core.parameters import (
     json_string,
 )
 from repro.core.redundancy import RedundancyScheme, parse_scheme
-from repro.core.sensitivity import PARAMETER_FIELDS
 from repro.fleet.runner import DEFAULT_CHUNK_SIZE
 from repro.fleet.timeline import FleetTimeline, _json_items, _json_object
 from repro.optimize.evaluate import DEFAULT_SCREEN_SLACK
@@ -140,15 +140,16 @@ def _optional(payload: Dict[str, object], key: str, path: str, read):
 def _section(
     payload: Dict[str, object], key: str, path: Optional[str] = None
 ) -> Optional[Dict[str, object]]:
-    """The JSON object at ``payload[key]``; ``None`` when absent or empty.
+    """The JSON object at ``payload[key]``; ``None`` when absent or null.
 
     A present value that is not an object raises a ``ValueError`` naming
     its JSON path (``path``, default ``key``), so a malformed request
     fails with a message instead of an ``AttributeError`` deep inside a
-    ``from_dict``.
+    ``from_dict``.  An empty object is present: its own required fields
+    then fail by name.
     """
     value = payload.get(key)
-    return None if value is None else _json_object(value, path or key) or None
+    return None if value is None else _json_object(value, path or key)
 
 
 def _medium(value: object, path: str) -> str:
@@ -318,8 +319,10 @@ class SweepSpec:
 
     @staticmethod
     def from_dict(payload: Dict[str, object]) -> "SweepSpec":
+        parameter = json_required(payload, "parameter", "sweep.parameter")
+        json_required(payload, "values", "sweep.values")
         return SweepSpec(
-            parameter=json_string(payload.get("parameter"), "sweep.parameter"),
+            parameter=json_string(parameter, "sweep.parameter"),
             values=_json_items(payload, "values", "sweep.values", json_number),
             metric=json_string(payload.get("metric", "mttdl"), "sweep.metric"),
             correlation_factors=_json_items(
@@ -558,10 +561,6 @@ class Scenario:
             raise ValueError("max_time_hours must be positive")
 
     # -- evolution ---------------------------------------------------------
-
-    def with_policy(self, **changes: object) -> "Scenario":
-        """Copy with the policy's fields replaced (e.g. a new seed)."""
-        return replace(self, policy=replace(self.policy, **changes))
 
     # -- serialisation -----------------------------------------------------
 

@@ -13,7 +13,6 @@ does to the model's parameters.  The taxonomy feeds both the simulator
 from repro.threats.taxonomy import (
     ThreatProfile,
     THREAT_REGISTRY,
-    threat_profile,
     all_threat_profiles,
     combined_fault_model,
 )
@@ -30,7 +29,6 @@ from repro.threats.correlation_sources import (
 __all__ = [
     "ThreatProfile",
     "THREAT_REGISTRY",
-    "threat_profile",
     "all_threat_profiles",
     "combined_fault_model",
     "ThreatEvent",

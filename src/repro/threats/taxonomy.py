@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
-from repro.core.faults import DEFAULT_TYPE_FOR_CLASS, FaultClass, FaultType
+from repro.core.faults import FaultClass, FaultType
 from repro.core.parameters import FaultModel
 from repro.core.units import HOURS_PER_YEAR
 
@@ -188,11 +188,6 @@ THREAT_REGISTRY: Dict[FaultClass, ThreatProfile] = {
 }
 
 
-def threat_profile(fault_class: FaultClass) -> ThreatProfile:
-    """Look up the default profile for one threat class."""
-    return THREAT_REGISTRY[fault_class]
-
-
 def all_threat_profiles() -> List[ThreatProfile]:
     """All default threat profiles in registry order."""
     return list(THREAT_REGISTRY.values())
@@ -245,8 +240,3 @@ def combined_fault_model(
         mean_detect_latent=latent_stats["detection"],
         correlation_factor=correlation_factor,
     )
-
-
-def default_type_for(fault_class: FaultClass) -> FaultType:
-    """The default visible/latent classification of a threat class."""
-    return DEFAULT_TYPE_FOR_CLASS[fault_class]

@@ -1,83 +1,9 @@
-"""Tests for the prior-work baseline models."""
-
-import math
+"""Tests for the prior-work baseline model."""
 
 import pytest
 
 from repro.baselines.chen import chen_correlated_mttdl, chen_vs_alpha_model, implied_alpha
-from repro.baselines.raid_patterson import (
-    patterson_array_mttdl,
-    patterson_group_mttdl,
-    patterson_mirrored_mttdl,
-    patterson_raid5_mttdl,
-    patterson_reliability_over_mission,
-)
-from repro.baselines.schwarz import (
-    latent_mttf_from_visible,
-    opportunistic_scrub_mdl,
-    schwarz_latent_to_visible_ratio,
-    schwarz_scrub_benefit,
-    scrub_rate_for_bandwidth_budget,
-)
-from repro.baselines.weatherspoon import (
-    durability_with_latent_fault_penalty,
-    equivalent_replication_for_durability,
-    erasure_coding_durability,
-    fragment_survival_probability,
-    replication_durability,
-    storage_overhead_comparison,
-)
-from repro.core.approximations import visible_dominated_mttdl
 from repro.core.parameters import FaultModel
-
-
-class TestPatterson:
-    def test_mirrored_closed_form(self):
-        assert patterson_mirrored_mttdl(1e6, 10.0) == pytest.approx(1e12 / 20.0)
-
-    def test_paper_eq9_is_twice_patterson_due_to_convention(self):
-        model = FaultModel(
-            mean_time_to_visible=1e6,
-            mean_time_to_latent=1e12,
-            mean_repair_visible=10.0,
-            mean_repair_latent=10.0,
-            mean_detect_latent=0.0,
-            correlation_factor=1.0,
-        )
-        assert visible_dominated_mttdl(model) == pytest.approx(
-            2.0 * patterson_mirrored_mttdl(1e6, 10.0)
-        )
-
-    def test_raid5_group(self):
-        assert patterson_raid5_mttdl(1e6, 10.0, 8) == pytest.approx(
-            1e12 / (8 * 7 * 10.0)
-        )
-
-    def test_group_of_more_disks_less_reliable(self):
-        assert patterson_raid5_mttdl(1e6, 10.0, 14) < patterson_raid5_mttdl(
-            1e6, 10.0, 6
-        )
-
-    def test_array_scales_with_group_count(self):
-        single = patterson_raid5_mttdl(1e6, 10.0, 8)
-        assert patterson_array_mttdl(1e6, 10.0, 8, 10) == pytest.approx(single / 10)
-
-    def test_reliability_over_mission(self):
-        assert patterson_reliability_over_mission(8760.0, 1.0) == pytest.approx(
-            math.exp(-1.0)
-        )
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            patterson_mirrored_mttdl(0.0, 1.0)
-        with pytest.raises(ValueError):
-            patterson_raid5_mttdl(1e6, 10.0, 2)
-        with pytest.raises(ValueError):
-            patterson_group_mttdl(1e6, 10.0, 0)
-        with pytest.raises(ValueError):
-            patterson_array_mttdl(1e6, 10.0, 8, 0)
-        with pytest.raises(ValueError):
-            patterson_reliability_over_mission(0.0, 1.0)
 
 
 class TestChen:
@@ -107,95 +33,3 @@ class TestChen:
         # than the paper's latent-aware model: the latent faults are the
         # dominant threat that Chen's model does not see.
         assert result["latent_fault_penalty"] > 10.0
-
-
-class TestSchwarz:
-    def test_ratio_constant(self):
-        assert schwarz_latent_to_visible_ratio() == 5.0
-
-    def test_latent_mttf_from_visible(self):
-        assert latent_mttf_from_visible(1.4e6) == pytest.approx(2.8e5)
-
-    def test_opportunistic_scrub_reduces_mdl(self):
-        dedicated = opportunistic_scrub_mdl(2920.0, 0.0)
-        opportunistic = opportunistic_scrub_mdl(2920.0, 0.8)
-        assert dedicated == pytest.approx(1460.0)
-        assert opportunistic == pytest.approx(292.0)
-
-    def test_scrub_benefit_matches_paper_shape(self):
-        model = FaultModel(
-            mean_time_to_visible=1.4e6,
-            mean_time_to_latent=2.8e5,
-            mean_repair_visible=1.0 / 3.0,
-            mean_repair_latent=1.0 / 3.0,
-            mean_detect_latent=2.8e5,
-            correlation_factor=1.0,
-        )
-        benefit = schwarz_scrub_benefit(model, scrubs_per_year=3.0)
-        assert benefit["improvement_factor"] > 100.0
-
-    def test_scrub_rate_for_bandwidth_budget(self):
-        rate = scrub_rate_for_bandwidth_budget(
-            capacity_gb=146.0, bandwidth_mb_s=300.0, bandwidth_fraction=0.01
-        )
-        assert rate > 50.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            latent_mttf_from_visible(0.0)
-        with pytest.raises(ValueError):
-            opportunistic_scrub_mdl(0.0, 0.5)
-        with pytest.raises(ValueError):
-            opportunistic_scrub_mdl(100.0, 1.0)
-        with pytest.raises(ValueError):
-            scrub_rate_for_bandwidth_budget(146.0, 300.0, 0.0)
-
-
-class TestWeatherspoon:
-    def test_fragment_survival_all_needed(self):
-        # m = n: every fragment must survive.
-        assert fragment_survival_probability(0.1, 4, 4) == pytest.approx(0.9 ** 4)
-
-    def test_fragment_survival_any_needed(self):
-        # m = 1 behaves like replication.
-        assert fragment_survival_probability(0.1, 4, 1) == pytest.approx(
-            1.0 - 0.1 ** 4
-        )
-
-    def test_erasure_beats_replication_at_same_overhead(self):
-        # 16-of-32 coding (2x overhead) vs 2 replicas (2x overhead).
-        erasure = erasure_coding_durability(0.1, n=32, m=16)
-        replication = replication_durability(0.1, replicas=2)
-        assert erasure > replication
-
-    def test_multiple_epochs_compound(self):
-        single = erasure_coding_durability(0.05, 16, 12, epochs=1)
-        many = erasure_coding_durability(0.05, 16, 12, epochs=10)
-        assert many == pytest.approx(single ** 10)
-
-    def test_storage_overhead_comparison(self):
-        overhead = storage_overhead_comparison(n=32, m=16, replicas=4)
-        assert overhead["erasure_overhead"] == 2.0
-        assert overhead["replication_overhead"] == 4.0
-        assert overhead["erasure_savings_factor"] == 2.0
-
-    def test_equivalent_replication_needs_more_copies(self):
-        replicas = equivalent_replication_for_durability(0.1, n=32, m=16)
-        assert replicas > 2
-
-    def test_latent_faults_erode_coded_durability(self):
-        clean = erasure_coding_durability(0.05, 16, 12)
-        rotted = durability_with_latent_fault_penalty(0.05, 0.10, 16, 12)
-        assert rotted < clean
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            fragment_survival_probability(1.5, 4, 2)
-        with pytest.raises(ValueError):
-            fragment_survival_probability(0.1, 4, 5)
-        with pytest.raises(ValueError):
-            replication_durability(0.1, 0)
-        with pytest.raises(ValueError):
-            erasure_coding_durability(0.1, 4, 2, epochs=0)
-        with pytest.raises(ValueError):
-            storage_overhead_comparison(4, 5, 2)

@@ -15,10 +15,8 @@ from repro.core.faults import (
 class TestFaultType:
     def test_latent_flag(self):
         assert FaultType.LATENT.is_latent
-        assert not FaultType.LATENT.is_visible
 
     def test_visible_flag(self):
-        assert FaultType.VISIBLE.is_visible
         assert not FaultType.VISIBLE.is_latent
 
 
@@ -52,14 +50,6 @@ class TestFaultSpec:
     def test_rate_is_inverse_of_mean_time(self):
         spec = visible_fault(250.0, 1.0)
         assert spec.rate == pytest.approx(1.0 / 250.0)
-
-    def test_window_of_vulnerability_visible(self):
-        spec = visible_fault(1000.0, 3.0)
-        assert spec.window_of_vulnerability == 3.0
-
-    def test_window_of_vulnerability_latent_includes_detection(self):
-        spec = latent_fault(1000.0, 3.0, 40.0)
-        assert spec.window_of_vulnerability == 43.0
 
     def test_with_detection_time_returns_new_spec(self):
         spec = latent_fault(1000.0, 3.0, 40.0)

@@ -7,13 +7,10 @@ from repro.core.migration import (
     LEGACY_DATABASE_DUMP,
     OPEN_DOCUMENT_FORMAT,
     FormatRisk,
-    mttdf_hours,
-    obsolescence_fault_model,
     probability_uninterpretable,
     proprietary_penalty,
     review_rate_for_target,
 )
-from repro.core.units import HOURS_PER_YEAR
 
 
 class TestFormatRisk:
@@ -29,28 +26,6 @@ class TestFormatRisk:
             FormatRisk("bad", 1.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             FormatRisk("bad", 1.0, 1.0, 0.0)
-
-
-class TestObsolescenceFaultModel:
-    def test_mapping_to_model_parameters(self):
-        model = obsolescence_fault_model(CAMERA_RAW, format_checks_per_year=1.0)
-        assert model.mean_time_to_latent == pytest.approx(8.0 * HOURS_PER_YEAR)
-        assert model.mean_time_to_visible == pytest.approx(5.0 * HOURS_PER_YEAR)
-        assert model.mean_detect_latent == pytest.approx(HOURS_PER_YEAR / 2.0)
-        assert model.mean_repair_latent == pytest.approx(1.0 * HOURS_PER_YEAR)
-
-    def test_no_reviews_means_detection_as_slow_as_endangerment(self):
-        model = obsolescence_fault_model(CAMERA_RAW, format_checks_per_year=0.0)
-        assert model.mean_detect_latent == model.mean_time_to_latent
-
-    def test_negative_rate_rejected(self):
-        with pytest.raises(ValueError):
-            obsolescence_fault_model(CAMERA_RAW, -1.0)
-
-    def test_mttdf_increases_with_review_rate(self):
-        lazy = mttdf_hours(CAMERA_RAW, 0.0)
-        diligent = mttdf_hours(CAMERA_RAW, 4.0)
-        assert diligent > lazy
 
 
 class TestUninterpretabilityProbability:

@@ -8,7 +8,6 @@ from repro.core.mttdl import (
     double_fault_breakdown,
     double_fault_rate,
     mirrored_mttdl,
-    mirrored_mttdl_closed_form,
     mirrored_mttdl_exact,
 )
 from repro.core.parameters import FaultModel
@@ -82,7 +81,13 @@ class TestBreakdown:
 
     def test_latent_first_dominates_without_scrubbing(self):
         breakdown = double_fault_breakdown(model(mean_detect_latent=2.8e5))
-        assert breakdown.after_latent > 100 * breakdown.after_visible
+        latent_first = (
+            breakdown.latent_then_visible + breakdown.latent_then_latent
+        )
+        visible_first = (
+            breakdown.visible_then_visible + breakdown.visible_then_latent
+        )
+        assert latent_first > 100 * visible_first
 
     def test_fractions_sum_to_one(self):
         fractions = double_fault_breakdown(model()).fractions()
@@ -111,17 +116,15 @@ class TestEvaluationModes:
         assert mirrored_mttdl_exact(m) == pytest.approx(mirrored_mttdl(m), rel=0.05)
 
     def test_closed_form_matches_capped_when_windows_short(self):
+        # Paper Eq. 8: alpha ML^2 MV^2 / ((MV + ML)(MRV ML + (MRL + MDL) MV)).
         m = model(mean_detect_latent=10.0)
-        assert mirrored_mttdl_closed_form(m) == pytest.approx(
+        mv, ml = m.mean_time_to_visible, m.mean_time_to_latent
+        eq8 = (m.correlation_factor * ml * ml * mv * mv) / (
+            (mv + ml) * (m.mean_repair_visible * ml + m.latent_window * mv)
+        )
+        assert eq8 == pytest.approx(
             mirrored_mttdl(m, cap_windows=False), rel=1e-9
         )
-
-    def test_closed_form_overestimates_when_windows_long(self):
-        m = model(mean_detect_latent=2.8e5)
-        # Literal Eq. 8 without capping claims less loss than the capped
-        # evaluation concedes.
-        assert mirrored_mttdl_closed_form(m) < mirrored_mttdl(m) * 2
-        assert mirrored_mttdl_closed_form(m) > 0
 
     def test_zero_repair_and_detection_times_give_infinite_mttdl(self):
         m = model(

@@ -10,7 +10,7 @@ from repro.core.parameters import (
     FaultModel,
     json_integer,
     json_number,
-    model_from_specs,
+    mdl_from_audit_rate,
 )
 
 
@@ -96,9 +96,6 @@ class TestDerivedQuantities:
         model = make_model()
         assert model.latent_window == pytest.approx(1460.0 + 1.0 / 3.0)
 
-    def test_latent_to_visible_ratio_matches_schwarz(self):
-        assert make_model().latent_to_visible_ratio == pytest.approx(5.0)
-
 
 class TestSpecs:
     def test_visible_spec(self):
@@ -126,18 +123,25 @@ class TestEvolutionHelpers:
         updated = make_model().with_detection_time(10.0)
         assert updated.mean_detect_latent == 10.0
 
-    def test_with_latent_mean_time(self):
-        updated = make_model().with_latent_mean_time(1e6)
-        assert updated.mean_time_to_latent == 1e6
-
     def test_with_visible_mean_time(self):
         updated = make_model().with_visible_mean_time(2e6)
         assert updated.mean_time_to_visible == 2e6
 
-    def test_with_repair_times(self):
-        updated = make_model().with_repair_times(0.5, 0.25)
-        assert updated.mean_repair_visible == 0.5
-        assert updated.mean_repair_latent == 0.25
+    def test_with_audit_rate_sets_half_the_interval(self):
+        # Paper Section 6.2: three audits a year leave a latent fault
+        # undetected for half of 2,920 hours on average.
+        updated = make_model().with_audit_rate(3.0)
+        assert updated.mean_detect_latent == 8760.0 / 3.0 / 2.0
+        assert updated.mean_time_to_latent == make_model().mean_time_to_latent
+
+    def test_never_audited_detects_at_the_latent_mean_time(self):
+        updated = make_model().with_audit_rate(0.0)
+        assert updated.mean_detect_latent == 2.8e5
+        assert mdl_from_audit_rate(0.0, 123.0) == 123.0
+
+    def test_negative_audit_rate_rejected(self):
+        with pytest.raises(ValueError, match="audits_per_year"):
+            make_model().with_audit_rate(-1.0)
 
     def test_scaled_scales_both_fault_mean_times(self):
         model = make_model()
@@ -207,22 +211,6 @@ class TestJsonNumbers:
     def test_non_integers_are_rejected_with_their_path(self, value):
         with pytest.raises(ValueError, match=r"'a\.b' must be an integer"):
             json_integer(value, "a.b")
-
-
-class TestModelFromSpecs:
-    def test_round_trip(self):
-        model = make_model(correlation_factor=0.3)
-        rebuilt = model_from_specs(
-            model.visible_spec(), model.latent_spec(), correlation_factor=0.3
-        )
-        assert rebuilt == model
-
-    def test_rejects_swapped_specs(self):
-        model = make_model()
-        with pytest.raises(ValueError):
-            model_from_specs(model.latent_spec(), model.latent_spec())
-        with pytest.raises(ValueError):
-            model_from_specs(model.visible_spec(), model.visible_spec())
 
 
 @given(

@@ -18,10 +18,9 @@ class TestExponentialCdf:
             1.0 - math.exp(-1.0)
         )
 
-    def test_cdf_plus_survival_is_one(self):
+    def test_cdf_is_one_minus_survival(self):
         cdf = probability.exponential_cdf(37.0, 200.0)
-        survival = probability.exponential_survival(37.0, 200.0)
-        assert cdf + survival == pytest.approx(1.0)
+        assert cdf == pytest.approx(1.0 - math.exp(-37.0 / 200.0))
 
     def test_rejects_non_positive_mean(self):
         with pytest.raises(ValueError):
@@ -99,35 +98,3 @@ class TestInversions:
         assert probability.probability_of_loss(mttdl, mission) == pytest.approx(
             p, rel=1e-9
         )
-
-
-class TestDerivedMetrics:
-    def test_annualised_loss_rate(self):
-        assert probability.annualised_loss_rate(HOURS_PER_YEAR) == pytest.approx(1.0)
-
-    def test_annualised_loss_rate_rejects_zero(self):
-        with pytest.raises(ValueError):
-            probability.annualised_loss_rate(0.0)
-
-    def test_halflife(self):
-        assert probability.halflife_from_mttdl(100.0) == pytest.approx(
-            100.0 * math.log(2.0)
-        )
-
-    def test_halflife_rejects_zero(self):
-        with pytest.raises(ValueError):
-            probability.halflife_from_mttdl(0.0)
-
-    def test_expected_losses(self):
-        assert probability.expected_losses(100.0, 250.0) == pytest.approx(2.5)
-
-    def test_expected_losses_rejects_negative_mission(self):
-        with pytest.raises(ValueError):
-            probability.expected_losses(100.0, -1.0)
-
-    def test_loss_probability_years_matches_hours(self):
-        years = probability.probability_of_loss_years(32.0, 50.0)
-        hours = probability.probability_of_loss(
-            32.0 * HOURS_PER_YEAR, 50.0 * HOURS_PER_YEAR
-        )
-        assert years == pytest.approx(hours)

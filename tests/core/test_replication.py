@@ -4,14 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.parameters import FaultModel
-from repro.core.replication import (
-    effective_replicas,
-    replicas_needed_for_target,
-    replicated_mttdl,
-    replicated_mttdl_from_model,
-    replication_gain,
-    replication_sweep,
-)
+from repro.core.replication import replicated_mttdl, replicated_mttdl_from_model
 
 MV = 1.4e6
 MRV = 1.0 / 3.0
@@ -54,66 +47,7 @@ class TestEquation12:
             replicated_mttdl(MV, MRV, 2, correlation_factor=0.0)
 
 
-class TestReplicationGain:
-    def test_gain_is_alpha_mv_over_mrv(self):
-        gain = replication_gain(MV, MRV, 2, correlation_factor=0.5)
-        assert gain == pytest.approx(0.5 * MV / MRV)
-
-    def test_gain_independent_of_starting_degree(self):
-        assert replication_gain(MV, MRV, 2) == pytest.approx(
-            replication_gain(MV, MRV, 5)
-        )
-
-    def test_strong_correlation_erodes_gain(self):
-        assert replication_gain(MV, MRV, 2, 0.001) < replication_gain(MV, MRV, 2, 1.0)
-
-
-class TestReplicasNeeded:
-    def test_target_below_single_copy_needs_one(self):
-        assert replicas_needed_for_target(MV, MRV, MV / 2) == 1
-
-    def test_mirrored_target(self):
-        target = MV ** 2 / MRV * 0.9
-        assert replicas_needed_for_target(MV, MRV, target) == 2
-
-    def test_unreachable_target_raises(self):
-        # With alpha = MRV/MV extra replicas add nothing, so an
-        # out-of-reach target must raise.
-        with pytest.raises(ValueError):
-            replicas_needed_for_target(
-                MV, MRV, MV * 10, correlation_factor=MRV / MV, max_replicas=16
-            )
-
-    def test_rejects_non_positive_target(self):
-        with pytest.raises(ValueError):
-            replicas_needed_for_target(MV, MRV, 0.0)
-
-    @given(
-        alpha=st.floats(min_value=0.01, max_value=1.0),
-        target_exponent=st.integers(min_value=6, max_value=12),
-    )
-    @settings(max_examples=30)
-    def test_returned_degree_meets_target_property(self, alpha, target_exponent):
-        target = 10.0 ** target_exponent
-        try:
-            needed = replicas_needed_for_target(MV, MRV, target, alpha)
-        except ValueError:
-            return
-        assert replicated_mttdl(MV, MRV, needed, alpha) >= target
-        if needed > 1:
-            assert replicated_mttdl(MV, MRV, needed - 1, alpha) < target
-
-
-class TestSweepAndModelDriven:
-    def test_sweep_length_and_monotonicity(self):
-        sweep = replication_sweep(MV, MRV, 6)
-        assert len(sweep) == 6
-        assert all(b >= a for a, b in zip(sweep, sweep[1:]))
-
-    def test_sweep_rejects_bad_max(self):
-        with pytest.raises(ValueError):
-            replication_sweep(MV, MRV, 0)
-
+class TestModelDriven:
     def test_model_driven_uses_combined_rate(self):
         model = FaultModel(
             mean_time_to_visible=1.4e6,
@@ -127,17 +61,6 @@ class TestSweepAndModelDriven:
         assert replicated_mttdl_from_model(model, 2) == pytest.approx(
             combined ** 2 / MRV
         )
-
-
-class TestEffectiveReplicas:
-    def test_independent_system_has_full_effectiveness(self):
-        assert effective_replicas(3, 1.0, MV, MRV) == pytest.approx(3.0)
-
-    def test_correlated_system_worth_fewer_replicas(self):
-        assert effective_replicas(3, 0.001, MV, MRV) < 3.0
-
-    def test_at_least_one_replica(self):
-        assert effective_replicas(4, 0.001, MV, MRV) >= 1.0
 
 
 @given(

@@ -1,10 +1,5 @@
 """Tests for time-unit conversions."""
 
-import math
-
-import pytest
-from hypothesis import given, strategies as st
-
 from repro.core import units
 
 
@@ -12,61 +7,5 @@ class TestConversions:
     def test_hours_per_year_constant(self):
         assert units.HOURS_PER_YEAR == 8760.0
 
-    def test_hours_to_years_round_trip(self):
-        assert units.hours_to_years(units.years_to_hours(3.5)) == pytest.approx(3.5)
-
     def test_years_to_hours(self):
         assert units.years_to_hours(1.0) == 8760.0
-
-    def test_minutes_to_hours(self):
-        assert units.minutes_to_hours(20.0) == pytest.approx(1.0 / 3.0)
-
-    def test_hours_to_minutes(self):
-        assert units.hours_to_minutes(2.0) == 120.0
-
-    def test_seconds_to_hours(self):
-        assert units.seconds_to_hours(7200.0) == 2.0
-
-    def test_hours_to_seconds(self):
-        assert units.hours_to_seconds(0.5) == 1800.0
-
-    def test_days_to_hours(self):
-        assert units.days_to_hours(2.0) == 48.0
-
-    def test_hours_to_days(self):
-        assert units.hours_to_days(36.0) == 1.5
-
-    def test_rate_per_hour_to_per_year(self):
-        assert units.per_hour_to_per_year(1.0) == 8760.0
-
-    def test_rate_per_year_to_per_hour(self):
-        assert units.per_year_to_per_hour(8760.0) == pytest.approx(1.0)
-
-    @given(st.floats(min_value=1e-6, max_value=1e9, allow_nan=False))
-    def test_year_hour_round_trip_property(self, hours):
-        assert units.hours_to_years(units.years_to_hours(hours)) == pytest.approx(
-            hours, rel=1e-12
-        )
-
-    @given(st.floats(min_value=1e-9, max_value=1e9))
-    def test_rate_mean_time_inverse_property(self, mean_time):
-        rate = units.rate_from_mean_time(mean_time)
-        assert units.mean_time_from_rate(rate) == pytest.approx(mean_time, rel=1e-12)
-
-
-class TestValidation:
-    def test_rate_from_mean_time_rejects_zero(self):
-        with pytest.raises(ValueError):
-            units.rate_from_mean_time(0.0)
-
-    def test_rate_from_mean_time_rejects_negative(self):
-        with pytest.raises(ValueError):
-            units.rate_from_mean_time(-1.0)
-
-    def test_mean_time_from_rate_rejects_zero(self):
-        with pytest.raises(ValueError):
-            units.mean_time_from_rate(0.0)
-
-    def test_mean_time_from_rate_rejects_negative(self):
-        with pytest.raises(ValueError):
-            units.mean_time_from_rate(-2.0)

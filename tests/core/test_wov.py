@@ -6,13 +6,11 @@ from hypothesis import given, strategies as st
 from repro.core.faults import FaultType
 from repro.core.parameters import FaultModel
 from repro.core.wov import (
-    WindowOfVulnerability,
     prob_any_second_fault_after_latent,
     prob_any_second_fault_after_visible,
     prob_second_fault_after_latent,
     prob_second_fault_after_visible,
     second_fault_probabilities,
-    window_after,
 )
 
 
@@ -25,21 +23,6 @@ def model(alpha=1.0, mdl=1460.0, ml=2.8e5):
         mean_detect_latent=mdl,
         correlation_factor=alpha,
     )
-
-
-class TestWindows:
-    def test_window_after_visible_is_repair_time(self):
-        wov = window_after(model(), FaultType.VISIBLE)
-        assert wov.duration == pytest.approx(1.0 / 3.0)
-        assert wov.first_fault is FaultType.VISIBLE
-
-    def test_window_after_latent_adds_detection(self):
-        wov = window_after(model(), FaultType.LATENT)
-        assert wov.duration == pytest.approx(1460.0 + 1.0 / 3.0)
-
-    def test_window_rejects_negative_duration(self):
-        with pytest.raises(ValueError):
-            WindowOfVulnerability(FaultType.VISIBLE, -1.0)
 
 
 class TestEquations3To6:

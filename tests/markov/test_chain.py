@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.markov.chain import MarkovChain, TransitionError, chain_from_matrix
+from repro.markov.chain import MarkovChain, TransitionError
 
 
 def simple_chain():
@@ -27,18 +27,6 @@ class TestConstruction:
         chain.add_state("a")
         with pytest.raises(TransitionError):
             chain.add_state("a")
-
-    def test_ensure_state_is_idempotent(self):
-        chain = MarkovChain()
-        chain.ensure_state("a")
-        chain.ensure_state("a")
-        assert chain.states == ["a"]
-
-    def test_ensure_state_can_mark_absorbing_later(self):
-        chain = MarkovChain()
-        chain.ensure_state("a")
-        chain.ensure_state("a", absorbing=True)
-        assert chain.is_absorbing("a")
 
     def test_unknown_source_rejected(self):
         chain = MarkovChain()
@@ -98,12 +86,6 @@ class TestInspection:
         assert "up" in chain
         assert "missing" not in chain
 
-    def test_state_index(self):
-        chain = simple_chain()
-        assert chain.state_index("degraded") == 1
-        with pytest.raises(TransitionError):
-            chain.state_index("missing")
-
     def test_describe_mentions_states_and_rates(self):
         text = simple_chain().describe()
         assert "degraded" in text
@@ -157,17 +139,3 @@ class TestValidation:
         chain.add_state("b", absorbing=True)
         with pytest.raises(TransitionError):
             chain.validate()
-
-
-class TestChainFromMatrix:
-    def test_round_trip(self):
-        rates = np.array([[0.0, 2.0, 0.5], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        chain = chain_from_matrix(["a", "b", "c"], rates, absorbing=["c"])
-        assert chain.rate("a", "b") == 2.0
-        assert chain.rate("a", "c") == 0.5
-        assert chain.rate("b", "a") == 1.0
-        assert chain.is_absorbing("c")
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(TransitionError):
-            chain_from_matrix(["a", "b"], np.zeros((3, 3)))

@@ -6,8 +6,6 @@ import pytest
 
 from repro.markov.chain import MarkovChain
 from repro.markov.transient import (
-    exponentiality_error,
-    instantaneous_loss_rate,
     loss_probability_over_time,
     survival_curve,
     transient_distribution,
@@ -76,36 +74,3 @@ class TestLossProbability:
     def test_survival_curve_rejects_negative_times(self):
         with pytest.raises(ValueError):
             survival_curve(repairable_chain(), [-1.0])
-
-
-class TestHazardRate:
-    def test_pure_death_hazard_is_flat(self):
-        chain = two_state_chain(0.05)
-        early = instantaneous_loss_rate(chain, 1.0)
-        late = instantaneous_loss_rate(chain, 50.0)
-        assert early == pytest.approx(0.05, rel=1e-6)
-        assert late == pytest.approx(0.05, rel=1e-6)
-
-    def test_repairable_chain_hazard_settles_near_inverse_mttdl(self):
-        from repro.markov.absorbing import mean_time_to_absorption
-
-        chain = repairable_chain()
-        mttdl = mean_time_to_absorption(chain)
-        settled = instantaneous_loss_rate(chain, 50.0)
-        assert settled == pytest.approx(1.0 / mttdl, rel=0.05)
-
-
-class TestExponentialityError:
-    def test_pure_death_process_has_negligible_error(self):
-        chain = two_state_chain(0.01)
-        error = exponentiality_error(chain, mttdl=100.0, times=[10.0, 50.0, 200.0])
-        assert error < 1e-9
-
-    def test_error_detects_wrong_mttdl(self):
-        chain = two_state_chain(0.01)
-        error = exponentiality_error(chain, mttdl=10.0, times=[50.0])
-        assert error > 0.3
-
-    def test_rejects_bad_mttdl(self):
-        with pytest.raises(ValueError):
-            exponentiality_error(two_state_chain(), 0.0, [1.0])

@@ -31,14 +31,11 @@ def test_counters_render_with_type_and_total_suffix():
     assert text.endswith("\n")
 
 
-def test_gauges_and_histograms_render():
+def test_histograms_render():
     snapshot = TelemetrySnapshot(
-        gauges={"queue.depth": 3.5},
         histograms={"serve.batch.size": (4.0, 10.0, 1.0, 4.0)},
     )
     text = to_prometheus(snapshot)
-    assert "# TYPE repro_queue_depth gauge" in text
-    assert "repro_queue_depth 3.5" in text
     assert "# TYPE repro_serve_batch_size summary" in text
     assert "repro_serve_batch_size_count 4" in text
     assert "repro_serve_batch_size_sum 10" in text
@@ -58,25 +55,27 @@ def test_spans_render_as_seconds_total_counter():
 def test_non_finite_values_use_prometheus_spellings():
     text = to_prometheus(
         TelemetrySnapshot(
-            gauges={
+            counters={
                 "up": math.inf,
                 "down": -math.inf,
                 "unknown": math.nan,
             }
         )
     )
-    assert "repro_up +Inf" in text
-    assert "repro_down -Inf" in text
-    assert "repro_unknown NaN" in text
+    assert "repro_up_total +Inf" in text
+    assert "repro_down_total -Inf" in text
+    assert "repro_unknown_total NaN" in text
 
 
 def test_custom_prefix_applies_everywhere():
     snapshot = TelemetrySnapshot(
-        counters={"a": 1.0}, gauges={"b": 2.0}, spans={"c": (1, 0.5)}
+        counters={"a": 1.0},
+        histograms={"b": (1.0, 2.0, 2.0, 2.0)},
+        spans={"c": (1, 0.5)},
     )
     text = to_prometheus(snapshot, prefix="svc")
     assert "svc_a_total 1" in text
-    assert "svc_b 2" in text
+    assert "svc_b_count 1" in text
     assert "svc_c_span_count 1" in text
     assert "repro_" not in text
 
@@ -84,13 +83,11 @@ def test_custom_prefix_applies_everywhere():
 def test_live_registry_round_trips_through_exposition():
     tel = Telemetry()
     tel.count("cache.serve.hit", 3)
-    tel.gauge("inflight", 2)
     tel.observe("serve.batch.size", 4)
     with tel.span("kernel"):
         pass
     text = to_prometheus(tel.snapshot())
     assert "repro_cache_serve_hit_total 3" in text
-    assert "repro_inflight 2" in text
     assert "repro_serve_batch_size_count 1" in text
     assert "repro_kernel_span_count 1" in text
     # Every sample line is "<name> <value>"; every other line is # TYPE.

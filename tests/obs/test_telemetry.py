@@ -25,7 +25,6 @@ def snapshots(draw):
     counters = draw(
         st.dictionaries(_NAMES, _VALUES, max_size=3)
     )
-    gauges = draw(st.dictionaries(_NAMES, _VALUES, max_size=3))
     histograms = {}
     for name in draw(st.lists(_NAMES, max_size=2, unique=True)):
         count = draw(st.integers(min_value=1, max_value=50))
@@ -40,7 +39,6 @@ def snapshots(draw):
         )
     return obs.TelemetrySnapshot(
         counters=counters,
-        gauges=gauges,
         histograms=histograms,
         spans=spans,
     )
@@ -52,8 +50,6 @@ def _flat(snapshot):
     out = {}
     for name, value in snapshot.counters.items():
         out[f"counter:{name}"] = value
-    for name, value in snapshot.gauges.items():
-        out[f"gauge:{name}"] = value
     for name, summary in snapshot.histograms.items():
         for label, value in zip(("count", "total", "min", "max"), summary):
             out[f"hist:{name}:{label}"] = value
@@ -105,14 +101,6 @@ class TestInstruments:
         tel.count("x", 4)
         assert tel.snapshot().counters["x"] == 5
 
-    def test_gauge_keeps_last_and_merges_max(self):
-        tel = obs.Telemetry()
-        tel.gauge("g", 3.0)
-        tel.gauge("g", 1.0)
-        assert tel.snapshot().gauges["g"] == 1.0
-        tel.absorb(obs.TelemetrySnapshot(gauges={"g": 7.0}))
-        assert tel.snapshot().gauges["g"] == 7.0
-
     def test_histogram_summary(self):
         tel = obs.Telemetry()
         for value in (2.0, 5.0, 3.0):
@@ -161,7 +149,6 @@ class TestSession:
     def test_null_instruments_record_nothing(self):
         null = obs.NullTelemetry()
         null.count("x")
-        null.gauge("g", 1.0)
         null.observe("h", 1.0)
         with null.span("s"):
             pass
@@ -179,7 +166,6 @@ class TestPrometheusExport:
     def test_exposition_covers_every_instrument(self):
         tel = obs.Telemetry()
         tel.count("cache.fleet.hit", 3)
-        tel.gauge("jobs", 4)
         tel.observe("fleet.chunk_seconds", 0.5)
         tel.observe("fleet.chunk_seconds", 1.5)
         with tel.span("kernel"):
@@ -187,12 +173,11 @@ class TestPrometheusExport:
         text = to_prometheus(tel.snapshot())
         assert "# TYPE repro_cache_fleet_hit_total counter" in text
         assert "repro_cache_fleet_hit_total 3" in text
-        assert "repro_jobs 4" in text
         assert "repro_fleet_chunk_seconds_count 2" in text
         assert "repro_fleet_chunk_seconds_sum 2" in text
         assert "repro_kernel_span_count 1" in text
         assert text.endswith("\n")
 
     def test_non_finite_values_render_prometheus_style(self):
-        snap = obs.TelemetrySnapshot(gauges={"g": math.inf})
-        assert "repro_g +Inf" in to_prometheus(snap)
+        snap = obs.TelemetrySnapshot(counters={"g": math.inf})
+        assert "repro_g_total +Inf" in to_prometheus(snap)

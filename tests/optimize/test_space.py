@@ -28,12 +28,12 @@ class TestResolveMedium:
     def test_explicit_drive_prefix(self):
         resolved = resolve_medium("drive:cheetah")
         assert resolved.kind == "drive"
-        assert "Cheetah" in resolved.display_name
+        assert "Cheetah" in resolved.drive.name
 
     def test_explicit_media_prefix(self):
         resolved = resolve_medium("media:tape")
         assert resolved.kind == "media"
-        assert "tape" in resolved.display_name
+        assert "tape" in resolved.media.name
 
     def test_bare_identifier_prefers_drives(self):
         assert resolve_medium("barracuda").kind == "drive"
@@ -75,7 +75,9 @@ class TestCandidateDesign:
 
     def test_drive_latent_ratio(self):
         model = candidate().fault_model()
-        assert model.latent_to_visible_ratio == pytest.approx(LATENT_TO_VISIBLE_RATIO)
+        assert model.mean_time_to_visible / model.mean_time_to_latent == (
+            pytest.approx(LATENT_TO_VISIBLE_RATIO)
+        )
 
     def test_media_candidate_includes_access_latency_in_repairs(self):
         model = candidate(medium="media:tape").fault_model()

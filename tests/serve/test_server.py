@@ -396,6 +396,27 @@ def test_oversized_body_is_a_413_and_close_before_reading_it():
     assert "exceeds" in json.loads(payload)["error"]
 
 
+@pytest.mark.parametrize(
+    "payload,path",
+    [
+        ({"question": "mttdl", "system": {}}, "system.model"),
+        (
+            {
+                "question": "sweep",
+                "system": {"model": MODEL.as_dict()},
+                "sweep": {"values": [1.0]},
+            },
+            "sweep.parameter",
+        ),
+    ],
+)
+def test_empty_or_partial_section_is_a_400_naming_the_field(payload, path):
+    response = post_query(payload)
+    assert response.startswith(b"HTTP/1.1 400 ")
+    error = json.loads(response.partition(b"\r\n\r\n")[2])["error"]
+    assert f"'{path}' is required" in error
+
+
 def test_removed_variance_reduction_is_a_400():
     payload = scenario_dict()
     payload["policy"]["variance_reduction"] = "qmc"

@@ -22,10 +22,8 @@ from repro.simulation import batch as batch_module
 from repro.simulation.batch import (
     BatchRunResult,
     PiecewiseBatchState,
-    RateSegment,
     audit_interval_for,
     simulate_batch,
-    simulate_batch_piecewise,
 )
 from repro.simulation.rng import batch_generator
 from repro.simulation.estimators import run_loss_probability, run_mttdl
@@ -452,17 +450,13 @@ class TestPiecewiseTimeline:
         self, alpha
     ):
         model = self.half_lost_model(alpha)
-        single = simulate_batch_piecewise(
-            [RateSegment(model, self.HALF_LIFE_HORIZON)], trials=3000, seed=7
-        )
-        double = simulate_batch_piecewise(
-            [
-                RateSegment(model, self.CUT),
-                RateSegment(model, self.HALF_LIFE_HORIZON),
-            ],
-            trials=3000,
-            seed=7,
-        )
+        uncut = PiecewiseBatchState(model, trials=3000, seed=7)
+        uncut.advance_to(self.HALF_LIFE_HORIZON)
+        cut = PiecewiseBatchState(model, trials=3000, seed=7)
+        cut.advance_to(self.CUT)
+        cut.switch_model(model)
+        cut.advance_to(self.HALF_LIFE_HORIZON)
+        single, double = uncut.result(), cut.result()
         assert 0.3 < single.losses / 3000 < 0.7
         # Trials are live across the cut, so it reshuffles their draws.
         assert not np.array_equal(single.lost, double.lost)
@@ -626,11 +620,11 @@ class TestPiecewiseTimeline:
         safe = self.fast_model(
             mean_time_to_visible=1e13, mean_time_to_latent=1e13
         )
-        result = simulate_batch_piecewise(
-            [RateSegment(model, 3000.0), RateSegment(safe, 1e5)],
-            trials=2000,
-            seed=3,
-        )
+        state = PiecewiseBatchState(model, trials=2000, seed=3)
+        state.advance_to(3000.0)
+        state.switch_model(safe)
+        state.advance_to(1e5)
+        result = state.result()
         assert result.losses > 0
         # Losses after the boundary can only finish windows opened
         # before it: one latent detection interval (2 * MDL) plus both
@@ -645,34 +639,18 @@ class TestPiecewiseTimeline:
         model = self.fast_model(
             mean_time_to_visible=1e9, mean_time_to_latent=5000.0
         )
-        scrubbed = simulate_batch_piecewise(
-            [RateSegment(model, 500.0), RateSegment(model, 4000.0)],
-            trials=2000,
-            seed=5,
-        )
-        unscrubbed = simulate_batch_piecewise(
-            [
-                RateSegment(model, 500.0),
-                RateSegment(model, 4000.0, audits_per_year=0.0),
-            ],
-            trials=2000,
-            seed=5,
-        )
-        assert unscrubbed.losses > 2 * scrubbed.losses
+        def losses(audits_per_year):
+            state = PiecewiseBatchState(model, trials=2000, seed=5)
+            state.advance_to(500.0)
+            state.switch_model(model, audits_per_year)
+            state.advance_to(4000.0)
+            return state.result().losses
+
+        assert losses(0.0) > 2 * losses(None)
 
     def test_validation(self):
-        model = self.fast_model()
         with pytest.raises(ValueError):
-            simulate_batch_piecewise([], trials=10)
-        with pytest.raises(ValueError):
-            simulate_batch_piecewise(
-                [RateSegment(model, 100.0), RateSegment(model, 100.0)],
-                trials=10,
-            )
-        with pytest.raises(ValueError):
-            RateSegment(model, 0.0)
-        with pytest.raises(ValueError):
-            PiecewiseBatchState(model, trials=0)
+            PiecewiseBatchState(self.fast_model(), trials=0)
 
 
 class TestPiecewiseStateMachine:

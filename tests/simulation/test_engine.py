@@ -205,12 +205,3 @@ class TestRunControl:
 
     def test_step_returns_false_on_empty_queue(self):
         assert SimulationEngine().step() is False
-
-    def test_reset_clears_state(self):
-        engine = SimulationEngine()
-        engine.schedule(1.0, lambda: None)
-        engine.run()
-        engine.reset()
-        assert engine.now == 0.0
-        assert engine.pending_events == 0
-        assert engine.events_processed == 0

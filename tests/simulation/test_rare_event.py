@@ -230,6 +230,38 @@ class TestImportanceSampledEstimates:
         with pytest.raises(ValueError):
             run_loss_probability(fast_model, trials=10, method="antithetic")
 
+    def test_is_bias_reads_the_audit_override(self):
+        # Never audited, the daily-scrubbed triple loses about half the
+        # time in 50 years.  A bias aimed at the model's 12 h MDL would
+        # instead sample almost nothing but losses and weight them away.
+        kwargs = dict(
+            mission_time=MISSION, trials=2000, seed=1, replicas=3,
+            audits_per_year=0.0,
+        )
+        standard = run_loss_probability(paper_rare_model(), **kwargs)
+        weighted = run_loss_probability(
+            paper_rare_model(), method="is", **kwargs
+        )
+        assert standard.mean > 0.4
+        z = (weighted.mean - standard.mean) / math.hypot(
+            weighted.std_error, standard.std_error
+        )
+        assert abs(z) < 3.0
+
+    def test_is_is_blind_to_the_mdl_an_override_replaces(self):
+        # The kernel reads the audit grid from the override, and the
+        # bias reads the model with the override folded in, so folding
+        # it in first changes no draw.
+        model = paper_rare_model()
+        kwargs = dict(
+            mission_time=MISSION, trials=500, seed=2, replicas=3,
+            audits_per_year=4.0, method="is",
+        )
+        folded = model.with_detection_time(HOURS_PER_YEAR / 4.0 / 2.0)
+        assert run_loss_probability(model, **kwargs) == run_loss_probability(
+            folded, **kwargs
+        )
+
 
 class TestWeightedLossTally:
     def test_unit_weight_tally_matches_binomial(self):
@@ -381,7 +413,7 @@ class TestAutoMethod:
     def test_auto_runs_a_pilot_above_the_cut_off(self):
         # The daily-scrubbed pair at 500 trials: ~0.085 expected losses.
         predicted = _predicted_pilot_losses(
-            paper_rare_model(), MISSION, 500, 2, None, None
+            paper_rare_model(), MISSION, 500, 2, None
         )
         assert AUTO_SKIP_PILOT_LOSSES < predicted < 0.1
         estimate, rounds, escalations, counted = self.traced(
@@ -404,14 +436,14 @@ class TestAutoMethod:
         # the model names: the pilot runs, and it keeps standard sampling.
         model = paper_rare_model()
         assert _predicted_pilot_losses(
-            model, MISSION, 500, 3, None, None
+            model, MISSION, 500, 3, None
         ) <= AUTO_SKIP_PILOT_LOSSES
         assert _predicted_pilot_losses(
-            model, MISSION, 500, 3, 0.0, None
+            model.with_audit_rate(0.0), MISSION, 500, 3, None
         ) > AUTO_MIN_LOSSES
         assert _predicted_pilot_losses(
-            model, MISSION, 500, 3, HOURS_PER_YEAR / 24.0, None
-        ) == _predicted_pilot_losses(model, MISSION, 500, 3, None, None)
+            model.with_audit_rate(HOURS_PER_YEAR / 24.0), MISSION, 500, 3, None
+        ) == _predicted_pilot_losses(model, MISSION, 500, 3, None)
         estimate, rounds, escalations, _ = self.traced(
             model=model,
             mission_time=MISSION,

@@ -71,11 +71,11 @@ class TestReplicaStateMachine:
         assert replica.state is ReplicaState.VISIBLE_FAILED
         assert replica.detection_time == 2.0
 
-    def test_outstanding_window(self):
+    def test_fault_time_recorded(self):
         replica = Replica(index=0)
         replica.suffer_fault(FaultType.LATENT, 10.0)
-        assert replica.outstanding_window(25.0) == 15.0
-        assert Replica(index=1).outstanding_window(25.0) == 0.0
+        assert replica.fault_time == 10.0
+        assert Replica(index=1).fault_time is None
 
     def test_current_fault_type(self):
         replica = Replica(index=0)
@@ -86,16 +86,6 @@ class TestReplicaStateMachine:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             Replica(index=0).suffer_fault(FaultType.VISIBLE, -1.0)
-
-    def test_reset_restores_pristine_state(self):
-        replica = Replica(index=0)
-        replica.suffer_fault(FaultType.VISIBLE, 1.0)
-        replica.repair(2.0)
-        replica.reset()
-        assert replica.state is ReplicaState.OK
-        assert replica.visible_faults == 0
-        assert replica.repairs_completed == 0
-        assert replica.faulty_hours == 0.0
 
 
 class TestTrace:
@@ -142,12 +132,6 @@ class TestTrace:
         trace.record(5.0, TraceEventType.REPAIR_STARTED, 0, FaultType.VISIBLE)
         trace.record(7.5, TraceEventType.REPAIR_COMPLETED, 0, FaultType.VISIBLE)
         assert trace.repair_durations() == [2.5]
-
-    def test_time_of_data_loss(self):
-        trace = Trace()
-        assert trace.time_of_data_loss() is None
-        trace.record(99.0, TraceEventType.DATA_LOSS)
-        assert trace.time_of_data_loss() == 99.0
 
     def test_iteration_yields_events_in_order(self):
         trace = Trace()

@@ -3,14 +3,11 @@
 import pytest
 
 from repro.core.mttdl import mirrored_mttdl
-from repro.core.units import HOURS_PER_YEAR
 from repro.storage.costs import (
     CostModel,
     compare_drive_costs,
     cost_model_for_drive,
     cost_model_for_media,
-    cost_per_terabyte_year,
-    expected_repairs_per_year,
     replication_cost,
 )
 from repro.storage.drives import BARRACUDA_ST3200822A, CHEETAH_15K4
@@ -23,7 +20,6 @@ from repro.storage.media import (
     media_catalog,
 )
 from repro.storage.raid import (
-    RaidConfiguration,
     RaidLevel,
     raid0_mttdl,
     raid1_mttdl,
@@ -115,11 +111,6 @@ class TestRaid:
             self.MTTF, self.MTTR, 8
         )
 
-    def test_usable_fraction(self):
-        assert RaidConfiguration(RaidLevel.RAID5, 8, self.MTTF, self.MTTR).usable_fraction() == pytest.approx(7 / 8)
-        assert RaidConfiguration(RaidLevel.RAID6, 8, self.MTTF, self.MTTR).usable_fraction() == pytest.approx(6 / 8)
-        assert RaidConfiguration(RaidLevel.RAID1, 2, self.MTTF, self.MTTR).usable_fraction() == pytest.approx(0.5)
-
     def test_latent_faults_collapse_raid5_reliability(self):
         clean = raid5_mttdl(self.MTTF, self.MTTR, 8)
         with_latent = raid_with_latent_faults_mttdl(
@@ -167,12 +158,6 @@ class TestCosts:
         colocated = replication_cost(self.cost_model(), 10.0, 3, independent_sites=1)
         assert spread.sites_per_year > colocated.sites_per_year
 
-    def test_cost_per_terabyte_year(self):
-        breakdown = replication_cost(self.cost_model(), 10.0, 2)
-        assert cost_per_terabyte_year(breakdown, 10.0) == pytest.approx(
-            breakdown.total_per_year / 10.0
-        )
-
     def test_enterprise_design_much_more_expensive(self):
         comparison = compare_drive_costs(
             BARRACUDA_ST3200822A, CHEETAH_15K4, dataset_tb=10.0,
@@ -188,9 +173,6 @@ class TestCosts:
         model = cost_model_for_media(OFFLINE_TAPE)
         assert model.power_cooling_per_tb_year == 0.0
 
-    def test_expected_repairs_per_year(self):
-        assert expected_repairs_per_year(HOURS_PER_YEAR) == pytest.approx(1.0)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             replication_cost(self.cost_model(), 0.0, 2)
@@ -200,8 +182,6 @@ class TestCosts:
             replication_cost(self.cost_model(), 1.0, 2, independent_sites=3)
         with pytest.raises(ValueError):
             CostModel(hardware_cost_per_tb=-1.0)
-        with pytest.raises(ValueError):
-            expected_repairs_per_year(0.0)
 
 
 class TestPlacementIndependence:

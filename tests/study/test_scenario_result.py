@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -110,7 +111,8 @@ class TestScenarioRoundtrip:
 
     def test_content_hash_is_sensitive_to_every_axis(self):
         base = _scenarios_of_every_kind()[0]
-        assert base.content_hash() != base.with_policy(seed=1).content_hash()
+        reseeded = replace(base, policy=replace(base.policy, seed=1))
+        assert base.content_hash() != reseeded.content_hash()
         assert (
             base.content_hash()
             != Scenario.from_dict(
@@ -284,12 +286,16 @@ class TestScenarioValidation:
             "system.model.alpha",
             "timeline.epochs[0].model.alpha",
             "timeline.migrations[0].risk.name",
+            # These said "must be a string" and "must be a JSON array".
+            "sweep.parameter",
+            "sweep.values",
         ],
     )
     def test_missing_field_names_its_path(self, path):
         # These used to escape as a bare KeyError naming only the key.
         kinds = _scenarios_of_every_kind()
-        payload = kinds[4 if path.startswith("timeline") else 1].as_dict()
+        index = {"timeline": 4, "sweep": 2}.get(path.split(".")[0], 1)
+        payload = kinds[index].as_dict()
         if "migrations" in path:
             payload["timeline"]["migrations"] = [{
                 "year": 1.0,
@@ -309,6 +315,20 @@ class TestScenarioValidation:
             ValueError, match=f"^'{re.escape(path)}' is required$"
         ):
             Scenario.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "question,section,path",
+        [
+            # An empty object used to read as absent: "question 'mttdl'
+            # needs a SystemSpec", "... needs a FleetTimeline".
+            ("mttdl", "system", "system.model"),
+            ("fleet_survival", "timeline", "timeline.years"),
+            ("sweep", "sweep", "sweep.parameter"),
+        ],
+    )
+    def test_empty_section_names_its_first_field(self, question, section, path):
+        with pytest.raises(ValueError, match=f"^'{re.escape(path)}' "):
+            Scenario.from_dict({"question": question, section: {}})
 
     @pytest.mark.parametrize(
         "space,expected",
@@ -426,9 +446,6 @@ class TestStudyResultSerialisation:
         assert payload["value"] is None
         assert payload["std_error"] is None
         assert StudyResult.from_dict(payload).value is None
-
-    def test_cache_key_is_the_scenario_hash(self):
-        assert self.RESULT.cache_key == self.RESULT.scenario_hash
 
 
 class TestVarianceReductionAxis:

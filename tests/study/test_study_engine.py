@@ -38,7 +38,8 @@ MODEL = FaultModel(500.0, 100.0, 1.0, 1.0, 5.0, 1.0)
 def _point(question="mttdl", engine="auto", **kwargs):
     policy_kwargs = {
         key: kwargs.pop(key)
-        for key in ("trials", "seed", "bias", "target_relative_error")
+        for key in ("trials", "seed", "bias", "target_relative_error",
+                    "cross_check")
         if key in kwargs
     }
     return Scenario(
@@ -246,9 +247,7 @@ class TestAutoCrossCheck:
 
     def test_cross_check_respects_the_policy_switch(self):
         result = run(
-            _point("mttdl", trials=300, max_time_hours=1e6).with_policy(
-                cross_check=False
-            )
+            _point("mttdl", trials=300, max_time_hours=1e6, cross_check=False)
         )
         assert "cross_check" not in result.details
 

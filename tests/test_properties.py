@@ -7,6 +7,8 @@ claims (monotonicity in each lever, agreement in limiting regimes,
 probabilities staying probabilities).
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -105,7 +107,9 @@ class TestAnalyticInvariants:
     def test_better_latent_hardware_never_hurts(self, model, factor):
         # Longer mean time to latent faults with the detection delay held
         # fixed must not reduce reliability.
-        improved = model.with_latent_mean_time(model.mean_time_to_latent * factor)
+        improved = replace(
+            model, mean_time_to_latent=model.mean_time_to_latent * factor
+        )
         assert mirrored_mttdl(improved) >= mirrored_mttdl(model) * (1.0 - 1e-9)
 
     @given(model=model_strategy, mission_years=st.floats(min_value=0.1, max_value=500.0))

@@ -18,8 +18,6 @@ from repro.threats.taxonomy import (
     THREAT_REGISTRY,
     all_threat_profiles,
     combined_fault_model,
-    default_type_for,
-    threat_profile,
 )
 
 
@@ -44,7 +42,7 @@ class TestRegistry:
                 assert profile.mean_detection_time > 0.0
 
     def test_media_fault_profile_uses_paper_derived_rates(self):
-        media = threat_profile(FaultClass.MEDIA_FAULT)
+        media = THREAT_REGISTRY[FaultClass.MEDIA_FAULT]
         assert media.mean_time_to_occurrence == pytest.approx(2.8e5)
         assert media.mean_detection_time == pytest.approx(1460.0)
 
@@ -54,21 +52,17 @@ class TestRegistry:
             FaultClass.SOFTWARE_OBSOLESCENCE,
             FaultClass.LOSS_OF_CONTEXT,
         ):
-            profile = threat_profile(fault_class)
+            profile = THREAT_REGISTRY[fault_class]
             assert profile.mean_time_to_occurrence >= 5 * 8760.0
 
     def test_format_obsolescence_hits_every_replica(self):
         assert (
-            threat_profile(FaultClass.SOFTWARE_OBSOLESCENCE).correlation_reach == 1.0
+            THREAT_REGISTRY[FaultClass.SOFTWARE_OBSOLESCENCE].correlation_reach == 1.0
         )
 
     def test_rate_per_year(self):
-        profile = threat_profile(FaultClass.MEDIA_FAULT)
+        profile = THREAT_REGISTRY[FaultClass.MEDIA_FAULT]
         assert profile.rate_per_year == pytest.approx(8760.0 / 2.8e5)
-
-    def test_default_type_for_matches_faults_module(self):
-        assert default_type_for(FaultClass.MEDIA_FAULT) is FaultType.LATENT
-        assert default_type_for(FaultClass.LARGE_SCALE_DISASTER) is FaultType.VISIBLE
 
 
 class TestCombinedFaultModel:
@@ -127,10 +121,10 @@ class TestCorrelationPressure:
 
     def test_mitigation_requires_member_profile(self):
         subset = [
-            threat_profile(FaultClass.LARGE_SCALE_DISASTER),
-            threat_profile(FaultClass.HUMAN_ERROR),
+            THREAT_REGISTRY[FaultClass.LARGE_SCALE_DISASTER],
+            THREAT_REGISTRY[FaultClass.HUMAN_ERROR],
         ]
-        outsider = threat_profile(FaultClass.MEDIA_FAULT)
+        outsider = THREAT_REGISTRY[FaultClass.MEDIA_FAULT]
         with pytest.raises(ValueError):
             mitigation_effect(subset, outsider)
 
