@@ -13,6 +13,8 @@ from repro.core.approximations import (
 from repro.core.mttdl import mirrored_mttdl
 from repro.core.parameters import FaultModel
 from repro.core.units import HOURS_PER_YEAR
+from repro.markov.absorbing import mean_time_to_absorption
+from repro.markov.builders import build_mirrored_chain
 
 
 def model(**overrides):
@@ -45,6 +47,46 @@ class TestEquation9:
 
     def test_infinite_with_zero_repair(self):
         assert visible_dominated_mttdl(model(mean_repair_visible=0.0)) == float("inf")
+
+
+class TestPattersonConvention:
+    """Patterson et al.'s RAID-1 MTTDL is MTTF^2 / (2 MTTR): either copy
+    can fail first.  Eq. 9 counts the first fault at the single-copy
+    rate, so it reads twice that."""
+
+    POINTS = [(1e6, 10.0), (1.4e6, 1.0 / 3.0), (5e5, 24.0)]
+
+    @staticmethod
+    def visible_only(mv, mrv):
+        return model(
+            mean_time_to_visible=mv,
+            mean_time_to_latent=1e12,
+            mean_repair_visible=mrv,
+            mean_repair_latent=mrv,
+            mean_detect_latent=0.0,
+        )
+
+    @pytest.mark.parametrize("mv,mrv", POINTS)
+    def test_eq9_is_twice_patterson(self, mv, mrv):
+        patterson = mv ** 2 / (2.0 * mrv)
+        assert visible_dominated_mttdl(self.visible_only(mv, mrv)) == (
+            pytest.approx(2.0 * patterson)
+        )
+
+    @pytest.mark.parametrize("mv,mrv", POINTS)
+    def test_chain_with_either_copy_failing_first_is_patterson(self, mv, mrv):
+        chain = build_mirrored_chain(self.visible_only(mv, mrv))
+        assert mean_time_to_absorption(chain) == pytest.approx(
+            mv ** 2 / (2.0 * mrv), rel=1e-3
+        )
+
+    @pytest.mark.parametrize("mv,mrv", POINTS)
+    def test_chain_with_single_initiator_is_eq9(self, mv, mrv):
+        m = self.visible_only(mv, mrv)
+        chain = build_mirrored_chain(m, double_first_fault_rate=False)
+        assert mean_time_to_absorption(chain) == pytest.approx(
+            visible_dominated_mttdl(m), rel=1e-3
+        )
 
 
 class TestEquation10:

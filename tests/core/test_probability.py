@@ -98,3 +98,43 @@ class TestInversions:
         assert probability.probability_of_loss(mttdl, mission) == pytest.approx(
             p, rel=1e-9
         )
+
+
+class TestMissionArithmetic:
+    @pytest.mark.parametrize("unit", [1.0, 1.0 / HOURS_PER_YEAR, 60.0])
+    def test_loss_probability_is_unit_free(self, unit):
+        # Only the ratio of mission to MTTDL matters: 32 years against
+        # 50 reads the same in years, hours or minutes.
+        hours = probability.probability_of_loss(
+            32.0 * HOURS_PER_YEAR, 50.0 * HOURS_PER_YEAR
+        )
+        scaled = probability.probability_of_loss(
+            32.0 * HOURS_PER_YEAR * unit, 50.0 * HOURS_PER_YEAR * unit
+        )
+        assert scaled == pytest.approx(hours, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "mttdl", [1.0, 32.0 * HOURS_PER_YEAR, 6128.7 * HOURS_PER_YEAR]
+    )
+    def test_half_life_is_mttdl_ln2(self, mttdl):
+        half_life = mttdl * math.log(2.0)
+        assert probability.probability_of_loss(mttdl, half_life) == (
+            pytest.approx(0.5)
+        )
+        assert probability.mttdl_for_loss_probability(0.5, half_life) == (
+            pytest.approx(mttdl)
+        )
+
+    def test_one_mttdl_of_mission_loses_with_probability_1_minus_1_over_e(self):
+        assert probability.probability_of_loss(
+            HOURS_PER_YEAR, HOURS_PER_YEAR
+        ) == pytest.approx(1.0 - math.exp(-1.0))
+
+    def test_short_missions_lose_mission_over_mttdl(self):
+        # One year of the scrubbed pair: expected losses 1 / 6128.7, and
+        # the probability of any loss barely falls short of it.
+        p = probability.probability_of_loss(
+            6128.7 * HOURS_PER_YEAR, HOURS_PER_YEAR
+        )
+        assert p == pytest.approx(1.0 / 6128.7, rel=1e-3)
+        assert p < 1.0 / 6128.7

@@ -162,3 +162,48 @@ def test_loss_rate_zero_when_no_faults():
         mean_detect_latent=1.0,
     )
     assert scheme_loss_rate(model, ErasureCode(6, 4)) == 0.0
+
+
+class TestWeatherspoonShape:
+    """Weatherspoon and Kubiatowicz's comparison on the live closed forms:
+    at equal storage overhead an erasure code tolerates more lost
+    fragments than whole copies, so it outlives them."""
+
+    @pytest.mark.parametrize(
+        "n,k,replicas",
+        [(4, 2, 2), (6, 3, 2), (8, 4, 2), (6, 2, 3), (9, 3, 3), (12, 4, 3)],
+    )
+    def test_erasure_outlives_replication_at_equal_overhead(
+        self, model, n, k, replicas
+    ):
+        code, copies = ErasureCode(n, k), Replication(replicas)
+        assert code.storage_overhead == copies.storage_overhead
+        assert code.max_tolerable_faults > copies.max_tolerable_faults
+        assert scheme_loss_rate(model, code) < scheme_loss_rate(model, copies)
+        assert scheme_mttdl_eq12(1.4e6, 1.0 / 3.0, code) > scheme_mttdl_eq12(
+            1.4e6, 1.0 / 3.0, copies
+        )
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_each_extra_fragment_lowers_the_loss_rate(self, model, k):
+        rates = [
+            scheme_loss_rate(model, RedundancyScheme(n=n, k=k))
+            for n in range(k, k + 4)
+        ]
+        assert rates == sorted(rates, reverse=True)
+        assert len(set(rates)) == len(rates)
+
+    @pytest.mark.parametrize("n,k", [(6, 4), (9, 6), (16, 12)])
+    def test_latent_faults_erode_coded_durability(self, model, n, k):
+        unscrubbed = model.with_detection_time(model.mean_time_to_latent)
+        assert scheme_loss_rate(unscrubbed, ErasureCode(n, k)) > (
+            scheme_loss_rate(model, ErasureCode(n, k))
+        )
+
+    @pytest.mark.parametrize("n,k", [(3, 2), (6, 4), (9, 6)])
+    def test_eq12_gains_alpha_mv_over_mrv_per_tolerated_fault(self, n, k):
+        # Each fault the code tolerates multiplies MTTDL by the odds
+        # alpha MV / MRV against the next fault landing in the window.
+        more = scheme_mttdl_eq12(1.4e6, 1.0 / 3.0, ErasureCode(n + 1, k), 0.5)
+        fewer = scheme_mttdl_eq12(1.4e6, 1.0 / 3.0, ErasureCode(n, k), 0.5)
+        assert more / fewer == pytest.approx(0.5 * 1.4e6 * 3.0)

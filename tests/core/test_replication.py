@@ -85,3 +85,26 @@ def test_mttdl_monotone_in_alpha_property(replicas, alpha1, alpha2):
     assert replicated_mttdl(MV, MRV, replicas, low) <= replicated_mttdl(
         MV, MRV, replicas, high
     )
+
+
+class TestReplicationGain:
+    @pytest.mark.parametrize("replicas", [1, 2, 3, 4, 5])
+    def test_each_replica_multiplies_mttdl_by_alpha_mv_over_mrv(self, replicas):
+        gain = replicated_mttdl(MV, MRV, replicas + 1, 0.5) / replicated_mttdl(
+            MV, MRV, replicas, 0.5
+        )
+        assert gain == pytest.approx(0.5 * MV / MRV)
+
+    def test_strong_correlation_erodes_the_gain(self):
+        def gain(alpha):
+            return replicated_mttdl(MV, MRV, 3, alpha) / replicated_mttdl(
+                MV, MRV, 2, alpha
+            )
+
+        assert gain(0.001) < gain(1.0)
+
+    @pytest.mark.parametrize("replicas", [2, 3, 4])
+    def test_alpha_at_mrv_over_mv_makes_extra_replicas_worthless(self, replicas):
+        # Every second fault then lands in the window: the data lasts
+        # only as long as one copy.
+        assert replicated_mttdl(MV, MRV, replicas, MRV / MV) == pytest.approx(MV)

@@ -73,3 +73,26 @@ class TestExpectedVisits:
     def test_healthy_state_dominates_occupancy(self):
         visits = expected_visits(mirrored_visible_only())
         assert visits["both_up"] > 0.99 * sum(visits.values())
+
+
+class TestAbsorptionSplit:
+    """Where a chain ends: the time spent in each transient state times
+    its rate into each absorbing state."""
+
+    @pytest.mark.parametrize("left,right", [(1.0, 3.0), (2.0, 2.0), (0.1, 9.9)])
+    def test_competing_absorbing_states_split_by_rate(self, left, right):
+        chain = MarkovChain()
+        chain.add_state("start")
+        chain.add_state("left", absorbing=True)
+        chain.add_state("right", absorbing=True)
+        chain.add_transition("start", "left", left)
+        chain.add_transition("start", "right", right)
+        visits = expected_visits(chain)
+        assert visits["start"] * left == pytest.approx(left / (left + right))
+        assert visits["start"] * right == pytest.approx(right / (left + right))
+
+    @pytest.mark.parametrize("start", ["both_up", "one_up"])
+    def test_single_absorbing_state_is_reached_with_probability_one(self, start):
+        mttf = 1000.0
+        visits = expected_visits(mirrored_visible_only(mttf=mttf), start=start)
+        assert visits["one_up"] / mttf == pytest.approx(1.0)

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.markov.absorbing import mean_time_to_absorption
 from repro.markov.chain import MarkovChain
 from repro.markov.transient import (
     loss_probability_over_time,
@@ -74,3 +75,36 @@ class TestLossProbability:
     def test_survival_curve_rejects_negative_times(self):
         with pytest.raises(ValueError):
             survival_curve(repairable_chain(), [-1.0])
+
+
+def hazard(chain, time, step=1e-3):
+    """Loss rate at ``time`` among the data still intact."""
+    dt = step * time
+    curve = survival_curve(chain, [time, time + dt])
+    return -math.log(curve[time + dt] / curve[time]) / dt
+
+
+class TestHazardRate:
+    @pytest.mark.parametrize("time", [1.0, 20.0, 50.0])
+    def test_pure_death_hazard_is_flat(self, time):
+        assert hazard(two_state_chain(0.05), time) == pytest.approx(
+            0.05, rel=1e-6
+        )
+
+    @pytest.mark.parametrize("time", [50.0, 500.0, 5000.0])
+    def test_repairable_chain_hazard_settles_near_inverse_mttdl(self, time):
+        chain = repairable_chain()
+        assert hazard(chain, time) == pytest.approx(
+            1.0 / mean_time_to_absorption(chain), rel=0.05
+        )
+
+    @pytest.mark.parametrize("time", [100.0, 2000.0, 20000.0])
+    def test_exponential_shortcut_tracks_the_exact_curve(self, time):
+        # The paper's 1 - exp(-t / MTTDL) misses the exact loss
+        # probability by less than one part in a thousand once repairs
+        # are fast next to faults.
+        chain = repairable_chain()
+        mttdl = mean_time_to_absorption(chain)
+        assert loss_probability_over_time(chain, time) == pytest.approx(
+            -math.expm1(-time / mttdl), abs=1e-3
+        )

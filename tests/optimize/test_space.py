@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.units import HOURS_PER_YEAR
+from repro.storage.drives import drive_catalog
 from repro.optimize.space import (
     LATENT_TO_VISIBLE_RATIO,
     CandidateDesign,
@@ -49,6 +50,21 @@ class TestResolveMedium:
     def test_wrong_prefix_is_not_found(self):
         with pytest.raises(KeyError):
             resolve_medium("media:cheetah")
+
+
+class TestDriveFaultModels:
+    @pytest.mark.parametrize("name", sorted(drive_catalog()))
+    def test_schwarz_ratio_and_full_drive_rebuild(self, name):
+        # Latent faults five times as frequent as visible ones (Schwarz
+        # et al.), each repaired by reading the whole drive.
+        drive = drive_catalog()[name]
+        model = resolve_medium(f"drive:{name}").fault_model(3.0, 1.0)
+        assert model.mean_time_to_visible == drive.mttf_hours
+        assert model.mean_time_to_latent * LATENT_TO_VISIBLE_RATIO == (
+            pytest.approx(drive.mttf_hours)
+        )
+        assert model.mean_repair_visible == drive.full_read_hours()
+        assert model.mean_repair_latent == drive.full_read_hours()
 
 
 class TestPlacementAlpha:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.faults import FaultClass, FaultType
+from repro.core.faults import DEFAULT_TYPE_FOR_CLASS, FaultClass, FaultType
 from repro.threats.correlation_sources import (
     correlation_pressure,
     dominant_correlation_sources,
@@ -24,6 +24,12 @@ from repro.threats.taxonomy import (
 class TestRegistry:
     def test_every_paper_threat_class_has_a_profile(self):
         assert set(THREAT_REGISTRY) == set(FaultClass)
+
+    @pytest.mark.parametrize("fault_class", list(FaultClass))
+    def test_profile_matches_the_default_fault_type(self, fault_class):
+        profile = THREAT_REGISTRY[fault_class]
+        assert profile.fault_class is fault_class
+        assert profile.fault_type is DEFAULT_TYPE_FOR_CLASS[fault_class]
 
     def test_profiles_are_self_describing(self):
         for profile in all_threat_profiles():
