@@ -12,10 +12,11 @@ fixed seed inside a recording telemetry session and pins
 
 The cases cross the batch and event backends with ``standard`` and
 ``auto``; ``auto`` pilots that escalate and that do not, for both
-estimators, including an MTTDL pilot that censors past the threshold
-but has already met its target; no target, a target and a clamped
-``max_trials``; importance sampling at its default bias and at an
-explicit one, mirrored and (3,2); and the control variate for both
+estimators, on pairs and on triples, including an MTTDL pilot that
+censors past the threshold but has already met its target; no target,
+a target and a clamped ``max_trials``; importance sampling at its
+default bias and at an explicit one, mirrored and (3,2); and the
+control variate for both
 estimators, with and without a target, including a run whose first
 3-trial chunk scores zero.
 
@@ -129,6 +130,43 @@ CASES = {
     "mttdl-event-auto-escalates": (MTTDL, dict(
         model=FAST, max_time=300.0, trials=30, seed=6, backend="event",
         method="auto")),
+    # auto on triples (loss threshold 3): the pilot and escalation
+    # machinery at the threshold the control variate does not reach.
+    # Every escalating loss pilot expects ~8 losses, so the analytic
+    # screen never skips it.
+    "loss-auto-stays-triple": (LOSS, dict(
+        model=FAST, mission_time=2000.0, trials=300, seed=1, replicas=3,
+        method="auto")),
+    "loss-auto-stays-target-triple": (LOSS, dict(
+        model=FAST, mission_time=2000.0, trials=200, seed=2, replicas=3,
+        method="auto", target_relative_error=0.08)),
+    "loss-auto-escalates-triple": (LOSS, dict(
+        model=FAST, mission_time=100.0, trials=500, seed=3, replicas=3,
+        method="auto")),
+    "loss-auto-escalates-target-triple": (LOSS, dict(
+        model=FAST, mission_time=100.0, trials=500, seed=4, replicas=3,
+        method="auto", target_relative_error=0.1)),
+    "loss-auto-escalates-clamped-triple": (LOSS, dict(
+        model=FAST, mission_time=100.0, trials=400, seed=5, replicas=3,
+        method="auto", target_relative_error=0.01, max_trials=1000)),
+    "loss-auto-escalates-one-chunk-triple": (LOSS, dict(
+        model=FAST, mission_time=100.0, trials=500, seed=6, replicas=3,
+        method="auto", target_relative_error=0.05, max_trials=500)),
+    "mttdl-auto-stays-triple": (MTTDL, dict(
+        model=FAST, max_time=1e6, trials=200, seed=1, replicas=3,
+        method="auto")),
+    "mttdl-auto-escalates-triple": (MTTDL, dict(
+        model=FAST, max_time=2000.0, trials=300, seed=2, replicas=3,
+        method="auto")),
+    "mttdl-auto-escalates-target-triple": (MTTDL, dict(
+        model=FAST, max_time=2000.0, trials=300, seed=3, replicas=3,
+        method="auto", target_relative_error=0.1)),
+    "mttdl-auto-censoring-converged-triple": (MTTDL, dict(
+        model=FAST, max_time=7700.0, trials=1000, seed=3, replicas=3,
+        method="auto", target_relative_error=0.05)),
+    "mttdl-auto-censoring-unconverged-triple": (MTTDL, dict(
+        model=FAST, max_time=2000.0, trials=200, seed=4, replicas=3,
+        method="auto", target_relative_error=0.05)),
     # Importance sampling: default and explicit bias, mirrored and (3,2).
     "loss-is": (LOSS, dict(
         model=RARE, mission_time=FIFTY_YEARS, trials=1000, seed=1,
@@ -439,6 +477,62 @@ PINS = {
          134.45864019657753),
         "f969448fc0f78df5", 0, [],
     ),
+    # Triples.
+    "loss-auto-stays-triple": (
+        (0.24, 0.024657656011875907, 300, 228, "standard",
+         None),
+        "fa1ac169f93576e3", 0, [],
+    ),
+    "loss-auto-stays-target-triple": (
+        (0.20833333333333334, 0.016579633869879613, 600, 475, "standard",
+         None),
+        "f8240b8a3d52f90e", 0, [],
+    ),
+    "loss-auto-escalates-triple": (
+        (0.007971658041199162, 0.0019107322184386565, 500, 478, "is",
+         16.85296957578163),
+        "b92c777436424553", 1, [],
+    ),
+    "loss-auto-escalates-target-triple": (
+        (0.013227803329165014, 0.001167219580232839, 2000, 1865, "is",
+         120.7382325579902),
+        "e7773fb41239169d", 1, [],
+    ),
+    "loss-auto-escalates-clamped-triple": (
+        (0.013270531675267936, 0.0016608396865363465, 1000, 930, "is",
+         60.06916914001429),
+        "23d76a9aeab4b354", 1, [],
+    ),
+    "loss-auto-escalates-one-chunk-triple": (
+        (0.012533855337989666, 0.0022292706626546883, 500, 467, "is",
+         29.787714372351235),
+        "e0fa2bb8d0861ed3", 1, [],
+    ),
+    "mttdl-auto-stays-triple": (
+        (7300.8437115808365, 516.2476096841972, 200, 0, "standard",
+         None),
+        "e9956e6fc2854fff", 0, [],
+    ),
+    "mttdl-auto-escalates-triple": (
+        (7913.14465667956, 970.9392571569733, 300, 233, "is",
+         67.0),
+        "58b3b53eeb98556c", 1, [],
+    ),
+    "mttdl-auto-escalates-target-triple": (
+        (6263.948798684251, 695.8401563019156, 300, 218, "is",
+         82.0),
+        "e88de6a8c39711ed", 1, [],
+    ),
+    "mttdl-auto-censoring-converged-triple": (
+        (7190.720156261141, 280.1106879788239, 1000, 341, "standard",
+         None),
+        "9e4a0ee10095f555", 0, ["HighCensoringWarning"],
+    ),
+    "mttdl-auto-censoring-unconverged-triple": (
+        (6952.118993564414, 373.022401428598, 1400, 1050, "is",
+         350.0),
+        "1944aa801843e581", 1, [],
+    ),
 }
 
 
@@ -463,10 +557,13 @@ def test_cases_cover_every_path():
     }
     escalated = {name for name, pin in PINS.items() if pin[2]}
     assert escalated == {name for name in CASES if "escalates" in name} | {
-        "mttdl-auto-censoring-unconverged"
+        "mttdl-auto-censoring-unconverged",
+        "mttdl-auto-censoring-unconverged-triple",
     }
     # A pilot that censors past the threshold but met its target stays.
-    _, _, trials, censored, method, _ = estimates[
-        "mttdl-auto-censoring-converged"
-    ]
-    assert method == "standard" and censored / trials > 0.2
+    for name in (
+        "mttdl-auto-censoring-converged",
+        "mttdl-auto-censoring-converged-triple",
+    ):
+        _, _, trials, censored, method, _ = estimates[name]
+        assert method == "standard" and censored / trials > 0.2

@@ -357,12 +357,14 @@ class TestAutoMethod:
     def test_auto_mttdl_keeps_a_converged_censoring_pilot(self):
         # Regression: ~30% censoring used to trigger the IS switch even
         # when the standard pilot had already met the adaptive target,
-        # throwing away converged work.
+        # throwing away converged work.  A triple, so that the pilot
+        # runs at a loss threshold the control variate does not reach.
         estimate = run_mttdl(
             FaultModel(500.0, 100.0, 1.0, 1.0, 5.0, 1.0),
             trials=1000,
             seed=3,
-            max_time=900.0,
+            max_time=7700.0,
+            replicas=3,
             backend="batch",
             method="auto",
             target_relative_error=0.05,
