@@ -30,8 +30,10 @@ Sub-commands:
 ``simulate``
     Monte-Carlo estimate of the MTTDL or mission loss probability.
     ``--method``/``--backend`` map onto a study engine: ``auto`` (the
-    default) pilots on the vectorized batch backend and escalates to
-    rare-event importance sampling when almost every trial censors;
+    default) answers a threshold-2 question by the control variate
+    where that finishes first, and otherwise pilots on the vectorized
+    batch backend and escalates to rare-event importance sampling when
+    almost every trial censors;
     ``standard`` forces the plain estimator on the chosen backend;
     ``is`` forces importance sampling.
     ``--variance-reduction cv`` swaps in the control-variate batch
@@ -498,7 +500,9 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--method",
                           choices=["standard", "is", "auto"],
                           default="auto",
-                          help="estimator: auto (default) switches to "
+                          help="estimator: auto (default) uses the control "
+                          "variate for pairs and (n, n-1) codes where it "
+                          "finishes first, and otherwise switches to "
                           "rare-event acceleration when nearly every trial "
                           "censors; is = failure-biased importance sampling")
     simulate.add_argument("--bias", type=float, default=None,

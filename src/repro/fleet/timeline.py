@@ -346,9 +346,15 @@ def _epoch_from_dict(payload: object, path: str) -> FleetEpoch:
         return json_number(payload.get(key, default), f"{path}.{key}")
 
     return FleetEpoch(
-        start_year=number("start_year"),
+        start_year=json_number(
+            json_required(payload, "start_year", f"{path}.start_year"),
+            f"{path}.start_year",
+        ),
         model=FaultModel.from_dict(
-            _json_object(payload.get("model"), f"{path}.model"),
+            _json_object(
+                json_required(payload, "model", f"{path}.model"),
+                f"{path}.model",
+            ),
             f"{path}.model",
         ),
         audits_per_year=None if audits is None else number("audits_per_year"),
@@ -497,12 +503,19 @@ class FleetTimeline:
 
         Every number, count, boolean and array is typed: a malformed
         value raises a ``ValueError`` naming its JSON path (``path`` is
-        the timeline's own, e.g. ``timeline.epochs[1].start_year``).
+        the timeline's own, e.g. ``timeline.epochs[1].start_year``).  A
+        missing required field (``years``, ``epochs``, or an epoch's
+        ``start_year`` or ``model``) raises one saying that it is
+        required.
         """
         payload = _json_object(payload, path)
         scheme = payload.get("scheme")
+        years = json_number(
+            json_required(payload, "years", f"{path}.years"), f"{path}.years"
+        )
+        json_required(payload, "epochs", f"{path}.epochs")
         return FleetTimeline(
-            years=json_number(payload.get("years"), f"{path}.years"),
+            years=years,
             replicas=json_integer(
                 payload.get("replicas", 2), f"{path}.replicas"
             ),

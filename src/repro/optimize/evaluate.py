@@ -17,9 +17,12 @@ Evaluation runs in two fidelities:
    with a deterministic per-candidate seed, attaching a confidence
    interval to each screening survivor.  High-reliability candidates
    used to refine to zero-loss point estimates; with the default
-   ``method="auto"`` the refinement now switches to failure-biased
-   importance sampling (:mod:`repro.simulation.rare_event`) when the
-   standard pilot observes too few losses, so even deep-frontier
+   ``method="auto"`` a 2-way candidate (a pair or an ``(n, n-1)`` code)
+   is refined by conditional Monte-Carlo
+   (:mod:`repro.simulation.variance_reduction`), and any other switches
+   to failure-biased importance sampling
+   (:mod:`repro.simulation.rare_event`) when the analytic screen or the
+   standard pilot expects too few losses, so even deep-frontier
    designs come back with real confidence intervals.  When a
    refinement still observes no losses at all, the interval's upper
    bound falls back to the rule-of-three bound ``3 / trials`` so the
@@ -53,6 +56,11 @@ from repro.simulation.rng import spawn_seed
 #: resolve it, and a screen that is off by a few tens of percent is
 #: working as designed, not disagreeing.
 SCREEN_AGREEMENT_TOLERANCE = 1.5
+
+#: Version of the recipe :func:`refine` answers by, part of the planner's
+#: cache key: 2 since ``auto`` refines threshold-2 candidates by
+#: conditional Monte-Carlo, so entries sampled under the old recipe miss.
+REFINE_RECIPE = 2
 
 #: Default multiplicative slack for screening survivors: a candidate is
 #: pruned when some no-more-expensive candidate's screened loss is at
@@ -316,10 +324,11 @@ def refine(
     The per-candidate seed is spawned deterministically from the root
     seed and the candidate's identity, so refinements are reproducible
     regardless of evaluation order or parallelism.  With the default
-    ``method="auto"`` a candidate whose standard pilot censors to
-    (near-)zero losses is re-refined with failure-biased importance
-    sampling, so high-reliability designs get real confidence intervals
-    instead of rule-of-three upper bounds.
+    ``method="auto"`` a threshold-2 candidate is refined by conditional
+    Monte-Carlo, and any other whose standard pilot censors to
+    (near-)zero losses by failure-biased importance sampling, so
+    high-reliability designs get real confidence intervals instead of
+    rule-of-three upper bounds.
     """
     candidate = evaluation.candidate
     seed = spawn_seed(settings.seed, candidate.key())

@@ -11,13 +11,14 @@ The runner orchestrates the multi-fidelity pipeline end to end:
 
 Refinements are kept in the ``optimize`` scope of the content-addressed
 :class:`repro.store.Store`, keyed by the candidate configuration, the
-evaluation settings and the kernel's stream version, so a re-run
-evaluates zero new candidates, an enlarged space only pays for the new
-points, and a changed seed, trial count or stream never reads stale
-results.  An unreadable entry is refined again and a failed write only
-costs the entry.  Per-candidate seeds are spawned deterministically
-from the root seed (:func:`repro.simulation.rng.spawn_seed`), making
-serial and parallel runs bit-identical.
+evaluation settings, the kernel's stream version and the refinement
+recipe, so a re-run evaluates zero new candidates, an enlarged space
+only pays for the new points, and a changed seed, trial count, stream
+or recipe never reads stale results.  An unreadable entry is refined
+again and a failed write only costs the entry.  Per-candidate seeds
+are spawned deterministically from the root seed
+(:func:`repro.simulation.rng.spawn_seed`), making serial and parallel
+runs bit-identical.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro import obs, parallel
 from repro.optimize.evaluate import (
     DEFAULT_SCREEN_SLACK,
+    REFINE_RECIPE,
     CandidateEvaluation,
     EvaluationSettings,
     refine,
@@ -50,6 +52,7 @@ def evaluation_cache_key(
             "candidate": evaluation.candidate.as_dict(),
             "settings": settings.as_dict(),
             "kernel": STREAM_VERSION,
+            "recipe": REFINE_RECIPE,
         }
     )
 

@@ -30,7 +30,8 @@ with exact path-measure reweighting on the batch backend.
 Orthogonally to those, the batch backend offers a variance-reduced
 estimator (``variance_reduction="cv"``,
 :mod:`repro.simulation.variance_reduction`): a conditional-Monte-Carlo
-control variate for threshold-2 schemes.
+control variate for threshold-2 schemes, which ``method="auto"`` picks
+for them wherever it finishes first.
 """
 
 from repro.simulation.engine import SimulationEngine, EventHandle
@@ -63,7 +64,6 @@ from repro.simulation.rare_event import (
     WeightedLossTally,
     analytic_loss_rate,
     default_failure_bias,
-    mttdl_from_loss_probability,
 )
 from repro.simulation.lifetime import loss_probability_curve
 
@@ -91,6 +91,5 @@ __all__ = [
     "WeightedLossTally",
     "analytic_loss_rate",
     "default_failure_bias",
-    "mttdl_from_loss_probability",
     "loss_probability_curve",
 ]

@@ -35,7 +35,8 @@ Every estimate is a stream of per-trial scores summed into a tally: a
 importance-weighted 0/1 loss
 (:class:`~repro.simulation.rare_event.WeightedLossTally`) or a
 conditional loss probability
-(:class:`~repro.simulation.variance_reduction.ControlVariateTally`).
+(:class:`~repro.simulation.variance_reduction.ControlVariateTally`),
+the last two with the trial's time past the loss for the MTTDL.
 One loop draws chunks of ``trials`` into the tally.  Without
 ``target_relative_error`` it stops after the first chunk; with one, it
 keeps extending until the tally's relative error falls to the target or
@@ -59,6 +60,14 @@ the MTTDL downward exactly when the system is most reliable).  A
 :class:`HighCensoringWarning` is emitted when more than 20% of trials
 are censored; with no observed losses at all the estimate is infinite
 and only meaningful as "no loss seen in ``total time`` of operation".
+Weighted and conditional MTTDLs estimate the same ratio, the expected
+time on test over the loss probability (:func:`time_on_test_mttdl`):
+``(T - mean w (T - τ) 1{lost}) / mean w 1{lost}`` under importance
+sampling, ``mean ∫₀ᵀ exp(-Λ_i(t)) dt / mean (1 - exp(-Λ_i(T)))``
+under the control variate, each with the ratio delta method's
+standard error.  Unlike inverting ``p = 1 - exp(-T / MTTDL)``, the
+ratio keeps its resolution at horizons where nearly every trial loses
+data.
 
 Rare-event methods
 ------------------
@@ -73,18 +82,25 @@ the standard estimators degenerate.  Both estimators therefore accept a
   are accelerated and the trials reweighted by exact path-measure
   likelihood ratios.  The ``backend`` argument is ignored (IS always
   runs vectorized).
-* ``"auto"`` — run one standard pilot chunk; when it censors too
-  heavily to be informative (above the
-  :data:`CENSORED_WARNING_FRACTION` threshold for MTTDL, fewer than
-  :data:`AUTO_MIN_LOSSES` observed losses for loss probabilities),
-  discard it and switch to ``"is"``; otherwise keep extending the
-  standard run.  The check is asked once, after the first chunk.  A
-  loss-probability pilot that the analytic screen expects to see at
-  most :data:`AUTO_SKIP_PILOT_LOSSES` losses is not drawn: the run
-  switches before it.  The answer is unchanged, because importance
-  sampling starts on chunk 0's stream whether or not a pilot ran
-  first.  MTTDL pilots always run, since one may stay standard with a
-  few losses when its target is loose.
+* ``"auto"`` — on the batch backend without a ``bias``, a
+  threshold-2 question (a pair or an ``(n, n-1)`` code) whose horizon
+  is at most the screened MTTDL times ``H_n`` (the expected time of the
+  last loss in a standard chunk of ``n`` trials) is answered by the
+  control variate, exactly as ``variance_reduction="cv"`` answers it:
+  its scores integrate the loss-causing fault, so it meets a target in
+  a fraction of the trials, and below that horizon its skeleton walks
+  fewer windows than a standard chunk takes sweeps.  Otherwise ``auto``
+  runs one standard pilot chunk; when it censors too heavily to be
+  informative (above the :data:`CENSORED_WARNING_FRACTION` threshold
+  for MTTDL, fewer than :data:`AUTO_MIN_LOSSES` observed losses for
+  loss probabilities), it discards it and switches to ``"is"``;
+  otherwise it keeps extending the standard run.  The check is asked
+  once, after the first chunk.  A loss-probability pilot that the
+  analytic screen expects to see at most :data:`AUTO_SKIP_PILOT_LOSSES`
+  losses is not drawn: the run switches before it.  The answer is
+  unchanged, because importance sampling starts on chunk 0's stream
+  whether or not a pilot ran first.  MTTDL pilots always run, since one
+  may stay standard with a few losses when its target is loose.
 
 Weighted estimates report a Kish effective sample size
 (``MonteCarloEstimate.effective_sample_size``); an ESS far below the
@@ -101,7 +117,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro import obs
 from repro.core.parameters import FaultModel
-from repro.core.redundancy import RedundancyScheme
+from repro.core.redundancy import RedundancyScheme, resolve_scheme
 from repro.core.units import HOURS_PER_YEAR
 from repro.simulation.batch import BatchRunResult, simulate_batch
 from repro.simulation.rng import RandomStreams
@@ -120,10 +136,15 @@ AUTO_MIN_LOSSES = 20
 
 #: ``method="auto"``: a loss-probability run whose standard pilot the
 #: analytic screen expects to see at most this many losses skips the
-#: pilot and starts importance sampling at once.  Even a screen that
-#: under-predicts by 100x leaves such a pilot a chance below 1e-18 of
-#: the :data:`AUTO_MIN_LOSSES` losses that would have kept it.
-AUTO_SKIP_PILOT_LOSSES = 0.01
+#: pilot and starts importance sampling at once.  Measured on the
+#: benchmark's planner and estimate questions (seeds 1-10, 500 auto
+#: refinements at loss thresholds 3-4 over 17 designs), the screen
+#: under-predicts a design's simulated loss probability by at most
+#: 2.1x (pooled over its 40 runs); every pilot it expected to see at
+#: most 17.9 losses was discarded, and a pilot expected to see 1 (so at
+#: most ~2.5) reaches the :data:`AUTO_MIN_LOSSES` that would keep it with
+#: a chance below 1e-11.
+AUTO_SKIP_PILOT_LOSSES = 1.0
 
 #: Recognised estimator methods, in the order help text lists them.
 METHODS: Tuple[str, ...] = ("standard", "is", "auto")
@@ -161,8 +182,9 @@ class MonteCarloEstimate:
             :meth:`confidence_interval` (physical quantities like times
             and probabilities cannot be negative).
         clamp_hi: default upper clamp (1.0 for probabilities).
-        method: how the estimate was produced (``"standard"`` or
-            ``"is"`` — an ``"auto"`` run records what it resolved to).
+        method: how the estimate was produced (``"standard"``, ``"is"``
+            or ``"cv"`` — an ``"auto"`` run records what it resolved
+            to).
         effective_sample_size: Kish effective sample size of the
             importance weights behind a weighted estimate; ``None`` for
             unweighted methods.
@@ -320,6 +342,42 @@ def mttdl_mle(
         trials=trials,
         censored=censored,
     )
+
+
+def time_on_test_mttdl(
+    horizon: float,
+    trials: int,
+    sum_x: float,
+    sum_x_sq: float,
+    sum_z: float,
+    sum_z_sq: float,
+    sum_xz: float,
+) -> Tuple[float, float]:
+    """MTTDL and its standard error from per-trial loss scores.
+
+    Each trial scores ``x``, its (importance-weighted or conditional)
+    chance of a loss by ``horizon``, and ``z``, its matching share of
+    the horizon left after that loss.  The expected time on test is
+    ``E[min(τ, T)] = T - E[z]`` and the loss probability ``E[x]``, so
+    the MTTDL is ``(T - mean z) / mean x``: the estimand of the plain
+    MLE's total time over losses, at any horizon.  Its standard error is
+    the ratio estimator's delta method, ``sd(z + M x) / (sqrt(n) mean
+    x)``.  Without a positive score the MTTDL is infinite.
+    """
+    if trials == 0 or sum_x <= 0.0:
+        return math.inf, math.inf
+    mean_x = sum_x / trials
+    mean_z = sum_z / trials
+    mttdl = (horizon - mean_z) / mean_x
+    if trials < 2:
+        return mttdl, math.inf
+    # The sample variance of z + M x, expanded into the tallied moments.
+    spread = (
+        (sum_z_sq - trials * mean_z * mean_z)
+        + 2.0 * mttdl * (sum_xz - trials * mean_x * mean_z)
+        + mttdl * mttdl * (sum_x_sq - trials * mean_x * mean_x)
+    ) / (trials - 1)
+    return mttdl, math.sqrt(max(spread, 0.0) / trials) / mean_x
 
 
 def binomial_loss_estimate(losses: int, trials: int) -> MonteCarloEstimate:
@@ -527,17 +585,67 @@ def _predicted_pilot_losses(
     return -math.expm1(-rate * horizon) * pilot_trials
 
 
+def _harmonic(n: int) -> float:
+    """The harmonic number ``H_n`` (asymptotic series; 0.2% off at n=1)."""
+    return (
+        math.log(n) + 0.5772156649015329 + 1.0 / (2.0 * n)
+        - 1.0 / (12.0 * n * n) + 1.0 / (120.0 * n ** 4)
+    )
+
+
+def _conditional_pays(
+    model: FaultModel,
+    horizon: float,
+    pilot_trials: int,
+    replicas: int,
+    scheme: Optional[RedundancyScheme],
+) -> bool:
+    """Whether ``auto`` answers by conditional Monte-Carlo.
+
+    It does at loss threshold 2 (pairs and ``(n, n-1)`` codes) whenever
+    the horizon is at most the screened MTTDL times ``H_n``, the
+    expected time of the last of ``n`` exponential losses: the time a
+    standard chunk of ``pilot_trials`` needs to finish.  The skeleton
+    walks every window up to the horizon, so past that point plain
+    sampling finishes first.  ``model`` must carry any audit override
+    as its ``MDL``, as for :func:`_predicted_pilot_losses`.
+    """
+    from repro.simulation.rare_event import analytic_loss_rate
+
+    rate = analytic_loss_rate(model, replicas, scheme)
+    return (
+        resolve_scheme(scheme, replicas).loss_threshold == 2
+        and rate * horizon <= _harmonic(pilot_trials)
+    )
+
+
 def _sample(estimator, model, horizon, trials, seed, replicas,
             audits_per_year, scheme, backend, target, max_trials, method,
             bias, variance_reduction):
     """Pick the tally and chunk draw for the settings and run the loop.
 
-    An ``auto`` pilot that fails its check hands over to importance
-    sampling, which starts afresh on the same budget.  A loss-probability
-    pilot the analytic screen condemns (at most
+    ``auto`` on the batch backend without a ``bias`` answers by the
+    control variate where :func:`_conditional_pays`.  Otherwise an
+    ``auto`` pilot that fails its check hands over to importance
+    sampling, which starts afresh on the same budget, and a
+    loss-probability pilot the analytic screen condemns (at most
     :data:`AUTO_SKIP_PILOT_LOSSES` expected losses) is not drawn at all.
     """
     cap = adaptive_cap(trials, max_trials)
+    # The analytic screen behind the routing, the pilot prediction and
+    # the IS bias reads the audit interval from MDL, so it sees the
+    # override folded in; the kernel reads the override itself.
+    screened = (
+        model if audits_per_year is None
+        else model.with_audit_rate(audits_per_year)
+    )
+    if (
+        method == "auto" and backend == "batch" and bias is None
+        and _conditional_pays(
+            screened, horizon, min(trials, cap), replicas, scheme
+        )
+    ):
+        variance_reduction = "cv"
     if variance_reduction != "none":
         from repro.simulation.variance_reduction import (
             ControlVariateTally,
@@ -545,7 +653,8 @@ def _sample(estimator, model, horizon, trials, seed, replicas,
         )
 
         draw = control_variate_draw(
-            model, horizon, seed, replicas, audits_per_year, scheme
+            model, horizon, seed, replicas, audits_per_year, scheme,
+            time_on_test=estimator == "mttdl",
         )
         return _extend(
             ControlVariateTally(), draw, trials, cap, target, estimator, "cv"
@@ -580,13 +689,6 @@ def _sample(estimator, model, horizon, trials, seed, replicas,
             for trial in range(first, first + n)
         ]
 
-    # The analytic screen behind the pilot prediction and the IS bias
-    # reads the audit interval from MDL, so it sees the override folded
-    # in; the kernel reads the override itself.
-    screened = (
-        model if audits_per_year is None
-        else model.with_audit_rate(audits_per_year)
-    )
     if method == "auto" and estimator == "loss_probability":
         # A pilot the screen condemns would be discarded unseen; skipping
         # it leaves the answer as it was, because IS chunk 0 draws from
@@ -651,15 +753,14 @@ def run_mttdl(
     mean or ``max_trials`` (default 64 chunks) is reached.
 
     ``method="is"`` (or an ``"auto"`` run whose pilot censors past the
-    warning threshold) estimates ``P(loss by max_time)`` with
-    failure-biased importance sampling and inverts the exponential loss
-    law — exact in the rare-event regime where the loss process is
-    regenerative — so high-reliability MTTDLs converge in thousands of
-    trials instead of censoring to death.  ``bias`` overrides the
-    automatic failure-biasing factor.  With ``variance_reduction="cv"``
-    the horizon loss probability comes from the control-variate
-    estimator (:mod:`repro.simulation.variance_reduction`) and is
-    inverted the same way.
+    warning threshold) weights the trials by failure-biased importance
+    sampling, and ``variance_reduction="cv"`` (or an ``"auto"`` run the
+    control variate answers) scores them by their conditional loss
+    probabilities; either divides the expected time on test by the loss
+    probability by ``max_time`` (:func:`time_on_test_mttdl`), so
+    high-reliability MTTDLs converge in thousands of trials instead of
+    censoring to death.  ``bias`` overrides the automatic
+    failure-biasing factor.
 
     Raises:
         ValueError: if trials or max_time is not positive, or the
@@ -685,9 +786,7 @@ def run_mttdl(
     if isinstance(tally, _Counts):
         estimate = mttdl_mle(tally.total_time, tally.losses, tally.trials)
     else:
-        from repro.simulation.rare_event import mttdl_from_loss_probability
-
-        estimate = mttdl_from_loss_probability(tally.estimate(), max_time)
+        estimate = tally.mttdl_estimate(max_time)
     return _emit_estimate("mttdl", estimate)
 
 
@@ -715,12 +814,13 @@ def run_loss_probability(
 
     ``method="is"`` runs failure-biased importance sampling on the batch
     machinery (``bias`` overrides the automatic acceleration factor,
-    ``trials`` sizes each weighted chunk), and ``"auto"`` pilots a
-    standard chunk first, switching to IS when fewer than
-    :data:`AUTO_MIN_LOSSES` losses were observed.  With
-    ``variance_reduction="cv"`` the control-variate estimator
-    (:mod:`repro.simulation.variance_reduction`) replaces the plain
-    batch one.
+    ``trials`` sizes each weighted chunk), and ``"auto"`` answers a
+    threshold-2 question by the control variate where it pays, and
+    otherwise pilots a standard chunk first, switching to IS when fewer
+    than :data:`AUTO_MIN_LOSSES` losses were observed (see the module
+    docstring).  With ``variance_reduction="cv"`` the control-variate
+    estimator (:mod:`repro.simulation.variance_reduction`) replaces the
+    plain batch one.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")

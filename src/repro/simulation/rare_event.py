@@ -16,8 +16,10 @@ acceleration factor that lands the *biased* loss probability in the
 comfortably-observable range.
 
 The one adaptive loop in :mod:`repro.simulation.estimators` fills the
-tally chunk by chunk (``method="is" | "auto"``), and
-:func:`mttdl_from_loss_probability` turns its answer into an MTTDL.
+tally chunk by chunk (``method="is" | "auto"``).  The tally answers an
+MTTDL question as the weighted expected time on test over the weighted
+loss probability (:func:`~repro.simulation.estimators.time_on_test_mttdl`),
+which stays right at horizons where nearly every trial loses data.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 from repro.core.parameters import FaultModel
 from repro.core.redundancy import RedundancyScheme, resolve_scheme, scheme_loss_rate
 from repro.simulation.batch import BatchRunResult
-from repro.simulation.estimators import MonteCarloEstimate
+from repro.simulation.estimators import MonteCarloEstimate, time_on_test_mttdl
 
 #: Target probability that a *biased* mirrored trial loses data; higher
 #: replication degrees target the (replicas - 1)-th power of this, since
@@ -121,24 +123,34 @@ def default_failure_bias(
 class WeightedLossTally:
     """Accumulates importance-weighted loss indicators across chunks.
 
-    Per trial the estimator's summand is ``x = w · 1{lost}``; the tally
-    keeps the running moments needed for the unbiased mean, its
-    standard error, and the effective sample size of the loss weights,
-    so the estimators' adaptive loop can extend a run chunk by chunk
-    without holding per-trial arrays.
+    Per trial the estimator's summand is ``x = w · 1{lost}``, and the
+    MTTDL's is also ``z = w · (T - τ) · 1{lost}``, the weighted time
+    the trial would have spent past its loss time ``τ``; the tally keeps
+    the running moments needed for the unbiased means, their standard
+    errors, and the effective sample size of the loss weights, so the
+    estimators' adaptive loop can extend a run chunk by chunk without
+    holding per-trial arrays.
     """
 
     trials: int = 0
     losses: int = 0
     sum_x: float = 0.0
     sum_x_sq: float = 0.0
+    sum_z: float = 0.0
+    sum_z_sq: float = 0.0
+    sum_xz: float = 0.0
 
     def add(self, result: BatchRunResult) -> None:
-        loss_weights = result.weights[result.lost]
+        lost = result.lost
+        loss_weights = result.weights[lost]
+        after = loss_weights * (result.horizon - result.end_time[lost])
         self.trials += result.trials
         self.losses += result.losses
         self.sum_x += float(loss_weights.sum())
         self.sum_x_sq += float(np.square(loss_weights).sum())
+        self.sum_z += float(after.sum())
+        self.sum_z_sq += float(np.square(after).sum())
+        self.sum_xz += float((loss_weights * after).sum())
 
     @property
     def mean(self) -> float:
@@ -192,34 +204,19 @@ class WeightedLossTally:
             effective_sample_size=self.ess if self.losses else 0.0,
         )
 
+    def mttdl_estimate(self, horizon: float) -> MonteCarloEstimate:
+        """The tallied trials as an MTTDL estimate: weighted time on test
+        over the weighted loss probability."""
+        mean, std_error = time_on_test_mttdl(
+            horizon, self.trials, self.sum_x, self.sum_x_sq, self.sum_z,
+            self.sum_z_sq, self.sum_xz,
+        )
+        return MonteCarloEstimate(
+            mean=mean,
+            std_error=std_error,
+            trials=self.trials,
+            censored=self.trials - self.losses,
+            method="is",
+            effective_sample_size=self.ess if self.losses else 0.0,
+        )
 
-def mttdl_from_loss_probability(
-    estimate: MonteCarloEstimate, horizon: float
-) -> MonteCarloEstimate:
-    """Convert a ``P(loss by horizon)`` estimate into an MTTDL estimate.
-
-    Inverts the exponential loss law ``p = 1 - exp(-T / MTTDL)`` — the
-    same shortcut the paper uses in the other direction, and exact in
-    the rare-event regime where the loss process is regenerative and
-    asymptotically exponential.  The standard error propagates through
-    the delta method (``dM/dp = T / ((1 - p) ln²(1 - p))``).
-    """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    p = min(max(estimate.mean, 0.0), 1.0 - 1e-15)
-    if p <= 0.0:
-        mean = math.inf
-        std_error = math.inf
-    else:
-        log_survival = math.log1p(-p)
-        mean = -horizon / log_survival
-        derivative = horizon / ((1.0 - p) * log_survival * log_survival)
-        std_error = derivative * estimate.std_error
-    return MonteCarloEstimate(
-        mean=mean,
-        std_error=std_error,
-        trials=estimate.trials,
-        censored=estimate.censored,
-        method=estimate.method,
-        effective_sample_size=estimate.effective_sample_size,
-    )

@@ -13,7 +13,10 @@ This module supplies the estimator's tally
 (:func:`control_variate_draw`).  The one adaptive loop of
 :mod:`repro.simulation.estimators` runs them, so a ``"cv"`` run stops,
 caps its budget and traces one ``pilot_round`` per chunk like every
-other estimate.
+other estimate.  ``method="auto"`` runs them too, for threshold-2
+questions on the batch backend whose horizon is at most the screened
+MTTDL times ``H_n`` for ``n``-trial chunks: past that the skeleton walks
+more windows than a standard chunk takes sweeps.
 
 Control variates / conditional Monte-Carlo (``"cv"``)
 -----------------------------------------------------
@@ -47,6 +50,19 @@ analytically; what remains is only the (small) variability of the
 windows themselves, which is what buys the ~300x trial reduction
 benchmarked in e19.
 
+The MTTDL is the conditional expected time on test over the
+conditional loss probability,
+
+.. math::
+
+    \widehat{M} \;=\; \frac{\overline{\int_0^T e^{-\Lambda_i(t)}\,dt}}
+                            {\overline{1 - e^{-\Lambda_i(T)}}},
+
+the same ratio the plain estimator's total time over losses estimates,
+with the ratio delta method's standard error
+(:func:`~repro.simulation.estimators.time_on_test_mttdl`).  The
+skeleton accumulates each trial's integral window by window.
+
 When to use what
 ----------------
 
@@ -62,7 +78,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -73,7 +89,7 @@ from repro.core.redundancy import RedundancyScheme, resolve_scheme
 # stays importable from here because ``perfbench/tracing.py`` wraps the
 # ``simulate_batch`` attribute of every estimator module.
 from repro.simulation.batch import simulate_batch  # noqa: F401
-from repro.simulation.estimators import MonteCarloEstimate
+from repro.simulation.estimators import MonteCarloEstimate, time_on_test_mttdl
 from repro.simulation.rng import control_variate_generator
 from repro.simulation.scrubbing import (
     audit_detection_time,
@@ -95,21 +111,27 @@ def require_threshold_two(
     return resolved
 
 
-def _skeleton_log_survival(
+def _skeleton(
     model: FaultModel,
     trials: int,
     horizon: float,
     rng: np.random.Generator,
     scheme: RedundancyScheme,
     audits_per_year: Optional[float],
-) -> np.ndarray:
-    """Per-trial ``-Λ_i``: log-survival along the suppressed skeleton.
+    time_on_test: bool,
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Per-trial ``Λ_i``, the loss hazard integrated along the suppressed
+    skeleton, and with ``time_on_test`` the expected time past the loss,
+    ``z_i = E[(T - τ)⁺ | skeleton] = ∫₀ᵀ (1 - exp(-Λ_i(t))) dt``.
 
     Simulates first faults and their deterministic recoveries only; at
     most one replica is ever faulty (any further fault would be the loss
     the estimator integrates out), so the skeleton is a simple
     alternating renewal process advanced with one batched draw per
-    window.
+    window.  A window opening at ``a`` with pre-window survival ``S``
+    and hazard ``μ`` over length ``L`` (``w = μ L``) adds
+    ``S · ((T - a - 1/μ) · (1 - e^(-w)) + L · e^(-w))`` to ``z_i``: its
+    loss density ``S μ e^(-μ u)`` integrated against ``T - a - u``.
     """
     replicas = scheme.n
     interval = audit_interval_for(model, audits_per_year)
@@ -120,9 +142,11 @@ def _skeleton_log_survival(
     # degraded exposure is integrated, not sampled).
     mean_gap = 1.0 / (replicas * total_rate)
     degraded_intensity = (replicas - 1) * total_rate / model.correlation_factor
+    reach = horizon - 1.0 / degraded_intensity
 
     clock = np.zeros(trials)
     exposure = np.zeros(trials)
+    after = np.zeros(trials) if time_on_test else None
     active = np.arange(trials)
     while active.size:
         gaps = rng.exponential(mean_gap, active.size)
@@ -141,10 +165,20 @@ def _skeleton_log_survival(
             + model.mean_repair_latent
         )
         window_end = np.minimum(window_end, horizon)
-        exposure[active] += degraded_intensity * (window_end - fault_at)
+        length = window_end - fault_at
+        if after is None:
+            exposure[active] += degraded_intensity * length
+        else:
+            before = exposure[active]
+            window = degraded_intensity * length
+            lost = -np.expm1(-window)
+            after[active] += np.exp(-before) * (
+                (reach - fault_at) * lost + length * (1.0 - lost)
+            )
+            exposure[active] = before + window
         clock[active] = window_end
         active = active[window_end < horizon]
-    return -exposure
+    return exposure, after
 
 
 @dataclass
@@ -154,19 +188,29 @@ class ControlVariateTally:
     The estimate is their sample mean, with the sample standard error.
     "Censored" trials are those that never opened a window of
     vulnerability: their score is exactly zero, so the estimate's
-    ``losses`` property counts the informative trials.
+    ``losses`` property counts the informative trials.  An MTTDL run
+    also tallies each trial's conditional time past the loss ``z_i``
+    (see :func:`_skeleton`).
     """
 
     trials: int = 0
     windowed: int = 0
     total: float = 0.0
     total_sq: float = 0.0
+    sum_z: float = 0.0
+    sum_z_sq: float = 0.0
+    sum_xz: float = 0.0
 
-    def add(self, scores: np.ndarray) -> None:
+    def add(self, chunk: Tuple[np.ndarray, Optional[np.ndarray]]) -> None:
+        scores, after = chunk
         self.trials += scores.size
         self.windowed += int(np.count_nonzero(scores > 0.0))
         self.total += float(scores.sum())
         self.total_sq += float(np.square(scores).sum())
+        if after is not None:
+            self.sum_z += float(after.sum())
+            self.sum_z_sq += float(np.square(after).sum())
+            self.sum_xz += float((scores * after).sum())
 
     @property
     def std_error(self) -> float:
@@ -197,6 +241,21 @@ class ControlVariateTally:
             method="cv",
         )
 
+    def mttdl_estimate(self, horizon: float) -> MonteCarloEstimate:
+        """The tallied trials as an MTTDL estimate: conditional time on
+        test over the conditional loss probability."""
+        mean, std_error = time_on_test_mttdl(
+            horizon, self.trials, self.total, self.total_sq, self.sum_z,
+            self.sum_z_sq, self.sum_xz,
+        )
+        return MonteCarloEstimate(
+            mean=mean,
+            std_error=std_error,
+            trials=self.trials,
+            censored=self.trials - self.windowed,
+            method="cv",
+        )
+
 
 def control_variate_draw(
     model: FaultModel,
@@ -205,8 +264,11 @@ def control_variate_draw(
     replicas: int,
     audits_per_year: Optional[float],
     scheme: Optional[RedundancyScheme],
-) -> Callable[[int, int], np.ndarray]:
-    """Chunks of conditional scores ``C_i = 1 - exp(-Λ_i)``.
+    time_on_test: bool,
+) -> Callable[[int, int], Tuple[np.ndarray, Optional[np.ndarray]]]:
+    """Chunks of conditional scores ``C_i = 1 - exp(-Λ_i)``, with each
+    trial's conditional time past the loss when ``time_on_test`` (an
+    MTTDL run) and ``None`` in its place otherwise.
 
     Chunk ``c`` runs the skeleton on ``control_variate_generator(seed,
     c)``, a stream no batch chunk of the same seed shares.
@@ -216,12 +278,12 @@ def control_variate_draw(
     """
     resolved = require_threshold_two(scheme, replicas)
 
-    def draw(chunk: int, trials: int) -> np.ndarray:
+    def draw(chunk: int, trials: int):
         rng = control_variate_generator(seed, chunk)
-        return -np.expm1(
-            _skeleton_log_survival(
-                model, trials, horizon, rng, resolved, audits_per_year
-            )
+        exposure, after = _skeleton(
+            model, trials, horizon, rng, resolved, audits_per_year,
+            time_on_test,
         )
+        return -np.expm1(-exposure), after
 
     return draw

@@ -5,7 +5,8 @@ One entry point answers every question kind by routing a declarative
 
 * point estimates (``mttdl`` / ``loss_probability``) — the closed
   forms, the exact Markov chain, or the one Monte-Carlo loop in
-  :mod:`repro.simulation.estimators` (which owns the
+  :mod:`repro.simulation.estimators` (which owns ``auto``'s choice:
+  the control variate for threshold-2 questions it reaches first, else
   pilot → censoring-check → rare-event escalation);
 * ``sweep`` — the analytic sweeps of :mod:`repro.analysis.sweep` or
   their simulation-backed counterparts.  A simulated point or sweep

@@ -52,9 +52,11 @@ QUESTIONS: Tuple[str, ...] = (
     "sweep",
 )
 
-#: Recognised estimation engines.  ``auto`` pilots on the vectorized
-#: batch backend and escalates to importance sampling (cross-checking
-#: the closed forms and the Markov chain when that is cheap);
+#: Recognised estimation engines.  ``auto`` answers a threshold-2
+#: question by the control variate where that finishes first, and
+#: otherwise pilots on the vectorized batch backend and escalates to
+#: importance sampling (cross-checking the closed forms and the Markov
+#: chain when that is cheap);
 #: ``analytic`` and ``markov`` are deterministic; ``event``/``batch``
 #: force a plain Monte-Carlo backend; ``is`` forces importance
 #: sampling; ``fleet`` is the chunked fleet-population simulator.

@@ -392,6 +392,25 @@ class TestFailClosed:
             FleetTimeline.from_dict(payload)
         assert str(raised.value) == f"'timeline.{path}' {message}"
 
+    @pytest.mark.parametrize(
+        "timeline,path",
+        [
+            ({}, "years"),
+            ({"years": 2.0}, "epochs"),
+            (
+                {"years": 2.0, "epochs": [{"model": fast_model().as_dict()}]},
+                "epochs[0].start_year",
+            ),
+            ({"years": 2.0, "epochs": [{"start_year": 0.0}]}, "epochs[0].model"),
+        ],
+    )
+    def test_missing_field_is_required_not_mistyped(self, timeline, path):
+        # These used to fail as wrong types ("must be a finite number",
+        # "must be a JSON array", "must be a JSON object").
+        with pytest.raises(ValueError) as raised:
+            FleetTimeline.from_dict(timeline)
+        assert str(raised.value) == f"'timeline.{path}' is required"
+
     def test_missing_required_field_names_its_path(self):
         payload = self.payload()
         del payload["epochs"][1]["start_year"]

@@ -13,6 +13,7 @@ from repro.optimize.runner import (
     refine_evaluations,
 )
 from repro.optimize.space import DesignSpace
+from repro.simulation.batch import STREAM_VERSION
 from repro.store import Store, content_key
 
 SMALL_SPACE = DesignSpace(
@@ -121,6 +122,27 @@ class TestCache:
                 {
                     "candidate": evaluation.candidate.as_dict(),
                     "settings": FAST_SETTINGS.as_dict(),
+                }
+            )
+            store.put(legacy_key, evaluation.as_dict())
+        warm = optimize(SMALL_SPACE, FAST_SETTINGS, cache_dir=tmp_path)
+        assert warm.cache_hits == 0
+        assert warm.new_evaluations == len(warm.survivors)
+
+    def test_entry_under_the_sampled_auto_recipe_is_a_miss(self, tmp_path):
+        # The recipe before ``auto`` refined 2-way candidates by
+        # conditional Monte-Carlo: a refinement stored under it was
+        # sampled, so a warm run would return what a cold run at the
+        # same seed no longer produces.
+        cold = optimize(SMALL_SPACE, FAST_SETTINGS)
+        assert "cv" in {e.simulated.method for e in cold.refined}
+        store = Store(tmp_path, "optimize")
+        for evaluation in cold.refined:
+            legacy_key = content_key(
+                {
+                    "candidate": evaluation.candidate.as_dict(),
+                    "settings": FAST_SETTINGS.as_dict(),
+                    "kernel": STREAM_VERSION,
                 }
             )
             store.put(legacy_key, evaluation.as_dict())

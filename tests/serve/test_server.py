@@ -274,9 +274,14 @@ _RISK = {
 }
 
 
+#: A :func:`fleet_scenario` value that deletes the field instead.
+MISSING = object()
+
+
 def fleet_scenario(path, value):
     """A small, valid shocked and migrating fleet scenario with the
-    timeline field at ``path`` set to ``value``."""
+    timeline field at ``path`` set to ``value`` (or deleted, for
+    :data:`MISSING`)."""
     timeline = {
         "years": 2,
         "epochs": [
@@ -289,7 +294,10 @@ def fleet_scenario(path, value):
     section = timeline
     for name in parents:
         section = section[int(name) if name.isdigit() else name]
-    section[key] = value
+    if value is MISSING:
+        del section[key]
+    else:
+        section[key] = value
     return {
         "question": "fleet_survival",
         "members": 200,
@@ -314,6 +322,11 @@ def fleet_scenario(path, value):
         ("epochs", 5),
         ("epochs[1].start_year", float("nan")),
         ("epochs[0].hazard_multiplier", float("nan")),
+        # Missing required fields used to read as wrong types.
+        ("years", MISSING),
+        ("epochs", MISSING),
+        ("epochs[1].start_year", MISSING),
+        ("epochs[0].model", MISSING),
     ],
 )
 def test_malformed_timeline_field_is_a_400_naming_its_path(path, value):
@@ -321,6 +334,8 @@ def test_malformed_timeline_field_is_a_400_naming_its_path(path, value):
     assert response.startswith(b"HTTP/1.1 400 "), response[:80]
     error = json.loads(response.partition(b"\r\n\r\n")[2])["error"]
     assert f"'timeline.{path}'" in error
+    if value is MISSING:
+        assert error.endswith(f"'timeline.{path}' is required")
 
 
 def scenario_with(path, value):

@@ -16,12 +16,13 @@ estimators, on pairs and on triples, including an MTTDL pilot that
 censors past the threshold but has already met its target; no target,
 a target and a clamped ``max_trials``; importance sampling at its
 default bias and at an explicit one, mirrored and (3,2); and the
-control variate for both
-estimators, with and without a target, including a run whose first
-3-trial chunk scores zero.
+control variate for both estimators, with and without a target,
+including a run whose first 3-trial chunk scores zero.
 
-Every value below was recorded from the estimators; none is an
-expected statistic.
+``auto`` on a batch pair whose horizon the control variate reaches
+(:data:`ROUTED`) is pinned as equal to the explicit control-variate run
+of the same arguments, not to recorded numbers.  Every value below was
+recorded from the estimators; none is an expected statistic.
 """
 
 import hashlib
@@ -223,10 +224,29 @@ CASES = {
 PINNED_EVENTS = ("pilot_round", "escalation", "estimate")
 
 
-def observe(name):
-    """Run one case; return its estimate, trace digest, escalations and
-    warnings."""
+#: Pair cases of ``auto`` on the batch backend whose horizon is within
+#: reach of the control variate: it answers them, exactly as an explicit
+#: ``variance_reduction="cv"`` run of the same arguments does.
+ROUTED = (
+    "loss-auto-stays",
+    "loss-auto-stays-target",
+    "loss-auto-escalates",
+    "loss-auto-escalates-target",
+    "loss-auto-escalates-clamped",
+    "loss-auto-escalates-one-chunk",
+    "mttdl-auto-escalates",
+    "mttdl-auto-escalates-target",
+    "mttdl-auto-censoring-converged",
+    "mttdl-auto-censoring-unconverged",
+)
+
+
+def observe(name, **changes):
+    """Run one case, with ``changes`` to its arguments (``None`` drops
+    one); return its estimate, trace digest, escalations and warnings."""
     estimator, kwargs = CASES[name]
+    kwargs = {**kwargs, **changes}
+    kwargs = {key: value for key, value in kwargs.items() if value is not None}
     loop = run_mttdl if estimator == MTTDL else run_loss_probability
     sink = io.StringIO()
     telemetry = obs.Telemetry(trace=obs.TraceWriter(sink))
@@ -262,36 +282,6 @@ def observe(name):
 
 #: name -> (estimate, trace digest, escalations, warnings).
 PINS = {
-    "loss-auto-escalates": (
-        (0.00017452421037267077, 1.3522653902327222e-05, 500, 372, "is",
-         125.13133795502948),
-        "c472676747cb4b16", 1, [],
-    ),
-    "loss-auto-escalates-clamped": (
-        (0.00015985783900213002, 9.23783725446102e-06, 1000, 763, "is",
-         230.62232812832562),
-        "8dbcb2ef98eb97bb", 1, [],
-    ),
-    "loss-auto-escalates-one-chunk": (
-        (0.0001639862992355921, 1.2973229998835726e-05, 500, 376, "is",
-         121.26887465775046),
-        "70ed304dfc292cea", 1, [],
-    ),
-    "loss-auto-escalates-target": (
-        (0.00015399907057846667, 1.2976916090783702e-05, 500, 387, "is",
-         110.052280377123),
-        "03714fdd66e5d182", 1, [],
-    ),
-    "loss-auto-stays": (
-        (0.22666666666666666, 0.024172221583799374, 300, 232, "standard",
-         None),
-        "2017f86fcf7290d2", 0, [],
-    ),
-    "loss-auto-stays-target": (
-        (0.19375, 0.013973677822069607, 800, 645, "standard",
-         None),
-        "4c3a2349f02fd21b", 0, [],
-    ),
     "loss-batch": (
         (0.2775, 0.02238826422481207, 400, 289, "standard",
          None),
@@ -382,26 +372,6 @@ PINS = {
          378.210428743868),
         "583825ff66bdfafd", 0, [],
     ),
-    "mttdl-auto-censoring-converged": (
-        (792.2197968958759, 30.469992188302918, 1000, 324, "standard",
-         None),
-        "97ccd465024ca129", 0, ["HighCensoringWarning"],
-    ),
-    "mttdl-auto-censoring-unconverged": (
-        (749.1056304329668, 41.53380240307211, 1000, 670, "is",
-         330.0),
-        "ab4dea363a4e7111", 1, [],
-    ),
-    "mttdl-auto-escalates": (
-        (2666382165.406845, 280335065.51246053, 300, 228, "is",
-         69.69399470798864),
-        "c65d0a20d4b7ee35", 1, [],
-    ),
-    "mttdl-auto-escalates-target": (
-        (2420056403.4179544, 172686754.39813942, 600, 444, "is",
-         148.16986765350623),
-        "c59e59e2e0c75092", 1, [],
-    ),
     "mttdl-auto-stays": (
         (723.3164509256328, 51.14619673933016, 200, 0, "standard",
          None),
@@ -428,14 +398,14 @@ PINS = {
         "9459430393ecb1b0", 0, [],
     ),
     "mttdl-cv": (
-        (2636243759.343117, 38505228.064268544, 2000, 48, "cv",
+        (2636243600.594556, 38505247.38846875, 2000, 48, "cv",
          None),
-        "4f0872be98e3020f", 0, [],
+        "be28668ba42c50ef", 0, [],
     ),
     "mttdl-cv-target": (
-        (2620851713.8476386, 52335837.54050599, 1000, 29, "cv",
+        (2620851702.4935083, 52335826.4500238, 1000, 29, "cv",
          None),
-        "464f6d0522303f8d", 0, [],
+        "6dfcd5af74106f65", 0, [],
     ),
     "mttdl-event": (
         (1036.3629856818895, 163.86337587236204, 40, 0, "standard",
@@ -443,9 +413,9 @@ PINS = {
         "4ef70bed57cdf8c1", 0, [],
     ),
     "mttdl-event-auto-escalates": (
-        (841.1019756171388, 286.6742333926402, 30, 21, "is",
+        (818.4976784834098, 285.6096230527609, 30, 21, "is",
          9.0),
-        "3c7bd0773f3c197e", 1, [],
+        "65be8c50211e5d4b", 1, [],
     ),
     "mttdl-event-auto-stays": (
         (855.053092557756, 156.11062221947856, 30, 0, "standard",
@@ -463,19 +433,19 @@ PINS = {
         "1026f55f78638ef9", 0, [],
     ),
     "mttdl-is": (
-        (2430647127.8626604, 128654633.53807418, 1000, 730, "is",
+        (2430643368.810763, 128653823.22532079, 1000, 730, "is",
          263.2756799967545),
-        "3e495023af174a62", 0, [],
+        "4ea65bd673f114de", 0, [],
     ),
     "mttdl-is-bias": (
-        (2904910702.1309843, 332848657.2538614, 1000, 929, "is",
+        (2904906983.4508586, 332848179.82216305, 1000, 929, "is",
          70.8527173229639),
-        "8f42d0457fc85025", 0, [],
+        "3968a7594c6aee47", 0, [],
     ),
     "mttdl-is-erasure-target": (
-        (810247518.875839, 59821697.291727886, 500, 363, "is",
+        (810239536.3329576, 59820731.059981085, 500, 363, "is",
          134.45864019657753),
-        "f969448fc0f78df5", 0, [],
+        "2c9f5182dd1583dc", 0, [],
     ),
     # Triples.
     "loss-auto-stays-triple": (
@@ -514,14 +484,14 @@ PINS = {
         "e9956e6fc2854fff", 0, [],
     ),
     "mttdl-auto-escalates-triple": (
-        (7913.14465667956, 970.9392571569733, 300, 233, "is",
+        (7988.540271446869, 968.4032501655106, 300, 233, "is",
          67.0),
-        "58b3b53eeb98556c", 1, [],
+        "ed25bbc143071c55", 1, [],
     ),
     "mttdl-auto-escalates-target-triple": (
-        (6263.948798684251, 695.8401563019156, 300, 218, "is",
+        (6386.1927746165875, 693.2734959253517, 300, 218, "is",
          82.0),
-        "e88de6a8c39711ed", 1, [],
+        "8c354123b065ca2b", 1, [],
     ),
     "mttdl-auto-censoring-converged-triple": (
         (7190.720156261141, 280.1106879788239, 1000, 341, "standard",
@@ -529,16 +499,24 @@ PINS = {
         "9e4a0ee10095f555", 0, ["HighCensoringWarning"],
     ),
     "mttdl-auto-censoring-unconverged-triple": (
-        (6952.118993564414, 373.022401428598, 1400, 1050, "is",
+        (6918.506324223993, 371.7204762546598, 1400, 1050, "is",
          350.0),
-        "1944aa801843e581", 1, [],
+        "702e40d62234136b", 1, [],
     ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("name", sorted(PINS))
 def test_loop_is_pinned(name):
     assert observe(name) == PINS[name]
+
+
+@pytest.mark.parametrize("name", ROUTED)
+def test_routed_auto_is_the_control_variate(name):
+    routed = observe(name)
+    assert routed == observe(name, method=None, variance_reduction="cv")
+    estimate, _, escalations, _ = routed
+    assert estimate[4] == "cv" and escalations == 0
 
 
 def test_censoring_warning_points_at_the_caller():
@@ -550,20 +528,17 @@ def test_censoring_warning_points_at_the_caller():
 
 
 def test_cases_cover_every_path():
-    assert sorted(PINS) == sorted(CASES)
+    assert sorted([*PINS, *ROUTED]) == sorted(CASES)
     estimates = {name: pin[0] for name, pin in PINS.items()}
     assert {estimate[4] for estimate in estimates.values()} == {
         "standard", "is", "cv"
     }
     escalated = {name for name, pin in PINS.items() if pin[2]}
-    assert escalated == {name for name in CASES if "escalates" in name} | {
-        "mttdl-auto-censoring-unconverged",
+    assert escalated == {name for name in PINS if "escalates" in name} | {
         "mttdl-auto-censoring-unconverged-triple",
     }
     # A pilot that censors past the threshold but met its target stays.
-    for name in (
-        "mttdl-auto-censoring-converged",
-        "mttdl-auto-censoring-converged-triple",
-    ):
-        _, _, trials, censored, method, _ = estimates[name]
-        assert method == "standard" and censored / trials > 0.2
+    _, _, trials, censored, method, _ = estimates[
+        "mttdl-auto-censoring-converged-triple"
+    ]
+    assert method == "standard" and censored / trials > 0.2

@@ -22,16 +22,15 @@ from repro.simulation.batch import simulate_batch
 from repro.simulation.estimators import (
     AUTO_MIN_LOSSES,
     AUTO_SKIP_PILOT_LOSSES,
-    MonteCarloEstimate,
     _predicted_pilot_losses,
     run_loss_probability,
     run_mttdl,
+    time_on_test_mttdl,
 )
 from repro.simulation.rare_event import (
     WeightedLossTally,
     analytic_loss_rate,
     default_failure_bias,
-    mttdl_from_loss_probability,
 )
 
 MISSION = 50.0 * HOURS_PER_YEAR
@@ -311,44 +310,110 @@ class TestWeightedLossTally:
         assert tally.ess == pytest.approx(1.0, rel=1e-6)
 
 
-class TestMttdlInversion:
+class TestTimeOnTestMttdl:
     def test_small_probability_reduces_to_horizon_over_p(self):
-        p = MonteCarloEstimate(mean=1e-6, std_error=1e-7, trials=1000)
-        mttdl = mttdl_from_loss_probability(p, 1e4)
-        assert mttdl.mean == pytest.approx(1e4 / 1e-6, rel=1e-3)
-        assert mttdl.std_error == pytest.approx(mttdl.mean * 0.1, rel=1e-2)
+        # One trial in a million loses, at time 0: every other trial
+        # spends the whole horizon on test, so the MTTDL is about T / p.
+        mean, std_error = time_on_test_mttdl(
+            1e4, 1_000_000, 1.0, 1.0, 1e4, 1e8, 1e4
+        )
+        assert mean == pytest.approx((1e4 - 1e-2) / 1e-6)
+        assert std_error == pytest.approx(mean, rel=1e-3)
 
-    def test_zero_probability_gives_infinite_mttdl(self):
-        p = MonteCarloEstimate(mean=0.0, std_error=0.0, trials=100)
-        mttdl = mttdl_from_loss_probability(p, 1e4)
-        assert mttdl.mean == math.inf
+    def test_no_positive_score_gives_an_infinite_mttdl(self):
+        assert time_on_test_mttdl(1e4, 100, 0.0, 0.0, 0.0, 0.0, 0.0) == (
+            math.inf,
+            math.inf,
+        )
 
-    def test_rejects_bad_horizon(self):
-        with pytest.raises(ValueError):
-            mttdl_from_loss_probability(
-                MonteCarloEstimate(0.1, 0.01, 10), 0.0
+    def test_exponential_losses_give_the_mean_at_any_horizon(self):
+        # Plain 0/1 losses and their time past the loss: the ratio is
+        # the censored MLE, which finds the exponential mean even when
+        # nearly every trial loses data (p = 1 - e^-50), where
+        # inverting p = 1 - exp(-T / M) has no resolution left.
+        rng = np.random.default_rng(3)
+        times = rng.exponential(100.0, 20_000)
+        for horizon in (30.0, 5000.0):
+            lost = (times < horizon).astype(float)
+            after = np.where(times < horizon, horizon - times, 0.0)
+            mean, std_error = time_on_test_mttdl(
+                horizon, times.size, lost.sum(), lost.sum(), after.sum(),
+                np.square(after).sum(), (lost * after).sum(),
             )
+            assert std_error > 0
+            assert abs(mean - 100.0) <= 4.0 * std_error
+            assert mean == pytest.approx(
+                np.minimum(times, horizon).sum() / lost.sum()
+            )
+
+    def test_unbiased_weights_give_the_plain_mle(self):
+        # Unit weights: the weighted time on test over weighted losses
+        # is total observed time over losses.
+        chunk = simulate_batch(
+            paper_moderate_model(), trials=500, horizon=MISSION, seed=4
+        )
+        tally = WeightedLossTally()
+        tally.add(chunk)
+        estimate = tally.mttdl_estimate(MISSION)
+        assert estimate.mean == pytest.approx(
+            chunk.total_observed_time / chunk.losses, rel=1e-12
+        )
+        assert estimate.method == "is"
+
+    def test_long_horizon_mttdl_agrees_with_standard(self):
+        # Regression: at run_mttdl's default horizon (1000 MV, ~60
+        # MTTDLs) the paper's alpha = 0.5 pair sees p near 1.
+        # Inverting the exponential law clamped p to 1 - 1e-15 and
+        # answered 40.5M h +- 0 under both IS and CV, against
+        # standard's 22.2M +- 1.0M.
+        model = FaultModel(1.4e6, 2.8e5, 1.0 / 3.0, 1.0 / 3.0, 730.0, 0.5)
+        settings = dict(trials=500, seed=1)
+        standard = run_mttdl(model, **settings)
+        for estimate in (
+            run_mttdl(model, method="is", **settings),
+            run_mttdl(model, variance_reduction="cv", **settings),
+        ):
+            assert estimate.std_error > 0
+            combined = math.hypot(estimate.std_error, standard.std_error)
+            assert abs(estimate.mean - standard.mean) <= 4.0 * combined
 
 
 class TestAutoMethod:
-    def test_auto_switches_to_is_on_rare_model(self):
+    def test_auto_answers_a_rare_pair_by_the_control_variate(self):
+        kwargs = dict(
+            model=paper_rare_model(), mission_time=MISSION, trials=500, seed=3,
+            target_relative_error=0.02,
+        )
+        estimate, rounds, escalations, counted = self.traced(
+            method="auto", **kwargs
+        )
+        assert estimate.method == "cv"
+        assert estimate == run_loss_probability(
+            variance_reduction="cv", **kwargs
+        )
+        assert len(rounds) > 1 and all(r["method"] == "cv" for r in rounds)
+        assert escalations == [] and counted == 0
+
+    def test_auto_switches_to_is_on_rare_triple(self, fast_model):
         estimate = run_loss_probability(
-            paper_rare_model(),
-            mission_time=MISSION,
+            fast_model,
+            mission_time=100.0,
             trials=500,
             seed=3,
+            replicas=3,
             backend="batch",
             method="auto",
         )
         assert estimate.method == "is"
         assert estimate.mean > 0
 
-    def test_auto_stays_standard_on_lossy_model(self, fast_model):
+    def test_auto_stays_standard_on_lossy_triple(self, fast_model):
         estimate = run_loss_probability(
             fast_model,
             mission_time=1500.0,
             trials=500,
             seed=3,
+            replicas=3,
             backend="batch",
             method="auto",
         )
@@ -412,17 +477,17 @@ class TestAutoMethod:
         assert 0 < escalation["predicted_losses"] <= AUTO_SKIP_PILOT_LOSSES
         assert counted == 1
 
-    def test_auto_runs_a_pilot_above_the_cut_off(self):
-        # The daily-scrubbed pair at 500 trials: ~0.085 expected losses.
-        predicted = _predicted_pilot_losses(
-            paper_rare_model(), MISSION, 500, 2, None
-        )
-        assert AUTO_SKIP_PILOT_LOSSES < predicted < 0.1
+    def test_auto_runs_a_pilot_above_the_cut_off(self, fast_model):
+        # The compressed-time triple over 20 h at 500 trials: ~1.6
+        # expected losses.
+        predicted = _predicted_pilot_losses(fast_model, 20.0, 500, 3, None)
+        assert AUTO_SKIP_PILOT_LOSSES < predicted < 2.0
         estimate, rounds, escalations, counted = self.traced(
-            model=paper_rare_model(),
-            mission_time=MISSION,
+            model=fast_model,
+            mission_time=20.0,
             trials=500,
             seed=3,
+            replicas=3,
             method="auto",
         )
         assert estimate.method == "is"
@@ -459,12 +524,13 @@ class TestAutoMethod:
         assert rounds[0]["method"] == "standard"
         assert escalations == []
 
-    def test_auto_mttdl_switches_on_censoring(self):
+    def test_auto_mttdl_switches_on_censoring(self, fast_model):
         estimate = run_mttdl(
-            paper_rare_model(),
+            fast_model,
             trials=300,
             seed=3,
-            max_time=MISSION,
+            max_time=2000.0,
+            replicas=3,
             backend="batch",
             method="auto",
         )

@@ -11,7 +11,6 @@ estimator-axis plumbing and validation rules.
 
 import io
 import json
-import math
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from repro import obs
 from repro.core.parameters import FaultModel
 from repro.core.redundancy import ErasureCode
 from repro.core.units import HOURS_PER_YEAR
-from repro.markov.builders import build_mirrored_chain
+from repro.markov.builders import build_mirrored_chain, mirrored_mttdl_markov
 from repro.markov.transient import loss_probability_over_time
 from repro.simulation.estimators import (
     VARIANCE_REDUCTIONS,
@@ -172,8 +171,9 @@ class TestEstimatorAxis:
             variance_reduction="cv",
         )
         assert estimate.method == "cv"
-        assert math.isfinite(estimate.mean)
-        assert estimate.mean > 0
+        assert estimate.std_error > 0
+        exact = mirrored_mttdl_markov(RARE_MODEL)
+        assert abs(estimate.mean - exact) <= 4.0 * estimate.std_error
 
     def test_validation_rules(self):
         common = dict(mission_time=MISSION, trials=100, seed=0)

@@ -235,13 +235,28 @@ class TestCommands:
         assert "warning:" in output
         assert "censored" in output
 
-    def test_simulate_auto_switches_to_importance_sampling(self, capsys):
+    def test_simulate_auto_answers_a_pair_by_the_control_variate(
+        self, capsys
+    ):
         # The same heavily-censoring run under the default auto method
-        # must switch to importance sampling instead of warning.
+        # integrates the second fault instead of warning.
         assert main([
             "simulate", "--mv", "500", "--ml", "100", "--mrv", "1",
             "--mrl", "1", "--mdl", "5", "--trials", "100",
             "--max-time", "150", "--json",
+        ]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["method"] == "cv"
+        assert result["warnings"] == []
+
+    def test_simulate_auto_switches_to_importance_sampling(self, capsys):
+        # A heavily-censoring triple, which the control variate does not
+        # cover: the default auto method switches to importance sampling
+        # instead of warning.
+        assert main([
+            "simulate", "--mv", "500", "--ml", "100", "--mrv", "1",
+            "--mrl", "1", "--mdl", "5", "--trials", "100",
+            "--replicas", "3", "--max-time", "2000", "--json",
         ]) == 0
         result = json.loads(capsys.readouterr().out)["result"]
         assert result["method"] == "is"

@@ -72,8 +72,11 @@ class TestKeys:
         # Computed before the caches became one store: a changed recipe
         # would turn every --cache-dir cold.  The chunk and refinement
         # digests were re-recorded when ``STREAM_VERSION`` became 3:
-        # entries drawn from an older kernel stream must miss.  Serve
-        # keys carry no seed, so stored answers stay valid.
+        # entries drawn from an older kernel stream must miss.  The
+        # refinement digest was re-recorded again when ``REFINE_RECIPE``
+        # became 2: ``auto`` refines 2-way candidates by conditional
+        # Monte-Carlo, so sampled entries must miss.  Serve keys carry
+        # no seed, so stored answers stay valid.
         scenario = point_scenario()
         candidate = CandidateDesign(
             medium="drive:cheetah", replicas=2, audits_per_year=12.0,
@@ -88,7 +91,7 @@ class TestKeys:
         )
         assert (
             evaluation_cache_key(screen(candidate, SETTINGS), SETTINGS)
-            == "9b8bcb83348f9d98abc65c67be3bdea2"
+            == "2b1e31d7d8e58940a9562ccff39c2a44"
         )
 
     def test_entry_file_names(self, tmp_path):
