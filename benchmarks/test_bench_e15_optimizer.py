@@ -48,22 +48,12 @@ SINGLE_CORE_OVERHEAD_LIMIT = 1.6
 #: and the medians ignore a stall in either.
 TIMING_PAIRS = 5
 
-#: Seconds of untimed parallel refinement before the timed pairs.  On a
-#: shared 2-core x86-64 host, a core left idle for ~25 s (as the serial
-#: tests before this one leave it) serves a pool slowly for its first
-#: seconds: the 4-job leg took 0.27-0.35 s there and 0.14-0.17 s after a
-#: 1 s warm-up, while the serial leg took 0.26-0.35 s either way.
-WARM_UP_SECONDS = 1.0
-
 
 @pytest.mark.benchmark(group="e15 optimizer")
 def test_bench_e15_optimizer(benchmark, experiment_printer):
     # Alternating pairs on BOTH legs: a scheduling hiccup or a busy
     # co-tenant on a shared runner must not fake a pool regression (or
     # a pool win).
-    started = time.perf_counter()
-    while time.perf_counter() - started < WARM_UP_SECONDS:
-        optimize(SPACE, SETTINGS, jobs=JOBS)
     runs = {1: [], JOBS: []}
     results = {}
     for pair in range(TIMING_PAIRS):
