@@ -75,9 +75,15 @@ def _json_items(
     payload: Dict[str, object], key: str, path: str, read, default=None
 ) -> tuple:
     """``read(item, "<path>[<index>]")`` for each item of the JSON array
-    at ``payload[key]``; ``default`` when that is absent or null."""
-    value = payload.get(key)
-    items = _json_array(default if value is None else value, path)
+    at ``payload[key]``; ``default`` when that is absent or null.
+    Without a ``default`` the array is required."""
+    if default is None:
+        value = json_required(payload, key, path)
+    else:
+        value = payload.get(key)
+        if value is None:
+            value = default
+    items = _json_array(value, path)
     return tuple(
         read(item, f"{path}[{index}]") for index, item in enumerate(items)
     )
@@ -510,12 +516,11 @@ class FleetTimeline:
         """
         payload = _json_object(payload, path)
         scheme = payload.get("scheme")
-        years = json_number(
-            json_required(payload, "years", f"{path}.years"), f"{path}.years"
-        )
-        json_required(payload, "epochs", f"{path}.epochs")
         return FleetTimeline(
-            years=years,
+            years=json_number(
+                json_required(payload, "years", f"{path}.years"),
+                f"{path}.years",
+            ),
             replicas=json_integer(
                 payload.get("replicas", 2), f"{path}.replicas"
             ),

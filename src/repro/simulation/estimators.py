@@ -36,8 +36,8 @@ importance-weighted 0/1 loss
 (:class:`~repro.simulation.rare_event.WeightedLossTally`) or a
 conditional loss probability
 (:class:`~repro.simulation.variance_reduction.ControlVariateTally`),
-the last two with the trial's time past the loss for the MTTDL.
-One loop draws chunks of ``trials`` into the tally.  Without
+the last two with the trial's time past the loss for the MTTDL, whose
+moments both keep in a :class:`LossScoreTally`.  One loop draws chunks of ``trials`` into the tally.  Without
 ``target_relative_error`` it stops after the first chunk; with one, it
 keeps extending until the tally's relative error falls to the target or
 ``max_trials`` (default 64 chunks) is reached, the last chunk clamped
@@ -83,13 +83,13 @@ the standard estimators degenerate.  Both estimators therefore accept a
   likelihood ratios.  The ``backend`` argument is ignored (IS always
   runs vectorized).
 * ``"auto"`` — on the batch backend without a ``bias``, a
-  threshold-2 question (a pair or an ``(n, n-1)`` code) whose horizon
-  is at most the screened MTTDL times ``H_n`` (the expected time of the
-  last loss in a standard chunk of ``n`` trials) is answered by the
-  control variate, exactly as ``variance_reduction="cv"`` answers it:
-  its scores integrate the loss-causing fault, so it meets a target in
-  a fraction of the trials, and below that horizon its skeleton walks
-  fewer windows than a standard chunk takes sweeps.  Otherwise ``auto``
+  threshold-2 question (a pair or an ``(n, n-1)`` code) is answered by
+  the control variate, exactly as ``variance_reduction="cv"`` answers
+  it, whenever its horizon is short enough, in screened MTTDLs, for the
+  skeleton to finish first (:data:`AUTO_CV_SPANS`): its scores
+  integrate the loss-causing fault, so it meets a target in a fraction
+  of the trials, but it walks every trial to the horizon, where a
+  standard chunk stops each trial at its loss.  Otherwise ``auto``
   runs one standard pilot chunk; when it censors too heavily to be
   informative (above the :data:`CENSORED_WARNING_FRACTION` threshold
   for MTTDL, fewer than :data:`AUTO_MIN_LOSSES` observed losses for
@@ -111,9 +111,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple, Union
+
+import numpy as np
 
 from repro import obs
 from repro.core.parameters import FaultModel
@@ -145,6 +147,28 @@ AUTO_MIN_LOSSES = 20
 #: most ~2.5) reaches the :data:`AUTO_MIN_LOSSES` that would keep it with
 #: a chance below 1e-11.
 AUTO_SKIP_PILOT_LOSSES = 1.0
+
+#: ``method="auto"``: the horizon, in screened MTTDLs, up to which the
+#: control variate answers a threshold-2 question of each kind faster
+#: than a standard chunk, once chunks are large enough that per-trial
+#: work dominates.  The skeleton walks every trial to the horizon while
+#: a standard chunk stops each trial at its loss, so the control
+#: variate's edge shrinks as the horizon grows, and sooner for an MTTDL,
+#: whose skeleton also integrates the time on test window by window.
+#: Timed on the alpha 0.5, MDL 730 h pair (2 x86-64 cores, no numba,
+#: fastest of 7 alternating runs, no target), the break-even fell from
+#: 7.7 (loss) and 5 (MTTDL) MTTDLs in 2,000-trial chunks to 3.9 and 2.7
+#: in 20,000-trial chunks and about 4 and 2.5 in 50,000-trial ones.
+AUTO_CV_SPANS: Dict[str, float] = {"loss_probability": 3.5, "mttdl": 2.4}
+
+#: ``method="auto"``: the chunk size at which the control variate's
+#: break-even horizon is twice :data:`AUTO_CV_SPANS`.  It grows as
+#: ``1 + AUTO_CV_SWEEP_TRIALS / n`` for ``n``-trial chunks, because the
+#: standard kernel's fixed cost per sweep, worth about this many trials'
+#: work, weighs more in small chunks.  On the pair above this put the
+#: bound at or below every measured break-even from 200 to 50,000
+#: trials, within 7% of it from 1,000 trials up.
+AUTO_CV_SWEEP_TRIALS = 2000
 
 #: Recognised estimator methods, in the order help text lists them.
 METHODS: Tuple[str, ...] = ("standard", "is", "auto")
@@ -380,6 +404,51 @@ def time_on_test_mttdl(
     return mttdl, math.sqrt(max(spread, 0.0) / trials) / mean_x
 
 
+@dataclass
+class LossScoreTally:
+    """Running moments of per-trial loss scores ``x`` and, for an MTTDL
+    run, times past the loss ``z``: what :func:`time_on_test_mttdl`
+    reads.
+
+    The importance-sampling and control-variate tallies extend it with
+    their own ``estimate()`` (the loss probability) and inherit the
+    MTTDL from it.
+    """
+
+    trials: int = 0
+    sum_x: float = 0.0
+    sum_x_sq: float = 0.0
+    sum_z: float = 0.0
+    sum_z_sq: float = 0.0
+    sum_xz: float = 0.0
+
+    def add_scores(
+        self, trials: int, x: np.ndarray, z: Optional[np.ndarray]
+    ) -> None:
+        """Tally ``trials`` more trials.  ``x`` holds the loss scores of
+        those that may score above 0 (the rest score 0) and ``z`` their
+        times past the loss, or ``None`` for a loss-probability run."""
+        self.trials += trials
+        self.sum_x += float(x.sum())
+        self.sum_x_sq += float(np.square(x).sum())
+        if z is not None:
+            self.sum_z += float(z.sum())
+            self.sum_z_sq += float(np.square(z).sum())
+            self.sum_xz += float((x * z).sum())
+
+    def mttdl_estimate(self, horizon: float) -> MonteCarloEstimate:
+        """The tallied trials as an MTTDL estimate: time on test over the
+        loss probability, with the loss estimate's method, censoring
+        and effective sample size, and no upper clamp."""
+        mean, std_error = time_on_test_mttdl(
+            horizon, self.trials, self.sum_x, self.sum_x_sq, self.sum_z,
+            self.sum_z_sq, self.sum_xz,
+        )
+        return replace(
+            self.estimate(), mean=mean, std_error=std_error, clamp_hi=None
+        )
+
+
 def binomial_loss_estimate(losses: int, trials: int) -> MonteCarloEstimate:
     """Plain loss proportion over unweighted trials, with its binomial
     standard error (floored so a 0 or 1 proportion keeps a positive
@@ -563,59 +632,16 @@ def _record_escalation(
         )
 
 
-def _predicted_pilot_losses(
-    model: FaultModel,
-    horizon: float,
-    pilot_trials: int,
-    replicas: int,
-    scheme: Optional[RedundancyScheme],
-) -> float:
-    """Losses the analytic screen expects in a standard pilot.
-
-    ``pilot_trials`` times the chained-window loss probability by
-    ``horizon`` (:func:`repro.simulation.rare_event.analytic_loss_rate`,
-    the screen :func:`~repro.simulation.rare_event.default_failure_bias`
-    also reads).  ``model`` must already carry any ``audits_per_year``
-    override as its ``MDL``, because the screen reads the audit interval
-    from ``MDL``.
+def _conditional_pays(estimator: str, spans: float, trials: int) -> bool:
+    """Whether ``auto`` answers a threshold-2 question by conditional
+    Monte-Carlo: its horizon, ``spans`` screened MTTDLs, is within the
+    break-even :data:`AUTO_CV_SPANS` ``× (1 + AUTO_CV_SWEEP_TRIALS / n)``
+    for chunks of ``n = trials``, and within ``H_n ≈ ln n + γ``, where a
+    standard chunk expects its last loss and stops sweeping.
     """
-    from repro.simulation.rare_event import analytic_loss_rate
-
-    rate = analytic_loss_rate(model, replicas, scheme)
-    return -math.expm1(-rate * horizon) * pilot_trials
-
-
-def _harmonic(n: int) -> float:
-    """The harmonic number ``H_n`` (asymptotic series; 0.2% off at n=1)."""
-    return (
-        math.log(n) + 0.5772156649015329 + 1.0 / (2.0 * n)
-        - 1.0 / (12.0 * n * n) + 1.0 / (120.0 * n ** 4)
-    )
-
-
-def _conditional_pays(
-    model: FaultModel,
-    horizon: float,
-    pilot_trials: int,
-    replicas: int,
-    scheme: Optional[RedundancyScheme],
-) -> bool:
-    """Whether ``auto`` answers by conditional Monte-Carlo.
-
-    It does at loss threshold 2 (pairs and ``(n, n-1)`` codes) whenever
-    the horizon is at most the screened MTTDL times ``H_n``, the
-    expected time of the last of ``n`` exponential losses: the time a
-    standard chunk of ``pilot_trials`` needs to finish.  The skeleton
-    walks every window up to the horizon, so past that point plain
-    sampling finishes first.  ``model`` must carry any audit override
-    as its ``MDL``, as for :func:`_predicted_pilot_losses`.
-    """
-    from repro.simulation.rare_event import analytic_loss_rate
-
-    rate = analytic_loss_rate(model, replicas, scheme)
-    return (
-        resolve_scheme(scheme, replicas).loss_threshold == 2
-        and rate * horizon <= _harmonic(pilot_trials)
+    return spans <= min(
+        math.log(trials) + 0.5772,
+        AUTO_CV_SPANS[estimator] * (1.0 + AUTO_CV_SWEEP_TRIALS / trials),
     )
 
 
@@ -624,14 +650,16 @@ def _sample(estimator, model, horizon, trials, seed, replicas,
             bias, variance_reduction):
     """Pick the tally and chunk draw for the settings and run the loop.
 
-    ``auto`` on the batch backend without a ``bias`` answers by the
-    control variate where :func:`_conditional_pays`.  Otherwise an
-    ``auto`` pilot that fails its check hands over to importance
-    sampling, which starts afresh on the same budget, and a
-    loss-probability pilot the analytic screen condemns (at most
-    :data:`AUTO_SKIP_PILOT_LOSSES` expected losses) is not drawn at all.
+    ``auto`` on the batch backend without a ``bias`` answers a
+    threshold-2 question by the control variate where
+    :func:`_conditional_pays`.  Otherwise an ``auto`` pilot that fails
+    its check hands over to importance sampling, which starts afresh on
+    the same budget, and a loss-probability pilot the analytic screen
+    condemns (at most :data:`AUTO_SKIP_PILOT_LOSSES` expected losses) is
+    not drawn at all.
     """
     cap = adaptive_cap(trials, max_trials)
+    chunk_trials = min(trials, cap)
     # The analytic screen behind the routing, the pilot prediction and
     # the IS bias reads the audit interval from MDL, so it sees the
     # override folded in; the kernel reads the override itself.
@@ -639,13 +667,17 @@ def _sample(estimator, model, horizon, trials, seed, replicas,
         model if audits_per_year is None
         else model.with_audit_rate(audits_per_year)
     )
-    if (
-        method == "auto" and backend == "batch" and bias is None
-        and _conditional_pays(
-            screened, horizon, min(trials, cap), replicas, scheme
-        )
-    ):
-        variance_reduction = "cv"
+    if method == "auto":
+        from repro.simulation.rare_event import analytic_loss_rate
+
+        # The horizon in screened MTTDLs.
+        spans = analytic_loss_rate(screened, replicas, scheme) * horizon
+        if (
+            backend == "batch" and bias is None
+            and resolve_scheme(scheme, replicas).loss_threshold == 2
+            and _conditional_pays(estimator, spans, chunk_trials)
+        ):
+            variance_reduction = "cv"
     if variance_reduction != "none":
         from repro.simulation.variance_reduction import (
             ControlVariateTally,
@@ -693,9 +725,7 @@ def _sample(estimator, model, horizon, trials, seed, replicas,
         # A pilot the screen condemns would be discarded unseen; skipping
         # it leaves the answer as it was, because IS chunk 0 draws from
         # the same stream either way.
-        predicted = _predicted_pilot_losses(
-            screened, horizon, min(trials, cap), replicas, scheme
-        )
+        predicted = -math.expm1(-spans) * chunk_trials
         if predicted <= AUTO_SKIP_PILOT_LOSSES:
             _record_escalation(estimator, 0, 0, predicted_losses=predicted)
             method = "is"

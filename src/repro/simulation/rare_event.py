@@ -28,12 +28,10 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-import numpy as np
-
 from repro.core.parameters import FaultModel
 from repro.core.redundancy import RedundancyScheme, resolve_scheme, scheme_loss_rate
 from repro.simulation.batch import BatchRunResult
-from repro.simulation.estimators import MonteCarloEstimate, time_on_test_mttdl
+from repro.simulation.estimators import LossScoreTally, MonteCarloEstimate
 
 #: Target probability that a *biased* mirrored trial loses data; higher
 #: replication degrees target the (replicas - 1)-th power of this, since
@@ -120,7 +118,7 @@ def default_failure_bias(
 
 
 @dataclass
-class WeightedLossTally:
+class WeightedLossTally(LossScoreTally):
     """Accumulates importance-weighted loss indicators across chunks.
 
     Per trial the estimator's summand is ``x = w · 1{lost}``, and the
@@ -132,25 +130,17 @@ class WeightedLossTally:
     holding per-trial arrays.
     """
 
-    trials: int = 0
     losses: int = 0
-    sum_x: float = 0.0
-    sum_x_sq: float = 0.0
-    sum_z: float = 0.0
-    sum_z_sq: float = 0.0
-    sum_xz: float = 0.0
 
     def add(self, result: BatchRunResult) -> None:
         lost = result.lost
         loss_weights = result.weights[lost]
-        after = loss_weights * (result.horizon - result.end_time[lost])
-        self.trials += result.trials
+        self.add_scores(
+            result.trials,
+            loss_weights,
+            loss_weights * (result.horizon - result.end_time[lost]),
+        )
         self.losses += result.losses
-        self.sum_x += float(loss_weights.sum())
-        self.sum_x_sq += float(np.square(loss_weights).sum())
-        self.sum_z += float(after.sum())
-        self.sum_z_sq += float(np.square(after).sum())
-        self.sum_xz += float((loss_weights * after).sum())
 
     @property
     def mean(self) -> float:
@@ -204,19 +194,4 @@ class WeightedLossTally:
             effective_sample_size=self.ess if self.losses else 0.0,
         )
 
-    def mttdl_estimate(self, horizon: float) -> MonteCarloEstimate:
-        """The tallied trials as an MTTDL estimate: weighted time on test
-        over the weighted loss probability."""
-        mean, std_error = time_on_test_mttdl(
-            horizon, self.trials, self.sum_x, self.sum_x_sq, self.sum_z,
-            self.sum_z_sq, self.sum_xz,
-        )
-        return MonteCarloEstimate(
-            mean=mean,
-            std_error=std_error,
-            trials=self.trials,
-            censored=self.trials - self.losses,
-            method="is",
-            effective_sample_size=self.ess if self.losses else 0.0,
-        )
 

@@ -14,9 +14,10 @@ This module supplies the estimator's tally
 :mod:`repro.simulation.estimators` runs them, so a ``"cv"`` run stops,
 caps its budget and traces one ``pilot_round`` per chunk like every
 other estimate.  ``method="auto"`` runs them too, for threshold-2
-questions on the batch backend whose horizon is at most the screened
-MTTDL times ``H_n`` for ``n``-trial chunks: past that the skeleton walks
-more windows than a standard chunk takes sweeps.
+questions on the batch backend whose horizon is short enough, in
+screened MTTDLs, for the skeleton to finish before a standard chunk
+(:data:`~repro.simulation.estimators.AUTO_CV_SPANS`): it walks every
+trial to the horizon, where plain sampling stops each at its loss.
 
 Control variates / conditional Monte-Carlo (``"cv"``)
 -----------------------------------------------------
@@ -89,7 +90,7 @@ from repro.core.redundancy import RedundancyScheme, resolve_scheme
 # stays importable from here because ``perfbench/tracing.py`` wraps the
 # ``simulate_batch`` attribute of every estimator module.
 from repro.simulation.batch import simulate_batch  # noqa: F401
-from repro.simulation.estimators import MonteCarloEstimate, time_on_test_mttdl
+from repro.simulation.estimators import LossScoreTally, MonteCarloEstimate
 from repro.simulation.rng import control_variate_generator
 from repro.simulation.scrubbing import (
     audit_detection_time,
@@ -182,7 +183,7 @@ def _skeleton(
 
 
 @dataclass
-class ControlVariateTally:
+class ControlVariateTally(LossScoreTally):
     """Per-trial conditional loss probabilities ``C_i``, chunk by chunk.
 
     The estimate is their sample mean, with the sample standard error.
@@ -193,31 +194,19 @@ class ControlVariateTally:
     (see :func:`_skeleton`).
     """
 
-    trials: int = 0
     windowed: int = 0
-    total: float = 0.0
-    total_sq: float = 0.0
-    sum_z: float = 0.0
-    sum_z_sq: float = 0.0
-    sum_xz: float = 0.0
 
     def add(self, chunk: Tuple[np.ndarray, Optional[np.ndarray]]) -> None:
         scores, after = chunk
-        self.trials += scores.size
+        self.add_scores(scores.size, scores, after)
         self.windowed += int(np.count_nonzero(scores > 0.0))
-        self.total += float(scores.sum())
-        self.total_sq += float(np.square(scores).sum())
-        if after is not None:
-            self.sum_z += float(after.sum())
-            self.sum_z_sq += float(np.square(after).sum())
-            self.sum_xz += float((scores * after).sum())
 
     @property
     def std_error(self) -> float:
         if self.trials < 2:
             return math.inf
-        mean = self.total / self.trials
-        variance = max(self.total_sq / self.trials - mean * mean, 0.0) * (
+        mean = self.sum_x / self.trials
+        variance = max(self.sum_x_sq / self.trials - mean * mean, 0.0) * (
             self.trials / (self.trials - 1.0)
         )
         return math.sqrt(variance / self.trials)
@@ -225,7 +214,7 @@ class ControlVariateTally:
     @property
     def relative_error(self) -> float:
         """Standard error over the mean; ``inf`` while every score is 0."""
-        mean = self.total / self.trials
+        mean = self.sum_x / self.trials
         return self.std_error / mean if mean > 0.0 else math.inf
 
     def pilot_round(self) -> Dict[str, object]:
@@ -233,26 +222,11 @@ class ControlVariateTally:
 
     def estimate(self) -> MonteCarloEstimate:
         return MonteCarloEstimate(
-            mean=self.total / self.trials,
+            mean=self.sum_x / self.trials,
             std_error=self.std_error,
             trials=self.trials,
             censored=self.trials - self.windowed,
             clamp_hi=1.0,
-            method="cv",
-        )
-
-    def mttdl_estimate(self, horizon: float) -> MonteCarloEstimate:
-        """The tallied trials as an MTTDL estimate: conditional time on
-        test over the conditional loss probability."""
-        mean, std_error = time_on_test_mttdl(
-            horizon, self.trials, self.total, self.total_sq, self.sum_z,
-            self.sum_z_sq, self.sum_xz,
-        )
-        return MonteCarloEstimate(
-            mean=mean,
-            std_error=std_error,
-            trials=self.trials,
-            censored=self.trials - self.windowed,
             method="cv",
         )
 

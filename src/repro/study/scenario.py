@@ -321,10 +321,11 @@ class SweepSpec:
 
     @staticmethod
     def from_dict(payload: Dict[str, object]) -> "SweepSpec":
-        parameter = json_required(payload, "parameter", "sweep.parameter")
-        json_required(payload, "values", "sweep.values")
         return SweepSpec(
-            parameter=json_string(parameter, "sweep.parameter"),
+            parameter=json_string(
+                json_required(payload, "parameter", "sweep.parameter"),
+                "sweep.parameter",
+            ),
             values=_json_items(payload, "values", "sweep.values", json_number),
             metric=json_string(payload.get("metric", "mttdl"), "sweep.metric"),
             correlation_factors=_json_items(

@@ -22,7 +22,7 @@ from repro.simulation.batch import simulate_batch
 from repro.simulation.estimators import (
     AUTO_MIN_LOSSES,
     AUTO_SKIP_PILOT_LOSSES,
-    _predicted_pilot_losses,
+    _conditional_pays,
     run_loss_probability,
     run_mttdl,
     time_on_test_mttdl,
@@ -44,6 +44,12 @@ def paper_moderate_model():
 def paper_rare_model():
     """Daily-scrubbed Cheetah pair: ~1.7e-4 loss in 50 years."""
     return FaultModel(1.4e6, 2.8e5, 1.0 / 3.0, 1.0 / 3.0, 12.0, 1.0)
+
+
+def predicted_pilot_losses(model, horizon, trials, replicas):
+    """Losses the analytic screen expects in a standard pilot."""
+    rate = analytic_loss_rate(model, replicas)
+    return -math.expm1(-rate * horizon) * trials
 
 
 def intervals_overlap(a, b):
@@ -394,6 +400,29 @@ class TestAutoMethod:
         assert len(rounds) > 1 and all(r["method"] == "cv" for r in rounds)
         assert escalations == [] and counted == 0
 
+    def test_auto_leaves_a_long_pair_mttdl_to_plain_sampling(self):
+        # Six screened MTTDLs of the alpha 0.5 pair in 2,000-trial
+        # chunks: past the MTTDL's break-even, whose skeleton also
+        # integrates the time on test, and within the loss probability's.
+        model = FaultModel(1.4e6, 2.8e5, 1.0 / 3.0, 1.0 / 3.0, 730.0, 0.5)
+        horizon = 6.0 / analytic_loss_rate(model, 2)
+        settings = dict(trials=2000, seed=1, method="auto")
+        assert run_mttdl(model, max_time=horizon, **settings).method == (
+            "standard"
+        )
+        assert run_loss_probability(
+            model, mission_time=horizon, **settings
+        ).method == "cv"
+
+    def test_the_control_variate_bound_shrinks_with_the_chunk(self):
+        # Per-trial work dominates a large chunk, and a small chunk stops
+        # sweeping at its expected last loss, ln n + 0.58 MTTDLs in.
+        assert _conditional_pays("mttdl", 4.0, 2000)
+        assert not _conditional_pays("mttdl", 4.0, 20_000)
+        assert _conditional_pays("loss_probability", 6.0, 2000)
+        assert not _conditional_pays("loss_probability", 6.0, 20_000)
+        assert not _conditional_pays("loss_probability", 6.0, 200)
+
     def test_auto_switches_to_is_on_rare_triple(self, fast_model):
         estimate = run_loss_probability(
             fast_model,
@@ -480,7 +509,7 @@ class TestAutoMethod:
     def test_auto_runs_a_pilot_above_the_cut_off(self, fast_model):
         # The compressed-time triple over 20 h at 500 trials: ~1.6
         # expected losses.
-        predicted = _predicted_pilot_losses(fast_model, 20.0, 500, 3, None)
+        predicted = predicted_pilot_losses(fast_model, 20.0, 500, 3)
         assert AUTO_SKIP_PILOT_LOSSES < predicted < 2.0
         estimate, rounds, escalations, counted = self.traced(
             model=fast_model,
@@ -502,15 +531,15 @@ class TestAutoMethod:
         # Three replicas that are never audited lose often, whatever MDL
         # the model names: the pilot runs, and it keeps standard sampling.
         model = paper_rare_model()
-        assert _predicted_pilot_losses(
-            model, MISSION, 500, 3, None
+        assert predicted_pilot_losses(
+            model, MISSION, 500, 3
         ) <= AUTO_SKIP_PILOT_LOSSES
-        assert _predicted_pilot_losses(
-            model.with_audit_rate(0.0), MISSION, 500, 3, None
+        assert predicted_pilot_losses(
+            model.with_audit_rate(0.0), MISSION, 500, 3
         ) > AUTO_MIN_LOSSES
-        assert _predicted_pilot_losses(
-            model.with_audit_rate(HOURS_PER_YEAR / 24.0), MISSION, 500, 3, None
-        ) == _predicted_pilot_losses(model, MISSION, 500, 3, None)
+        assert predicted_pilot_losses(
+            model.with_audit_rate(HOURS_PER_YEAR / 24.0), MISSION, 500, 3
+        ) == predicted_pilot_losses(model, MISSION, 500, 3)
         estimate, rounds, escalations, _ = self.traced(
             model=model,
             mission_time=MISSION,
