@@ -37,11 +37,11 @@ importance-weighted 0/1 loss
 conditional loss probability
 (:class:`~repro.simulation.variance_reduction.ControlVariateTally`),
 the last two with the trial's time past the loss for the MTTDL, whose
-moments both keep in a :class:`LossScoreTally`.  One loop draws chunks of ``trials`` into the tally.  Without
-``target_relative_error`` it stops after the first chunk; with one, it
-keeps extending until the tally's relative error falls to the target or
-``max_trials`` (default 64 chunks) is reached, the last chunk clamped
-so that the cap is hard.  Each tally owns its relative-error rule:
+moments both keep in a :class:`LossScoreTally`.  One loop draws chunks
+of ``trials`` into the tally.  Without ``target_relative_error`` it
+stops after the first chunk; with one, it keeps extending until the
+tally's relative error falls to the target or ``max_trials`` (default
+64 chunks) is reached, the last chunk clamped so that the cap is hard.  Each tally owns its relative-error rule:
 ``1/sqrt(losses)`` for the MTTDL's MLE, ``sqrt((1 - p) / losses)`` for a
 plain loss proportion, and the sample standard error over the mean for
 weighted and conditional scores.  Chunks use independent sub-streams of
@@ -159,15 +159,15 @@ AUTO_SKIP_PILOT_LOSSES = 1.0
 #: fastest of 7 alternating runs, no target), the break-even fell from
 #: 7.7 (loss) and 5 (MTTDL) MTTDLs in 2,000-trial chunks to 3.9 and 2.7
 #: in 20,000-trial chunks and about 4 and 2.5 in 50,000-trial ones.
-AUTO_CV_SPANS: Dict[str, float] = {"loss_probability": 3.5, "mttdl": 2.4}
+AUTO_CV_SPANS: Dict[str, float] = {"loss_probability": 3.5, "mttdl": 2.2}
 
 #: ``method="auto"``: the chunk size at which the control variate's
-#: break-even horizon is twice :data:`AUTO_CV_SPANS`.  It grows as
+#: bound is twice :data:`AUTO_CV_SPANS`.  It grows as
 #: ``1 + AUTO_CV_SWEEP_TRIALS / n`` for ``n``-trial chunks, because the
 #: standard kernel's fixed cost per sweep, worth about this many trials'
-#: work, weighs more in small chunks.  On the pair above this put the
-#: bound at or below every measured break-even from 200 to 50,000
-#: trials, within 7% of it from 1,000 trials up.
+#: work, weighs more in small chunks.  On the pair above, a control
+#: variate run at the bound took 0.62-0.98 of a standard chunk's time
+#: in chunks of 200 to 50,000 trials.
 AUTO_CV_SWEEP_TRIALS = 2000
 
 #: Recognised estimator methods, in the order help text lists them.
