@@ -14,7 +14,7 @@ map with a different ``jobs`` replaces it, so a parallel answer pays a
 fork and a teardown only once per process (per answer they had cost
 about 16 ms of a ~52 ms perfbench fleet answer on a 2-core x86-64
 host).  The start method is the platform default.  A long-lived pool
-needs three guarantees, which :func:`_init_worker` and
+needs four guarantees, which :func:`_init_worker` and
 :func:`map_timed` give:
 
 * **Workers record nothing.**  Fork copies whatever telemetry session
@@ -25,6 +25,9 @@ needs three guarantees, which :func:`_init_worker` and
 * **Workers die with their parent.**  A daemon thread in each worker
   calls :func:`os._exit` once the parent's sentinel fires, so a killed
   server leaves no worker behind holding its listening socket.
+* **Workers start spread over the CPUs.**  Each moves itself once to
+  its own allowed CPU (:func:`_move_to_own_cpu`), so a fresh pool does
+  not wait for the scheduler to pull its workers off the parent's CPU.
 * **A broken pool is dropped.**  A map that raises
   :class:`~concurrent.futures.process.BrokenProcessPool` (a worker
   died) forgets the pool before re-raising, and the next map forks a
@@ -71,7 +74,31 @@ def _init_worker() -> None:
     """Run once in each worker before its first task."""
     # Fork copied the parent's registry, trace writer included.
     telemetry._CURRENT = telemetry.NULL
+    _move_to_own_cpu()
     threading.Thread(target=_exit_with_parent, daemon=True).start()
+
+
+def _move_to_own_cpu() -> None:
+    """Move this worker once to one of its allowed CPUs, picked by pid,
+    then allow them all again.
+
+    Fresh workers, woken by the parent's writes, can stay on the
+    parent's CPU for seconds while another CPU idles.  On a 2-vCPU
+    x86-64 VM the 4-job legs of e15's planner query ran on one CPU for
+    their first ~4 s after an idle spell (0.39-0.50 s each, as long as
+    the serial leg, with the second CPU idle) and on both from the
+    first leg once each worker had been moved (0.20-0.30 s).  The
+    kernel stays free to move a worker later.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return
+    allowed = os.sched_getaffinity(0)
+    cpus = sorted(allowed)
+    try:
+        os.sched_setaffinity(0, {cpus[os.getpid() % len(cpus)]})
+        os.sched_setaffinity(0, allowed)
+    except OSError:  # the allowed set changed meanwhile
+        pass
 
 
 def _pool(jobs: int) -> ProcessPoolExecutor:

@@ -152,6 +152,23 @@ class TestPoolLifecycle:
             time.sleep(0.05)
 
 
+def _allowed_cpus(_):
+    return sorted(os.sched_getaffinity(0))
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls"
+)
+class TestWorkersStartSpread:
+    def test_a_moved_worker_keeps_every_allowed_cpu(self):
+        # Each fresh worker moves itself to one CPU and then allows them
+        # all again, so the kernel stays free to move it later.
+        _replace_pool()
+        outcomes = map_timed(_allowed_cpus, [1, 2, 3, 4], 2)
+        parent = sorted(os.sched_getaffinity(0))
+        assert [cpus for cpus, _ in outcomes] == [parent] * 4
+
+
 class TestWorkersRecordNothing:
     def test_worker_sees_the_null_registry(self):
         _replace_pool()
